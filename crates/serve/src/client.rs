@@ -44,6 +44,9 @@ impl Client {
     /// Connects and verifies the protocol version via `Hello`.
     pub fn connect(addr: &str) -> Result<Self, SimError> {
         let stream = TcpStream::connect(addr).map_err(|e| io_err(format!("connect {addr}: {e}")))?;
+        // Requests are small single-write lines; don't let Nagle hold them
+        // back waiting for an ACK (see the framing rules in `protocol`).
+        stream.set_nodelay(true).map_err(|e| io_err(format!("set_nodelay: {e}")))?;
         let writer = stream.try_clone().map_err(|e| io_err(format!("clone stream: {e}")))?;
         let mut client = Client { reader: LineReader::new(stream), writer };
         let stats = client.hello()?;

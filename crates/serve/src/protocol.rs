@@ -7,7 +7,12 @@
 //!
 //! Framing rules:
 //!
-//! * every message is one `\n`-terminated line;
+//! * every message is one `\n`-terminated line, sent with a single write
+//!   (body and newline in one buffer) on a `TCP_NODELAY` socket — a line
+//!   split across two writes lets Nagle's algorithm hold the newline until
+//!   the peer's delayed ACK fires, adding ~40 ms to every message;
+//! * lines are decoded as UTF-8 only once complete, so a read timeout in
+//!   the middle of a multibyte character never loses bytes;
 //! * the server answers `Submit` with either `Rejected` (admission control
 //!   said no — retry after the hinted delay) or `Accepted`, followed by one
 //!   `Cell` per submitted cell **in completion order**, followed by exactly
@@ -182,12 +187,13 @@ pub enum Response {
     },
 }
 
-/// Serializes `msg` as one JSON line and flushes it.
+/// Serializes `msg` as one JSON line, hands it to `w` in a single write,
+/// and flushes it.
 pub fn write_line<T: Serialize>(w: &mut impl Write, msg: &T) -> Result<(), SimError> {
-    let body = serde_json::to_string(msg)
+    let mut line = serde_json::to_string(msg)
         .map_err(|e| SimError::Protocol { what: format!("serialize message: {e}") })?;
-    w.write_all(body.as_bytes())
-        .and_then(|()| w.write_all(b"\n"))
+    line.push('\n');
+    w.write_all(line.as_bytes())
         .and_then(|()| w.flush())
         .map_err(|e| SimError::Io { what: format!("write message: {e}") })
 }
@@ -200,8 +206,9 @@ pub enum LineIn<T> {
     /// The peer closed the connection.
     Eof,
     /// The read timed out before a full line arrived (only with a read
-    /// timeout configured on the underlying stream). Any partial bytes are
-    /// retained, so timeouts never tear messages.
+    /// timeout configured on the underlying stream). The raw bytes read so
+    /// far are retained — even half of a multibyte UTF-8 character — so
+    /// timeouts never tear messages.
     Timeout,
 }
 
@@ -211,21 +218,24 @@ pub enum LineIn<T> {
 /// periodically to notice a drain without losing protocol framing.
 pub struct LineReader<R: Read> {
     inner: BufReader<R>,
-    buf: String,
+    buf: Vec<u8>,
 }
 
 impl<R: Read> LineReader<R> {
     /// Wraps `r`.
     pub fn new(r: R) -> Self {
-        LineReader { inner: BufReader::new(r), buf: String::new() }
+        LineReader { inner: BufReader::new(r), buf: Vec::new() }
     }
 
     /// Reads (or continues reading) one line and parses it as `T`.
     pub fn read<T: Deserialize>(&mut self) -> Result<LineIn<T>, SimError> {
         use std::io::ErrorKind;
-        match self.inner.read_line(&mut self.buf) {
+        // `read_until` keeps every byte it consumed in `buf`, even when the
+        // call ends in an error; `read_line` would drop them if they ended
+        // inside a UTF-8 character.
+        match self.inner.read_until(b'\n', &mut self.buf) {
             Ok(0) => {
-                if self.buf.trim().is_empty() {
+                if self.buf.trim_ascii().is_empty() {
                     Ok(LineIn::Eof)
                 } else {
                     // Peer died mid-line: surface the torn message.
@@ -235,7 +245,10 @@ impl<R: Read> LineReader<R> {
                 }
             }
             Ok(_) => {
-                let line = std::mem::take(&mut self.buf);
+                let bytes = std::mem::take(&mut self.buf);
+                let line = String::from_utf8(bytes).map_err(|e| SimError::Protocol {
+                    what: format!("message is not valid UTF-8: {e}"),
+                })?;
                 let trimmed = line.trim();
                 if trimmed.is_empty() {
                     // Tolerate blank keep-alive lines.
@@ -318,11 +331,80 @@ mod tests {
         assert_eq!(err.kind(), "protocol");
     }
 
+    /// A reader that hands out scripted chunks; `None` is a read timeout.
+    struct Chunked(std::collections::VecDeque<Option<Vec<u8>>>);
+
+    impl Read for Chunked {
+        fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
+            match self.0.pop_front() {
+                None => Ok(0),
+                Some(None) => Err(std::io::ErrorKind::WouldBlock.into()),
+                Some(Some(chunk)) => {
+                    out[..chunk.len()].copy_from_slice(&chunk);
+                    Ok(chunk.len())
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn timeout_inside_a_multibyte_character_keeps_the_message() {
+        let mut wire = Vec::new();
+        write_line(&mut wire, &Request::Submit { name: "jéb".into(), cells: vec![] }).unwrap();
+        // Split right after the first byte of the two-byte 'é' (0xC3 0xA9).
+        let split = wire.iter().position(|&b| b == 0xC3).unwrap() + 1;
+        let chunks = [Some(wire[..split].to_vec()), None, Some(wire[split..].to_vec())];
+        let mut lr = LineReader::new(Chunked(chunks.into_iter().collect()));
+        assert!(matches!(lr.read::<Request>().unwrap(), LineIn::Timeout));
+        match lr.read::<Request>().unwrap() {
+            LineIn::Msg(Request::Submit { name, cells }) => {
+                assert_eq!(name, "jéb");
+                assert!(cells.is_empty());
+            }
+            other => panic!("expected the Submit, got {other:?}"),
+        }
+        assert!(matches!(lr.read::<Request>().unwrap(), LineIn::Eof));
+    }
+
+    /// A sink that keeps the bytes of each `write` call separately.
+    #[derive(Default)]
+    struct WriteLog(Vec<Vec<u8>>);
+
+    impl Write for WriteLog {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.0.push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn each_message_is_a_single_write_ending_in_newline() {
+        let cell = NamedCell { label: "one".into(), spec: spec(), fault: None };
+        let mut log = WriteLog::default();
+        write_line(&mut log, &Request::Submit { name: "framing".into(), cells: vec![cell] })
+            .unwrap();
+        write_line(&mut log, &Response::Draining).unwrap();
+        write_line(&mut log, &Response::Error { what: "bad".into() }).unwrap();
+        assert_eq!(log.0.len(), 3, "one write call per message");
+        for bytes in &log.0 {
+            assert_eq!(bytes.last(), Some(&b'\n'));
+            assert_eq!(bytes.iter().filter(|&&b| b == b'\n').count(), 1);
+        }
+    }
+
     #[test]
     fn malformed_line_is_a_protocol_error() {
-        let mut lr = LineReader::new(&b"this is not json\n"[..]);
-        let err = lr.read::<Request>().unwrap_err();
-        assert_eq!(err.kind(), "protocol");
-        assert_eq!(err.retry_class(), save_sim::RetryClass::Permanent);
+        let not_json: &[u8] = b"this is not json\n";
+        let not_utf8: &[u8] = b"{\"Submit\":{\"name\":\"\xFF\",\"cells\":[]}}\n";
+        for wire in [not_json, not_utf8] {
+            let mut lr = LineReader::new(wire);
+            let err = lr.read::<Request>().unwrap_err();
+            assert_eq!(err.kind(), "protocol");
+            assert_eq!(err.retry_class(), save_sim::RetryClass::Permanent);
+        }
     }
 }

@@ -195,6 +195,11 @@ pub fn serve(cfg: &ServeConfig) -> Result<u8, SimError> {
 }
 
 fn handle_conn(stream: TcpStream, state: &Arc<ServeState>) -> Result<(), SimError> {
+    // Responses stream one small line per cell; send each as soon as it is
+    // written (see the framing rules in `protocol`).
+    stream
+        .set_nodelay(true)
+        .map_err(|e| SimError::Io { what: format!("set_nodelay: {e}") })?;
     stream
         .set_read_timeout(Some(Duration::from_millis(100)))
         .map_err(|e| SimError::Io { what: format!("set_read_timeout: {e}") })?;
