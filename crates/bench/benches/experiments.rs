@@ -9,8 +9,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use save_core::CoreConfig;
 use save_kernels::{Phase, Precision};
 use save_mem::energy::{PrecisionSupport, StorageModel};
-use save_sim::runner::{run_kernel, run_kernel_custom};
-use save_sim::{ConfigKind, MachineConfig, Network};
+use save_sim::{CellSpec, ConfigKind, MachineConfig, Network};
 use save_sparsity::{ActivationModel, NetKind, PruningSchedule};
 
 fn quick_machine() -> MachineConfig {
@@ -68,36 +67,32 @@ fn bench_fig12_fig13(c: &mut Criterion) {
 fn bench_fig14(c: &mut Criterion) {
     c.bench_function("fig14/inference_layer_point", |b| {
         let w = small("ResNet3_2", Phase::Forward, Precision::F32, 0.4, 0.8);
-        let m = quick_machine();
-        let mut seed = 0;
+        let mut cell = CellSpec::new(w, ConfigKind::Save2Vpu, quick_machine(), 0);
         b.iter(|| {
-            seed += 1;
-            std::hint::black_box(run_kernel(&w, ConfigKind::Save2Vpu, &m, seed, false).map(|r| r.cycles))
+            cell.seed += 1;
+            std::hint::black_box(cell.run(None).map(|r| r.cycles))
         })
     });
 }
 
 fn bench_fig15(c: &mut Criterion) {
     c.bench_function("fig15/mp_forward_sweep_point", |b| {
-        let w = small("ResNet2_2", Phase::Forward, Precision::Mixed, 0.4, 0.4);
-        let m = quick_machine();
-        b.iter(|| std::hint::black_box(run_kernel(&w, ConfigKind::Save1Vpu, &m, 1, false).map(|r| r.cycles)))
+        let cell = CellSpec::new(small("ResNet2_2", Phase::Forward, Precision::Mixed, 0.4, 0.4), ConfigKind::Save1Vpu, quick_machine(), 1);
+        b.iter(|| std::hint::black_box(cell.run(None).map(|r| r.cycles)))
     });
 }
 
 fn bench_fig16(c: &mut Criterion) {
     c.bench_function("fig16/speedup_cap_point", |b| {
-        let w = small("VGG3_2", Phase::Forward, Precision::F32, 0.9, 0.9);
-        let m = quick_machine();
-        b.iter(|| std::hint::black_box(run_kernel(&w, ConfigKind::Save1Vpu, &m, 1, false).map(|r| r.cycles)))
+        let cell = CellSpec::new(small("VGG3_2", Phase::Forward, Precision::F32, 0.9, 0.9), ConfigKind::Save1Vpu, quick_machine(), 1);
+        b.iter(|| std::hint::black_box(cell.run(None).map(|r| r.cycles)))
     });
 }
 
 fn bench_fig17(c: &mut Criterion) {
     c.bench_function("fig17/embedded_broadcast_with_bcache", |b| {
-        let w = small("ResNet3_2", Phase::BackwardWeights, Precision::F32, 0.4, 0.4);
-        let m = quick_machine();
-        b.iter(|| std::hint::black_box(run_kernel(&w, ConfigKind::Save2Vpu, &m, 1, false).map(|r| r.cycles)))
+        let cell = CellSpec::new(small("ResNet3_2", Phase::BackwardWeights, Precision::F32, 0.4, 0.4), ConfigKind::Save2Vpu, quick_machine(), 1);
+        b.iter(|| std::hint::black_box(cell.run(None).map(|r| r.cycles)))
     });
 }
 
@@ -115,8 +110,8 @@ fn bench_fig18(c: &mut Criterion) {
         ),
     ] {
         c.bench_function(&format!("fig18/{label}"), |b| {
-            let w = small("ResNet3_2", Phase::BackwardInput, Precision::F32, 0.0, 0.5);
-            b.iter(|| std::hint::black_box(run_kernel_custom(&w, &cfg, &m, 1, false).map(|r| r.cycles)))
+            let cell = CellSpec::custom(small("ResNet3_2", Phase::BackwardInput, Precision::F32, 0.0, 0.5), cfg, m, 1);
+            b.iter(|| std::hint::black_box(cell.run(None).map(|r| r.cycles)))
         });
     }
 }
@@ -126,8 +121,8 @@ fn bench_fig19(c: &mut Criterion) {
     for (label, compress) in [("without_mp_technique", false), ("with_mp_technique", true)] {
         let cfg = CoreConfig { mp_compress: compress, ..CoreConfig::save_1vpu() };
         c.bench_function(&format!("fig19/{label}"), |b| {
-            let w = small("ResNet4_1a", Phase::BackwardInput, Precision::Mixed, 0.0, 0.6);
-            b.iter(|| std::hint::black_box(run_kernel_custom(&w, &cfg, &m, 1, false).map(|r| r.cycles)))
+            let cell = CellSpec::custom(small("ResNet4_1a", Phase::BackwardInput, Precision::Mixed, 0.0, 0.6), cfg, m, 1);
+            b.iter(|| std::hint::black_box(cell.run(None).map(|r| r.cycles)))
         });
     }
 }

@@ -1,5 +1,5 @@
 //! Criterion micro-benchmarks of the cycle-loop hot path itself: whole
-//! small kernels driven through `run_kernel_custom`, which exercises the
+//! small kernels driven through `CellSpec::run`, which exercises the
 //! scheduler (window masks + select), rename/allocate, the MGU sync path,
 //! and write-back every cycle. The `_ff_off` variants pin the raw cost of
 //! an executed cycle; the `_ff_on` variants show what event-driven
@@ -10,7 +10,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use save_core::CoreConfig;
 use save_kernels::{BroadcastPattern, GemmKernelSpec, GemmWorkload, Precision};
-use save_sim::runner::{run_kernel_custom, ConfigKind, MachineConfig};
+use save_sim::{CellSpec, ConfigKind, MachineConfig};
 
 fn spec() -> GemmKernelSpec {
     GemmKernelSpec {
@@ -37,8 +37,8 @@ fn stream_workload() -> GemmWorkload {
 }
 
 fn run(w: &GemmWorkload, cfg: &CoreConfig) -> u64 {
-    let m = MachineConfig::default();
-    run_kernel_custom(w, cfg, &m, 7, false).expect("bench kernel must run clean").cycles
+    let cell = CellSpec::custom(w.clone(), *cfg, MachineConfig::default(), 7);
+    cell.run(None).expect("bench kernel must run clean").cycles
 }
 
 fn bench_step_loop(c: &mut Criterion) {

@@ -14,10 +14,19 @@
 
 use save_bench::print_table;
 use save_core::CoreConfig;
-use save_kernels::{Phase, Precision};
-use save_sim::runner::run_kernel_custom_cancel;
-use save_sim::{MachineConfig, SimError};
+use save_kernels::{GemmWorkload, Phase, Precision};
+use save_sim::{CancelToken, CellSpec, KernelResult, MachineConfig, SimError};
 use std::process::ExitCode;
+
+/// Runs `w` under `cfg` on `m` with the fixed data seed every study uses.
+fn run(
+    w: &GemmWorkload,
+    cfg: CoreConfig,
+    m: MachineConfig,
+    tok: &CancelToken,
+) -> Result<KernelResult, SimError> {
+    CellSpec::custom(w.clone(), cfg, m, 1).run(Some(tok))
+}
 
 fn main() -> ExitCode {
     save_bench::run_main("ablation", body)
@@ -33,8 +42,7 @@ fn body(
     })?;
     let fwd = shape.workload(Phase::Forward, Precision::F32).with_sparsity(0.0, 0.6);
     let base_time = session.seconds("baseline fwd", |tok| {
-        Ok(run_kernel_custom_cancel(&fwd, &CoreConfig::baseline(), &machine, 1, false, Some(tok))?
-            .seconds)
+        Ok(run(&fwd, CoreConfig::baseline(), machine, tok)?.seconds)
     });
 
     // 1. RS size: the combination window is RS-bound until the 32-register
@@ -42,9 +50,7 @@ fn body(
     let mut rows = Vec::new();
     for rs in [24usize, 48, 64, 97, 128] {
         let cfg = CoreConfig { rs_entries: rs, ..CoreConfig::save_2vpu() };
-        let Some(r) = session.run(&format!("rs={rs}"), |tok| {
-            run_kernel_custom_cancel(&fwd, &cfg, &machine, 1, false, Some(tok))
-        }) else {
+        let Some(r) = session.run(&format!("rs={rs}"), |tok| run(&fwd, cfg, machine, tok)) else {
             continue;
         };
         rows.push(vec![
@@ -65,8 +71,8 @@ fn body(
         let cfg = CoreConfig { issue_width: width, commit_width: width, ..CoreConfig::save_2vpu() };
         let base = CoreConfig { issue_width: width, commit_width: width, ..CoreConfig::baseline() };
         let speedup = session.seconds(&format!("width={width}"), |tok| {
-            let tb = run_kernel_custom_cancel(&fwd, &base, &machine, 1, false, Some(tok))?.seconds;
-            let ts = run_kernel_custom_cancel(&fwd, &cfg, &machine, 1, false, Some(tok))?.seconds;
+            let tb = run(&fwd, base, machine, tok)?.seconds;
+            let ts = run(&fwd, cfg, machine, tok)?.seconds;
             Ok(tb / ts)
         });
         rows.push(vec![format!("{width}-wide"), format!("{speedup:.2}x")]);
@@ -82,18 +88,15 @@ fn body(
     let mut base_machine = machine;
     base_machine.mem.bcast = None;
     let tb = session.seconds("baseline wgrad", |tok| {
-        Ok(run_kernel_custom_cancel(
-            &wgrad, &CoreConfig::baseline(), &base_machine, 1, false, Some(tok),
-        )?
-        .seconds)
+        Ok(run(&wgrad, CoreConfig::baseline(), base_machine, tok)?.seconds)
     });
     let mut rows = Vec::new();
     for entries in [4usize, 8, 16, 32, 64] {
         let mut m = machine;
         m.mem.bcast_entries = entries;
-        let Some(r) = session.run(&format!("bcast={entries}"), |tok| {
-            run_kernel_custom_cancel(&wgrad, &CoreConfig::save_2vpu(), &m, 1, false, Some(tok))
-        }) else {
+        let Some(r) =
+            session.run(&format!("bcast={entries}"), |tok| run(&wgrad, CoreConfig::save_2vpu(), m, tok))
+        else {
             continue;
         };
         let hit_rate = if r.stats.bcast_loads == 0 {
@@ -119,12 +122,8 @@ fn body(
         let mut m = machine;
         m.mem.prefetch_degree = depth;
         let Some((tbb, ts)) = session.run(&format!("prefetch={depth}"), |tok| {
-            let tbb =
-                run_kernel_custom_cancel(&fwd, &CoreConfig::baseline(), &m, 1, false, Some(tok))?
-                    .seconds;
-            let ts =
-                run_kernel_custom_cancel(&fwd, &CoreConfig::save_2vpu(), &m, 1, false, Some(tok))?
-                    .seconds;
+            let tbb = run(&fwd, CoreConfig::baseline(), m, tok)?.seconds;
+            let ts = run(&fwd, CoreConfig::save_2vpu(), m, tok)?.seconds;
             Ok((tbb, ts))
         }) else {
             continue;
@@ -147,14 +146,13 @@ fn body(
     })?;
     let mp = mp_shape.workload(Phase::BackwardInput, Precision::Mixed).with_sparsity(0.0, 0.6);
     let tb = session.seconds("baseline mp", |tok| {
-        Ok(run_kernel_custom_cancel(&mp, &CoreConfig::baseline(), &machine, 1, false, Some(tok))?
-            .seconds)
+        Ok(run(&mp, CoreConfig::baseline(), machine, tok)?.seconds)
     });
     let mut rows = Vec::new();
     for overlap in [0u64, 1, 2, 3] {
         let cfg = CoreConfig { mp_forward_overlap: overlap, ..CoreConfig::save_1vpu() };
         let ts = session.seconds(&format!("overlap={overlap}"), |tok| {
-            Ok(run_kernel_custom_cancel(&mp, &cfg, &machine, 1, false, Some(tok))?.seconds)
+            Ok(run(&mp, cfg, machine, tok)?.seconds)
         });
         rows.push(vec![format!("{overlap} cycles"), format!("{:.2}x", tb / ts)]);
     }

@@ -11,8 +11,7 @@
 
 use save_bench::print_table;
 use save_kernels::{BroadcastPattern, GemmKernelSpec, GemmWorkload, Precision};
-use save_sim::runner::run_kernel_cancel;
-use save_sim::{ConfigKind, MachineConfig, SimError};
+use save_sim::{CellSpec, ConfigKind, MachineConfig, SimError};
 use std::process::ExitCode;
 
 fn explicit_spec() -> GemmKernelSpec {
@@ -54,10 +53,11 @@ fn body(
             let w = GemmWorkload { software_bs_skip: software, ..plain.clone() };
             let seed = (bs * 100.0) as u64;
             let speedup = session.seconds(&format!("{label} bs={bs:.1}"), |tok| {
-                let tb =
-                    run_kernel_cancel(&plain, ConfigKind::Baseline, &machine, seed, false, Some(tok))?
-                        .seconds;
-                let ts = run_kernel_cancel(&w, kind, &machine, seed, false, Some(tok))?.seconds;
+                let run = |wk: &GemmWorkload, kind| {
+                    CellSpec::new(wk.clone(), kind, machine, seed).run(Some(tok))
+                };
+                let tb = run(&plain, ConfigKind::Baseline)?.seconds;
+                let ts = run(&w, kind)?.seconds;
                 Ok(tb / ts)
             });
             row.push(format!("{speedup:.2}"));
@@ -90,14 +90,9 @@ fn body(
         for &nbs in &grid {
             let seed = (nbs * 100.0) as u64;
             let speedup = session.seconds(&format!("{label} nbs={nbs:.1}"), |tok| {
-                let tb = run_kernel_cancel(
-                    &streaming(nbs, false), ConfigKind::Baseline, &machine, seed, false, Some(tok),
-                )?
-                .seconds;
-                let ts = run_kernel_cancel(
-                    &streaming(nbs, compressed), kind, &machine, seed, false, Some(tok),
-                )?
-                .seconds;
+                let run = |w, kind| CellSpec::new(w, kind, machine, seed).run(Some(tok));
+                let tb = run(streaming(nbs, false), ConfigKind::Baseline)?.seconds;
+                let ts = run(streaming(nbs, compressed), kind)?.seconds;
                 Ok(tb / ts)
             });
             row.push(format!("{speedup:.2}"));

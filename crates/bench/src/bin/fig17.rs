@@ -11,8 +11,7 @@ use save_bench::print_table;
 use save_core::CoreConfig;
 use save_kernels::{Phase, Precision};
 use save_mem::BcastDesign;
-use save_sim::runner::run_kernel_custom_cancel;
-use save_sim::{MachineConfig, SimError};
+use save_sim::{CellSpec, MachineConfig, SimError};
 use serde::Serialize;
 use std::process::ExitCode;
 
@@ -59,14 +58,9 @@ fn body(
                 base_machine.mem.bcast = None;
                 let cell = format!("{label} bs={bs:.1} nbs={nbs:.1}");
                 let speedup = session.seconds(&cell, |tok| {
-                    let tb = run_kernel_custom_cancel(
-                        &w, &CoreConfig::baseline(), &base_machine, seed, false, Some(tok),
-                    )?
-                    .seconds;
-                    let ts = run_kernel_custom_cancel(
-                        &w, &CoreConfig::save_2vpu(), &machine, seed, false, Some(tok),
-                    )?
-                    .seconds;
+                    let run = |cfg, m| CellSpec::custom(w.clone(), cfg, m, seed).run(Some(tok));
+                    let tb = run(CoreConfig::baseline(), base_machine)?.seconds;
+                    let ts = run(CoreConfig::save_2vpu(), machine)?.seconds;
                     Ok(tb / ts)
                 });
                 row.push(format!("{speedup:.2}"));

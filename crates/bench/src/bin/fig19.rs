@@ -9,8 +9,7 @@
 use save_bench::print_table;
 use save_core::CoreConfig;
 use save_kernels::{Phase, Precision};
-use save_sim::runner::run_kernel_custom_cancel;
-use save_sim::{MachineConfig, SimError};
+use save_sim::{CellSpec, MachineConfig, SimError};
 use serde::Serialize;
 use std::process::ExitCode;
 
@@ -48,12 +47,9 @@ fn body(
             let seed = (nbs * 100.0) as u64;
             let cell = format!("{label} nbs={nbs:.1}");
             let speedup = session.seconds(&cell, |tok| {
-                let tb = run_kernel_custom_cancel(
-                    &w, &CoreConfig::baseline(), &machine, seed, false, Some(tok),
-                )?
-                .seconds;
-                let ts =
-                    run_kernel_custom_cancel(&w, &cfg, &machine, seed, false, Some(tok))?.seconds;
+                let run = |cfg| CellSpec::custom(w.clone(), cfg, machine, seed).run(Some(tok));
+                let tb = run(CoreConfig::baseline())?.seconds;
+                let ts = run(cfg)?.seconds;
                 Ok(tb / ts)
             });
             row.push(format!("{speedup:.2}"));

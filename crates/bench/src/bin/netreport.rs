@@ -12,9 +12,9 @@
 
 use save_bench::print_table;
 use save_kernels::{GemmWorkload, Phase, Precision};
-use save_sim::runner::{run_kernel_cancel, run_kernel_full};
+use save_sim::runner::run_kernel_full;
 use save_sim::{
-    ConfigKind, MachineConfig, MachineMode, MulticoreConfig, Network, SimError,
+    CellSpec, ConfigKind, MachineConfig, MachineMode, MulticoreConfig, Network, SimError,
 };
 use save_sparsity::NetKind;
 use serde::Serialize;
@@ -157,13 +157,12 @@ fn body(
         let scale = layer.flops() / w.flops();
         let w = w.with_sparsity(p.a, p.b);
         let Some((tb, t2, t1)) = session.run(layer.name(), |tok| {
-            let seed = li as u64;
-            let tb =
-                run_kernel_cancel(&w, ConfigKind::Baseline, &machine, seed, false, Some(tok))?.seconds;
-            let t2 =
-                run_kernel_cancel(&w, ConfigKind::Save2Vpu, &machine, seed, false, Some(tok))?.seconds;
-            let t1 =
-                run_kernel_cancel(&w, ConfigKind::Save1Vpu, &machine, seed, false, Some(tok))?.seconds;
+            let secs = |kind| -> Result<f64, SimError> {
+                Ok(CellSpec::new(w.clone(), kind, machine, li as u64).run(Some(tok))?.seconds)
+            };
+            let tb = secs(ConfigKind::Baseline)?;
+            let t2 = secs(ConfigKind::Save2Vpu)?;
+            let t1 = secs(ConfigKind::Save1Vpu)?;
             Ok((tb * scale, t2 * scale, t1 * scale))
         }) else {
             continue;

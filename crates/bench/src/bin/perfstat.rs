@@ -10,8 +10,10 @@
 //! Flags:
 //! * `--quick`    smaller sweep (used by the CI perf-smoke job);
 //! * `--update`   append this measurement to `BENCH_PERF.json`;
-//! * `--check`    compare against the last committed record of the same
-//!   sweep size and exit non-zero on a >25% throughput regression;
+//! * `--check`    compare against the best committed record of the same
+//!   sweep and exit non-zero when any point's simulated cycles differ from
+//!   it (cycles are deterministic, so this is a bit-identity gate) or on a
+//!   >25% throughput regression;
 //! * `--scaling`  also measure the detailed-multicore scaling curve
 //!   (cores × relaxed-sync quantum, DESIGN.md §5i) and gate the 28-core
 //!   relaxed-vs-lockstep wall-clock speedup against a floor;
@@ -24,9 +26,7 @@
 
 use save_bench::print_table;
 use save_kernels::{BroadcastPattern, GemmKernelSpec, GemmWorkload, Precision};
-use save_sim::runner::{
-    run_kernel, run_kernel_cancel, ConfigKind, MachineConfig, MachineMode, MulticoreConfig,
-};
+use save_sim::runner::{ConfigKind, MachineConfig, MachineMode, MulticoreConfig};
 use save_sim::{host_parallelism, CancelToken, CellSpec, SimError, TraceStore};
 use serde::{Deserialize, Serialize};
 use std::path::PathBuf;
@@ -177,18 +177,19 @@ fn reference_workloads(quick: bool) -> Vec<GemmWorkload> {
 /// quantity the `--check` ratio needs to be stable run-to-run.
 const REPS: usize = 3;
 
-/// Times `run_kernel` `REPS` times and returns (cycles, best host seconds).
+/// Runs `w` `REPS` times and returns (cycles, best host seconds).
 fn time_point(
     w: &GemmWorkload,
     kind: ConfigKind,
-    machine: &MachineConfig,
+    machine: MachineConfig,
     tok: &CancelToken,
 ) -> Result<(u64, f64), SimError> {
+    let cell = CellSpec::new(w.clone(), kind, machine, 7);
     let mut cycles = 0;
     let mut best = f64::INFINITY;
     for _ in 0..REPS {
         let t0 = Instant::now();
-        let r = run_kernel_cancel(w, kind, machine, 7, false, Some(tok))?;
+        let r = cell.run(Some(tok))?;
         let host = t0.elapsed().as_secs_f64();
         cycles = r.cycles;
         if host < best {
@@ -204,7 +205,7 @@ fn measure(quick: bool, tok: &CancelToken) -> Result<Vec<PerfPoint>, SimError> {
     let mut points = Vec::new();
     for w in reference_workloads(quick) {
         for kind in ConfigKind::ALL {
-            let (cycles, host) = time_point(&w, kind, &sym, tok)?;
+            let (cycles, host) = time_point(&w, kind, sym, tok)?;
             points.push(PerfPoint {
                 workload: w.name.clone(),
                 config: kind.label().to_string(),
@@ -217,7 +218,7 @@ fn measure(quick: bool, tok: &CancelToken) -> Result<Vec<PerfPoint>, SimError> {
     // One detailed multicore point: exercises the lockstep interleaving
     // (and its coordinated fast-forward) rather than the symmetric runner.
     let w = &reference_workloads(quick)[1];
-    let (cycles, host) = time_point(w, ConfigKind::Save2Vpu, &det, tok)?;
+    let (cycles, host) = time_point(w, ConfigKind::Save2Vpu, det, tok)?;
     points.push(PerfPoint {
         workload: format!("{}-4core", w.name),
         config: ConfigKind::Save2Vpu.label().to_string(),
@@ -400,14 +401,7 @@ fn measure_scaling(quick: bool, tok: &CancelToken) -> Result<MulticoreScaling, S
                 mc: MulticoreConfig { quantum, threads: 0 },
                 ..MachineConfig::default()
             };
-            let mut cycles = 0;
-            let mut best = f64::INFINITY;
-            for _ in 0..REPS {
-                let t0 = Instant::now();
-                let r = run_kernel_cancel(&w, ConfigKind::Save2Vpu, &machine, 7, false, Some(tok))?;
-                best = best.min(t0.elapsed().as_secs_f64());
-                cycles = r.cycles;
-            }
+            let (cycles, best) = time_point(&w, ConfigKind::Save2Vpu, machine, tok)?;
             if quantum == 1 {
                 lockstep_host = best;
             }
@@ -433,6 +427,15 @@ fn measure_scaling(quick: bool, tok: &CancelToken) -> Result<MulticoreScaling, S
         floor: scaling_floor(quick, host_threads),
         host_threads,
     })
+}
+
+/// The first point whose simulated cycles differ from the baseline's, with
+/// the baseline's count. Both slices describe the same point set, in order.
+fn first_cycle_mismatch<'a>(
+    mine: &'a [PerfPoint],
+    base: &[PerfPoint],
+) -> Option<(&'a PerfPoint, u64)> {
+    mine.iter().zip(base).find(|(m, b)| m.cycles != b.cycles).map(|(m, b)| (m, b.cycles))
 }
 
 fn load_trajectory(path: &PathBuf) -> Vec<PerfRecord> {
@@ -478,7 +481,7 @@ fn body(
         2,
     )
     .with_sparsity(0.3, 0.3);
-    let _ = run_kernel(&warm, ConfigKind::Save2Vpu, &MachineConfig::default(), 7, false);
+    let _ = CellSpec::new(warm, ConfigKind::Save2Vpu, MachineConfig::default(), 7).run(None);
 
     let Some(points) = session.run("reference sweep", |tok| measure(quick, tok)) else {
         return Ok(());
@@ -618,6 +621,20 @@ fn body(
         match base {
             Some(base) => {
                 let rev = if base.git_rev.is_empty() { "?" } else { &base.git_rev };
+                if let Some((p, want)) = first_cycle_mismatch(&points, &base.points) {
+                    return Err(SimError::Io {
+                        what: format!(
+                            "simulated cycles changed: {} / {} ran {} cycles, \
+                             the baseline record ({} rev {rev}) has {want}",
+                            p.workload, p.config, p.cycles, base.label
+                        ),
+                    });
+                }
+                println!(
+                    "check: cycles bit-identical to the baseline ({} cycles over {} points)",
+                    total_cycles,
+                    points.len()
+                );
                 let ratio = total_kcps / base.total_kcycles_per_host_sec;
                 println!(
                     "check: {:.0} kcyc/s vs best committed {:.0} kcyc/s ({} @ {} rev {rev}) = {ratio:.2}x",
@@ -650,4 +667,28 @@ fn body(
         println!("appended record to {}", path.display());
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn point(workload: &str, cycles: u64) -> PerfPoint {
+        PerfPoint {
+            workload: workload.to_string(),
+            config: "2 VPUs".to_string(),
+            cycles,
+            host_seconds: 1.0,
+            kcycles_per_host_sec: 1.0,
+        }
+    }
+
+    #[test]
+    fn cycle_gate_names_the_first_differing_point() {
+        let base = [point("a", 10), point("b", 20), point("c", 30)];
+        assert!(first_cycle_mismatch(&base, &base).is_none());
+        let mine = [point("a", 10), point("b", 21), point("c", 31)];
+        let (p, want) = first_cycle_mismatch(&mine, &base).expect("cycles differ");
+        assert_eq!((p.workload.as_str(), p.cycles, want), ("b", 21, 20));
+    }
 }

@@ -6,8 +6,7 @@
 
 use save_bench::print_table;
 use save_kernels::{Phase, Precision};
-use save_sim::runner::run_kernel_cancel;
-use save_sim::{ConfigKind, MachineConfig, PowerModel, SimError};
+use save_sim::{CellSpec, ConfigKind, MachineConfig, PowerModel, SimError};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -32,9 +31,8 @@ fn body(
             [(ConfigKind::Baseline, 2), (ConfigKind::Save2Vpu, 2), (ConfigKind::Save1Vpu, 1)]
         {
             let label = format!("{} @ {:.0}%", kind.label(), sparsity * 100.0);
-            let Some(r) =
-                session.run(&label, |tok| run_kernel_cancel(&w, kind, &machine, 2, false, Some(tok)))
-            else {
+            let cell = CellSpec::new(w.clone(), kind, machine, 2);
+            let Some(r) = session.run(&label, |tok| cell.run(Some(tok))) else {
                 continue;
             };
             let e = pm.estimate(&r, vpus);

@@ -18,9 +18,8 @@
 //! [`SimError`] through `main`'s `Result`, which the runtime renders as a
 //! readable message with a non-zero exit code.
 
-use save_core::SanitizeLevel;
-use save_sim::runner::{run_kernel_cancel, run_kernel_custom_cancel};
-use save_sim::{ConfigKind, MachineConfig, MachineMode, SimError};
+use save_core::{CoreConfig, SanitizeLevel};
+use save_sim::{CellSpec, ConfigKind, MachineConfig, MachineMode, SimError};
 
 fn usage() -> ! {
     eprintln!(
@@ -108,13 +107,15 @@ fn body(
         })?),
         None => None,
     };
-    let Some(result) = session.run(&workload.name.clone(), |tok| match sanitize {
+    let cell = match sanitize {
         Some(sanitize) => {
-            let cfg = save_core::CoreConfig { sanitize, ..kind.core_config() };
-            run_kernel_custom_cancel(&workload, &cfg, &machine, seed, true, Some(tok))
+            let cfg = CoreConfig { sanitize, ..kind.core_config() };
+            CellSpec::custom(workload.clone(), cfg, machine, seed)
         }
-        None => run_kernel_cancel(&workload, kind, &machine, seed, true, Some(tok)),
-    }) else {
+        None => CellSpec::new(workload.clone(), kind, machine, seed),
+    };
+    let cell = CellSpec { verify: true, ..cell };
+    let Some(result) = session.run(&workload.name, |tok| cell.run(Some(tok))) else {
         return Ok(());
     };
     if args.iter().any(|a| a == "--json") {

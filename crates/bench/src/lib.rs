@@ -522,7 +522,10 @@ impl SweepSession {
                 .and_then(|c| c.done(fnv1a(label.as_bytes())))
                 .is_some();
             if !journaled {
-                if let Some(secs) = self.remote_seconds(label, spec) {
+                // A one-cell batch; a result the daemon never delivers runs
+                // locally below.
+                let cells = [(label.to_string(), spec.clone())];
+                if let Some((_, secs)) = self.remote_seconds_batch(&cells, &[0]).pop() {
                     return secs;
                 }
             }
@@ -595,9 +598,9 @@ impl SweepSession {
     /// daemon. Returns definitive `(index, secs)` outcomes; results the
     /// daemon never delivered — transport failure mid-stream, refused
     /// connection — are simply absent, and the caller runs them locally
-    /// (transport failures latch degraded mode exactly like
-    /// [`SweepSession::remote_seconds`]). Delivered results are journaled
-    /// and counted identically to the one-cell path.
+    /// (transport failures latch degraded mode). Delivered results are
+    /// journaled under their labels exactly as local runs would be, so
+    /// `--resume` replays them without the daemon.
     fn remote_seconds_batch(
         &mut self,
         cells: &[(String, CellSpec)],
@@ -713,106 +716,6 @@ impl SweepSession {
     /// Number of cells answered by the daemon so far (`--serve` mode).
     pub fn served(&self) -> usize {
         self.served
-    }
-
-    /// One-cell submission to the daemon. `None` means "transport-level
-    /// failure, run locally instead" (and latches degraded mode);
-    /// `Some(secs)` is a definitive outcome — success, remote failure
-    /// (recorded + journaled like a local one), or cancellation.
-    fn remote_seconds(&mut self, label: &str, spec: &CellSpec) -> Option<f64> {
-        if self.cancelled || self.sup.global().is_cancelled() {
-            self.cancelled = true;
-            self.jobs += 1;
-            return Some(f64::NAN);
-        }
-        let addr = self.serve_addr.clone()?;
-        if self.serve_client.is_none() {
-            match Client::connect(&addr) {
-                Ok(c) => self.serve_client = Some(c),
-                Err(e) => {
-                    eprintln!(
-                        "[{}] --serve {addr} unavailable ([{}] {e}); degrading to local execution",
-                        self.name,
-                        e.kind()
-                    );
-                    self.serve_degraded = true;
-                    return None;
-                }
-            }
-        }
-        let cells =
-            vec![NamedCell { label: label.to_string(), spec: spec.clone(), fault: None }];
-        let mut got: Option<CellResult> = None;
-        let outcome = self
-            .serve_client
-            .as_mut()
-            .expect("connected above")
-            .submit(&format!("{}:{label}", self.name), &cells, |r| got = Some(r.clone()));
-        let result = match (outcome, got) {
-            (Ok(_), Some(r)) => r,
-            (Ok(done), None) => {
-                // Daemon cancelled the job before our cell ran: resumable.
-                if done.cancelled {
-                    self.cancelled = true;
-                    self.jobs += 1;
-                    return Some(f64::NAN);
-                }
-                eprintln!(
-                    "[{}] --serve {addr}: job done without a cell result; degrading to local",
-                    self.name
-                );
-                self.serve_degraded = true;
-                self.serve_client = None;
-                return None;
-            }
-            (Err(e), _) => {
-                eprintln!(
-                    "[{}] --serve {addr} failed ([{}] {e}); degrading to local execution",
-                    self.name,
-                    e.kind()
-                );
-                self.serve_degraded = true;
-                self.serve_client = None;
-                return None;
-            }
-        };
-        self.served += 1;
-        let job = self.jobs;
-        self.jobs += 1;
-        if result.error_kind == "cancelled" {
-            // Daemon-side cancellation: not journaled, resumable.
-            self.cancelled = true;
-            return Some(f64::NAN);
-        }
-        if !result.ok() {
-            eprintln!(
-                "[{}] job {job} ({label}) failed on daemon after {} attempt(s): [{}]",
-                self.name, result.attempts, result.error_kind
-            );
-            self.failures.push(JobFailure {
-                job,
-                label: Some(label.to_string()),
-                attempts: result.attempts.max(1) as usize,
-                error: SimError::Io {
-                    what: format!("remote cell failed (kind: {})", result.error_kind),
-                },
-            });
-        }
-        // Journal the remote result under the same label key a local run
-        // would use, so `--resume` replays it without the daemon.
-        if let Some(ck) = self.checkpoint.as_mut() {
-            let rec = CellRecord {
-                cell: fnv1a(label.as_bytes()),
-                secs_bits: result.secs_bits,
-                cycles: result.cycles,
-                attempts: result.attempts,
-                error_kind: result.error_kind.clone(),
-            };
-            if let Err(e) = ck.record(rec) {
-                eprintln!("[{}] journal append failed: {e}", self.name);
-            }
-        }
-        Some(result.secs())
     }
 
     /// The failure report accumulated so far.

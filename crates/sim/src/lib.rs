@@ -3,11 +3,14 @@
 //! This crate ties the core model, memory hierarchy, kernels and sparsity
 //! models into the paper's evaluation methodology (§VI):
 //!
-//! 1. [`runner`] executes one kernel on one simulated machine operating
-//!    point (baseline 2 VPUs @ 1.7 GHz, SAVE 2 VPUs @ 1.7 GHz, SAVE 1 VPU @
-//!    2.1 GHz) in either the fast *symmetric* 28-core mode or the
-//!    [`multicore`] *detailed* mode that cycle-interleaves real cores over
-//!    the shared NUCA L3 + mesh + DRAM;
+//! 1. [`CellSpec::run`] executes one kernel on one simulated machine
+//!    operating point (baseline 2 VPUs @ 1.7 GHz, SAVE 2 VPUs @ 1.7 GHz,
+//!    SAVE 1 VPU @ 2.1 GHz) in either the fast *symmetric* 28-core mode
+//!    (one core against its share of the uncore) or the *detailed* mode
+//!    that runs every core over the shared NUCA L3 + mesh + DRAM — one
+//!    executor in [`multicore`] for both. [`CellSpec::run_traced`] adds
+//!    trace record/replay, and [`run_kernel_full`] also returns the uncore
+//!    contention report;
 //! 2. [`surface`] sweeps a kernel over a 2-D grid of (broadcasted,
 //!    non-broadcasted) sparsity and interpolates bilinearly — the paper's
 //!    "2D surface of execution times" (§VI);
@@ -61,8 +64,8 @@ pub use parallel::{
 pub use policy::{PolicyOutcome, VpuPolicy};
 pub use power::{EnergyBreakdown, PowerModel};
 pub use runner::{
-    run_kernel_custom_traced, run_kernel_full, run_kernel_traced, ConfigKind, KernelResult,
-    KernelRun, MachineConfig, MachineMode, MulticoreConfig,
+    run_kernel_full, ConfigKind, KernelResult, KernelRun, MachineConfig, MachineMode,
+    MulticoreConfig,
 };
 pub use surface::{DurableSweep, Surface, SweepOutcome};
 pub use trace::{trace_key, CoreTrace, KernelTrace, TraceStore};

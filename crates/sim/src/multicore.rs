@@ -1,13 +1,19 @@
-//! Detailed multicore mode: N cores over one shared uncore (NUCA L3 slices
-//! + mesh + DRAM channels).
+//! The one kernel executor: N simulated cores ("lanes") over an uncore.
 //!
-//! Each core runs its own instance of the kernel (data-parallel tiles, as
-//! DNNL parallelizes a layer across cores) with a distinct data seed; the
-//! shared structures see each core's buffers as distinct physical memory.
-//! The kernel's wall-clock time is the slowest core's finish time — exactly
-//! how a parallel layer completes.
+//! Both machine modes are the same machine with a different lane count:
 //!
-//! Two engines share the per-core [`Lane`] machinery (DESIGN.md §5i):
+//! * **symmetric** — one lane against its 1/N share of the uncore
+//!   ([`Uncore::new_symmetric`]), run to completion with the same
+//!   step/fast-forward loop as [`Core::run_mut`];
+//! * **detailed** — one lane per core over the shared NUCA L3 slices, mesh
+//!   and DRAM channels ([`Uncore::new`]). Each core runs its own instance of
+//!   the kernel (data-parallel tiles, as DNNL parallelizes a layer across
+//!   cores) with a distinct data seed; the shared structures see each
+//!   core's buffers as distinct physical memory. The kernel's wall-clock
+//!   time is the slowest core's finish time — exactly how a parallel layer
+//!   completes.
+//!
+//! Detailed mode has two engines over the same [`Lane`]s (DESIGN.md §5i):
 //!
 //! * **lockstep** (`mc.quantum == 1`, the default) — cores are interleaved
 //!   cycle by cycle on one host thread, every uncore access hits shared
@@ -15,104 +21,19 @@
 //! * **relaxed** (`mc.quantum > 1`, [`crate::relaxed`]) — each core runs a
 //!   quantum of cycles against a private uncore view, then all logs replay
 //!   into the shared uncore at a deterministic barrier.
+//!
+//! [`crate::CellSpec::run`], [`crate::CellSpec::run_traced`] and
+//! [`crate::run_kernel_full`] all delegate to [`execute`].
 
 use crate::cancel::CancelToken;
 use crate::error::SimError;
-use crate::runner::{warm_regions, ConfigKind, KernelResult, KernelRun, MachineConfig};
+use crate::runner::{warm_regions, KernelResult, KernelRun, MachineConfig, MachineMode};
 use crate::trace::{CoreTrace, KernelTrace, TraceMode};
 use save_core::{Core, CoreConfig, RunOutcome};
 use save_isa::Memory;
-use save_kernels::BuiltKernel;
+use save_kernels::{BuiltKernel, GemmWorkload};
 use save_mem::{CoreMemory, Uncore, UncoreAccess};
 use std::sync::Arc;
-
-/// Runs `w` on every core of a detailed machine; returns the slowest core's
-/// result (with its stats).
-///
-/// # Errors
-/// [`SimError::InvalidConfig`] for a rejected operating point,
-/// [`SimError::VerifyMismatch`] (tagged with the offending core) if
-/// `verify` is set and any core's output disagrees with its reference,
-/// [`SimError::InvariantViolation`] (tagged with the offending core) if a
-/// core's sanitizer aborted the run, and [`SimError::CycleBudgetExceeded`]
-/// with the first stalled core's diagnosis if any core fails to drain.
-pub fn run_multicore(
-    w: &save_kernels::GemmWorkload,
-    kind: ConfigKind,
-    machine: &MachineConfig,
-    seed: u64,
-    verify: bool,
-) -> Result<KernelResult, SimError> {
-    run_multicore_custom_cancel(w, &kind.core_config(), machine, seed, verify, None)
-}
-
-/// [`run_multicore`] with an optional cooperative cancel token: the token's
-/// flag is shared by every simulated core, so one latch stops the whole
-/// machine within a cancel quantum.
-pub fn run_multicore_cancel(
-    w: &save_kernels::GemmWorkload,
-    kind: ConfigKind,
-    machine: &MachineConfig,
-    seed: u64,
-    verify: bool,
-    cancel: Option<&CancelToken>,
-) -> Result<KernelResult, SimError> {
-    run_multicore_custom_cancel(w, &kind.core_config(), machine, seed, verify, cancel)
-}
-
-/// Like [`run_multicore`] but with an arbitrary core configuration — the
-/// detailed-mode counterpart of [`crate::runner::run_kernel_custom`].
-pub fn run_multicore_custom(
-    w: &save_kernels::GemmWorkload,
-    core_cfg: &CoreConfig,
-    machine: &MachineConfig,
-    seed: u64,
-    verify: bool,
-) -> Result<KernelResult, SimError> {
-    run_multicore_custom_cancel(w, core_cfg, machine, seed, verify, None)
-}
-
-/// [`run_multicore_custom`] with an optional cooperative cancel token (see
-/// [`run_multicore_cancel`]).
-pub fn run_multicore_custom_cancel(
-    w: &save_kernels::GemmWorkload,
-    core_cfg: &CoreConfig,
-    machine: &MachineConfig,
-    seed: u64,
-    verify: bool,
-    cancel: Option<&CancelToken>,
-) -> Result<KernelResult, SimError> {
-    run_multicore_inner(w, core_cfg, machine, seed, verify, cancel, None).map(|r| r.result)
-}
-
-/// [`run_multicore_custom_cancel`] returning the full [`KernelRun`] with
-/// the uncore contention report.
-pub(crate) fn run_multicore_full(
-    w: &save_kernels::GemmWorkload,
-    core_cfg: &CoreConfig,
-    machine: &MachineConfig,
-    seed: u64,
-    verify: bool,
-    cancel: Option<&CancelToken>,
-) -> Result<KernelRun, SimError> {
-    run_multicore_inner(w, core_cfg, machine, seed, verify, cancel, None)
-}
-
-/// The traced counterpart of [`run_multicore_custom_cancel`]: records one
-/// [`save_core::FuncTrace`] per core (each core builds with its own data
-/// seed) or replays a previously recorded per-core set. See
-/// [`crate::runner::run_kernel_traced`] for the record/replay contract.
-pub(crate) fn run_multicore_traced(
-    w: &save_kernels::GemmWorkload,
-    core_cfg: &CoreConfig,
-    machine: &MachineConfig,
-    seed: u64,
-    verify: bool,
-    cancel: Option<&CancelToken>,
-    mode: TraceMode<'_>,
-) -> Result<KernelResult, SimError> {
-    run_multicore_inner(w, core_cfg, machine, seed, verify, cancel, Some(mode)).map(|r| r.result)
-}
 
 /// What one core executes from: its own built kernel (direct and record
 /// modes) or its slice of a recorded trace plus an empty functional arena
@@ -131,8 +52,9 @@ pub(crate) enum LaneExec {
 }
 
 /// One simulated core with everything it needs to run: the core, its
-/// private memory, its program/arena and (once done) its outcome. Both the
-/// lockstep and relaxed engines drive a `Vec<Lane>`.
+/// private memory, its program/arena and (once done) its outcome. The
+/// symmetric machine runs one lane; the lockstep and relaxed engines drive
+/// one per core.
 pub(crate) struct Lane {
     /// Core index == mesh tile index.
     pub(crate) idx: usize,
@@ -155,8 +77,10 @@ impl Lane {
         }
     }
 
-    /// Runs the lane until its local clock reaches `limit` (relaxed engine;
-    /// see [`Core::run_until_cycle`]). No-op once the outcome is set.
+    /// Runs the lane until its local clock reaches `limit` (see
+    /// [`Core::run_until_cycle`]): a quantum in the relaxed engine, the
+    /// whole run (`u64::MAX`) in symmetric mode. No-op once the outcome is
+    /// set.
     pub(crate) fn run_until(&mut self, limit: u64, uncore: &mut dyn UncoreAccess) {
         if self.outcome.is_some() {
             return;
@@ -181,19 +105,19 @@ impl Lane {
     }
 }
 
-/// Builds one lane per core: validates nothing (callers validate configs),
+/// Builds `n` lanes: validates nothing (callers validate configs),
 /// builds/replays the per-core kernels and applies the §VI warm-up policy
-/// against the shared uncore in core order — identical for both engines, so
+/// against the uncore in core order — identical for both engines, so
 /// warm-up state never depends on the engine choice.
 fn setup_lanes(
-    w: &save_kernels::GemmWorkload,
+    w: &GemmWorkload,
     cfg: CoreConfig,
     machine: &MachineConfig,
     seed: u64,
+    n: usize,
     mode: &Option<TraceMode<'_>>,
     uncore: &mut Uncore,
 ) -> Result<Vec<Lane>, SimError> {
-    let n = machine.cores.max(1);
     let mut lanes = Vec::with_capacity(n);
     match mode {
         Some(TraceMode::Replay { trace }) => {
@@ -305,28 +229,39 @@ fn run_lockstep(lanes: &mut [Lane], uncore: &mut Uncore) {
     }
 }
 
-fn run_multicore_inner(
-    w: &save_kernels::GemmWorkload,
-    core_cfg: &CoreConfig,
+/// Runs `w` on `machine` and returns the slowest lane's result. In
+/// symmetric mode that is the single lane; in detailed mode, the slowest of
+/// `machine.cores` lanes. `mode` selects direct execution (`None`), trace
+/// recording, or trace replay. See [`crate::run_kernel_full`] for the
+/// errors.
+pub(crate) fn execute(
+    w: &GemmWorkload,
+    cfg: CoreConfig,
     machine: &MachineConfig,
     seed: u64,
     verify: bool,
     cancel: Option<&CancelToken>,
     mode: Option<TraceMode<'_>>,
 ) -> Result<KernelRun, SimError> {
-    let cfg = *core_cfg;
     cfg.validate().map_err(|what| SimError::InvalidConfig { what })?;
     machine.mem.validate().map_err(|what| SimError::InvalidConfig { what })?;
     machine.mc.validate().map_err(|what| SimError::InvalidConfig { what })?;
-    let n = machine.cores.max(1);
-    let mut uncore = Uncore::new(&machine.mem, n);
-    let mut lanes = setup_lanes(w, cfg, machine, seed, &mode, &mut uncore)?;
+    let detailed = machine.mode == MachineMode::Detailed;
+    let (mut uncore, n) = if detailed {
+        let n = machine.cores.max(1);
+        (Uncore::new(&machine.mem, n), n)
+    } else {
+        (Uncore::new_symmetric(&machine.mem, machine.cores), 1)
+    };
+    let mut lanes = setup_lanes(w, cfg, machine, seed, n, &mode, &mut uncore)?;
     if let Some(tok) = cancel {
         for lane in &mut lanes {
             lane.core.set_cancel(tok.as_flag());
         }
     }
-    if machine.mc.quantum > 1 {
+    if !detailed {
+        lanes[0].run_until(u64::MAX, &mut uncore);
+    } else if machine.mc.quantum > 1 {
         crate::relaxed::run_relaxed(
             &mut lanes,
             &mut uncore,
@@ -336,20 +271,23 @@ fn run_multicore_inner(
     } else {
         run_lockstep(&mut lanes, &mut uncore);
     }
-    finalize(w, cfg, lanes, &uncore, verify, mode)
+    finalize(w, cfg, lanes, &uncore, verify, mode, detailed)
 }
 
 /// Turns finished lanes into the run verdict: cancellation first, then
 /// per-core violations/stalls, then verification + trace admission, then
-/// the slowest core's timing. Shared by both engines.
+/// the slowest core's timing. Shared by both modes and engines; errors name
+/// the offending core only in `detailed` mode.
 fn finalize(
-    w: &save_kernels::GemmWorkload,
+    w: &GemmWorkload,
     cfg: CoreConfig,
     lanes: Vec<Lane>,
     uncore: &Uncore,
     verify: bool,
     mode: Option<TraceMode<'_>>,
+    detailed: bool,
 ) -> Result<KernelRun, SimError> {
+    let tag = |lane: &Lane| detailed.then_some(lane.idx);
     // Cancellation outranks every other verdict: a machine whose cores were
     // told to stop produced no meaningful timing, and the caller needs the
     // dedicated error to journal/exit correctly.
@@ -364,7 +302,7 @@ fn finalize(
         if let Some(report) = &o.violation {
             return Err(SimError::InvariantViolation {
                 kernel: w.name.clone(),
-                core: Some(lane.idx),
+                core: tag(lane),
                 report: report.clone(),
             });
         }
@@ -379,7 +317,7 @@ fn finalize(
             };
             return Err(SimError::CycleBudgetExceeded {
                 kernel: w.name.clone(),
-                core: Some(lane.idx),
+                core: tag(lane),
                 diag: Box::new(diag),
             });
         }
@@ -389,7 +327,7 @@ fn finalize(
             if let Err((i, got, want)) = b.verify() {
                 return Err(SimError::VerifyMismatch {
                     kernel: w.name.clone(),
-                    core: Some(lane.idx),
+                    core: tag(lane),
                     index: i,
                     got,
                     want,
@@ -461,8 +399,10 @@ fn finalize(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::{run_kernel, MachineMode};
-    use save_kernels::{BroadcastPattern, GemmKernelSpec, GemmWorkload, Precision};
+    use crate::runner::ConfigKind;
+    use crate::spec::CellSpec;
+    use crate::trace::TraceStore;
+    use save_kernels::{BroadcastPattern, GemmKernelSpec, Precision};
 
     fn tiny() -> GemmWorkload {
         GemmWorkload::dense(
@@ -479,10 +419,15 @@ mod tests {
         .with_sparsity(0.2, 0.4)
     }
 
+    fn run(w: GemmWorkload, kind: ConfigKind, m: MachineConfig, seed: u64) -> KernelResult {
+        CellSpec::new(w, kind, m, seed).run(None).unwrap()
+    }
+
     #[test]
     fn four_core_detailed_run_is_correct() {
         let m = MachineConfig { cores: 4, mode: MachineMode::Detailed, ..Default::default() };
-        let r = run_kernel(&tiny(), ConfigKind::Save2Vpu, &m, 3, true).unwrap();
+        let spec = CellSpec::new(tiny(), ConfigKind::Save2Vpu, m, 3);
+        let r = CellSpec { verify: true, ..spec }.run(None).unwrap();
         assert!(r.completed && r.verified);
     }
 
@@ -496,8 +441,8 @@ mod tests {
         };
         let m1 = MachineConfig { cores: 1, mode: MachineMode::Detailed, ..Default::default() };
         let m8 = MachineConfig { cores: 8, mode: MachineMode::Detailed, ..Default::default() };
-        let r1 = run_kernel(&w, ConfigKind::Baseline, &m1, 5, false).unwrap();
-        let r8 = run_kernel(&w, ConfigKind::Baseline, &m8, 5, false).unwrap();
+        let r1 = run(w.clone(), ConfigKind::Baseline, m1, 5);
+        let r8 = run(w, ConfigKind::Baseline, m8, 5);
         assert!(r8.cycles >= r1.cycles, "8-core {} vs 1-core {}", r8.cycles, r1.cycles);
     }
 
@@ -507,8 +452,8 @@ mod tests {
         // detailed mode for a compute-bound kernel.
         let md = MachineConfig { cores: 4, mode: MachineMode::Detailed, ..Default::default() };
         let ms = MachineConfig { cores: 4, mode: MachineMode::Symmetric, ..Default::default() };
-        let rd = run_kernel(&tiny(), ConfigKind::Baseline, &md, 9, false).unwrap();
-        let rs = run_kernel(&tiny(), ConfigKind::Baseline, &ms, 9, false).unwrap();
+        let rd = run(tiny(), ConfigKind::Baseline, md, 9);
+        let rs = run(tiny(), ConfigKind::Baseline, ms, 9);
         let ratio = rd.seconds / rs.seconds;
         assert!((0.5..2.0).contains(&ratio), "detailed/symmetric ratio {ratio:.2}");
     }
@@ -517,10 +462,32 @@ mod tests {
     fn quantum_zero_is_rejected() {
         let mut m = MachineConfig { cores: 2, mode: MachineMode::Detailed, ..Default::default() };
         m.mc.quantum = 0;
-        let err = run_kernel(&tiny(), ConfigKind::Baseline, &m, 1, false).unwrap_err();
+        let err = CellSpec::new(tiny(), ConfigKind::Baseline, m, 1).run(None).unwrap_err();
         match err {
             SimError::InvalidConfig { what } => assert!(what.contains("quantum"), "{what}"),
             other => panic!("expected InvalidConfig, got {other}"),
+        }
+    }
+
+    /// Errors name the offending core on a detailed machine and no core on
+    /// a symmetric one — through the direct path and the recording path.
+    #[test]
+    fn error_core_tag_follows_the_machine_mode() {
+        let starved = CoreConfig { max_cycles: 20, ..CoreConfig::default() };
+        let sym = MachineConfig::default();
+        let det = MachineConfig { cores: 2, mode: MachineMode::Detailed, ..Default::default() };
+        for (machine, detailed) in [(sym, false), (det, true)] {
+            let spec = CellSpec::custom(tiny(), starved, machine, 1);
+            let direct = spec.run(None);
+            let recorded = spec.run_traced(None, &TraceStore::new());
+            for (path, res) in [("run", direct), ("run_traced", recorded)] {
+                match res {
+                    Err(SimError::CycleBudgetExceeded { core, .. }) => {
+                        assert_eq!(core.is_some(), detailed, "{path} on {:?}", machine.mode);
+                    }
+                    other => panic!("{path}: expected CycleBudgetExceeded, got {other:?}"),
+                }
+            }
         }
     }
 }

@@ -9,7 +9,8 @@
 //! switches with hysteresis, charging a DVFS transition penalty per switch.
 
 use crate::error::SimError;
-use crate::runner::{run_kernel, ConfigKind, MachineConfig};
+use crate::runner::{ConfigKind, MachineConfig};
+use crate::spec::CellSpec;
 use save_kernels::GemmWorkload;
 use serde::{Deserialize, Serialize};
 
@@ -80,11 +81,12 @@ pub fn run_sequence(
     let mut current = ConfigKind::Save2Vpu;
     for (i, (w, scale)) in kernels.iter().enumerate() {
         let seed = 100 + i as u64;
+        let run = |kind| CellSpec::new(w.clone(), kind, *machine, seed).run(None);
         let kind = match policy {
             VpuPolicy::Fixed(k) => k,
             VpuPolicy::Oracle => {
-                let t2 = run_kernel(w, ConfigKind::Save2Vpu, machine, seed, false)?.seconds;
-                let t1 = run_kernel(w, ConfigKind::Save1Vpu, machine, seed, false)?.seconds;
+                let t2 = run(ConfigKind::Save2Vpu)?.seconds;
+                let t1 = run(ConfigKind::Save1Vpu)?.seconds;
                 if t1 < t2 {
                     ConfigKind::Save1Vpu
                 } else {
@@ -93,7 +95,7 @@ pub fn run_sequence(
             }
             VpuPolicy::Heuristic { .. } => current,
         };
-        let r = run_kernel(w, kind, machine, seed, false)?;
+        let r = run(kind)?;
         total += r.seconds * scale;
         choices.push(kind);
         if let VpuPolicy::Heuristic { down_threshold, up_threshold, switch_overhead_s } = policy {

@@ -103,7 +103,8 @@ impl PowerModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::{run_kernel, ConfigKind, MachineConfig};
+    use crate::runner::{ConfigKind, KernelResult, MachineConfig};
+    use crate::spec::CellSpec;
     use save_kernels::{BroadcastPattern, GemmKernelSpec, GemmWorkload, Precision};
 
     fn kernel(a: f64, b: f64) -> GemmWorkload {
@@ -121,12 +122,15 @@ mod tests {
         .with_sparsity(a, b)
     }
 
+    fn run(w: GemmWorkload, kind: ConfigKind) -> KernelResult {
+        CellSpec::new(w, kind, MachineConfig::default(), 1).run(None).unwrap()
+    }
+
     #[test]
     fn sparse_runs_use_less_vpu_energy() {
-        let m = MachineConfig::default();
         let pm = PowerModel::default();
-        let dense = run_kernel(&kernel(0.0, 0.0), ConfigKind::Save2Vpu, &m, 1, false).unwrap();
-        let sparse = run_kernel(&kernel(0.6, 0.6), ConfigKind::Save2Vpu, &m, 1, false).unwrap();
+        let dense = run(kernel(0.0, 0.0), ConfigKind::Save2Vpu);
+        let sparse = run(kernel(0.6, 0.6), ConfigKind::Save2Vpu);
         let ed = pm.estimate(&dense, 2);
         let es = pm.estimate(&sparse, 2);
         assert!(es.vpu_j < ed.vpu_j * 0.6, "VPU energy must drop with skipped work");
@@ -135,11 +139,9 @@ mod tests {
 
     #[test]
     fn one_vpu_saves_static_power_at_high_sparsity() {
-        let m = MachineConfig::default();
         let pm = PowerModel::default();
-        let w = kernel(0.7, 0.8);
-        let r2 = run_kernel(&w, ConfigKind::Save2Vpu, &m, 1, false).unwrap();
-        let r1 = run_kernel(&w, ConfigKind::Save1Vpu, &m, 1, false).unwrap();
+        let r2 = run(kernel(0.7, 0.8), ConfigKind::Save2Vpu);
+        let r1 = run(kernel(0.7, 0.8), ConfigKind::Save1Vpu);
         let e2 = pm.estimate(&r2, 2);
         let e1 = pm.estimate(&r1, 1);
         // §IV-D: at high sparsity one VPU does (at least) comparable work
@@ -154,9 +156,8 @@ mod tests {
 
     #[test]
     fn breakdown_sums_and_power_is_positive() {
-        let m = MachineConfig::default();
         let pm = PowerModel::default();
-        let r = run_kernel(&kernel(0.3, 0.3), ConfigKind::Save2Vpu, &m, 1, false).unwrap();
+        let r = run(kernel(0.3, 0.3), ConfigKind::Save2Vpu);
         let e = pm.estimate(&r, 2);
         let sum = e.static_j + e.vpu_j + e.frontend_j + e.memory_j;
         assert!((e.total_j() - sum).abs() < 1e-18);

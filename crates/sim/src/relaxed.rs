@@ -106,7 +106,8 @@ pub(crate) fn run_relaxed(lanes: &mut [Lane], uncore: &mut Uncore, quantum: u64,
 
 #[cfg(test)]
 mod tests {
-    use crate::runner::{run_kernel, ConfigKind, MachineConfig, MachineMode};
+    use crate::runner::{ConfigKind, KernelResult, MachineConfig, MachineMode};
+    use crate::spec::CellSpec;
     use save_kernels::{BroadcastPattern, GemmKernelSpec, GemmWorkload, Precision};
 
     fn tiny() -> GemmWorkload {
@@ -132,22 +133,23 @@ mod tests {
         m
     }
 
+    fn run(kind: ConfigKind, m: MachineConfig, seed: u64) -> KernelResult {
+        CellSpec::new(tiny(), kind, m, seed).run(None).unwrap()
+    }
+
     #[test]
     fn relaxed_run_completes_and_verifies() {
-        let r = run_kernel(&tiny(), ConfigKind::Save2Vpu, &machine(4, 200, 1), 3, true)
-            .unwrap();
+        let spec = CellSpec::new(tiny(), ConfigKind::Save2Vpu, machine(4, 200, 1), 3);
+        let r = CellSpec { verify: true, ..spec }.run(None).unwrap();
         assert!(r.completed && r.verified);
         assert!(r.cycles > 0);
     }
 
     #[test]
     fn thread_count_never_changes_results() {
-        let base = run_kernel(&tiny(), ConfigKind::Baseline, &machine(4, 128, 1), 7, false)
-            .unwrap();
+        let base = run(ConfigKind::Baseline, machine(4, 128, 1), 7);
         for threads in [2, 4, 7] {
-            let r =
-                run_kernel(&tiny(), ConfigKind::Baseline, &machine(4, 128, threads), 7, false)
-                    .unwrap();
+            let r = run(ConfigKind::Baseline, machine(4, 128, threads), 7);
             assert_eq!(r.cycles, base.cycles, "threads={threads}");
             assert_eq!(
                 r.seconds.to_bits(),
@@ -162,10 +164,8 @@ mod tests {
         // Relaxed timing may drift from lockstep, but only within the
         // bounded in-quantum error — a generous band catches protocol bugs
         // (e.g. lost requests) without pinning the exact drift.
-        let lock = run_kernel(&tiny(), ConfigKind::Baseline, &machine(4, 1, 0), 11, false)
-            .unwrap();
-        let rel = run_kernel(&tiny(), ConfigKind::Baseline, &machine(4, 1000, 1), 11, false)
-            .unwrap();
+        let lock = run(ConfigKind::Baseline, machine(4, 1, 0), 11);
+        let rel = run(ConfigKind::Baseline, machine(4, 1000, 1), 11);
         let ratio = rel.cycles as f64 / lock.cycles as f64;
         assert!((0.7..1.3).contains(&ratio), "relaxed/lockstep cycle ratio {ratio:.3}");
     }

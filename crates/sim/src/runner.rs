@@ -1,14 +1,14 @@
-//! Single-kernel execution on a configured machine.
+//! Machine and operating-point types, the §VI warm-up policy, and
+//! [`run_kernel_full`] — the one run call that also returns the uncore
+//! contention report. The executor behind it (and behind
+//! [`crate::CellSpec::run`]) lives in [`crate::multicore`].
 
 use crate::cancel::CancelToken;
 use crate::error::SimError;
-use crate::trace::{self, CoreTrace, KernelTrace, TraceMode, TraceStore};
-use save_core::{Core, CoreConfig, CoreStats, SchedulerKind};
-use save_isa::Memory;
-use save_kernels::{BuiltKernel, GemmWorkload, Region, RegionRole};
+use save_core::{CoreConfig, CoreStats};
+use save_kernels::{GemmWorkload, Region, RegionRole};
 use save_mem::{CoreMemory, MemConfig, Uncore, UncoreReport, WarmLevel};
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
 
 /// How the multicore machine is modelled.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
@@ -165,11 +165,15 @@ pub fn warm_regions(
     }
 }
 
-/// Runs `w` on the machine at the given operating point.
+/// Runs `w` on the machine at a named operating point and returns the
+/// timing result together with the uncore contention report — the only run
+/// call that exposes [`KernelRun::uncore`]. Every other run goes through
+/// [`crate::CellSpec::run`] or [`crate::CellSpec::run_traced`]; all three
+/// share one executor, so timing and errors are identical.
 ///
 /// In [`MachineMode::Symmetric`] one core is simulated against its share of
-/// the uncore; in [`MachineMode::Detailed`] this delegates to
-/// [`crate::multicore::run_multicore`] and reports the slowest core.
+/// the uncore; in [`MachineMode::Detailed`] every core runs over the shared
+/// uncore and the slowest core's result is reported.
 ///
 /// # Errors
 /// * [`SimError::InvalidConfig`] if the operating point fails validation;
@@ -180,41 +184,13 @@ pub fn warm_regions(
 ///   [`save_core::StallDiag`] naming the stalled resource;
 /// * [`SimError::InvariantViolation`] if the cycle-level sanitizer
 ///   ([`save_core::SanitizeLevel`], `SAVE_SANITIZE`) aborted the run — the
-///   error carries the [`save_core::SanitizerReport`] witness.
-pub fn run_kernel(
-    w: &GemmWorkload,
-    kind: ConfigKind,
-    machine: &MachineConfig,
-    seed: u64,
-    verify: bool,
-) -> Result<KernelResult, SimError> {
-    run_kernel_cancel(w, kind, machine, seed, verify, None)
-}
-
-/// [`run_kernel`] with an optional cooperative cancel token. When the token
-/// latches (Ctrl-C, a per-cell deadline), the simulated core stops at its
-/// next [`save_core::CANCEL_QUANTUM`] boundary and this returns
-/// [`SimError::Cancelled`] — no partial [`KernelResult`] escapes.
-pub fn run_kernel_cancel(
-    w: &GemmWorkload,
-    kind: ConfigKind,
-    machine: &MachineConfig,
-    seed: u64,
-    verify: bool,
-    cancel: Option<&CancelToken>,
-) -> Result<KernelResult, SimError> {
-    match machine.mode {
-        MachineMode::Detailed => {
-            crate::multicore::run_multicore_cancel(w, kind, machine, seed, verify, cancel)
-        }
-        MachineMode::Symmetric => {
-            run_kernel_custom_cancel(w, &kind.core_config(), machine, seed, verify, cancel)
-        }
-    }
-}
-
-/// [`run_kernel_cancel`] that additionally returns the uncore contention
-/// report (see [`KernelRun`]). Same errors and timing semantics.
+///   error carries the [`save_core::SanitizerReport`] witness;
+/// * [`SimError::Cancelled`] if `cancel` latched (Ctrl-C, a per-cell
+///   deadline): the cores stop at their next [`save_core::CANCEL_QUANTUM`]
+///   boundary and no partial result escapes.
+///
+/// Detailed-mode errors name the offending core (`core: Some(i)`);
+/// symmetric-mode errors carry `core: None`.
 pub fn run_kernel_full(
     w: &GemmWorkload,
     kind: ConfigKind,
@@ -223,245 +199,14 @@ pub fn run_kernel_full(
     verify: bool,
     cancel: Option<&CancelToken>,
 ) -> Result<KernelRun, SimError> {
-    match machine.mode {
-        MachineMode::Detailed => crate::multicore::run_multicore_full(
-            w,
-            &kind.core_config(),
-            machine,
-            seed,
-            verify,
-            cancel,
-        ),
-        MachineMode::Symmetric => {
-            run_symmetric(w, &kind.core_config(), machine, seed, verify, cancel, None)
-        }
-    }
-}
-
-/// Like [`run_kernel`] but with an arbitrary core configuration — used by
-/// the ablation studies (Figs 17-19) that toggle individual SAVE features.
-/// Respects `machine.mode` like [`run_kernel`] does.
-pub fn run_kernel_custom(
-    w: &GemmWorkload,
-    core_cfg: &CoreConfig,
-    machine: &MachineConfig,
-    seed: u64,
-    verify: bool,
-) -> Result<KernelResult, SimError> {
-    run_kernel_custom_cancel(w, core_cfg, machine, seed, verify, None)
-}
-
-/// [`run_kernel_custom`] with an optional cooperative cancel token (see
-/// [`run_kernel_cancel`]).
-pub fn run_kernel_custom_cancel(
-    w: &GemmWorkload,
-    core_cfg: &CoreConfig,
-    machine: &MachineConfig,
-    seed: u64,
-    verify: bool,
-    cancel: Option<&CancelToken>,
-) -> Result<KernelResult, SimError> {
-    if machine.mode == MachineMode::Detailed {
-        return crate::multicore::run_multicore_custom_cancel(
-            w, core_cfg, machine, seed, verify, cancel,
-        );
-    }
-    run_symmetric(w, core_cfg, machine, seed, verify, cancel, None).map(|r| r.result)
-}
-
-/// [`run_kernel_cancel`] with a [`TraceStore`]: the first cell to run for a
-/// given `(workload, machine shape, seed)` records a functional trace and
-/// files it under [`trace::trace_key`]; every later cell *replays* that
-/// trace — skipping codegen, operand generation and FMA arithmetic — and
-/// produces bit-identical seconds, cycles and [`CoreStats`] (the
-/// "execute once, time N" machinery of DESIGN.md §5h).
-///
-/// A recording run always checks the numerical output against the
-/// reference before the trace is admitted, so a simulator bug surfaces as
-/// [`SimError::VerifyMismatch`] on the *first* cell rather than being
-/// multiplied across the sweep. The reported `verified` flag still follows
-/// the `verify` argument, as in [`run_kernel`].
-pub fn run_kernel_traced(
-    w: &GemmWorkload,
-    kind: ConfigKind,
-    machine: &MachineConfig,
-    seed: u64,
-    verify: bool,
-    cancel: Option<&CancelToken>,
-    store: &TraceStore,
-) -> Result<KernelResult, SimError> {
-    run_kernel_custom_traced(w, &kind.core_config(), machine, seed, verify, cancel, store)
-}
-
-/// [`run_kernel_traced`] with an arbitrary core configuration — the traced
-/// counterpart of [`run_kernel_custom_cancel`].
-pub fn run_kernel_custom_traced(
-    w: &GemmWorkload,
-    core_cfg: &CoreConfig,
-    machine: &MachineConfig,
-    seed: u64,
-    verify: bool,
-    cancel: Option<&CancelToken>,
-    store: &TraceStore,
-) -> Result<KernelResult, SimError> {
-    let key = trace::trace_key(w, machine, seed)?;
-    let mode = match store.get(key) {
-        Some(t) => TraceMode::Replay { trace: t },
-        None => TraceMode::Record { store, key },
-    };
-    match machine.mode {
-        MachineMode::Detailed => {
-            crate::multicore::run_multicore_traced(w, core_cfg, machine, seed, verify, cancel, mode)
-        }
-        MachineMode::Symmetric => {
-            run_symmetric(w, core_cfg, machine, seed, verify, cancel, Some(mode)).map(|r| r.result)
-        }
-    }
-}
-
-/// What a symmetric run executes from: a freshly built kernel (direct and
-/// record modes) or a recorded trace plus an empty functional arena
-/// (replay never touches memory values).
-enum Exec {
-    Built(Box<BuiltKernel>),
-    Replay { trace: Arc<KernelTrace>, mem: Memory },
-}
-
-/// The symmetric-mode engine behind [`run_kernel_custom_cancel`] and the
-/// traced entry points.
-fn run_symmetric(
-    w: &GemmWorkload,
-    core_cfg: &CoreConfig,
-    machine: &MachineConfig,
-    seed: u64,
-    verify: bool,
-    cancel: Option<&CancelToken>,
-    mode: Option<TraceMode<'_>>,
-) -> Result<KernelRun, SimError> {
-    let cfg = *core_cfg;
-    cfg.validate().map_err(|what| SimError::InvalidConfig { what })?;
-    machine.mem.validate().map_err(|what| SimError::InvalidConfig { what })?;
-    machine.mc.validate().map_err(|what| SimError::InvalidConfig { what })?;
-    let mut uncore = Uncore::new_symmetric(&machine.mem, machine.cores);
-    let mut cmem = CoreMemory::new(0, machine.mem, cfg.freq_ghz);
-    let mut core = Core::new(cfg);
-    if let Some(tok) = cancel {
-        core.set_cancel(tok.as_flag());
-    }
-    let mut exec = match &mode {
-        Some(TraceMode::Replay { trace }) => {
-            let Some(ct) = trace.cores.first() else {
-                return Err(SimError::Protocol { what: "empty kernel trace".to_string() });
-            };
-            warm_regions(w, &ct.regions, &mut cmem, &mut uncore);
-            core.set_replay(Arc::clone(&ct.func));
-            Exec::Replay { trace: Arc::clone(trace), mem: Memory::new(0) }
-        }
-        other => {
-            let built = w.build(seed);
-            warm_regions(w, &built.regions, &mut cmem, &mut uncore);
-            if matches!(other, Some(TraceMode::Record { .. })) {
-                core.set_record();
-            }
-            Exec::Built(Box::new(built))
-        }
-    };
-    let out = match &mut exec {
-        Exec::Built(b) => core.run_mut(&b.program, &mut b.mem, &mut cmem, &mut uncore),
-        Exec::Replay { trace, mem } => {
-            core.run_mut(&trace.cores[0].program, mem, &mut cmem, &mut uncore)
-        }
-    };
-    if let Some(report) = out.violation {
-        return Err(SimError::InvariantViolation {
-            kernel: w.name.clone(),
-            core: None,
-            report,
-        });
-    }
-    if out.cancelled {
-        return Err(SimError::Cancelled { what: w.name.clone() });
-    }
-    if !out.completed {
-        let Some(diag) = out.stall else {
-            return Err(SimError::Io {
-                what: "run stopped without a stall diagnosis or violation report".to_string(),
-            });
-        };
-        return Err(SimError::CycleBudgetExceeded {
-            kernel: w.name.clone(),
-            core: None,
-            diag: Box::new(diag),
-        });
-    }
-    let verified = match (&mode, exec) {
-        // A recording run is always checked against the reference before
-        // the trace is admitted (see `run_kernel_traced`).
-        (Some(TraceMode::Record { store, key }), Exec::Built(built)) => {
-            if let Err((i, got, want)) = built.verify() {
-                return Err(SimError::VerifyMismatch {
-                    kernel: w.name.clone(),
-                    core: None,
-                    index: i,
-                    got,
-                    want,
-                });
-            }
-            if let Some(func) = core.take_trace().filter(|t| t.replayable) {
-                let built = *built;
-                store.insert(
-                    *key,
-                    KernelTrace {
-                        cores: vec![CoreTrace {
-                            program: built.program,
-                            regions: built.regions,
-                            func: Arc::new(func),
-                        }],
-                    },
-                );
-            }
-            verify
-        }
-        // Replay has no functional output; the trace verified at record.
-        (Some(TraceMode::Replay { .. }), _) => verify,
-        (_, Exec::Built(built)) => {
-            if verify {
-                if let Err((i, got, want)) = built.verify() {
-                    return Err(SimError::VerifyMismatch {
-                        kernel: w.name.clone(),
-                        core: None,
-                        index: i,
-                        got,
-                        want,
-                    });
-                }
-                true
-            } else {
-                false
-            }
-        }
-        (_, Exec::Replay { .. }) => unreachable!("replay implies TraceMode::Replay"),
-    };
-    Ok(KernelRun {
-        result: KernelResult {
-            seconds: cfg.cycles_to_seconds(out.stats.cycles),
-            cycles: out.stats.cycles,
-            stats: out.stats,
-            verified,
-            completed: out.completed,
-        },
-        uncore: uncore.report(),
-    })
-}
-
-/// Sanity helper used by tests: the scheduler kind of an operating point.
-pub fn scheduler_of(kind: ConfigKind) -> SchedulerKind {
-    kind.core_config().scheduler
+    crate::multicore::execute(w, kind.core_config(), machine, seed, verify, cancel, None)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spec::CellSpec;
+    use save_core::SchedulerKind;
     use save_kernels::{BroadcastPattern, GemmKernelSpec, Precision};
 
     fn tiny() -> GemmWorkload {
@@ -481,8 +226,8 @@ mod tests {
 
     #[test]
     fn symmetric_run_verifies_and_times() {
-        let r = run_kernel(&tiny(), ConfigKind::Save2Vpu, &MachineConfig::default(), 1, true)
-            .unwrap();
+        let spec = CellSpec::new(tiny(), ConfigKind::Save2Vpu, MachineConfig::default(), 1);
+        let r = CellSpec { verify: true, ..spec }.run(None).unwrap();
         assert!(r.completed && r.verified);
         assert!(r.seconds > 0.0);
         assert_eq!(r.stats.fma_uops, tiny().fma_count());
@@ -491,8 +236,8 @@ mod tests {
     #[test]
     fn invalid_operating_point_is_rejected_up_front() {
         let bad = CoreConfig { num_vpus: 0, ..CoreConfig::default() };
-        let err = run_kernel_custom(&tiny(), &bad, &MachineConfig::default(), 1, false)
-            .unwrap_err();
+        let err =
+            CellSpec::custom(tiny(), bad, MachineConfig::default(), 1).run(None).unwrap_err();
         match err {
             SimError::InvalidConfig { what } => assert!(what.contains("num_vpus"), "{what}"),
             other => panic!("expected InvalidConfig, got {other}"),
@@ -502,7 +247,8 @@ mod tests {
     #[test]
     fn cycle_budget_overrun_carries_a_stall_diag() {
         let starved = CoreConfig { max_cycles: 20, ..CoreConfig::default() };
-        let err = run_kernel_custom(&tiny(), &starved, &MachineConfig::default(), 1, false)
+        let err = CellSpec::custom(tiny(), starved, MachineConfig::default(), 1)
+            .run(None)
             .unwrap_err();
         match err {
             SimError::CycleBudgetExceeded { kernel, diag, .. } => {
@@ -519,15 +265,23 @@ mod tests {
         assert_eq!(ConfigKind::Baseline.core_config().freq_ghz, 1.7);
         assert_eq!(ConfigKind::Save1Vpu.core_config().freq_ghz, 2.1);
         assert_eq!(ConfigKind::Save1Vpu.core_config().num_vpus, 1);
-        assert_eq!(scheduler_of(ConfigKind::Baseline), SchedulerKind::Baseline);
+        assert_eq!(ConfigKind::Baseline.core_config().scheduler, SchedulerKind::Baseline);
     }
 
     #[test]
     fn deterministic_across_repeats() {
-        let a = run_kernel(&tiny(), ConfigKind::Save1Vpu, &MachineConfig::default(), 7, false)
-            .unwrap();
-        let b = run_kernel(&tiny(), ConfigKind::Save1Vpu, &MachineConfig::default(), 7, false)
-            .unwrap();
+        let spec = CellSpec::new(tiny(), ConfigKind::Save1Vpu, MachineConfig::default(), 7);
+        let a = spec.run(None).unwrap();
+        let b = spec.run(None).unwrap();
         assert_eq!(a.cycles, b.cycles);
+    }
+
+    #[test]
+    fn full_run_matches_the_spec_run() {
+        let m = MachineConfig::default();
+        let full = run_kernel_full(&tiny(), ConfigKind::Save2Vpu, &m, 3, false, None).unwrap();
+        let spec = CellSpec::new(tiny(), ConfigKind::Save2Vpu, m, 3).run(None).unwrap();
+        assert_eq!(full.result.cycles, spec.cycles);
+        assert_eq!(full.result.seconds.to_bits(), spec.seconds.to_bits());
     }
 }

@@ -19,11 +19,9 @@
 use crate::cancel::CancelToken;
 use crate::checkpoint::fnv1a;
 use crate::error::SimError;
-use crate::runner::{
-    run_kernel_cancel, run_kernel_custom_cancel, run_kernel_custom_traced, run_kernel_traced,
-    ConfigKind, KernelResult, MachineConfig,
-};
-use crate::trace::TraceStore;
+use crate::multicore;
+use crate::runner::{ConfigKind, KernelResult, MachineConfig};
+use crate::trace::{TraceMode, TraceStore};
 use save_core::CoreConfig;
 use save_kernels::GemmWorkload;
 use serde::{Deserialize, Serialize};
@@ -126,35 +124,29 @@ impl CellSpec {
     }
 
     /// Executes the cell, honouring an optional cooperative cancel token.
+    /// When the token latches (Ctrl-C, a per-cell deadline), the simulated
+    /// cores stop at their next [`save_core::CANCEL_QUANTUM`] boundary and
+    /// this returns [`SimError::Cancelled`]. See [`crate::run_kernel_full`]
+    /// for the other errors.
     pub fn run(&self, cancel: Option<&CancelToken>) -> Result<KernelResult, SimError> {
-        match &self.core {
-            CoreSel::Kind { kind } => run_kernel_cancel(
-                &self.workload,
-                *kind,
-                &self.machine,
-                self.seed,
-                self.verify,
-                cancel,
-            ),
-            CoreSel::Custom { config } => run_kernel_custom_cancel(
-                &self.workload,
-                config,
-                &self.machine,
-                self.seed,
-                self.verify,
-                cancel,
-            ),
-        }
+        self.execute(cancel, None)
     }
 
-    /// Executes the cell through a [`TraceStore`]: the first cell for a
-    /// given [`CellSpec::trace_key`] records a functional trace, later
-    /// cells replay it with bit-identical results (see
-    /// [`crate::runner::run_kernel_traced`]). Cells whose *full*
-    /// [`CellSpec::cache_key`] already ran through this store are served
-    /// from its result memo without entering the core at all — the
-    /// simulator is deterministic, so the memoized bits are the bits a
-    /// re-execution would produce.
+    /// Executes the cell through a [`TraceStore`] — "execute once, time N"
+    /// (DESIGN.md §5h). The first cell for a given [`CellSpec::trace_key`]
+    /// records a functional trace and files it in the store; every later
+    /// cell *replays* it — skipping codegen, operand generation and FMA
+    /// arithmetic — with bit-identical seconds, cycles and
+    /// [`save_core::CoreStats`]. Cells whose *full* [`CellSpec::cache_key`]
+    /// already ran through this store are served from its result memo
+    /// without entering the core at all — the simulator is deterministic,
+    /// so the memoized bits are the bits a re-execution would produce.
+    ///
+    /// A recording run always checks the numerical output against the
+    /// reference before the trace is admitted, so a simulator bug surfaces
+    /// as [`SimError::VerifyMismatch`] on the *first* cell rather than being
+    /// multiplied across the sweep. The reported `verified` flag still
+    /// follows [`CellSpec::verify`].
     pub fn run_traced(
         &self,
         cancel: Option<&CancelToken>,
@@ -164,28 +156,27 @@ impl CellSpec {
         if let Some(memo) = store.result(cache_key) {
             return Ok(memo);
         }
-        let result = match &self.core {
-            CoreSel::Kind { kind } => run_kernel_traced(
-                &self.workload,
-                *kind,
-                &self.machine,
-                self.seed,
-                self.verify,
-                cancel,
-                store,
-            ),
-            CoreSel::Custom { config } => run_kernel_custom_traced(
-                &self.workload,
-                config,
-                &self.machine,
-                self.seed,
-                self.verify,
-                cancel,
-                store,
-            ),
-        }?;
+        let key = self.trace_key()?;
+        let mode = match store.get(key) {
+            Some(trace) => TraceMode::Replay { trace },
+            None => TraceMode::Record { store, key },
+        };
+        let result = self.execute(cancel, Some(mode))?;
         store.record_result(cache_key, result);
         Ok(result)
+    }
+
+    fn execute(
+        &self,
+        cancel: Option<&CancelToken>,
+        mode: Option<TraceMode<'_>>,
+    ) -> Result<KernelResult, SimError> {
+        let cfg = match &self.core {
+            CoreSel::Kind { kind } => kind.core_config(),
+            CoreSel::Custom { config } => **config,
+        };
+        let (w, m) = (&self.workload, &self.machine);
+        Ok(multicore::execute(w, cfg, m, self.seed, self.verify, cancel, mode)?.result)
     }
 }
 

@@ -12,7 +12,8 @@ use crate::checkpoint::{CellRecord, Checkpoint, SweepManifest};
 use crate::durable::{run_cell, RetryPolicy};
 use crate::error::SimError;
 use crate::parallel::{parallel_try_map, parallel_try_map_cancel, FailureReport, JobFailure};
-use crate::runner::{run_kernel, run_kernel_cancel, run_kernel_traced, ConfigKind, MachineConfig};
+use crate::runner::{ConfigKind, MachineConfig};
+use crate::spec::CellSpec;
 use crate::trace::TraceStore;
 use save_kernels::GemmWorkload;
 use serde::{Deserialize, Serialize};
@@ -105,7 +106,7 @@ impl Surface {
             .collect();
         let secs = parallel_try_map(&points, threads, 0, |&(a, b)| {
             let wk = w.clone().with_sparsity(a, b);
-            Ok(run_kernel(&wk, kind, machine, Self::point_seed(a, b), false)?.seconds)
+            Ok(CellSpec::new(wk, kind, *machine, Self::point_seed(a, b)).run(None)?.seconds)
         })
         .into_iter()
         .collect::<Result<Vec<f64>, SimError>>()?;
@@ -150,16 +151,8 @@ impl Surface {
             kinds
                 .iter()
                 .map(|&kind| {
-                    Ok(run_kernel_traced(
-                        &wk,
-                        kind,
-                        machine,
-                        Self::point_seed(a, b),
-                        false,
-                        None,
-                        &store,
-                    )?
-                    .seconds)
+                    let spec = CellSpec::new(wk.clone(), kind, *machine, Self::point_seed(a, b));
+                    Ok(spec.run_traced(None, &store)?.seconds)
                 })
                 .collect::<Result<Vec<f64>, SimError>>()
         })
@@ -285,7 +278,7 @@ impl Surface {
             let label = cell_label((a, b));
             let run = run_cell(opts.supervisor, &opts.policy, &label, i, |tok| {
                 let wk = w.clone().with_sparsity(a, b);
-                run_kernel_cancel(&wk, kind, machine, Self::point_seed(a, b), false, Some(tok))
+                CellSpec::new(wk, kind, *machine, Self::point_seed(a, b)).run(Some(tok))
             });
             let journal = |rec: CellRecord| -> Result<(), SimError> {
                 match &checkpoint {

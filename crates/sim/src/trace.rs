@@ -190,7 +190,7 @@ impl TraceStore {
 }
 
 /// How a kernel run interacts with the trace machinery (crate-internal:
-/// the public entry points are `run_kernel_traced` and friends).
+/// the public entry point is [`crate::CellSpec::run_traced`]).
 pub(crate) enum TraceMode<'a> {
     /// Record a functional trace and admit it to the store on success.
     Record {

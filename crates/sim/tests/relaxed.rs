@@ -18,10 +18,9 @@ use proptest::prelude::*;
 use save_core::{CoreConfig, SanitizeLevel};
 use save_kernels::{BroadcastPattern, GemmKernelSpec, GemmWorkload, Precision};
 use save_sim::runner::{
-    run_kernel_custom, run_kernel_custom_traced, run_kernel_full, ConfigKind, MachineConfig,
-    MachineMode, MulticoreConfig,
+    run_kernel_full, ConfigKind, KernelResult, MachineConfig, MachineMode, MulticoreConfig,
 };
-use save_sim::TraceStore;
+use save_sim::{CellSpec, TraceStore};
 
 fn tiny(name: &str) -> GemmWorkload {
     GemmWorkload::dense(
@@ -47,13 +46,18 @@ fn machine(cores: usize, quantum: u64, threads: usize) -> MachineConfig {
     }
 }
 
+/// A verifying cell for an explicit core configuration.
+fn verified(w: &GemmWorkload, cfg: CoreConfig, m: MachineConfig, seed: u64) -> CellSpec {
+    CellSpec { verify: true, ..CellSpec::custom(w.clone(), cfg, m, seed) }
+}
+
 fn full_sanitized(kind: ConfigKind) -> CoreConfig {
     CoreConfig { sanitize: SanitizeLevel::Full, ..kind.core_config() }
 }
 
 /// Serializes a result to JSON so EVERY field (seconds bits via cycles,
 /// stats counters, flags) participates in the bit-identity comparison.
-fn fingerprint(r: &save_sim::KernelResult) -> String {
+fn fingerprint(r: &KernelResult) -> String {
     format!("{}|{}", r.seconds.to_bits(), serde_json::to_string(r).expect("serialize result"))
 }
 
@@ -65,11 +69,10 @@ fn quantum_one_is_bit_identical_to_lockstep() {
     let w = tiny("q1-oracle");
     for kind in ConfigKind::ALL {
         let cfg = full_sanitized(kind);
-        let lockstep =
-            run_kernel_custom(&w, &cfg, &machine(4, 1, 0), 5, true).expect("lockstep");
+        let lockstep = verified(&w, cfg, machine(4, 1, 0), 5).run(None).expect("lockstep");
         for threads in [1usize, 4, 9] {
-            let relaxed = run_kernel_custom(&w, &cfg, &machine(4, 1, threads), 5, true)
-                .expect("quantum=1");
+            let relaxed =
+                verified(&w, cfg, machine(4, 1, threads), 5).run(None).expect("quantum=1");
             assert_eq!(
                 fingerprint(&relaxed),
                 fingerprint(&lockstep),
@@ -87,8 +90,8 @@ fn full_sanitizer_accepts_relaxed_execution() {
     let w = tiny("relaxed-sanitized");
     for kind in ConfigKind::ALL {
         let cfg = full_sanitized(kind);
-        let r = run_kernel_custom(&w, &cfg, &machine(4, 300, 2), 13, true)
-            .expect("relaxed sanitized run");
+        let r =
+            verified(&w, cfg, machine(4, 300, 2), 13).run(None).expect("relaxed sanitized run");
         assert!(r.completed && r.verified, "kind {kind:?}");
     }
 }
@@ -99,13 +102,17 @@ fn full_sanitizer_accepts_relaxed_execution() {
 fn trace_replay_is_pure_under_relaxed() {
     let w = tiny("relaxed-trace");
     let m = machine(4, 250, 2);
-    let cfg = ConfigKind::Save2Vpu.core_config();
+    let spec = CellSpec::custom(w, ConfigKind::Save2Vpu.core_config(), m, 21);
+    let direct = spec.run(None).expect("direct");
     let store = TraceStore::new();
-    let direct = run_kernel_custom(&w, &cfg, &m, 21, false).expect("direct");
-    let recorded =
-        run_kernel_custom_traced(&w, &cfg, &m, 21, false, None, &store).expect("record");
-    let replayed =
-        run_kernel_custom_traced(&w, &cfg, &m, 21, false, None, &store).expect("replay");
+    let recorded = spec.run_traced(None, &store).expect("record");
+    // A store holding only the trace, so the cell replays instead of being
+    // served from the first store's result memo.
+    let key = spec.trace_key().expect("trace key");
+    let replay_store = TraceStore::new();
+    replay_store.insert(key, (*store.get(key).expect("recorded trace")).clone());
+    let replayed = spec.run_traced(None, &replay_store).expect("replay");
+    assert_eq!(replay_store.hits(), 1, "the second cell must replay the trace");
     assert_eq!(fingerprint(&recorded), fingerprint(&direct), "record-and-use must not drift");
     assert_eq!(fingerprint(&replayed), fingerprint(&direct), "replay must not drift");
 }
@@ -165,13 +172,11 @@ proptest! {
     fn host_threads_never_change_results(c in cell_strategy()) {
         let w = tiny("relaxed-prop").with_sparsity(c.a_sparsity, 0.3);
         let kind = ConfigKind::ALL[c.kind];
-        let base = run_kernel_custom(
-            &w, &kind.core_config(), &machine(c.cores, c.quantum, 1), c.seed, false,
-        ).expect("threads=1");
+        let cell =
+            |threads| CellSpec::new(w.clone(), kind, machine(c.cores, c.quantum, threads), c.seed);
+        let base = cell(1).run(None).expect("threads=1");
         for threads in [2usize, 5] {
-            let r = run_kernel_custom(
-                &w, &kind.core_config(), &machine(c.cores, c.quantum, threads), c.seed, false,
-            ).expect("threads>1");
+            let r = cell(threads).run(None).expect("threads>1");
             prop_assert_eq!(&fingerprint(&r), &fingerprint(&base), "cell {:?} threads {}", c, threads);
         }
     }

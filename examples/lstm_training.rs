@@ -5,8 +5,7 @@
 //! Run with: `cargo run --release --example lstm_training`
 
 use save::kernels::{Phase, Precision};
-use save::sim::runner::run_kernel;
-use save::sim::{ConfigKind, MachineConfig, SimError};
+use save::sim::{CellSpec, ConfigKind, MachineConfig, SimError};
 use save::sparsity::PruningSchedule;
 
 fn main() -> Result<(), SimError> {
@@ -20,9 +19,12 @@ fn main() -> Result<(), SimError> {
     for step in (0..=340_000).step_by(34_000) {
         let ws = schedule.sparsity_at(step as f64);
         let w = w0.clone().with_sparsity(0.2, ws);
-        let tb = run_kernel(&w, ConfigKind::Baseline, &machine, step as u64, false)?.seconds;
-        let t2 = run_kernel(&w, ConfigKind::Save2Vpu, &machine, step as u64, false)?.seconds;
-        let t1 = run_kernel(&w, ConfigKind::Save1Vpu, &machine, step as u64, false)?.seconds;
+        let secs = |kind| -> Result<f64, SimError> {
+            Ok(CellSpec::new(w.clone(), kind, machine, step as u64).run(None)?.seconds)
+        };
+        let tb = secs(ConfigKind::Baseline)?;
+        let t2 = secs(ConfigKind::Save2Vpu)?;
+        let t1 = secs(ConfigKind::Save1Vpu)?;
         println!(
             "{:>10}  {:>7.0}%  {:>10.2}x  {:>10.2}x",
             step,

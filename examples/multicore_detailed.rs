@@ -5,8 +5,7 @@
 //! Run with: `cargo run --release --example multicore_detailed`
 
 use save::kernels::{Phase, Precision};
-use save::sim::runner::run_kernel;
-use save::sim::{ConfigKind, MachineConfig, MachineMode, SimError};
+use save::sim::{CellSpec, ConfigKind, MachineConfig, MachineMode, SimError};
 
 fn main() -> Result<(), SimError> {
     let shape = save::kernels::shapes::conv_by_name("ResNet3_2").ok_or_else(|| {
@@ -17,8 +16,12 @@ fn main() -> Result<(), SimError> {
     for cores in [1usize, 4, 8] {
         let detailed = MachineConfig { cores, mode: MachineMode::Detailed, ..Default::default() };
         let symmetric = MachineConfig { cores, mode: MachineMode::Symmetric, ..Default::default() };
-        let rd = run_kernel(&w, ConfigKind::Save2Vpu, &detailed, 1, true)?;
-        let rs = run_kernel(&w, ConfigKind::Save2Vpu, &symmetric, 1, true)?;
+        let run = |machine| {
+            CellSpec { verify: true, ..CellSpec::new(w.clone(), ConfigKind::Save2Vpu, machine, 1) }
+                .run(None)
+        };
+        let rd = run(detailed)?;
+        let rs = run(symmetric)?;
         println!(
             "{cores:>2} cores: detailed {:>8} cycles (slowest core), symmetric {:>8} cycles, ratio {:.2}",
             rd.cycles,

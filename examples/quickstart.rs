@@ -4,8 +4,7 @@
 //! Run with: `cargo run --release --example quickstart`
 
 use save::kernels::{BroadcastPattern, GemmKernelSpec, GemmWorkload, Precision};
-use save::sim::runner::run_kernel;
-use save::sim::{ConfigKind, MachineConfig, SimError};
+use save::sim::{CellSpec, ConfigKind, MachineConfig, SimError};
 
 fn main() -> Result<(), SimError> {
     // A DNNL-style register-blocked GEMM micro-kernel: 7x3 accumulators,
@@ -28,9 +27,13 @@ fn main() -> Result<(), SimError> {
     let machine = MachineConfig::default();
 
     println!("simulating `{}` ({} VFMA µops)...", workload.name, workload.fma_count());
-    let baseline = run_kernel(&workload, ConfigKind::Baseline, &machine, 42, true)?;
-    let save2 = run_kernel(&workload, ConfigKind::Save2Vpu, &machine, 42, true)?;
-    let save1 = run_kernel(&workload, ConfigKind::Save1Vpu, &machine, 42, true)?;
+    // One self-contained cell per operating point, with output verification.
+    let run = |kind| {
+        CellSpec { verify: true, ..CellSpec::new(workload.clone(), kind, machine, 42) }.run(None)
+    };
+    let baseline = run(ConfigKind::Baseline)?;
+    let save2 = run(ConfigKind::Save2Vpu)?;
+    let save1 = run(ConfigKind::Save1Vpu)?;
 
     println!("baseline (2 VPUs @ 1.7 GHz): {:>8} cycles", baseline.cycles);
     println!(

@@ -3,12 +3,19 @@
 //! qualitative landmarks.
 
 use save::core::{CoreConfig, SchedulerKind};
-use save::kernels::{Phase, Precision};
-use save::sim::runner::{run_kernel, run_kernel_custom};
-use save::sim::{ConfigKind, Estimator, EstimatorConfig, MachineConfig, MachineMode, Network};
+use save::kernels::{GemmWorkload, Phase, Precision};
+use save::sim::{
+    CellSpec, ConfigKind, Estimator, EstimatorConfig, KernelResult, MachineConfig, MachineMode,
+    Network,
+};
 use save::sparsity::NetKind;
 
-fn small_workload(name: &str, phase: Phase, prec: Precision) -> save::kernels::GemmWorkload {
+/// Runs `w` at `kind` on `machine`.
+fn run(w: &GemmWorkload, kind: ConfigKind, machine: MachineConfig, seed: u64, verify: bool) -> KernelResult {
+    CellSpec { verify, ..CellSpec::new(w.clone(), kind, machine, seed) }.run(None).unwrap()
+}
+
+fn small_workload(name: &str, phase: Phase, prec: Precision) -> GemmWorkload {
     let mut w = save::kernels::shapes::conv_by_name(name).expect("shape").workload(phase, prec);
     w.tiles = 2;
     w.k_total = 48;
@@ -23,7 +30,7 @@ fn named_kernels_run_correctly_on_every_operating_point() {
             for prec in [Precision::F32, Precision::Mixed] {
                 let w = small_workload(name, phase, prec).with_sparsity(0.3, 0.5);
                 for kind in ConfigKind::ALL {
-                    let r = run_kernel(&w, kind, &machine, 5, true).unwrap();
+                    let r = run(&w, kind, machine, 5, true);
                     assert!(r.completed && r.verified, "{name} {phase} {prec} {kind:?}");
                 }
             }
@@ -39,7 +46,7 @@ fn detailed_multicore_matches_reference_for_lstm() {
     w.b_panel_tiles = 2;
     w.k_total = 32;
     let m = MachineConfig { cores: 4, mode: MachineMode::Detailed, ..Default::default() };
-    let r = run_kernel(&w, ConfigKind::Save2Vpu, &m, 11, true).unwrap();
+    let r = run(&w, ConfigKind::Save2Vpu, m, 11, true);
     assert!(r.completed && r.verified);
 }
 
@@ -47,16 +54,16 @@ fn detailed_multicore_matches_reference_for_lstm() {
 fn landmark_bs_and_nbs_both_deliver_speedup() {
     let machine = MachineConfig::default();
     let dense = small_workload("ResNet3_2", Phase::Forward, Precision::F32);
-    let t_dense = run_kernel(&dense, ConfigKind::Save2Vpu, &machine, 3, false).unwrap().seconds;
+    let t_dense = run(&dense, ConfigKind::Save2Vpu, machine, 3, false).seconds;
     let bs = dense.clone().with_sparsity(0.6, 0.0);
     let nbs = dense.clone().with_sparsity(0.0, 0.6);
-    let t_bs = run_kernel(&bs, ConfigKind::Save2Vpu, &machine, 3, false).unwrap().seconds;
-    let t_nbs = run_kernel(&nbs, ConfigKind::Save2Vpu, &machine, 3, false).unwrap().seconds;
+    let t_bs = run(&bs, ConfigKind::Save2Vpu, machine, 3, false).seconds;
+    let t_nbs = run(&nbs, ConfigKind::Save2Vpu, machine, 3, false).seconds;
     assert!(t_bs < t_dense * 0.9, "BS must speed up SAVE ({t_bs} vs {t_dense})");
     assert!(t_nbs < t_dense * 0.9, "NBS must speed up SAVE ({t_nbs} vs {t_dense})");
     // The baseline is insensitive to sparsity.
-    let b_dense = run_kernel(&dense, ConfigKind::Baseline, &machine, 3, false).unwrap().seconds;
-    let b_sparse = run_kernel(&nbs, ConfigKind::Baseline, &machine, 3, false).unwrap().seconds;
+    let b_dense = run(&dense, ConfigKind::Baseline, machine, 3, false).seconds;
+    let b_sparse = run(&nbs, ConfigKind::Baseline, machine, 3, false).seconds;
     assert!((b_dense / b_sparse - 1.0).abs() < 0.05, "baseline must not exploit sparsity");
 }
 
@@ -67,7 +74,7 @@ fn landmark_speedup_monotone_in_nbs() {
     let mut last = f64::INFINITY;
     for nbs in [0.0, 0.3, 0.6, 0.9] {
         let w = w0.clone().with_sparsity(0.0, nbs);
-        let t = run_kernel(&w, ConfigKind::Save2Vpu, &machine, 7, false).unwrap().seconds;
+        let t = run(&w, ConfigKind::Save2Vpu, machine, 7, false).seconds;
         assert!(t <= last * 1.03, "time must not grow with sparsity (nbs={nbs})");
         last = t;
     }
@@ -78,15 +85,11 @@ fn hc_pays_latency_vc_preserves_lane_order() {
     // Horizontal compression must carry its +6-cycle crossbar penalty.
     let machine = MachineConfig::default();
     let w = small_workload("ResNet3_2", Phase::Forward, Precision::F32); // dense
-    let vc = run_kernel_custom(&w, &CoreConfig::save_2vpu(), &machine, 9, true).unwrap();
-    let hc = run_kernel_custom(
-        &w,
-        &CoreConfig { scheduler: SchedulerKind::Horizontal, ..CoreConfig::save_2vpu() },
-        &machine,
-        9,
-        true,
-    )
-    .unwrap();
+    let run_custom = |cfg| {
+        CellSpec { verify: true, ..CellSpec::custom(w.clone(), cfg, machine, 9) }.run(None).unwrap()
+    };
+    let vc = run_custom(CoreConfig::save_2vpu());
+    let hc = run_custom(CoreConfig { scheduler: SchedulerKind::Horizontal, ..CoreConfig::save_2vpu() });
     assert!(vc.verified && hc.verified);
     assert!(hc.cycles >= vc.cycles, "dense HC must not beat VC (no imbalance to fix)");
 }
