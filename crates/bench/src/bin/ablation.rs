@@ -15,17 +15,13 @@
 use save_bench::print_table;
 use save_core::CoreConfig;
 use save_kernels::{GemmWorkload, Phase, Precision};
-use save_sim::{CancelToken, CellSpec, KernelResult, MachineConfig, SimError};
+use save_sim::{CellSpec, MachineConfig, SimError};
 use std::process::ExitCode;
 
-/// Runs `w` under `cfg` on `m` with the fixed data seed every study uses.
-fn run(
-    w: &GemmWorkload,
-    cfg: CoreConfig,
-    m: MachineConfig,
-    tok: &CancelToken,
-) -> Result<KernelResult, SimError> {
-    CellSpec::custom(w.clone(), cfg, m, 1).run(Some(tok))
+/// The cell running `w` under `cfg` on `m`, with the fixed data seed every
+/// study uses.
+fn spec(w: &GemmWorkload, cfg: CoreConfig, m: MachineConfig) -> CellSpec {
+    CellSpec::custom(w.clone(), cfg, m, 1)
 }
 
 fn main() -> ExitCode {
@@ -41,16 +37,44 @@ fn body(
         SimError::InvalidConfig { what: "ablation: ResNet3_2 missing from the shape table".into() }
     })?;
     let fwd = shape.workload(Phase::Forward, Precision::F32).with_sparsity(0.0, 0.6);
-    let base_time = session.seconds("baseline fwd", |tok| {
-        Ok(run(&fwd, CoreConfig::baseline(), machine, tok)?.seconds)
-    });
+    let wgrad = shape.workload(Phase::BackwardWeights, Precision::F32).with_sparsity(0.4, 0.4);
+    let mut base_machine = machine;
+    base_machine.mem.bcast = None;
+    let mp_shape = save_kernels::shapes::conv_by_name("ResNet4_1a").ok_or_else(|| {
+        SimError::InvalidConfig { what: "ablation: ResNet4_1a missing from the shape table".into() }
+    })?;
+    let mp = mp_shape.workload(Phase::BackwardInput, Precision::Mixed).with_sparsity(0.0, 0.6);
+    let widths = [3usize, 4, 5, 6];
+    let overlaps = [0u64, 1, 2, 3];
+
+    // The journaled timings — three baselines, the width study's
+    // (baseline, SAVE) pairs and the overlap study — as one batch.
+    let mut batch = vec![
+        ("baseline fwd".to_string(), spec(&fwd, CoreConfig::baseline(), machine)),
+        ("baseline wgrad".to_string(), spec(&wgrad, CoreConfig::baseline(), base_machine)),
+        ("baseline mp".to_string(), spec(&mp, CoreConfig::baseline(), machine)),
+    ];
+    for width in widths {
+        let base = CoreConfig { issue_width: width, commit_width: width, ..CoreConfig::baseline() };
+        let cfg = CoreConfig { issue_width: width, commit_width: width, ..CoreConfig::save_2vpu() };
+        batch.push((format!("width={width} baseline"), spec(&fwd, base, machine)));
+        batch.push((format!("width={width}"), spec(&fwd, cfg, machine)));
+    }
+    for overlap in overlaps {
+        let cfg = CoreConfig { mp_forward_overlap: overlap, ..CoreConfig::save_1vpu() };
+        batch.push((format!("overlap={overlap}"), spec(&mp, cfg, machine)));
+    }
+    let secs = session.spec_seconds_batch(&batch);
+    let (base_time, tb_wgrad, tb_mp) = (secs[0], secs[1], secs[2]);
+    let (width_secs, overlap_secs) = secs[3..].split_at(2 * widths.len());
 
     // 1. RS size: the combination window is RS-bound until the 32-register
     // limit takes over.
     let mut rows = Vec::new();
     for rs in [24usize, 48, 64, 97, 128] {
         let cfg = CoreConfig { rs_entries: rs, ..CoreConfig::save_2vpu() };
-        let Some(r) = session.run(&format!("rs={rs}"), |tok| run(&fwd, cfg, machine, tok)) else {
+        let cell = spec(&fwd, cfg, machine);
+        let Some(r) = session.run(&format!("rs={rs}"), |tok| cell.run(Some(tok))) else {
             continue;
         };
         rows.push(vec![
@@ -67,14 +91,8 @@ fn body(
 
     // 2. Allocation width.
     let mut rows = Vec::new();
-    for width in [3usize, 4, 5, 6] {
-        let cfg = CoreConfig { issue_width: width, commit_width: width, ..CoreConfig::save_2vpu() };
-        let base = CoreConfig { issue_width: width, commit_width: width, ..CoreConfig::baseline() };
-        let speedup = session.seconds(&format!("width={width}"), |tok| {
-            let tb = run(&fwd, base, machine, tok)?.seconds;
-            let ts = run(&fwd, cfg, machine, tok)?.seconds;
-            Ok(tb / ts)
-        });
+    for (width, pair) in widths.iter().zip(width_secs.chunks(2)) {
+        let speedup = pair[0] / pair[1];
         rows.push(vec![format!("{width}-wide"), format!("{speedup:.2}x")]);
     }
     print_table(
@@ -84,19 +102,12 @@ fn body(
     );
 
     // 3. Broadcast-cache entries, on the embedded-broadcast wgrad kernel.
-    let wgrad = shape.workload(Phase::BackwardWeights, Precision::F32).with_sparsity(0.4, 0.4);
-    let mut base_machine = machine;
-    base_machine.mem.bcast = None;
-    let tb = session.seconds("baseline wgrad", |tok| {
-        Ok(run(&wgrad, CoreConfig::baseline(), base_machine, tok)?.seconds)
-    });
     let mut rows = Vec::new();
     for entries in [4usize, 8, 16, 32, 64] {
         let mut m = machine;
         m.mem.bcast_entries = entries;
-        let Some(r) =
-            session.run(&format!("bcast={entries}"), |tok| run(&wgrad, CoreConfig::save_2vpu(), m, tok))
-        else {
+        let cell = spec(&wgrad, CoreConfig::save_2vpu(), m);
+        let Some(r) = session.run(&format!("bcast={entries}"), |tok| cell.run(Some(tok))) else {
             continue;
         };
         let hit_rate = if r.stats.bcast_loads == 0 {
@@ -106,7 +117,7 @@ fn body(
         };
         rows.push(vec![
             format!("{entries}"),
-            format!("{:.2}x", tb / r.seconds),
+            format!("{:.2}x", tb_wgrad / r.seconds),
             format!("{:.1}%", hit_rate * 100.0),
         ]);
     }
@@ -122,8 +133,8 @@ fn body(
         let mut m = machine;
         m.mem.prefetch_degree = depth;
         let Some((tbb, ts)) = session.run(&format!("prefetch={depth}"), |tok| {
-            let tbb = run(&fwd, CoreConfig::baseline(), m, tok)?.seconds;
-            let ts = run(&fwd, CoreConfig::save_2vpu(), m, tok)?.seconds;
+            let tbb = spec(&fwd, CoreConfig::baseline(), m).run(Some(tok))?.seconds;
+            let ts = spec(&fwd, CoreConfig::save_2vpu(), m).run(Some(tok))?.seconds;
             Ok((tbb, ts))
         }) else {
             continue;
@@ -141,20 +152,9 @@ fn body(
     );
 
     // 5. MP partial-result forwarding overlap (§V-B).
-    let mp_shape = save_kernels::shapes::conv_by_name("ResNet4_1a").ok_or_else(|| {
-        SimError::InvalidConfig { what: "ablation: ResNet4_1a missing from the shape table".into() }
-    })?;
-    let mp = mp_shape.workload(Phase::BackwardInput, Precision::Mixed).with_sparsity(0.0, 0.6);
-    let tb = session.seconds("baseline mp", |tok| {
-        Ok(run(&mp, CoreConfig::baseline(), machine, tok)?.seconds)
-    });
     let mut rows = Vec::new();
-    for overlap in [0u64, 1, 2, 3] {
-        let cfg = CoreConfig { mp_forward_overlap: overlap, ..CoreConfig::save_1vpu() };
-        let ts = session.seconds(&format!("overlap={overlap}"), |tok| {
-            Ok(run(&mp, cfg, machine, tok)?.seconds)
-        });
-        rows.push(vec![format!("{overlap} cycles"), format!("{:.2}x", tb / ts)]);
+    for (overlap, ts) in overlaps.iter().zip(overlap_secs) {
+        rows.push(vec![format!("{overlap} cycles"), format!("{:.2}x", tb_mp / ts)]);
     }
     print_table(
         "Ablation: MP partial-result forwarding overlap (ResNet4_1a MP bwd-input, 1 VPU)",

@@ -33,18 +33,34 @@ fn body(
 ) -> Result<(), SimError> {
     let grid = cli.grid();
     let machine = MachineConfig::default();
+    let spec = |w: &GemmWorkload, kind, seed| CellSpec::new(w.clone(), kind, machine, seed);
 
     // 1. SparseTrain-style software skipping vs / with SAVE, across BS,
     // under uniform-random and clustered (ReLU-like) sparsity.
-    let mut rows = Vec::new();
-    for (label, software, kind, cluster) in [
+    let skipping = [
         ("software skip, uniform zeros", true, ConfigKind::Baseline, 1usize),
         ("software skip, clustered zeros", true, ConfigKind::Baseline, 16),
         ("SAVE (hardware), uniform", false, ConfigKind::Save2Vpu, 1),
         ("SAVE (hardware), clustered", false, ConfigKind::Save2Vpu, 16),
         ("SAVE + software skip, clustered", true, ConfigKind::Save2Vpu, 16),
-    ] {
-        let mut row = vec![label.to_string()];
+    ];
+    // 2. ZCOMP compressed streaming on a bandwidth-bound kernel, across NBS.
+    let streaming = |nbs: f64, compressed: bool| GemmWorkload {
+        b_panel_tiles: 1,
+        compressed_b: compressed,
+        ..GemmWorkload::dense("zc", explicit_spec(), 64, 8).with_sparsity(0.2, nbs)
+    };
+    let zcomp = [
+        ("SAVE 2 VPUs", false, ConfigKind::Save2Vpu),
+        ("SAVE 2 VPUs + ZCOMP", true, ConfigKind::Save2Vpu),
+        ("SAVE 1 VPU", false, ConfigKind::Save1Vpu),
+        ("SAVE 1 VPU + ZCOMP", true, ConfigKind::Save1Vpu),
+    ];
+
+    // Both studies as one batch of (baseline, approach) cell pairs; rows
+    // that compare against the same baseline share it.
+    let mut batch = Vec::new();
+    for (label, software, kind, cluster) in skipping {
         for &bs in &grid {
             let plain = GemmWorkload {
                 a_cluster: cluster,
@@ -52,16 +68,31 @@ fn body(
             };
             let w = GemmWorkload { software_bs_skip: software, ..plain.clone() };
             let seed = (bs * 100.0) as u64;
-            let speedup = session.seconds(&format!("{label} bs={bs:.1}"), |tok| {
-                let run = |wk: &GemmWorkload, kind| {
-                    CellSpec::new(wk.clone(), kind, machine, seed).run(Some(tok))
-                };
-                let tb = run(&plain, ConfigKind::Baseline)?.seconds;
-                let ts = run(&w, kind)?.seconds;
-                Ok(tb / ts)
-            });
-            row.push(format!("{speedup:.2}"));
+            batch.push((
+                format!("baseline cluster={cluster} bs={bs:.1}"),
+                spec(&plain, ConfigKind::Baseline, seed),
+            ));
+            batch.push((format!("{label} bs={bs:.1}"), spec(&w, kind, seed)));
         }
+    }
+    for (label, compressed, kind) in zcomp {
+        for &nbs in &grid {
+            let seed = (nbs * 100.0) as u64;
+            batch.push((
+                format!("streaming baseline nbs={nbs:.1}"),
+                spec(&streaming(nbs, false), ConfigKind::Baseline, seed),
+            ));
+            let w = streaming(nbs, compressed);
+            batch.push((format!("{label} nbs={nbs:.1}"), spec(&w, kind, seed)));
+        }
+    }
+    let secs = session.spec_seconds_batch(&batch);
+    let mut speedups = secs.chunks(2).map(|p| p[0] / p[1]);
+
+    let mut rows = Vec::new();
+    for (label, ..) in skipping {
+        let mut row = vec![label.to_string()];
+        row.extend(speedups.by_ref().take(grid.len()).map(|s| format!("{s:.2}")));
         rows.push(row);
     }
     let mut headers: Vec<String> = vec!["approach".into()];
@@ -73,30 +104,10 @@ fn body(
         &rows,
     );
 
-    // 2. ZCOMP compressed streaming on a bandwidth-bound kernel, across NBS.
-    let streaming = |nbs: f64, compressed: bool| GemmWorkload {
-        b_panel_tiles: 1,
-        compressed_b: compressed,
-        ..GemmWorkload::dense("zc", explicit_spec(), 64, 8).with_sparsity(0.2, nbs)
-    };
     let mut rows = Vec::new();
-    for (label, compressed, kind) in [
-        ("SAVE 2 VPUs", false, ConfigKind::Save2Vpu),
-        ("SAVE 2 VPUs + ZCOMP", true, ConfigKind::Save2Vpu),
-        ("SAVE 1 VPU", false, ConfigKind::Save1Vpu),
-        ("SAVE 1 VPU + ZCOMP", true, ConfigKind::Save1Vpu),
-    ] {
+    for (label, ..) in zcomp {
         let mut row = vec![label.to_string()];
-        for &nbs in &grid {
-            let seed = (nbs * 100.0) as u64;
-            let speedup = session.seconds(&format!("{label} nbs={nbs:.1}"), |tok| {
-                let run = |w, kind| CellSpec::new(w, kind, machine, seed).run(Some(tok));
-                let tb = run(streaming(nbs, false), ConfigKind::Baseline)?.seconds;
-                let ts = run(streaming(nbs, compressed), kind)?.seconds;
-                Ok(tb / ts)
-            });
-            row.push(format!("{speedup:.2}"));
-        }
+        row.extend(speedups.by_ref().take(grid.len()).map(|s| format!("{s:.2}")));
         rows.push(row);
     }
     let mut headers: Vec<String> = vec!["approach".into()];

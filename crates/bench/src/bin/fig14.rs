@@ -37,14 +37,13 @@ fn body(
 ) -> Result<(), save_sim::SimError> {
     let cfg = EstimatorConfig { grid: cli.grid(), ..Default::default() };
     // Surface sweeps inherit the session's durable-execution settings:
-    // each distinct surface journals under a content-addressed
-    // subdirectory of --checkpoint-dir (None still gives deadlines,
-    // retries and cancellation without journaling).
+    // their cells are journaled in the session's result store (no
+    // --checkpoint-dir still gives deadlines, retries and cancellation
+    // without journaling).
     let est = Estimator::durable(
         cfg,
         EstimatorDurability {
-            checkpoint_dir: cli.checkpoint_dir.clone(),
-            resume: cli.resume,
+            store: session.store().cloned(),
             policy: cli.policy(),
             supervisor: session.supervisor().clone(),
         },

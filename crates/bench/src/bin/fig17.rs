@@ -43,26 +43,41 @@ fn body(
     let designs: [(&str, Option<BcastDesign>); 3] =
         [("No B$", None), ("B$ w/ masks", Some(BcastDesign::Masks)), ("B$ w/ data", Some(BcastDesign::Data))];
 
+    // One batch of (baseline, SAVE) cell pairs, row-major. The baseline
+    // never has a B$ (it is a SAVE structure), so the three designs share
+    // it: the batch runs each baseline once.
+    let mut base_machine = MachineConfig::default();
+    base_machine.mem.bcast = None;
+    let mut batch = Vec::new();
+    for bs in [0.0, 0.4] {
+        for (label, design) in designs {
+            let mut machine = MachineConfig::default();
+            machine.mem.bcast = design;
+            for &nbs in &grid {
+                let w = w0.clone().with_sparsity(bs, nbs);
+                let seed = ((bs * 100.0) as u64) << 8 | (nbs * 100.0) as u64;
+                let cell = format!("bs={bs:.1} nbs={nbs:.1}");
+                batch.push((
+                    format!("baseline {cell}"),
+                    CellSpec::custom(w.clone(), CoreConfig::baseline(), base_machine, seed),
+                ));
+                batch.push((
+                    format!("{label} {cell}"),
+                    CellSpec::custom(w, CoreConfig::save_2vpu(), machine, seed),
+                ));
+            }
+        }
+    }
+    let secs = session.spec_seconds_batch(&batch);
+    let mut speedups = secs.chunks(2).map(|p| p[0] / p[1]);
+
     let mut points = Vec::new();
     let mut rows = Vec::new();
     for bs in [0.0, 0.4] {
-        for (label, design) in designs {
+        for (label, _) in designs {
             let mut row = vec![format!("{label} @ {:.0}% BS", bs * 100.0)];
             for &nbs in &grid {
-                let mut machine = MachineConfig::default();
-                machine.mem.bcast = design;
-                let w = w0.clone().with_sparsity(bs, nbs);
-                let seed = ((bs * 100.0) as u64) << 8 | (nbs * 100.0) as u64;
-                // Baseline never has a B$ (it is a SAVE structure).
-                let mut base_machine = MachineConfig::default();
-                base_machine.mem.bcast = None;
-                let cell = format!("{label} bs={bs:.1} nbs={nbs:.1}");
-                let speedup = session.seconds(&cell, |tok| {
-                    let run = |cfg, m| CellSpec::custom(w.clone(), cfg, m, seed).run(Some(tok));
-                    let tb = run(CoreConfig::baseline(), base_machine)?.seconds;
-                    let ts = run(CoreConfig::save_2vpu(), machine)?.seconds;
-                    Ok(tb / ts)
-                });
+                let speedup = speedups.next().unwrap_or(f64::NAN);
                 row.push(format!("{speedup:.2}"));
                 points.push(Point { design: label.into(), bs, nbs, speedup });
             }

@@ -56,12 +56,32 @@ fn body(
 ) -> Result<(), SimError> {
     let grid = cli.grid();
     let machine = MachineConfig::default();
-    let mut points = Vec::new();
-    for name in ["ResNet3_2", "ResNet5_1a"] {
+    let kernels = ["ResNet3_2", "ResNet5_1a"];
+    let mut shapes = Vec::new();
+    // One batch of (baseline, technique) cell pairs over both kernels; the
+    // five techniques share each baseline, which the batch runs once.
+    let mut batch = Vec::new();
+    for name in kernels {
         let shape = save_kernels::shapes::conv_by_name(name).ok_or_else(|| {
             SimError::InvalidConfig { what: format!("fig18: {name} missing from the shape table") }
         })?;
         let w0 = shape.workload(Phase::BackwardInput, Precision::F32);
+        for (label, cfg) in techniques() {
+            for &nbs in &grid {
+                let w = w0.clone().with_sparsity(0.0, nbs);
+                let seed = (nbs * 100.0) as u64;
+                let spec = |cfg| CellSpec::custom(w.clone(), cfg, machine, seed);
+                batch.push((format!("{name} baseline nbs={nbs:.1}"), spec(CoreConfig::baseline())));
+                batch.push((format!("{name} {label} nbs={nbs:.1}"), spec(cfg)));
+            }
+        }
+        shapes.push(shape);
+    }
+    let secs = session.spec_seconds_batch(&batch);
+    let mut speedups = secs.chunks(2).map(|p| p[0] / p[1]);
+
+    let mut points = Vec::new();
+    for (name, shape) in kernels.into_iter().zip(shapes) {
         let (m, n) = shape.blocking(Phase::BackwardInput);
         println!(
             "\nkernel {name} bwd-input: {} accumulators, register reuse {}, effective CW ~ {}",
@@ -70,18 +90,10 @@ fn body(
             n
         );
         let mut rows = Vec::new();
-        for (label, cfg) in techniques() {
+        for (label, _) in techniques() {
             let mut row = vec![label.to_string()];
             for &nbs in &grid {
-                let w = w0.clone().with_sparsity(0.0, nbs);
-                let seed = (nbs * 100.0) as u64;
-                let cell = format!("{name} {label} nbs={nbs:.1}");
-                let speedup = session.seconds(&cell, |tok| {
-                    let run = |cfg| CellSpec::custom(w.clone(), cfg, machine, seed).run(Some(tok));
-                    let tb = run(CoreConfig::baseline())?.seconds;
-                    let ts = run(cfg)?.seconds;
-                    Ok(tb / ts)
-                });
+                let speedup = speedups.next().unwrap_or(f64::NAN);
                 row.push(format!("{speedup:.2}"));
                 points.push(Point {
                     kernel: name.into(),

@@ -37,21 +37,29 @@ fn body(
     let w0 = shape.workload(Phase::BackwardInput, Precision::Mixed);
     let machine = MachineConfig::default();
 
-    let mut points = Vec::new();
-    let mut rows = Vec::new();
-    for (label, compress) in [("w/o MP techniques", false), ("w/ MP techniques", true)] {
+    // One batch of (baseline, SAVE) cell pairs; both rows share each
+    // baseline, which the batch runs once.
+    let rows_cfg = [("w/o MP techniques", false), ("w/ MP techniques", true)];
+    let mut batch = Vec::new();
+    for (label, compress) in rows_cfg {
         let cfg = CoreConfig { mp_compress: compress, ..CoreConfig::save_1vpu() };
-        let mut row = vec![label.to_string()];
         for &nbs in &grid {
             let w = w0.clone().with_sparsity(0.0, nbs);
             let seed = (nbs * 100.0) as u64;
-            let cell = format!("{label} nbs={nbs:.1}");
-            let speedup = session.seconds(&cell, |tok| {
-                let run = |cfg| CellSpec::custom(w.clone(), cfg, machine, seed).run(Some(tok));
-                let tb = run(CoreConfig::baseline())?.seconds;
-                let ts = run(cfg)?.seconds;
-                Ok(tb / ts)
-            });
+            let spec = |cfg| CellSpec::custom(w.clone(), cfg, machine, seed);
+            batch.push((format!("baseline nbs={nbs:.1}"), spec(CoreConfig::baseline())));
+            batch.push((format!("{label} nbs={nbs:.1}"), spec(cfg)));
+        }
+    }
+    let secs = session.spec_seconds_batch(&batch);
+    let mut speedups = secs.chunks(2).map(|p| p[0] / p[1]);
+
+    let mut points = Vec::new();
+    let mut rows = Vec::new();
+    for (label, compress) in rows_cfg {
+        let mut row = vec![label.to_string()];
+        for &nbs in &grid {
+            let speedup = speedups.next().unwrap_or(f64::NAN);
             row.push(format!("{speedup:.2}"));
             points.push(Point { mp_technique: compress, nbs, speedup });
         }

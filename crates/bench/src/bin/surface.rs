@@ -6,7 +6,9 @@
 //! count, so two runs can be compared for *bit* identity. This is the
 //! binary the kill-and-resume integration test (and the CI smoke job)
 //! drives: start it with `--checkpoint-dir`, SIGKILL it mid-sweep, rerun
-//! with `--resume`, and the output must equal an uninterrupted run's.
+//! with `--resume`, and the output must equal an uninterrupted run's. The
+//! cells are journaled by content key in `--checkpoint-dir`'s result store,
+//! so a `save-serve` cache directory resumes a sweep of the same cells too.
 //!
 //! Usage: `surface [--config baseline|save2|save1] [--cores N] [--k K]
 //! [--tiles T]` plus the uniform durable flags. With `--serve ADDR` the
@@ -26,6 +28,7 @@ use save_sim::surface::DurableSweep;
 use save_sim::{fsck_journal, ConfigKind, MachineConfig, SimError, Surface};
 use serde::Serialize;
 use std::process::ExitCode;
+use std::sync::Arc;
 
 #[derive(Serialize)]
 struct Out {
@@ -184,10 +187,6 @@ fn body(cli: &BenchCli, session: &mut SweepSession) -> Result<(), SimError> {
         return serve_sweep(&addr, session, &w, kind, &machine, &grid, fault_first);
     }
 
-    // The session's own checkpoint (manifest + label journal) lives at the
-    // root of --checkpoint-dir; the surface sweep journals its cells in a
-    // subdirectory with its own manifest.
-    let sub = cli.checkpoint_dir.as_ref().map(|d| d.join("sweep"));
     let out = Surface::sweep_durable(
         &w,
         kind,
@@ -196,9 +195,7 @@ fn body(cli: &BenchCli, session: &mut SweepSession) -> Result<(), SimError> {
         &grid,
         cli.threads_or_default(),
         &DurableSweep {
-            name: "surface".to_string(),
-            checkpoint_dir: sub.as_deref(),
-            resume: cli.resume,
+            store: session.store().map(Arc::as_ref),
             policy: cli.policy(),
             supervisor: session.supervisor(),
         },

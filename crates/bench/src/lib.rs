@@ -17,24 +17,27 @@
 //! [`save_sim::durable`], a cell that fails (typed [`SimError`] or a
 //! panic) becomes a `NaN` entry instead of aborting the figure, and
 //! [`SweepSession::finish`] dumps a [`FailureReport`] JSON next to the
-//! results. With `--checkpoint-dir`, every [`SweepSession::seconds`] cell
-//! is journaled by label hash, so a killed run resumed with `--resume`
+//! results. With `--checkpoint-dir`, the session opens one
+//! [`ResultStore`] there: every [`SweepSession::spec_seconds_batch`] cell,
+//! durable surface sweep and estimator surface is journaled under its
+//! [`CellSpec::cache_key`], so a killed run resumed with `--resume`
 //! restores finished cells bit-identically instead of recomputing them.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use save_serve::{CellResult, Client, NamedCell};
-use save_sim::checkpoint::{fnv1a, CellRecord, Checkpoint, SweepManifest};
 use save_sim::durable::{exit_code_for, run_cell, RetryPolicy, EXIT_FAILURES, EXIT_USAGE};
 use save_sim::error::{RetryClass, SimError};
 use save_sim::parallel::{FailureReport, JobFailure};
 use save_sim::spec::CellSpec;
-use save_sim::{CancelToken, Supervisor, SupervisorHandle, TraceStore};
+use save_sim::{CancelToken, CellRecord, ResultStore, Supervisor, SupervisorHandle, TraceStore};
 use serde::Serialize;
+use std::collections::HashMap;
 use std::io::Write;
 use std::path::PathBuf;
 use std::process::ExitCode;
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Directory experiment JSON results are written to.
@@ -212,43 +215,18 @@ impl BenchCli {
     }
 }
 
-/// Backwards-compatible alias used by older call sites: `--quick`/`--full`
-/// only. Prefer [`BenchCli`] via [`run_main`].
-pub struct HarnessArgs {
-    /// Reduced sweep sizes.
-    pub quick: bool,
-    /// Use the paper's full 10-level grid.
-    pub full: bool,
-}
-
-impl HarnessArgs {
-    /// Parses `--quick` / `--full` from the command line.
-    pub fn parse() -> Self {
-        let args: Vec<String> = std::env::args().collect();
-        HarnessArgs {
-            quick: args.iter().any(|a| a == "--quick"),
-            full: args.iter().any(|a| a == "--full"),
-        }
-    }
-
-    /// The sparsity grid implied by the flags.
-    pub fn grid(&self) -> Vec<f64> {
-        BenchCli { quick: self.quick, full: self.full, ..BenchCli::default() }.grid()
-    }
-}
-
 /// Fault-isolating, durable harness for one experiment binary.
 ///
-/// Every simulated cell goes through [`SweepSession::run`] (or the
-/// [`SweepSession::seconds`] convenience): the job runs under the
-/// session's [`RetryPolicy`] via [`save_sim::durable::run_cell`] — panic
-/// isolation, per-attempt wall-clock deadline, bounded retries with
-/// exponential backoff — and a cell that still fails is recorded instead
-/// of propagated, so the sweep continues with the remaining cells.
+/// Every simulated cell goes through [`SweepSession::run`] or
+/// [`SweepSession::spec_seconds_batch`]: the job runs under the session's
+/// [`RetryPolicy`] via [`save_sim::durable::run_cell`] — panic isolation,
+/// per-attempt wall-clock deadline, bounded retries with exponential
+/// backoff — and a cell that still fails is recorded instead of
+/// propagated, so the sweep continues with the remaining cells.
 ///
-/// When built with a checkpoint (through [`run_main`] and
-/// `--checkpoint-dir`), each [`SweepSession::seconds`] cell is journaled
-/// under the FNV-1a hash of its label; on `--resume`, journaled cells are
+/// When built with a result store (through [`run_main`] and
+/// `--checkpoint-dir`), each batch cell is journaled under its
+/// [`CellSpec::cache_key`]; on `--resume`, cells with a final record are
 /// restored bit-identically without recomputation. A global cancel
 /// (Ctrl-C / SIGTERM) stops claiming cells, leaves the journal flushed,
 /// and turns into exit code 130 from [`SweepSession::finish`].
@@ -261,11 +239,12 @@ pub struct SweepSession {
     _own: Option<Supervisor>,
     sup: SupervisorHandle,
     policy: RetryPolicy,
-    checkpoint: Option<Checkpoint>,
+    store: Option<Arc<ResultStore>>,
+    /// Batch cells served from the store instead of recomputed.
     resumed: usize,
     cancelled: bool,
-    /// `--serve ADDR`: submit [`SweepSession::spec_seconds`] cells to a
-    /// save-serve daemon instead of simulating locally.
+    /// `--serve ADDR`: submit [`SweepSession::spec_seconds_batch`] cells to
+    /// a save-serve daemon instead of simulating locally.
     serve_addr: Option<String>,
     /// Lazily-opened connection to the daemon.
     serve_client: Option<Client>,
@@ -289,7 +268,7 @@ impl SweepSession {
             _own: Some(own),
             sup,
             policy: RetryPolicy::default(),
-            checkpoint: None,
+            store: None,
             resumed: 0,
             cancelled: false,
             serve_addr: None,
@@ -301,34 +280,16 @@ impl SweepSession {
 
     /// Builds the durable session [`run_main`] hands to the binary body:
     /// shared supervisor, the CLI's retry policy, and — when
-    /// `--checkpoint-dir` was given — an open [`Checkpoint`] whose
-    /// manifest fingerprints the session name and grid flags.
+    /// `--checkpoint-dir` was given — the [`ResultStore`] there.
     ///
     /// # Errors
-    /// Checkpoint-directory errors: manifest mismatch on `--resume`, an
-    /// existing journal without `--resume`, or plain I/O failure.
+    /// Store errors: an existing journal without `--resume`, a corrupt
+    /// journal, or plain I/O failure.
     pub fn durable(name: &str, cli: &BenchCli, sup: SupervisorHandle) -> Result<Self, SimError> {
-        let checkpoint = match &cli.checkpoint_dir {
+        let store = match &cli.checkpoint_dir {
             None => None,
-            Some(dir) => {
-                // Session journals key cells by label hash, not index, so
-                // the manifest's cell count is 0; the fingerprint still
-                // pins the experiment and its grid flags so two different
-                // sweeps can't share a journal.
-                let manifest = SweepManifest::new(
-                    &format!("session:{name}"),
-                    "label-keyed experiment session journal",
-                    0,
-                    [
-                        name.to_string(),
-                        format!("quick={}", cli.quick),
-                        format!("full={}", cli.full),
-                    ],
-                );
-                Some(Checkpoint::open(dir, &manifest, cli.resume)?)
-            }
+            Some(dir) => Some(Arc::new(ResultStore::open(dir, cli.resume)?)),
         };
-        let resumed = checkpoint.as_ref().map(|c| c.resumed_cells()).unwrap_or(0);
         Ok(SweepSession {
             name: name.to_string(),
             jobs: 0,
@@ -336,8 +297,8 @@ impl SweepSession {
             _own: None,
             sup,
             policy: cli.policy(),
-            checkpoint,
-            resumed,
+            store,
+            resumed: 0,
             cancelled: false,
             serve_addr: cli.serve_addr.clone(),
             serve_client: None,
@@ -352,13 +313,19 @@ impl SweepSession {
         &self.sup
     }
 
+    /// The `--checkpoint-dir` result store, for threading into
+    /// [`save_sim::surface::DurableSweep`] or [`save_sim::EstimatorDurability`].
+    pub fn store(&self) -> Option<&Arc<ResultStore>> {
+        self.store.as_ref()
+    }
+
     /// `true` once a global cancel has been observed; remaining cells
     /// return `None`/`NaN` immediately.
     pub fn is_cancelled(&self) -> bool {
         self.cancelled
     }
 
-    /// Number of cells restored from the journal instead of recomputed.
+    /// Number of batch cells restored from the store instead of recomputed.
     pub fn resumed(&self) -> usize {
         self.resumed
     }
@@ -389,12 +356,23 @@ impl SweepSession {
     /// the cell is resumable, not failed).
     ///
     /// Generic-result cells are *not* journaled; only
-    /// [`SweepSession::seconds`] cells participate in checkpoint/resume.
+    /// [`SweepSession::spec_seconds_batch`] cells participate in
+    /// checkpoint/resume.
     pub fn run<R>(
         &mut self,
         label: &str,
         f: impl Fn(&CancelToken) -> Result<R, SimError>,
     ) -> Option<R> {
+        self.attempt(label, f)?.result.ok()
+    }
+
+    /// [`SweepSession::run`], keeping the attempt count and the final
+    /// error (already recorded as a failure). `None` when cancelled.
+    fn attempt<R>(
+        &mut self,
+        label: &str,
+        f: impl Fn(&CancelToken) -> Result<R, SimError>,
+    ) -> Option<save_sim::CellRun<R>> {
         let job = self.jobs;
         self.jobs += 1;
         if self.cancelled || self.sup.global().is_cancelled() {
@@ -402,215 +380,158 @@ impl SweepSession {
             return None;
         }
         let run = run_cell(&self.sup, &self.policy, label, job, f);
-        match run.result {
-            Ok(r) => Some(r),
-            Err(error) => {
-                if error.retry_class() == RetryClass::Cancelled {
-                    self.cancelled = true;
-                    return None;
-                }
-                eprintln!(
-                    "[{}] job {job} ({label}) failed after {} attempt(s): [{}] {error}",
-                    self.name,
-                    run.attempts,
-                    error.kind()
-                );
-                self.failures.push(JobFailure {
-                    job,
-                    label: Some(label.to_string()),
-                    attempts: run.attempts as usize,
-                    error,
-                });
-                None
+        if let Err(error) = &run.result {
+            if error.retry_class() == RetryClass::Cancelled {
+                self.cancelled = true;
+                return None;
             }
+            eprintln!(
+                "[{}] job {job} ({label}) failed after {} attempt(s): [{}] {error}",
+                self.name,
+                run.attempts,
+                error.kind()
+            );
+            self.failures.push(JobFailure {
+                job,
+                label: Some(label.to_string()),
+                attempts: run.attempts as usize,
+                error: error.clone(),
+            });
         }
+        Some(run)
     }
 
-    /// Like [`SweepSession::run`] for jobs producing a duration: a failed
-    /// cell reports as `NaN` so tables and JSON keep their shape.
-    ///
-    /// This is the journaled path: with a checkpoint, a finished cell is
-    /// appended to the journal (keyed by the FNV-1a hash of `label`) and a
-    /// resumed run restores it bit-identically — including journaled
-    /// *failures*, which are re-reported without burning their deadline
-    /// again. Cancelled cells are never journaled, so they re-run.
-    pub fn seconds(&mut self, label: &str, f: impl Fn(&CancelToken) -> Result<f64, SimError>) -> f64 {
-        let cell = fnv1a(label.as_bytes());
-        if let Some(rec) = self.checkpoint.as_ref().and_then(|c| c.done(cell)).cloned() {
-            self.jobs += 1;
-            if rec.ok() {
-                return rec.secs();
-            }
-            self.failures.push(JobFailure {
-                job: self.jobs - 1,
-                label: Some(label.to_string()),
-                attempts: rec.attempts as usize,
-                error: SimError::Io {
-                    what: format!(
-                        "journaled failure from a previous run (kind: {})",
-                        rec.error_kind
-                    ),
-                },
-            });
-            return f64::NAN;
-        }
-
+    /// Records a journaled failure served from the store or the daemon as
+    /// one failed job.
+    fn note_served_failure(&mut self, label: &str, attempts: u32, error: SimError) {
         let job = self.jobs;
         self.jobs += 1;
-        if self.cancelled || self.sup.global().is_cancelled() {
-            self.cancelled = true;
-            return f64::NAN;
-        }
-        let run = run_cell(&self.sup, &self.policy, label, job, f);
-        let (secs, error_kind) = match run.result {
-            Ok(s) => (s, String::new()),
-            Err(error) => {
-                if error.retry_class() == RetryClass::Cancelled {
-                    // Cancelled cells are never journaled: they re-run on
-                    // resume rather than count as failures.
-                    self.cancelled = true;
-                    return f64::NAN;
+        self.failures.push(JobFailure {
+            job,
+            label: Some(label.to_string()),
+            attempts: attempts.max(1) as usize,
+            error,
+        });
+    }
+
+    /// Resolves every `(label, spec)` cell and returns their seconds in
+    /// submission order; a failed cell reports as `NaN` so tables and JSON
+    /// keep their shape.
+    ///
+    /// Cells are resolved once per distinct [`CellSpec::cache_key`] — a
+    /// baseline that several rows compare against runs once, under the
+    /// label of its first occurrence — in three steps:
+    ///
+    /// 1. cells with a final record in the `--checkpoint-dir` store are
+    ///    restored from its raw bits, without network or execution;
+    /// 2. with `--serve ADDR`, the rest go to the daemon in **one**
+    ///    submission, and its answers are journaled in the store by key
+    ///    exactly as local runs would be, so `--resume` replays them
+    ///    without the daemon. Any transport failure — refused connection,
+    ///    daemon draining, torn stream — degrades the whole session to
+    ///    local execution with a warning;
+    /// 3. whatever is left runs locally through one shared [`TraceStore`],
+    ///    so each distinct functional key is executed once and every other
+    ///    cell replays its trace (DESIGN.md §5h). Each result is journaled.
+    ///
+    /// The bits are identical whichever step answers, because the
+    /// simulator is deterministic.
+    pub fn spec_seconds_batch(&mut self, cells: &[(String, CellSpec)]) -> Vec<f64> {
+        // `slot[i]` is cell i's index in `unique`, the cells with distinct
+        // keys (first occurrence wins).
+        let mut slot = Vec::with_capacity(cells.len());
+        let mut unique: Vec<(usize, u64)> = Vec::new();
+        let mut by_key: HashMap<u64, usize> = HashMap::new();
+        for (i, (label, spec)) in cells.iter().enumerate() {
+            match spec.cache_key() {
+                Ok(key) => slot.push(Some(*by_key.entry(key).or_insert_with(|| {
+                    unique.push((i, key));
+                    unique.len() - 1
+                }))),
+                Err(e) => {
+                    self.note_failure(label, e);
+                    slot.push(None);
                 }
-                eprintln!(
-                    "[{}] job {job} ({label}) failed after {} attempt(s): [{}] {error}",
-                    self.name,
-                    run.attempts,
-                    error.kind()
-                );
-                let kind = error.kind().to_string();
-                self.failures.push(JobFailure {
-                    job,
-                    label: Some(label.to_string()),
-                    attempts: run.attempts as usize,
-                    error,
-                });
-                (f64::NAN, kind)
             }
+        }
+        let mut secs: Vec<Option<f64>> = vec![None; unique.len()];
+
+        if let Some(store) = self.store.clone() {
+            for (u, &(i, key)) in unique.iter().enumerate() {
+                let Some(rec) = store.lookup(key) else { continue };
+                self.resumed += 1;
+                match rec.error() {
+                    Some(error) => self.note_served_failure(&cells[i].0, rec.attempts, error),
+                    None => self.jobs += 1,
+                }
+                secs[u] = Some(rec.secs());
+            }
+        }
+
+        if self.serve_addr.is_some() && !self.serve_degraded {
+            let pending: Vec<usize> = (0..unique.len()).filter(|&u| secs[u].is_none()).collect();
+            if !pending.is_empty() {
+                for (u, s) in self.remote_seconds_batch(cells, &unique, &pending) {
+                    secs[u] = Some(s);
+                }
+            }
+        }
+
+        let traces = TraceStore::with_capacity(8);
+        for (u, &(i, key)) in unique.iter().enumerate() {
+            if secs[u].is_none() {
+                secs[u] = Some(self.local_seconds(&cells[i], key, &traces));
+            }
+        }
+        slot.iter().map(|s| s.and_then(|u| secs[u]).unwrap_or(f64::NAN)).collect()
+    }
+
+    /// Runs one batch cell locally and journals its outcome (cancelled
+    /// cells are not journaled: they re-run on resume).
+    fn local_seconds(
+        &mut self,
+        (label, spec): &(String, CellSpec),
+        key: u64,
+        traces: &TraceStore,
+    ) -> f64 {
+        let Some(run) = self.attempt(label, |tok| spec.run_traced(Some(tok), traces)) else {
+            return f64::NAN;
         };
-        // Journal successes so a resume skips them, and failures so a
-        // resume fails fast instead of burning the deadline again.
-        if let Some(ck) = self.checkpoint.as_mut() {
-            let rec = CellRecord {
-                cell,
-                secs_bits: secs.to_bits(),
-                cycles: 0,
-                attempts: run.attempts,
-                error_kind,
-            };
-            if let Err(e) = ck.record(rec) {
+        let rec = match &run.result {
+            Ok(r) => CellRecord::success(key, r, run.attempts),
+            Err(e) => CellRecord::failure(key, e, run.attempts),
+        };
+        self.journal(rec.clone());
+        rec.secs()
+    }
+
+    /// Appends `rec` to the store, if there is one. A failed append only
+    /// costs the resume: the cell's result is still used.
+    fn journal(&self, rec: CellRecord) {
+        if let Some(store) = &self.store {
+            if let Err(e) = store.record(rec) {
                 eprintln!("[{}] journal append failed: {e}", self.name);
             }
         }
-        secs
     }
 
-    /// Like [`SweepSession::seconds`] for a self-describing [`CellSpec`]
-    /// cell: with `--serve ADDR`, the cell is submitted to a save-serve
-    /// daemon (which memoizes it by content hash across *all* clients and
-    /// restarts) and the streamed result is journaled locally exactly as a
-    /// local run would be. Any transport failure — refused connection,
-    /// daemon draining, torn stream — degrades the whole session to local
-    /// execution with a warning; the result is bit-identical either way
-    /// because the simulator is deterministic.
-    pub fn spec_seconds(&mut self, label: &str, spec: &CellSpec) -> f64 {
-        if self.serve_addr.is_some() && !self.serve_degraded {
-            // A locally-journaled cell never needs the network; fall through
-            // to `seconds`, which replays it without calling the closure.
-            let journaled = self
-                .checkpoint
-                .as_ref()
-                .and_then(|c| c.done(fnv1a(label.as_bytes())))
-                .is_some();
-            if !journaled {
-                // A one-cell batch; a result the daemon never delivers runs
-                // locally below.
-                let cells = [(label.to_string(), spec.clone())];
-                if let Some((_, secs)) = self.remote_seconds_batch(&cells, &[0]).pop() {
-                    return secs;
-                }
-            }
-        }
-        let spec = spec.clone();
-        self.seconds(label, move |tok| spec.run(Some(tok)).map(|r| r.seconds))
-    }
-
-    /// Batched [`SweepSession::spec_seconds`]: resolves every
-    /// `(label, spec)` cell and returns their seconds in submission order.
-    ///
-    /// With `--serve`, every not-yet-journaled cell goes to the daemon in
-    /// **one** submission — one round trip for the whole batch instead of
-    /// one per cell — so the daemon's content-hash memo deduplicates
-    /// shared cells (fig16's per-panel baseline resubmissions, repeated
-    /// VGG shapes) server-side within the batch. Locally — no daemon, or
-    /// after degrading — the batch runs through one shared [`TraceStore`],
-    /// so each distinct functional key is executed once and every other
-    /// cell replays its trace or is served from the full-result memo,
-    /// bit-identically (DESIGN.md §5h).
-    pub fn spec_seconds_batch(&mut self, cells: &[(String, CellSpec)]) -> Vec<f64> {
-        let mut out = vec![f64::NAN; cells.len()];
-        let mut resolved = vec![false; cells.len()];
-
-        // Journaled cells replay from the checkpoint without network or
-        // execution (the closure below never runs for them).
-        for (i, (label, spec)) in cells.iter().enumerate() {
-            let journaled = self
-                .checkpoint
-                .as_ref()
-                .and_then(|c| c.done(fnv1a(label.as_bytes())))
-                .is_some();
-            if journaled {
-                let spec = spec.clone();
-                out[i] = self.seconds(label, move |tok| {
-                    spec.run(Some(tok)).map(|r| r.seconds)
-                });
-                resolved[i] = true;
-            }
-        }
-
-        if self.serve_addr.is_some() && !self.serve_degraded {
-            let pending: Vec<usize> =
-                (0..cells.len()).filter(|&i| !resolved[i]).collect();
-            if !pending.is_empty() {
-                for (slot, secs) in self.remote_seconds_batch(cells, &pending) {
-                    out[slot] = secs;
-                    resolved[slot] = true;
-                }
-            }
-        }
-
-        // Local execution for whatever the daemon didn't answer, sharing
-        // one bounded trace store across the batch.
-        let store = TraceStore::with_capacity(8);
-        for (i, (label, spec)) in cells.iter().enumerate() {
-            if resolved[i] {
-                continue;
-            }
-            let spec = spec.clone();
-            let store = &store;
-            out[i] = self.seconds(label, move |tok| {
-                spec.run_traced(Some(tok), store).map(|r| r.seconds)
-            });
-        }
-        out
-    }
-
-    /// One batched submission of `pending` (indices into `cells`) to the
-    /// daemon. Returns definitive `(index, secs)` outcomes; results the
-    /// daemon never delivered — transport failure mid-stream, refused
-    /// connection — are simply absent, and the caller runs them locally
-    /// (transport failures latch degraded mode). Delivered results are
-    /// journaled under their labels exactly as local runs would be, so
-    /// `--resume` replays them without the daemon.
+    /// One batched submission of `pending` (indices into `unique`, whose
+    /// entries are `(index into cells, key)`) to the daemon. Returns
+    /// definitive `(unique index, secs)` outcomes; results the daemon never
+    /// delivered — transport failure mid-stream, refused connection — are
+    /// simply absent, and the caller runs them locally (transport failures
+    /// latch degraded mode).
     fn remote_seconds_batch(
         &mut self,
         cells: &[(String, CellSpec)],
+        unique: &[(usize, u64)],
         pending: &[usize],
     ) -> Vec<(usize, f64)> {
         let mut out = Vec::new();
         if self.cancelled || self.sup.global().is_cancelled() {
             self.cancelled = true;
             self.jobs += pending.len();
-            return pending.iter().map(|&s| (s, f64::NAN)).collect();
+            return pending.iter().map(|&u| (u, f64::NAN)).collect();
         }
         let Some(addr) = self.serve_addr.clone() else {
             return out;
@@ -631,10 +552,9 @@ impl SweepSession {
         }
         let named: Vec<NamedCell> = pending
             .iter()
-            .map(|&i| NamedCell {
-                label: cells[i].0.clone(),
-                spec: cells[i].1.clone(),
-                fault: None,
+            .map(|&u| {
+                let (label, spec) = &cells[unique[u].0];
+                NamedCell { label: label.clone(), spec: spec.clone(), fault: None }
             })
             .collect();
         let mut got: Vec<Option<CellResult>> = vec![None; named.len()];
@@ -662,53 +582,46 @@ impl SweepSession {
         };
         let daemon_cancelled = done.as_ref().is_some_and(|d| d.cancelled);
         for (k, result) in got.into_iter().enumerate() {
-            let slot = pending[k];
-            let label = &cells[slot].0;
+            let u = pending[k];
+            let (i, key) = unique[u];
+            let label = &cells[i].0;
             let Some(result) = result else {
                 if daemon_cancelled {
                     // Daemon cancelled before this cell ran: resumable,
                     // not journaled, not run locally.
                     self.cancelled = true;
                     self.jobs += 1;
-                    out.push((slot, f64::NAN));
+                    out.push((u, f64::NAN));
                 }
                 continue;
             };
             self.served += 1;
-            let job = self.jobs;
-            self.jobs += 1;
             if result.error_kind == "cancelled" {
                 self.cancelled = true;
-                out.push((slot, f64::NAN));
+                self.jobs += 1;
+                out.push((u, f64::NAN));
                 continue;
             }
-            if !result.ok() {
+            if result.ok() {
+                self.jobs += 1;
+            } else {
                 eprintln!(
-                    "[{}] job {job} ({label}) failed on daemon after {} attempt(s): [{}]",
-                    self.name, result.attempts, result.error_kind
+                    "[{}] job {} ({label}) failed on daemon after {} attempt(s): [{}]",
+                    self.name, self.jobs, result.attempts, result.error_kind
                 );
-                self.failures.push(JobFailure {
-                    job,
-                    label: Some(label.to_string()),
-                    attempts: result.attempts.max(1) as usize,
-                    error: SimError::Io {
-                        what: format!("remote cell failed (kind: {})", result.error_kind),
-                    },
-                });
-            }
-            if let Some(ck) = self.checkpoint.as_mut() {
-                let rec = CellRecord {
-                    cell: fnv1a(label.as_bytes()),
-                    secs_bits: result.secs_bits,
-                    cycles: result.cycles,
-                    attempts: result.attempts,
-                    error_kind: result.error_kind.clone(),
+                let error = SimError::Io {
+                    what: format!("remote cell failed (kind: {})", result.error_kind),
                 };
-                if let Err(e) = ck.record(rec) {
-                    eprintln!("[{}] journal append failed: {e}", self.name);
-                }
+                self.note_served_failure(label, result.attempts, error);
             }
-            out.push((slot, result.secs()));
+            self.journal(CellRecord {
+                cell: key,
+                secs_bits: result.secs_bits,
+                cycles: result.cycles,
+                attempts: result.attempts,
+                error_kind: result.error_kind.clone(),
+            });
+            out.push((u, result.secs()));
         }
         out
     }
@@ -749,10 +662,10 @@ impl SweepSession {
             eprintln!(
                 "[{}] cancelled; journal flushed{}",
                 self.name,
-                match self.checkpoint.as_ref() {
-                    Some(ck) => format!(
+                match self.store.as_ref() {
+                    Some(store) => format!(
                         " — resume with --checkpoint-dir {} --resume",
-                        ck.dir().display()
+                        store.dir().display()
                     ),
                     None => " (no --checkpoint-dir: completed cells are lost)".to_string(),
                 }
@@ -773,7 +686,7 @@ impl SweepSession {
 
 /// Entry point shared by every experiment binary: parses the uniform
 /// [`BenchCli`] flags (usage errors exit 2), installs SIGINT/SIGTERM
-/// handlers via the process supervisor, opens the optional checkpoint, runs
+/// handlers via the process supervisor, opens the optional result store, runs
 /// `body`, and maps the session outcome to the exit-code convention
 /// (0 clean / 1 lossy / 2 usage / 130 cancelled).
 pub fn run_main(
@@ -795,8 +708,8 @@ pub fn run_main(
             return ExitCode::from(EXIT_FAILURES);
         }
     };
-    if session.resumed() > 0 {
-        eprintln!("[{name}] resuming: {} journaled cell(s) restored", session.resumed());
+    if let Some(store) = session.store().filter(|s| s.recovered() > 0) {
+        eprintln!("[{name}] resuming: {} journaled cell(s) loaded", store.recovered());
     }
     if let Err(e) = body(&cli, &mut session) {
         session.note_failure("main", e);
@@ -807,7 +720,28 @@ pub fn run_main(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use save_core::CoreConfig;
+    use save_kernels::{BroadcastPattern, GemmKernelSpec, GemmWorkload, Precision};
     use save_sim::durable::EXIT_CANCELLED;
+    use save_sim::MachineConfig;
+
+    /// A tiny batch cell; `num_vpus: 0` makes it a permanent
+    /// (invalid-config) failure.
+    fn cell(label: &str, num_vpus: usize) -> (String, CellSpec) {
+        let w = GemmWorkload::dense(
+            "session-test",
+            GemmKernelSpec {
+                m_tiles: 2,
+                n_vecs: 2,
+                pattern: BroadcastPattern::Explicit,
+                precision: Precision::F32,
+            },
+            8,
+            1,
+        );
+        let cfg = CoreConfig { num_vpus, ..CoreConfig::save_2vpu() };
+        (label.to_string(), CellSpec::custom(w, cfg, MachineConfig::default(), 3))
+    }
 
     #[test]
     fn session_isolates_failures_and_reports() {
@@ -818,7 +752,7 @@ mod tests {
             None
         );
         assert_eq!(s.run::<u32>("panic", |_| panic!("cell exploded")), None);
-        assert!(s.seconds("nan", |_| Err(SimError::InvalidConfig { what: "y".into() })).is_nan());
+        assert!(s.spec_seconds_batch(&[cell("nan", 0)])[0].is_nan());
         let r = s.report();
         assert_eq!(r.total_jobs, 4);
         assert_eq!(r.succeeded, 1);
@@ -831,7 +765,7 @@ mod tests {
     #[test]
     fn clean_session_exits_zero() {
         let mut s = SweepSession::new("clean");
-        assert!((s.seconds("ok", |_| Ok(1.5)) - 1.5).abs() < 1e-12);
+        assert!(s.spec_seconds_batch(&[cell("ok", 2)])[0] > 0.0);
         assert!(s.is_clean());
         assert_eq!(s.report().exit_code(), 0);
     }
@@ -856,7 +790,7 @@ mod tests {
         let mut s = SweepSession::new("cancel");
         s.sup.cancel_global();
         assert_eq!(s.run("skipped", |_| Ok(1u32)), None);
-        assert!(s.seconds("also skipped", |_| Ok(2.0)).is_nan());
+        assert!(s.spec_seconds_batch(&[cell("also skipped", 2)])[0].is_nan());
         assert!(s.is_cancelled());
         assert!(s.is_clean(), "cancelled cells are resumable, not failures");
         assert_eq!(s.exit_code(), EXIT_CANCELLED);
@@ -899,7 +833,7 @@ mod tests {
     }
 
     #[test]
-    fn durable_session_journals_seconds_cells_by_label() {
+    fn durable_session_journals_batch_cells_by_key() {
         let dir = std::env::temp_dir()
             .join(format!("save-bench-session-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
@@ -908,14 +842,15 @@ mod tests {
             dir.display().to_string(),
         ])
         .unwrap();
+        let batch = [cell("cell-a", 2), cell("cell-b", 0), cell("cell-a again", 2)];
 
         let sup = Supervisor::start(false);
         let mut s = SweepSession::durable("unit", &cli, sup.handle()).unwrap();
-        let secs = 1.0_f64 / 3.0;
-        assert_eq!(s.seconds("cell-a", |_| Ok(secs)).to_bits(), secs.to_bits());
-        assert!(s
-            .seconds("cell-b", |_| Err(SimError::InvalidConfig { what: "bad".into() }))
-            .is_nan());
+        let first = s.spec_seconds_batch(&batch);
+        assert!(!first[0].is_nan());
+        assert!(first[1].is_nan(), "invalid config fails");
+        assert_eq!(first[2].to_bits(), first[0].to_bits(), "same key, same cell");
+        assert_eq!(s.report().total_jobs, 2, "the repeated cell runs once");
         drop(s);
 
         // Without --resume, the journal refuses to be overwritten.
@@ -924,20 +859,11 @@ mod tests {
 
         let cli2 = BenchCli { resume: true, ..cli.clone() };
         let mut s = SweepSession::durable("unit", &cli2, sup.handle()).unwrap();
-        assert_eq!(s.resumed(), 2);
-        let called = std::sync::atomic::AtomicU32::new(0);
-        let restored = s.seconds("cell-a", |_| {
-            called.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-            Ok(0.0)
-        });
-        assert_eq!(called.load(std::sync::atomic::Ordering::SeqCst), 0, "no recompute");
-        assert_eq!(restored.to_bits(), secs.to_bits(), "bit-identical restore");
-        assert!(s.seconds("cell-b", |_| Ok(1.0)).is_nan(), "journaled failure fails fast");
+        let restored = s.spec_seconds_batch(&batch);
+        assert_eq!(s.resumed(), 2, "no recompute");
+        assert_eq!(restored[0].to_bits(), first[0].to_bits(), "bit-identical restore");
+        assert!(restored[1].is_nan(), "journaled permanent failure fails fast");
         assert_eq!(s.report().failures.len(), 1);
-
-        // A different experiment may not reuse the directory.
-        let err = SweepSession::durable("other", &cli2, sup.handle()).err().expect("manifest must mismatch");
-        assert!(err.to_string().contains("different sweep"), "{err}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -47,7 +47,7 @@ fn tmpdir(tag: &str) -> PathBuf {
 }
 
 fn journal_lines(dir: &Path) -> usize {
-    std::fs::read_to_string(dir.join("sweep").join("journal.jsonl"))
+    std::fs::read_to_string(dir.join("journal.jsonl"))
         .map(|s| s.lines().count())
         .unwrap_or(0)
 }

@@ -9,25 +9,26 @@
 //! Robustness features, each with a dedicated module:
 //!
 //! * [`protocol`] — the wire format and timeout-tolerant line framing;
-//! * [`cache`] — memoized results keyed by [`save_sim::CellSpec`] content
-//!   hash, journal-backed so a daemon restart recovers completed cells;
 //! * [`scheduler`] — admission control (reject-with-retry-after), panic-
 //!   isolated workers, and crash/respawn handling for lost workers;
 //! * [`server`] — the accept loop and the two-stage graceful drain
 //!   (first signal: finish and exit 0; second: cancel, exit 130);
 //! * [`client`] — the blocking client the bench binaries' `--serve` mode
 //!   uses, with bounded backoff against admission rejections.
+//!
+//! Results are memoized in a [`save_sim::ResultStore`] keyed by
+//! [`save_sim::CellSpec::cache_key`] — the same store local sweeps journal
+//! into, so a daemon restart recovers every completed cell, and a daemon's
+//! cache directory is a valid `--checkpoint-dir` for a local run.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cache;
 pub mod client;
 pub mod protocol;
 pub mod scheduler;
 pub mod server;
 
-pub use cache::{Claim, ResultCache};
 pub use client::{Client, JobDone};
 pub use protocol::{
     CellResult, Fault, LineIn, LineReader, NamedCell, Request, Response, ServeStats,

@@ -17,11 +17,9 @@
 //! the cell with the fault cleared, and respawns a replacement worker —
 //! the job still completes, and `workers_respawned` counts the incident.
 
-use crate::cache::{Claim, ResultCache};
 use crate::protocol::{CellResult, Fault};
-use save_sim::checkpoint::CellRecord;
 use save_sim::durable::{run_cell, RetryPolicy};
-use save_sim::{CellSpec, RetryClass, SimError, SupervisorHandle};
+use save_sim::{CellRecord, CellSpec, Claim, ResultStore, RetryClass, SimError, SupervisorHandle};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::Sender;
@@ -41,11 +39,11 @@ pub struct Task {
     pub label: String,
     /// The cell to simulate.
     pub spec: CellSpec,
-    /// Memo-cache key ([`CellSpec::cache_key`]).
+    /// Result-store key ([`CellSpec::cache_key`]).
     pub key: u64,
     /// Crash-test fault, if any (cleared when the monitor requeues).
     pub fault: Option<Fault>,
-    /// Whether this task already owns the cache claim for `key` — set by
+    /// Whether this task already owns the store claim for `key` — set by
     /// the monitor on requeue so the retried execution does not deadlock
     /// waiting for its own claim.
     pub holds_claim: bool,
@@ -79,7 +77,7 @@ struct Ctx {
     respawned: AtomicU64,
     sup: SupervisorHandle,
     policy: RetryPolicy,
-    cache: Arc<ResultCache>,
+    store: Arc<ResultStore>,
 }
 
 /// Locks `m`, recovering from poison — worker panics are expected events
@@ -109,22 +107,9 @@ impl Ctx {
         self.park_cv.notify_all();
     }
 
-    fn cancelled_result(task: &Task) -> CellResult {
-        CellResult {
-            label: task.label.clone(),
-            index: task.index,
-            key: task.key,
-            secs_bits: f64::NAN.to_bits(),
-            cycles: 0,
-            attempts: 0,
-            error_kind: "cancelled".into(),
-            cached: false,
-        }
-    }
-
     /// Executes one task end to end and sends exactly one result. May
     /// panic (by design) on an injected [`Fault::KillWorker`] — that panic
-    /// happens *before* the cache claim, so a dying worker never leaks one.
+    /// happens *before* the store claim, so a dying worker never leaks one.
     fn execute(self: &Arc<Self>, task: &Task) {
         if let Some(Fault::KillWorker) = task.fault {
             // Escapes run_cell's per-cell isolation on purpose: this is
@@ -135,81 +120,52 @@ impl Ctx {
         let claim = if task.holds_claim {
             Claim::Compute
         } else {
-            self.cache.claim(task.key, &global)
+            self.store.claim(task.key, &global)
         };
-        let result = match claim {
-            Claim::Hit(rec) => CellResult {
-                label: task.label.clone(),
-                index: task.index,
-                key: task.key,
-                secs_bits: rec.secs_bits,
-                cycles: rec.cycles,
-                attempts: 0,
-                error_kind: rec.error_kind.clone(),
-                cached: true,
-            },
-            Claim::Cancelled => Self::cancelled_result(task),
+        let cancelled = || {
+            let e = SimError::Cancelled { what: task.label.clone() };
+            CellRecord::failure(task.key, &e, 0)
+        };
+        let (rec, cached) = match claim {
+            Claim::Hit(rec) => (CellRecord { attempts: 0, ..rec }, true),
+            Claim::Cancelled => (cancelled(), false),
             Claim::Compute => {
                 let run = run_cell(&self.sup, &self.policy, &task.label, task.index as usize, |tok| {
                     task.spec.run(Some(tok))
                 });
-                match run.result {
-                    Ok(kr) => {
-                        let rec = CellRecord {
-                            cell: task.key,
-                            secs_bits: kr.seconds.to_bits(),
-                            cycles: kr.cycles,
-                            attempts: run.attempts,
-                            error_kind: String::new(),
-                        };
-                        if let Err(e) = self.cache.complete(rec.clone()) {
-                            eprintln!("save-serve: journal append failed: {e}");
-                        }
-                        CellResult {
-                            label: task.label.clone(),
-                            index: task.index,
-                            key: task.key,
-                            secs_bits: rec.secs_bits,
-                            cycles: rec.cycles,
-                            attempts: run.attempts,
-                            error_kind: String::new(),
-                            cached: false,
-                        }
-                    }
+                let rec = match &run.result {
                     Err(e) if e.retry_class() == RetryClass::Cancelled => {
                         // Nothing to remember: release so a resubmission
                         // after restart recomputes cleanly.
-                        self.cache.release(task.key);
-                        Self::cancelled_result(task)
+                        self.store.release(task.key);
+                        return Self::send(task, cancelled(), false);
                     }
-                    Err(e) => {
-                        let rec = CellRecord {
-                            cell: task.key,
-                            secs_bits: f64::NAN.to_bits(),
-                            cycles: 0,
-                            attempts: run.attempts,
-                            error_kind: e.kind().to_string(),
-                        };
-                        if let Err(je) = self.cache.complete(rec) {
-                            eprintln!("save-serve: journal append failed: {je}");
-                        }
-                        CellResult {
-                            label: task.label.clone(),
-                            index: task.index,
-                            key: task.key,
-                            secs_bits: f64::NAN.to_bits(),
-                            cycles: 0,
-                            attempts: run.attempts,
-                            error_kind: e.kind().to_string(),
-                            cached: false,
-                        }
-                    }
+                    Ok(kr) => CellRecord::success(task.key, kr, run.attempts),
+                    Err(e) => CellRecord::failure(task.key, e, run.attempts),
+                };
+                if let Err(e) = self.store.complete(rec.clone()) {
+                    eprintln!("save-serve: journal append failed: {e}");
                 }
+                (rec, false)
             }
         };
-        // The client may have disconnected; the result is journaled either
-        // way, so a resubmission is a cache hit.
-        let _ = task.tx.send(result);
+        Self::send(task, rec, cached);
+    }
+
+    /// Sends `task`'s one result, carrying `rec`. The client may have
+    /// disconnected; the result is journaled either way, so a resubmission
+    /// is a store hit.
+    fn send(task: &Task, rec: CellRecord, cached: bool) {
+        let _ = task.tx.send(CellResult {
+            label: task.label.clone(),
+            index: task.index,
+            key: task.key,
+            secs_bits: rec.secs_bits,
+            cycles: rec.cycles,
+            attempts: rec.attempts,
+            error_kind: rec.error_kind,
+            cached,
+        });
     }
 
     fn worker_loop(self: Arc<Self>, me: usize) {
@@ -267,14 +223,8 @@ impl Ctx {
                 }
                 self.respawned.fetch_add(1, Ordering::SeqCst);
                 if let Some(mut t) = lock_recover(&self.slots[i].current).take() {
-                    let event = CellRecord {
-                        cell: t.key,
-                        secs_bits: f64::NAN.to_bits(),
-                        cycles: 0,
-                        attempts: 1,
-                        error_kind: "worker-lost".into(),
-                    };
-                    if let Err(e) = self.cache.journal_event(event) {
+                    let lost = SimError::WorkerLost { what: t.label.clone() };
+                    if let Err(e) = self.store.record(CellRecord::failure(t.key, &lost, 1)) {
                         eprintln!("save-serve: journal worker-lost failed: {e}");
                     }
                     eprintln!(
@@ -309,7 +259,7 @@ impl Scheduler {
         capacity: usize,
         policy: RetryPolicy,
         sup: SupervisorHandle,
-        cache: Arc<ResultCache>,
+        store: Arc<ResultStore>,
     ) -> Self {
         let workers = workers.max(1);
         let slots = (0..workers)
@@ -334,7 +284,7 @@ impl Scheduler {
             respawned: AtomicU64::new(0),
             sup,
             policy,
-            cache,
+            store,
         });
         {
             let mut handles = lock_recover(&ctx.handles);
@@ -489,9 +439,9 @@ mod tests {
     #[test]
     fn executes_and_memoizes() {
         let sup = Supervisor::start(false);
-        let cache = Arc::new(ResultCache::open(&tmpdir("memo")).unwrap());
+        let store = Arc::new(ResultStore::open(&tmpdir("memo"), true).unwrap());
         let sched =
-            Scheduler::new(2, 64, RetryPolicy::default(), sup.handle(), Arc::clone(&cache));
+            Scheduler::new(2, 64, RetryPolicy::default(), sup.handle(), Arc::clone(&store));
         let (tx, rx) = mpsc::channel();
         // Two cells with the same spec: one computes, one is served.
         sched.try_submit(vec![task(0, 7, None, &tx), task(1, 7, None, &tx)]).unwrap();
@@ -501,8 +451,8 @@ mod tests {
         assert!(a.ok() && b.ok());
         assert_eq!(a.secs_bits, b.secs_bits, "memoized result is bit-identical");
         let cached = [a.cached, b.cached].iter().filter(|&&c| c).count();
-        assert_eq!(cached, 1, "exactly one computes, the other is served from cache");
-        assert_eq!(cache.records(), 1, "one journal record per unique key");
+        assert_eq!(cached, 1, "exactly one computes, the other is served from the store");
+        assert_eq!(store.records(), 1, "one journal record per unique key");
         // The result is sent before the admitted-count decrement; give the
         // worker a moment to retire the task.
         let start = std::time::Instant::now();
@@ -515,8 +465,8 @@ mod tests {
     #[test]
     fn over_capacity_submission_is_rejected_with_backoff_hint() {
         let sup = Supervisor::start(false);
-        let cache = Arc::new(ResultCache::open(&tmpdir("cap")).unwrap());
-        let sched = Scheduler::new(1, 2, RetryPolicy::default(), sup.handle(), cache);
+        let store = Arc::new(ResultStore::open(&tmpdir("cap"), true).unwrap());
+        let sched = Scheduler::new(1, 2, RetryPolicy::default(), sup.handle(), store);
         let (tx, _rx) = mpsc::channel();
         let err = sched
             .try_submit(vec![task(0, 1, None, &tx), task(1, 2, None, &tx), task(2, 3, None, &tx)])
@@ -533,9 +483,9 @@ mod tests {
     #[test]
     fn killed_worker_is_respawned_and_cell_still_completes() {
         let sup = Supervisor::start(false);
-        let cache = Arc::new(ResultCache::open(&tmpdir("kill")).unwrap());
+        let store = Arc::new(ResultStore::open(&tmpdir("kill"), true).unwrap());
         let sched =
-            Scheduler::new(1, 64, RetryPolicy::default(), sup.handle(), Arc::clone(&cache));
+            Scheduler::new(1, 64, RetryPolicy::default(), sup.handle(), Arc::clone(&store));
         let (tx, rx) = mpsc::channel();
         sched.try_submit(vec![task(0, 11, Some(Fault::KillWorker), &tx)]).unwrap();
         drop(tx);
@@ -544,14 +494,14 @@ mod tests {
         assert!(!res.cached);
         assert!(sched.respawned() >= 1, "the worker death was observed");
         // The journal remembers the loss *and* the eventual success.
-        assert_eq!(cache.records(), 1, "latest-record-wins leaves the success");
+        assert_eq!(store.records(), 1, "latest-record-wins leaves the success");
     }
 
     #[test]
     fn draining_scheduler_rejects_new_work() {
         let sup = Supervisor::start(false);
-        let cache = Arc::new(ResultCache::open(&tmpdir("drain")).unwrap());
-        let sched = Scheduler::new(1, 8, RetryPolicy::default(), sup.handle(), cache);
+        let store = Arc::new(ResultStore::open(&tmpdir("drain"), true).unwrap());
+        let sched = Scheduler::new(1, 8, RetryPolicy::default(), sup.handle(), store);
         sched.drain();
         let (tx, _rx) = mpsc::channel();
         let err = sched.try_submit(vec![task(0, 1, None, &tx)]).unwrap_err();

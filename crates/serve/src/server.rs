@@ -16,17 +16,16 @@
 //!
 //! A SIGKILL (which cannot be handled) is covered by the journal: at most
 //! one torn record, repaired on the next daemon start by
-//! [`save_sim::Checkpoint`]'s tail repair; completed cells are served from
-//! cache on resubmission.
+//! [`save_sim::ResultStore::open`]; completed cells are served from the
+//! store on resubmission.
 
-use crate::cache::ResultCache;
 use crate::protocol::{
     write_line, CellResult, LineIn, LineReader, Request, Response, ServeStats, PROTOCOL_VERSION,
 };
 use crate::scheduler::{Scheduler, Task};
 use save_sim::cancel::Supervisor;
 use save_sim::durable::{exit_code_for, RetryPolicy};
-use save_sim::{SimError, SupervisorHandle};
+use save_sim::{ResultStore, SimError, SupervisorHandle};
 use std::io::Write;
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -41,7 +40,8 @@ pub struct ServeConfig {
     /// Listen address, e.g. `127.0.0.1:0` (port 0 = ephemeral; the chosen
     /// address is printed on stdout as `save-serve listening on ADDR`).
     pub listen: String,
-    /// Memo-cache directory (manifest + journal; survives restarts).
+    /// Result-store directory: one `journal.jsonl` that survives restarts
+    /// and is also a valid `--checkpoint-dir` for a local sweep.
     pub cache_dir: PathBuf,
     /// Worker-pool size.
     pub workers: usize,
@@ -69,7 +69,7 @@ impl Default for ServeConfig {
 
 struct ServeState {
     sched: Scheduler,
-    cache: Arc<ResultCache>,
+    store: Arc<ResultStore>,
     sup: SupervisorHandle,
     jobs_accepted: AtomicU64,
     jobs_rejected: AtomicU64,
@@ -90,7 +90,7 @@ impl ServeState {
             workers: self.workers,
             capacity: self.capacity,
             queued: self.sched.queued(),
-            cached_records: self.cache.records(),
+            cached_records: self.store.records(),
             jobs_accepted: self.jobs_accepted.load(Ordering::SeqCst),
             jobs_rejected: self.jobs_rejected.load(Ordering::SeqCst),
             workers_respawned: self.sched.respawned(),
@@ -103,11 +103,11 @@ impl ServeState {
 /// graceful drain, 130 after a forced (second-signal) cancellation.
 pub fn serve(cfg: &ServeConfig) -> Result<u8, SimError> {
     let sup = Supervisor::start_with_bridge(cfg.install_signals, 2);
-    let cache = Arc::new(ResultCache::open(&cfg.cache_dir)?);
-    if cache.recovered() > 0 {
+    let store = Arc::new(ResultStore::open(&cfg.cache_dir, true)?);
+    if store.recovered() > 0 {
         eprintln!(
             "save-serve: recovered {} journaled results from {}",
-            cache.recovered(),
+            store.recovered(),
             cfg.cache_dir.display()
         );
     }
@@ -116,7 +116,7 @@ pub fn serve(cfg: &ServeConfig) -> Result<u8, SimError> {
         cfg.capacity,
         cfg.policy,
         sup.handle(),
-        Arc::clone(&cache),
+        Arc::clone(&store),
     );
     let listener = TcpListener::bind(&cfg.listen)
         .map_err(|e| SimError::Io { what: format!("bind {}: {e}", cfg.listen) })?;
@@ -133,7 +133,7 @@ pub fn serve(cfg: &ServeConfig) -> Result<u8, SimError> {
 
     let state = Arc::new(ServeState {
         sched,
-        cache,
+        store,
         sup: sup.handle(),
         jobs_accepted: AtomicU64::new(0),
         jobs_rejected: AtomicU64::new(0),
@@ -189,7 +189,7 @@ pub fn serve(cfg: &ServeConfig) -> Result<u8, SimError> {
     eprintln!(
         "save-serve: {} ({} results journaled)",
         if forced { "cancelled" } else { "drained" },
-        state.cache.records()
+        state.store.records()
     );
     Ok(exit_code_for(forced, true))
 }

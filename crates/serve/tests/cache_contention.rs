@@ -1,10 +1,8 @@
-//! Contention contract of the memo cache: N racing threads submitting
+//! Contention contract of the result store: N racing threads submitting
 //! overlapping keys must trigger **exactly one** computation per unique
 //! key — everyone else waits and is served the journaled record.
 
-use save_serve::{Claim, ResultCache};
-use save_sim::checkpoint::CellRecord;
-use save_sim::CancelToken;
+use save_sim::{CancelToken, CellRecord, Claim, ResultStore};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -21,7 +19,7 @@ fn contended_cache_computes_each_key_exactly_once() {
     let dir =
         std::env::temp_dir().join(format!("save-serve-contention-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let cache = Arc::new(ResultCache::open(&dir).unwrap());
+    let cache = Arc::new(ResultStore::open(&dir, true).unwrap());
     let computes: Arc<Vec<AtomicUsize>> =
         Arc::new((0..KEYS).map(|_| AtomicUsize::new(0)).collect());
 

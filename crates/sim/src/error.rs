@@ -181,9 +181,9 @@ impl SimError {
 
     /// [`SimError::retry_class`] looked up from a journaled `kind()` tag.
     ///
-    /// Journals and caches persist only the tag, not the full error; the
-    /// `save-serve` result cache uses this to decide whether a journaled
-    /// failure is final (permanent: serve it from cache) or worth
+    /// Journals persist only the tag, not the full error; the
+    /// [`crate::ResultStore`] uses this to decide whether a journaled
+    /// failure is final (permanent: serve it from the store) or worth
     /// recomputing on the next request (transient: the crash/overload that
     /// produced it may not recur). Returns `None` for unknown tags, which
     /// callers should treat as transient — recomputing is always safe.

@@ -10,16 +10,15 @@
 //! negligible switching overhead.
 
 use crate::cancel::SupervisorHandle;
-use crate::checkpoint::fingerprint;
 use crate::durable::RetryPolicy;
 use crate::error::SimError;
 use crate::net::Network;
 use crate::runner::{ConfigKind, MachineConfig};
+use crate::store::ResultStore;
 use crate::surface::{DurableSweep, Surface};
 use save_kernels::{Phase, Precision};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
-use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 
 /// Estimator settings.
@@ -128,17 +127,14 @@ pub struct TrainingEstimate {
 }
 
 /// Durable-execution options for an [`Estimator`] (DESIGN.md §5f): every
-/// surface sweep becomes a checkpointed sub-sweep stored under
-/// `checkpoint_dir/surf-<fingerprint>/`, with the supervisor enforcing
-/// per-cell deadlines and propagating cancellation.
+/// surface sweep runs through [`Surface::sweep_durable`], its cells served
+/// from and journaled to one shared result store, with the supervisor
+/// enforcing per-cell deadlines and propagating cancellation.
 #[derive(Clone)]
 pub struct EstimatorDurability {
-    /// Root checkpoint directory; each distinct surface gets a
-    /// content-addressed subdirectory. `None` keeps deadlines/retries/
-    /// cancellation without journaling.
-    pub checkpoint_dir: Option<PathBuf>,
-    /// Resume from existing per-surface journals.
-    pub resume: bool,
+    /// The result store every surface's cells are filed in; `None` keeps
+    /// deadlines/retries/cancellation without journaling.
+    pub store: Option<Arc<ResultStore>>,
     /// Per-cell deadline/retry policy.
     pub policy: RetryPolicy,
     /// Supervisor handle shared with the rest of the process.
@@ -219,11 +215,6 @@ impl Estimator {
                 self.cfg.threads,
             )?),
             Some(d) => {
-                // Content-address the sub-sweep by the cache key, so each
-                // distinct surface resumes from its own journal no matter
-                // the order surfaces are requested in.
-                let tag = format!("surf-{:016x}", fingerprint([key.as_bytes()]));
-                let subdir = d.checkpoint_dir.as_ref().map(|root| root.join(&tag));
                 let out = Surface::sweep_durable(
                     w,
                     kind,
@@ -232,15 +223,15 @@ impl Estimator {
                     b_levels,
                     self.cfg.threads,
                     &DurableSweep {
-                        name: tag.clone(),
-                        checkpoint_dir: subdir.as_deref(),
-                        resume: d.resume,
+                        store: d.store.as_deref(),
                         policy: d.policy,
                         supervisor: &d.supervisor,
                     },
                 )?;
                 if out.cancelled {
-                    return Err(SimError::Cancelled { what: format!("surface {tag}") });
+                    return Err(SimError::Cancelled {
+                        what: format!("surface of {} under {kind:?}", w.name),
+                    });
                 }
                 // The estimator interpolates, so it needs a complete
                 // surface: surface-level failures propagate as the sweep's
@@ -451,24 +442,32 @@ mod tests {
         let sup = Supervisor::start(false);
         let net = toy_net(NetKind::ResNet50Dense);
         let w = net.layers[1].workload(Phase::Forward, Precision::F32);
-        let mk = |resume: bool| {
+        let mk = |store: ResultStore| {
             let mut cfg = EstimatorConfig::default();
             cfg.machine.cores = 4;
             cfg.grid = vec![0.0, 0.5, 0.9];
             Estimator::durable(
                 cfg,
                 EstimatorDurability {
-                    checkpoint_dir: Some(dir.clone()),
-                    resume,
+                    store: Some(Arc::new(store)),
                     policy: RetryPolicy::default(),
                     supervisor: sup.handle(),
                 },
             )
         };
-        let t1 = mk(false).kernel_time(&w, ConfigKind::Baseline, 0.3, 0.0).unwrap();
-        let subdirs: Vec<_> = std::fs::read_dir(&dir).unwrap().collect();
-        assert!(!subdirs.is_empty(), "a per-surface checkpoint subdir was created");
-        let t2 = mk(true).kernel_time(&w, ConfigKind::Baseline, 0.3, 0.0).unwrap();
+        let t1 = mk(ResultStore::open(&dir, false).unwrap())
+            .kernel_time(&w, ConfigKind::Baseline, 0.3, 0.0)
+            .unwrap();
+        let entries: Vec<_> =
+            std::fs::read_dir(&dir).unwrap().map(|e| e.unwrap().path()).collect();
+        assert_eq!(
+            entries,
+            vec![ResultStore::journal_path(&dir)],
+            "the surface's cells land in the store's one journal, no subdirectories"
+        );
+        let store = ResultStore::open(&dir, true).unwrap();
+        assert_eq!(store.recovered(), 1, "the resume loads the journaled cell");
+        let t2 = mk(store).kernel_time(&w, ConfigKind::Baseline, 0.3, 0.0).unwrap();
         assert_eq!(t1.to_bits(), t2.to_bits(), "resumed estimate must be bit-identical");
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -30,7 +30,6 @@
 #![warn(missing_docs)]
 
 pub mod cancel;
-pub mod checkpoint;
 pub mod durable;
 pub mod error;
 pub mod estimate;
@@ -42,17 +41,18 @@ pub mod power;
 pub mod relaxed;
 pub mod runner;
 pub mod spec;
+pub mod store;
 pub mod surface;
 pub mod trace;
 
 pub use cancel::{CancelToken, Supervisor, SupervisorHandle, WatchGuard};
-pub use checkpoint::{fsck_journal, CellRecord, Checkpoint, FsckReport, SweepManifest};
 pub use durable::{
     exit_code_for, run_cell, CellRun, RetryPolicy, EXIT_CANCELLED, EXIT_FAILURES, EXIT_OK,
     EXIT_USAGE,
 };
 pub use error::{RetryClass, SimError};
 pub use spec::{CellSpec, CoreSel};
+pub use store::{fsck_journal, CellRecord, Claim, FsckReport, ResultStore};
 pub use estimate::{
     Estimator, EstimatorConfig, EstimatorDurability, InferenceEstimate, TrainingEstimate,
 };

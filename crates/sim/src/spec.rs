@@ -7,17 +7,16 @@
 //! Because the simulator is deterministic (DESIGN.md §1), two executions
 //! of the same spec — on different machines, in different processes, at
 //! different times — produce bit-identical seconds. That determinism is
-//! what makes the `save-serve` daemon's memo cache sound: results are
-//! keyed by [`CellSpec::cache_key`], a content hash over the spec's
-//! canonical JSON encoding, so a cache hit *is* a re-execution as far as
-//! the numbers are concerned.
+//! what makes the [`crate::ResultStore`] sound: results are keyed by
+//! [`CellSpec::cache_key`], a content hash over the spec's canonical JSON
+//! encoding, so a store hit *is* a re-execution as far as the numbers are
+//! concerned.
 //!
 //! The bench binaries build specs with [`crate::surface::Surface::point_seed`]
 //! so a sweep submitted to a daemon reproduces `sweep_durable`'s bits
 //! exactly (the acceptance criterion for this subsystem).
 
 use crate::cancel::CancelToken;
-use crate::checkpoint::fnv1a;
 use crate::error::SimError;
 use crate::multicore;
 use crate::runner::{ConfigKind, KernelResult, MachineConfig};
@@ -25,6 +24,21 @@ use crate::trace::{TraceMode, TraceStore};
 use save_core::CoreConfig;
 use save_kernels::GemmWorkload;
 use serde::{Deserialize, Serialize};
+
+/// 64-bit FNV-1a over `bytes` — the workspace's dependency-free content
+/// hash behind [`CellSpec::cache_key`] and [`crate::trace_key`]. Not
+/// cryptographic; it only needs to make accidental key collisions
+/// overwhelmingly unlikely.
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+    const PRIME: u64 = 0x0000_0100_0000_01b3;
+    let mut h = OFFSET;
+    for &b in bytes {
+        h ^= b as u64;
+        h = h.wrapping_mul(PRIME);
+    }
+    h
+}
 
 /// Which core configuration a cell runs under: one of the paper's three
 /// named operating points, or an arbitrary ablation configuration.
@@ -111,7 +125,7 @@ impl CellSpec {
         ))
     }
 
-    /// Content hash keying the memo cache: `hash(trace_key ‖ timing_key)`.
+    /// Content hash keying the [`crate::ResultStore`]: `hash(trace_key ‖ timing_key)`.
     /// Two specs share a key iff every field that can influence the result
     /// is identical — the same contract as the original canonical-JSON
     /// hash, but split along the functional/timing line so that cells

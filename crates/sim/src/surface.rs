@@ -8,17 +8,15 @@
 //! (Table III), which removes most of the sweep cost.
 
 use crate::cancel::SupervisorHandle;
-use crate::checkpoint::{CellRecord, Checkpoint, SweepManifest};
 use crate::durable::{run_cell, RetryPolicy};
-use crate::error::SimError;
+use crate::error::{RetryClass, SimError};
 use crate::parallel::{parallel_try_map, parallel_try_map_cancel, FailureReport, JobFailure};
 use crate::runner::{ConfigKind, MachineConfig};
 use crate::spec::CellSpec;
+use crate::store::{CellRecord, Claim, ResultStore};
 use crate::trace::TraceStore;
 use save_kernels::GemmWorkload;
 use serde::{Deserialize, Serialize};
-use std::path::Path;
-use std::sync::Mutex;
 
 /// The paper's 10-level grid (0%..90% at 10% intervals).
 pub fn paper_grid() -> Vec<f64> {
@@ -31,22 +29,17 @@ pub fn coarse_grid() -> Vec<f64> {
     vec![0.0, 0.2, 0.4, 0.6, 0.8, 0.9]
 }
 
-/// Human-readable label for a grid cell, used in failure reports and
-/// journals.
+/// Human-readable label for a grid cell, used in failure reports.
 fn cell_label((a, b): (f64, f64)) -> String {
     format!("cell(a={a:.2},b={b:.2})")
 }
 
 /// Durability options for [`Surface::sweep_durable`].
 pub struct DurableSweep<'a> {
-    /// Sweep name recorded in the checkpoint manifest (figure/binary name
-    /// plus any sub-sweep discriminator, e.g. `"fig14/resnet/Save2Vpu"`).
-    pub name: String,
-    /// Checkpoint directory; `None` disables journaling (the sweep still
-    /// gets deadlines/retries/cancellation).
-    pub checkpoint_dir: Option<&'a Path>,
-    /// Load the journal and skip completed cells (bit-identical restore).
-    pub resume: bool,
+    /// Result store the cells are served from and journaled to; `None`
+    /// disables journaling (the sweep still gets deadlines/retries/
+    /// cancellation).
+    pub store: Option<&'a ResultStore>,
     /// Per-cell deadline/retry policy.
     pub policy: RetryPolicy,
     /// Supervisor enforcing deadlines and propagating Ctrl-C.
@@ -58,9 +51,9 @@ pub struct DurableSweep<'a> {
 pub struct SweepOutcome {
     /// The surface; failed or not-yet-computed cells are `NaN`.
     pub surface: Surface,
-    /// Per-cell failures (journaled ones included on resume).
+    /// Per-cell failures (journaled permanent ones included).
     pub report: FailureReport,
-    /// Cells restored from a previous run's journal.
+    /// Cells served from the store instead of simulated.
     pub resumed: usize,
     /// `true` when the sweep stopped early due to cancellation; the
     /// journal holds every completed cell, so `--resume` finishes the
@@ -180,23 +173,23 @@ impl Surface {
     }
 
     /// Durable counterpart of [`Surface::sweep`] (DESIGN.md §5f): each grid
-    /// cell runs under `opts.policy` (deadline + bounded retries with
-    /// backoff), completed cells are journaled to `opts.checkpoint_dir` as
-    /// they finish, and with `opts.resume` journaled cells are *skipped* —
-    /// their timings are restored from the journal's raw `f64` bits, so a
-    /// killed-and-resumed sweep produces a bit-identical [`Surface`].
+    /// cell is a [`CellSpec`] filed in `opts.store` under its
+    /// [`CellSpec::cache_key`]. A cell with a final record there is served
+    /// from the record's raw `f64` bits, so a killed-and-resumed sweep
+    /// produces a bit-identical [`Surface`]; every other cell runs under
+    /// `opts.policy` (deadline + bounded retries with backoff) and is
+    /// journaled as it finishes.
     ///
     /// Unlike [`Surface::sweep`], a failed cell does not abort the sweep:
     /// it becomes `NaN` in the surface and a structured entry in the
     /// returned [`FailureReport`]. Cancellation (Ctrl-C routed through
     /// `opts.supervisor`) stops in-flight cells at their next cycle
-    /// quantum, flushes the journal, and comes back with
-    /// `cancelled = true`; cancelled cells are *not* journaled, so a
-    /// `--resume` recomputes exactly those.
+    /// quantum and comes back with `cancelled = true`; cancelled cells are
+    /// *not* journaled, so a `--resume` recomputes exactly those.
     ///
     /// # Errors
-    /// Only checkpoint-store problems (unwritable directory, manifest
-    /// mismatch, corrupt journal) abort the sweep.
+    /// Only result-store problems (an unwritable journal) and unencodable
+    /// specs abort the sweep.
     pub fn sweep_durable(
         w: &GemmWorkload,
         kind: ConfigKind,
@@ -210,135 +203,73 @@ impl Surface {
             .iter()
             .flat_map(|&a| b_levels.iter().map(move |&b| (a, b)))
             .collect();
-        let manifest = SweepManifest::new(
-            &opts.name,
-            &format!("surface sweep of kernel {}", w.name),
-            points.len(),
-            [
-                format!("{w:?}"),
-                format!("{:?}", kind.core_config()),
-                format!("{:?}", machine.mem),
-                format!("{:?}/{}", machine.mode, machine.cores),
-                format!("a={a_levels:?}"),
-                format!("b={b_levels:?}"),
-            ],
-        );
-        let checkpoint = match opts.checkpoint_dir {
-            Some(dir) => Some(Mutex::new(Checkpoint::open(dir, &manifest, opts.resume)?)),
-            None => None,
-        };
+        let specs: Vec<CellSpec> = points
+            .iter()
+            .map(|&(a, b)| {
+                CellSpec::new(w.clone().with_sparsity(a, b), kind, *machine, Self::point_seed(a, b))
+            })
+            .collect();
+        let keys = specs.iter().map(CellSpec::cache_key).collect::<Result<Vec<u64>, _>>()?;
 
-        // Split the grid into journaled cells (restored bit-exactly) and
-        // pending work.
+        // Each cell ends as a record — served from the store or freshly
+        // journaled — plus the error that failed it, if any. Only
+        // cancellation and journal-write problems are an `Err` here.
+        struct Finished {
+            rec: CellRecord,
+            error: Option<SimError>,
+            served: bool,
+        }
+        let global = opts.supervisor.global();
+        let results = parallel_try_map_cancel(&points, threads, &global, |i, &(a, b)| {
+            let label = cell_label((a, b));
+            if let Some(store) = opts.store {
+                match store.claim(keys[i], &global) {
+                    Claim::Hit(rec) => {
+                        return Ok(Finished { error: rec.error(), rec, served: true })
+                    }
+                    Claim::Cancelled => return Err(SimError::Cancelled { what: label }),
+                    Claim::Compute => {}
+                }
+            }
+            let run =
+                run_cell(opts.supervisor, &opts.policy, &label, i, |tok| specs[i].run(Some(tok)));
+            let (rec, error) = match run.result {
+                Ok(r) => (CellRecord::success(keys[i], &r, run.attempts), None),
+                Err(e) if e.retry_class() == RetryClass::Cancelled => {
+                    if let Some(store) = opts.store {
+                        store.release(keys[i]);
+                    }
+                    return Err(e);
+                }
+                Err(e) => (CellRecord::failure(keys[i], &e, run.attempts), Some(e)),
+            };
+            if let Some(store) = opts.store {
+                store.complete(rec.clone())?;
+            }
+            Ok(Finished { rec, error, served: false })
+        });
+
         let mut secs = vec![f64::NAN; points.len()];
         let mut failures: Vec<JobFailure> = Vec::new();
         let mut total_cycles = 0u64;
         let mut resumed = 0usize;
-        let mut pending: Vec<usize> = Vec::new();
-        for i in 0..points.len() {
-            let journaled = checkpoint
-                .as_ref()
-                .and_then(|ck| ck.lock().expect("checkpoint poisoned").done(i as u64).cloned());
-            match journaled {
-                Some(rec) => {
-                    resumed += 1;
+        let mut cancelled = global.is_cancelled();
+        for (i, r) in results.into_iter().enumerate() {
+            let label = Some(cell_label(points[i]));
+            match r {
+                Ok(Finished { rec, error, served }) => {
                     secs[i] = rec.secs();
                     total_cycles += rec.cycles;
-                    if !rec.ok() {
-                        failures.push(JobFailure {
-                            job: i,
-                            label: Some(cell_label(points[i])),
-                            attempts: rec.attempts as usize,
-                            error: SimError::Io {
-                                what: format!(
-                                    "journaled failure from a previous run (kind: {})",
-                                    rec.error_kind
-                                ),
-                            },
-                        });
+                    resumed += served as usize;
+                    if let Some(error) = error {
+                        let attempts = rec.attempts as usize;
+                        failures.push(JobFailure { job: i, label, attempts, error });
                     }
                 }
-                None => pending.push(i),
+                Err(e) if e.retry_class() == RetryClass::Cancelled => cancelled = true,
+                Err(error) => failures.push(JobFailure { job: i, label, attempts: 1, error }),
             }
         }
-
-        // Run the pending cells; journal each as it completes. Cancelled
-        // cells are deliberately not journaled: they carry no result and
-        // must re-run on resume. A *failed* cell is journaled (as a NaN
-        // record carrying the error kind) and is itself an `Ok(Failed)`
-        // here — only cancellation and journal-write problems surface as
-        // `Err` from the closure.
-        enum CellFinal {
-            Done { secs: f64, cycles: u64 },
-            Failed { error: SimError, attempts: u32 },
-        }
-        let global = opts.supervisor.global();
-        let results = parallel_try_map_cancel(&pending, threads, &global, |_, &i| {
-            let (a, b) = points[i];
-            let label = cell_label((a, b));
-            let run = run_cell(opts.supervisor, &opts.policy, &label, i, |tok| {
-                let wk = w.clone().with_sparsity(a, b);
-                CellSpec::new(wk, kind, *machine, Self::point_seed(a, b)).run(Some(tok))
-            });
-            let journal = |rec: CellRecord| -> Result<(), SimError> {
-                match &checkpoint {
-                    Some(ck) => ck.lock().expect("checkpoint poisoned").record(rec),
-                    None => Ok(()),
-                }
-            };
-            match run.result {
-                Ok(r) => {
-                    journal(CellRecord {
-                        cell: i as u64,
-                        secs_bits: r.seconds.to_bits(),
-                        cycles: r.cycles,
-                        attempts: run.attempts,
-                        error_kind: String::new(),
-                    })?;
-                    Ok(CellFinal::Done { secs: r.seconds, cycles: r.cycles })
-                }
-                Err(e) if e.kind() == "cancelled" => Err(e),
-                Err(e) => {
-                    journal(CellRecord {
-                        cell: i as u64,
-                        secs_bits: f64::NAN.to_bits(),
-                        cycles: 0,
-                        attempts: run.attempts,
-                        error_kind: e.kind().to_string(),
-                    })?;
-                    Ok(CellFinal::Failed { error: e, attempts: run.attempts })
-                }
-            }
-        });
-
-        let mut cancelled = global.is_cancelled();
-        for (slot, r) in results.into_iter().enumerate() {
-            let i = pending[slot];
-            match r {
-                Ok(CellFinal::Done { secs: s, cycles }) => {
-                    secs[i] = s;
-                    total_cycles += cycles;
-                }
-                Ok(CellFinal::Failed { error, attempts }) => {
-                    failures.push(JobFailure {
-                        job: i,
-                        label: Some(cell_label(points[i])),
-                        attempts: attempts as usize,
-                        error,
-                    });
-                }
-                Err(e) if e.kind() == "cancelled" => cancelled = true,
-                Err(e) => {
-                    failures.push(JobFailure {
-                        job: i,
-                        label: Some(cell_label(points[i])),
-                        attempts: 1,
-                        error: e,
-                    });
-                }
-            }
-        }
-        failures.sort_by_key(|f| f.job);
         let report = FailureReport {
             total_jobs: points.len(),
             succeeded: secs.iter().filter(|s| !s.is_nan()).count(),

@@ -76,7 +76,7 @@ pub fn trace_key(w: &GemmWorkload, machine: &MachineConfig, seed: u64) -> Result
     let wj = serde_json::to_string(&anon)
         .map_err(|e| SimError::Protocol { what: format!("serialize workload: {e}") })?;
     let text = format!("trace|{wj}|{:?}/{}|{seed}", machine.mode, machine.cores);
-    Ok(crate::checkpoint::fnv1a(text.as_bytes()))
+    Ok(crate::spec::fnv1a(text.as_bytes()))
 }
 
 /// An in-memory, thread-safe store of recorded traces, keyed by

@@ -1,11 +1,12 @@
 //! Integration tests for the durable-execution layer (DESIGN.md §5f):
-//! checkpoint/resume bit-identity, cancellation with journal flush, and
-//! per-cell deadlines that fail a cell without failing the sweep.
+//! resume bit-identity from the result store, cancellation with journal
+//! flush, per-cell deadlines that fail a cell without failing the sweep,
+//! and two sweeps sharing one store.
 
 use save_kernels::{BroadcastPattern, GemmKernelSpec, GemmWorkload, Precision};
 use save_sim::surface::DurableSweep;
 use save_sim::{
-    ConfigKind, MachineConfig, RetryPolicy, Supervisor, SupervisorHandle, Surface,
+    ConfigKind, MachineConfig, ResultStore, RetryPolicy, Supervisor, SupervisorHandle, Surface,
 };
 use std::fs;
 use std::path::PathBuf;
@@ -52,19 +53,11 @@ fn tmpdir(tag: &str) -> PathBuf {
 }
 
 fn opts<'a>(
-    name: &str,
-    dir: Option<&'a PathBuf>,
-    resume: bool,
+    store: &'a ResultStore,
     policy: RetryPolicy,
     sup: &'a SupervisorHandle,
 ) -> DurableSweep<'a> {
-    DurableSweep {
-        name: name.to_string(),
-        checkpoint_dir: dir.map(|d| d.as_path()),
-        resume,
-        policy,
-        supervisor: sup,
-    }
+    DurableSweep { store: Some(store), policy, supervisor: sup }
 }
 
 const A: [f64; 2] = [0.0, 0.3];
@@ -82,7 +75,7 @@ fn resume_skips_journaled_cells_and_is_bit_identical() {
         &A,
         &B,
         2,
-        &opts("t", Some(&dir), false, RetryPolicy::default(), &h),
+        &opts(&ResultStore::open(&dir, false).unwrap(), RetryPolicy::default(), &h),
     )
     .unwrap();
     assert!(!first.cancelled);
@@ -97,7 +90,7 @@ fn resume_skips_journaled_cells_and_is_bit_identical() {
         &A,
         &B,
         2,
-        &opts("t", Some(&dir), true, RetryPolicy::default(), &h),
+        &opts(&ResultStore::open(&dir, true).unwrap(), RetryPolicy::default(), &h),
     )
     .unwrap();
     assert_eq!(second.resumed, 4, "every cell restored from the journal");
@@ -119,8 +112,8 @@ fn resume_skips_journaled_cells_and_is_bit_identical() {
 #[test]
 fn partial_journal_resume_completes_the_remainder() {
     // Simulates "killed after two cells": run a full sweep into dir A, then
-    // build dir B containing the manifest and only the first two journal
-    // lines, and resume from it.
+    // build dir B containing only the first two journal lines, and resume
+    // from it.
     let dir_a = tmpdir("partial-a");
     let dir_b = tmpdir("partial-b");
     let sup = Supervisor::start(false);
@@ -132,13 +125,12 @@ fn partial_journal_resume_completes_the_remainder() {
         &A,
         &B,
         1,
-        &opts("t", Some(&dir_a), false, RetryPolicy::default(), &h),
+        &opts(&ResultStore::open(&dir_a, false).unwrap(), RetryPolicy::default(), &h),
     )
     .unwrap();
     assert!(full.report.is_clean());
 
     fs::create_dir_all(&dir_b).unwrap();
-    fs::copy(dir_a.join("manifest.json"), dir_b.join("manifest.json")).unwrap();
     let journal = fs::read_to_string(dir_a.join("journal.jsonl")).unwrap();
     let two: Vec<&str> = journal.lines().take(2).collect();
     fs::write(dir_b.join("journal.jsonl"), format!("{}\n", two.join("\n"))).unwrap();
@@ -150,7 +142,7 @@ fn partial_journal_resume_completes_the_remainder() {
         &A,
         &B,
         1,
-        &opts("t", Some(&dir_b), true, RetryPolicy::default(), &h),
+        &opts(&ResultStore::open(&dir_b, true).unwrap(), RetryPolicy::default(), &h),
     )
     .unwrap();
     assert_eq!(resumed.resumed, 2, "two journaled cells skipped");
@@ -178,7 +170,7 @@ fn cancelled_sweep_is_resumable_and_converges() {
         &A,
         &B,
         2,
-        &opts("t", Some(&dir), false, RetryPolicy::default(), &h),
+        &opts(&ResultStore::open(&dir, false).unwrap(), RetryPolicy::default(), &h),
     )
     .unwrap();
     assert!(out.cancelled);
@@ -200,7 +192,7 @@ fn cancelled_sweep_is_resumable_and_converges() {
         &A,
         &B,
         2,
-        &opts("t", Some(&dir), true, RetryPolicy::default(), &h2),
+        &opts(&ResultStore::open(&dir, true).unwrap(), RetryPolicy::default(), &h2),
     )
     .unwrap();
     assert!(!done.cancelled);
@@ -214,7 +206,7 @@ fn cancelled_sweep_is_resumable_and_converges() {
         &A,
         &B,
         2,
-        &opts("t", Some(&reference), false, RetryPolicy::default(), &h2),
+        &opts(&ResultStore::open(&reference, false).unwrap(), RetryPolicy::default(), &h2),
     )
     .unwrap();
     for (a, b) in fresh.surface.secs.iter().zip(&done.surface.secs) {
@@ -242,7 +234,7 @@ fn deadline_overrun_is_retried_then_recorded_without_aborting_the_sweep() {
         &[0.0],
         &[0.0, 0.5],
         1,
-        &opts("t", Some(&dir), false, policy, &h),
+        &opts(&ResultStore::open(&dir, false).unwrap(), policy, &h),
     )
     .unwrap();
     assert!(!out.cancelled, "a deadline is per-cell, not a sweep cancellation");
@@ -253,8 +245,9 @@ fn deadline_overrun_is_retried_then_recorded_without_aborting_the_sweep() {
     }
     assert!(out.surface.secs.iter().all(|s| s.is_nan()));
 
-    // The failures are journaled: a resume skips them (fail-fast) instead
-    // of burning the deadline again.
+    // Deadline overruns are transient: journaled as history, never served.
+    // A resume without the deadline completes both cells, bit-identical to
+    // a plain sweep.
     let resumed = Surface::sweep_durable(
         &big(),
         ConfigKind::Baseline,
@@ -262,40 +255,77 @@ fn deadline_overrun_is_retried_then_recorded_without_aborting_the_sweep() {
         &[0.0],
         &[0.0, 0.5],
         1,
-        &opts("t", Some(&dir), true, policy, &h),
+        &opts(&ResultStore::open(&dir, true).unwrap(), RetryPolicy::default(), &h),
     )
     .unwrap();
-    assert_eq!(resumed.resumed, 2);
-    assert_eq!(resumed.report.failures.len(), 2);
+    assert_eq!(resumed.resumed, 0, "transient failures are recomputed, not served");
+    assert!(resumed.report.is_clean(), "{:?}", resumed.report.failures);
+    let plain =
+        Surface::sweep(&big(), ConfigKind::Baseline, &machine(), &[0.0], &[0.0, 0.5], 1).unwrap();
+    for (a, b) in plain.secs.iter().zip(&resumed.surface.secs) {
+        assert_eq!(a.to_bits(), b.to_bits(), "resumed cells must match Surface::sweep");
+    }
     let _ = fs::remove_dir_all(&dir);
 }
 
 #[test]
-fn checkpoint_dir_mismatch_is_a_hard_error() {
-    let dir = tmpdir("mismatch");
+fn sweeps_sharing_a_store_share_only_identical_cells() {
+    let dir = tmpdir("shared");
     let sup = Supervisor::start(false);
     let h = sup.handle();
-    Surface::sweep_durable(
-        &tiny(),
-        ConfigKind::Baseline,
-        &machine(),
-        &A,
-        &B,
-        1,
-        &opts("t", Some(&dir), false, RetryPolicy::default(), &h),
-    )
-    .unwrap();
-    // Same directory, different operating point: refuse to mix journals.
-    let err = Surface::sweep_durable(
+    let store = ResultStore::open(&dir, false).unwrap();
+    let first = Surface::sweep_durable(
         &tiny(),
         ConfigKind::Save2Vpu,
         &machine(),
         &A,
         &B,
-        1,
-        &opts("t", Some(&dir), true, RetryPolicy::default(), &h),
+        2,
+        &opts(&store, RetryPolicy::default(), &h),
     )
-    .unwrap_err();
-    assert!(err.to_string().contains("different sweep"), "{err}");
+    .unwrap();
+    assert!(first.report.is_clean());
+    assert_eq!(store.records(), 4);
+
+    // A different grid on the same store: its b = 0.6 column is the first
+    // sweep's, the b = 0.9 column is new.
+    let b2 = [0.6, 0.9];
+    let second = Surface::sweep_durable(
+        &tiny(),
+        ConfigKind::Save2Vpu,
+        &machine(),
+        &A,
+        &b2,
+        2,
+        &opts(&store, RetryPolicy::default(), &h),
+    )
+    .unwrap();
+    assert!(second.report.is_clean());
+    assert_eq!(second.resumed, 2, "the two shared cells are served, not simulated");
+    assert_eq!(store.records(), 6, "only the two new cells were journaled");
+    for ai in 0..A.len() {
+        assert_eq!(
+            second.surface.secs[ai * 2].to_bits(),
+            first.surface.secs[ai * 2 + 1].to_bits(),
+            "a shared cell carries the first sweep's bits"
+        );
+    }
+    let plain = Surface::sweep(&tiny(), ConfigKind::Save2Vpu, &machine(), &A, &b2, 2).unwrap();
+    for (a, b) in plain.secs.iter().zip(&second.surface.secs) {
+        assert_eq!(a.to_bits(), b.to_bits(), "the second sweep must match Surface::sweep");
+    }
+
+    // A different operating point shares nothing.
+    let other = Surface::sweep_durable(
+        &tiny(),
+        ConfigKind::Baseline,
+        &machine(),
+        &A,
+        &B,
+        2,
+        &opts(&store, RetryPolicy::default(), &h),
+    )
+    .unwrap();
+    assert_eq!(other.resumed, 0);
     let _ = fs::remove_dir_all(&dir);
 }

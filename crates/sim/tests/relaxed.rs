@@ -57,7 +57,7 @@ fn full_sanitized(kind: ConfigKind) -> CoreConfig {
 
 /// Serializes a result to JSON so EVERY field (seconds bits via cycles,
 /// stats counters, flags) participates in the bit-identity comparison.
-fn fingerprint(r: &KernelResult) -> String {
+fn digest(r: &KernelResult) -> String {
     format!("{}|{}", r.seconds.to_bits(), serde_json::to_string(r).expect("serialize result"))
 }
 
@@ -74,8 +74,8 @@ fn quantum_one_is_bit_identical_to_lockstep() {
             let relaxed =
                 verified(&w, cfg, machine(4, 1, threads), 5).run(None).expect("quantum=1");
             assert_eq!(
-                fingerprint(&relaxed),
-                fingerprint(&lockstep),
+                digest(&relaxed),
+                digest(&lockstep),
                 "kind {kind:?} threads {threads}"
             );
         }
@@ -113,8 +113,8 @@ fn trace_replay_is_pure_under_relaxed() {
     replay_store.insert(key, (*store.get(key).expect("recorded trace")).clone());
     let replayed = spec.run_traced(None, &replay_store).expect("replay");
     assert_eq!(replay_store.hits(), 1, "the second cell must replay the trace");
-    assert_eq!(fingerprint(&recorded), fingerprint(&direct), "record-and-use must not drift");
-    assert_eq!(fingerprint(&replayed), fingerprint(&direct), "replay must not drift");
+    assert_eq!(digest(&recorded), digest(&direct), "record-and-use must not drift");
+    assert_eq!(digest(&replayed), digest(&direct), "replay must not drift");
 }
 
 /// The 28-core contention signals the lockstep 4-core machine could never
@@ -177,7 +177,7 @@ proptest! {
         let base = cell(1).run(None).expect("threads=1");
         for threads in [2usize, 5] {
             let r = cell(threads).run(None).expect("threads>1");
-            prop_assert_eq!(&fingerprint(&r), &fingerprint(&base), "cell {:?} threads {}", c, threads);
+            prop_assert_eq!(&digest(&r), &digest(&base), "cell {:?} threads {}", c, threads);
         }
     }
 }

@@ -9,7 +9,9 @@
 #      respawn monitor must recover it and the bits must not change;
 #   3. SIGTERM the daemon: graceful drain, exit code 0;
 #   4. restart on the same cache dir: the whole sweep must be served from
-#      the recovered journal (every cell a cache hit), bit-identically.
+#      the recovered journal (every cell a cache hit), bit-identically;
+#   5. with the daemon gone, resume a local sweep from its cache dir: a
+#      daemon cache is a valid --checkpoint-dir, so every cell is restored.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -74,4 +76,13 @@ fi
 
 kill -TERM "$DPID"
 wait "$DPID" || true
+
+echo "== 5: the drained cache dir resumes a local sweep, no daemon =="
+"$SURFACE" --quick --checkpoint-dir "$CACHE" --resume > "$WORK/resume.json"
+diff <(normalize "$WORK/local.json") <(normalize "$WORK/resume.json")
+if ! grep -q "\"resumed\":$CELLS" "$WORK/resume.json"; then
+  echo "expected all $CELLS cells restored from the daemon's journal:" >&2
+  cat "$WORK/resume.json" >&2
+  exit 1
+fi
 echo "serve-smoke: OK"
