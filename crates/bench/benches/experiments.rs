@@ -6,24 +6,18 @@
 //! statistical timing of the simulator itself.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use save_core::CoreConfig;
+use save_bench::figures::Figure;
+use save_bench::BenchCli;
 use save_kernels::{Phase, Precision};
 use save_mem::energy::{PrecisionSupport, StorageModel};
 use save_sim::{CellSpec, ConfigKind, MachineConfig, Network};
 use save_sparsity::{ActivationModel, NetKind, PruningSchedule};
 
-fn quick_machine() -> MachineConfig {
-    MachineConfig::default()
-}
-
-fn small(name: &str, phase: Phase, prec: Precision, a: f64, b: f64) -> save_kernels::GemmWorkload {
-    let mut w = save_kernels::shapes::conv_by_name(name)
-        .expect("shape")
-        .workload(phase, prec)
-        .with_sparsity(a, b);
-    w.tiles = 2;
-    w.k_total = 32;
-    w
+/// Shrinks a cell to two tiles of K=32 so one iteration stays fast.
+fn small(mut cell: CellSpec) -> CellSpec {
+    cell.workload.tiles = 2;
+    cell.workload.k_total = 32;
+    cell
 }
 
 fn bench_table1_table2(c: &mut Criterion) {
@@ -66,8 +60,9 @@ fn bench_fig12_fig13(c: &mut Criterion) {
 
 fn bench_fig14(c: &mut Criterion) {
     c.bench_function("fig14/inference_layer_point", |b| {
-        let w = small("ResNet3_2", Phase::Forward, Precision::F32, 0.4, 0.8);
-        let mut cell = CellSpec::new(w, ConfigKind::Save2Vpu, quick_machine(), 0);
+        let shape = save_bench::figures::conv("ResNet3_2").expect("shape");
+        let w = shape.workload(Phase::Forward, Precision::F32).with_sparsity(0.4, 0.8);
+        let mut cell = small(CellSpec::new(w, ConfigKind::Save2Vpu, MachineConfig::default(), 0));
         b.iter(|| {
             cell.seed += 1;
             std::hint::black_box(cell.run(None).map(|r| r.cycles))
@@ -75,62 +70,28 @@ fn bench_fig14(c: &mut Criterion) {
     });
 }
 
-fn bench_fig15(c: &mut Criterion) {
-    c.bench_function("fig15/mp_forward_sweep_point", |b| {
-        let cell = CellSpec::new(small("ResNet2_2", Phase::Forward, Precision::Mixed, 0.4, 0.4), ConfigKind::Save1Vpu, quick_machine(), 1);
-        b.iter(|| std::hint::black_box(cell.run(None).map(|r| r.cycles)))
-    });
-}
-
-fn bench_fig16(c: &mut Criterion) {
-    c.bench_function("fig16/speedup_cap_point", |b| {
-        let cell = CellSpec::new(small("VGG3_2", Phase::Forward, Precision::F32, 0.9, 0.9), ConfigKind::Save1Vpu, quick_machine(), 1);
-        b.iter(|| std::hint::black_box(cell.run(None).map(|r| r.cycles)))
-    });
-}
-
-fn bench_fig17(c: &mut Criterion) {
-    c.bench_function("fig17/embedded_broadcast_with_bcache", |b| {
-        let cell = CellSpec::new(small("ResNet3_2", Phase::BackwardWeights, Precision::F32, 0.4, 0.4), ConfigKind::Save2Vpu, quick_machine(), 1);
-        b.iter(|| std::hint::black_box(cell.run(None).map(|r| r.cycles)))
-    });
-}
-
-fn bench_fig18(c: &mut Criterion) {
-    let m = quick_machine();
-    for (label, cfg) in [
-        ("vc", CoreConfig { rotate: false, lane_wise: false, ..CoreConfig::save_1vpu() }),
-        ("rvc_lwd", CoreConfig::save_1vpu()),
-        (
-            "hc",
-            CoreConfig {
-                scheduler: save_core::SchedulerKind::Horizontal,
-                ..CoreConfig::save_1vpu()
-            },
-        ),
+/// Figs 15-19: the SAVE cell of one pair of each figure at default scale.
+fn bench_figures(c: &mut Criterion) {
+    for (id, figure, label) in [
+        ("fig15/mp_forward_sweep_point", "fig15", "bs=0.4 nbs=0.4 1 VPU"),
+        ("fig16/speedup_cap_point", "fig16", "VGG3_2 fwd FP32 1vpu corner2"),
+        ("fig17/embedded_broadcast_with_bcache", "fig17", "B$ w/ data bs=0.4 nbs=0.4"),
+        ("fig18/vc", "fig18", "ResNet3_2 VC nbs=0.6"),
+        ("fig18/rvc_lwd", "fig18", "ResNet3_2 RVC+LWD nbs=0.6"),
+        ("fig18/hc", "fig18", "ResNet3_2 HC nbs=0.6"),
+        ("fig19/without_mp_technique", "fig19", "w/o MP techniques nbs=0.6"),
+        ("fig19/with_mp_technique", "fig19", "w/ MP techniques nbs=0.6"),
     ] {
-        c.bench_function(&format!("fig18/{label}"), |b| {
-            let cell = CellSpec::custom(small("ResNet3_2", Phase::BackwardInput, Precision::F32, 0.0, 0.5), cfg, m, 1);
-            b.iter(|| std::hint::black_box(cell.run(None).map(|r| r.cycles)))
-        });
-    }
-}
-
-fn bench_fig19(c: &mut Criterion) {
-    let m = quick_machine();
-    for (label, compress) in [("without_mp_technique", false), ("with_mp_technique", true)] {
-        let cfg = CoreConfig { mp_compress: compress, ..CoreConfig::save_1vpu() };
-        c.bench_function(&format!("fig19/{label}"), |b| {
-            let cell = CellSpec::custom(small("ResNet4_1a", Phase::BackwardInput, Precision::Mixed, 0.0, 0.6), cfg, m, 1);
-            b.iter(|| std::hint::black_box(cell.run(None).map(|r| r.cycles)))
-        });
+        let fig = Figure::build(figure, &BenchCli::default()).expect("figure builds");
+        let pair = fig.pairs.into_iter().find(|p| p.label == label).expect("pair in figure");
+        let cell = small(pair.save);
+        c.bench_function(id, |b| b.iter(|| std::hint::black_box(cell.run(None).map(|r| r.cycles))));
     }
 }
 
 criterion_group! {
     name = experiments;
     config = Criterion::default().sample_size(10);
-    targets = bench_table1_table2, bench_table3, bench_fig12_fig13, bench_fig14,
-              bench_fig15, bench_fig16, bench_fig17, bench_fig18, bench_fig19
+    targets = bench_table1_table2, bench_table3, bench_fig12_fig13, bench_fig14, bench_figures
 }
 criterion_main!(experiments);

@@ -11,155 +11,80 @@
 //!   architectural register count (§IV-A);
 //! * stream-prefetch depth — the memory substrate SAVE sits on;
 //! * mixed-precision forwarding overlap (§V-B).
+//!
+//! Width, prefetch and overlap are the `ablation` figure of
+//! [`save_bench::figures`]. The RS and B$ studies read `CoreStats`, which
+//! the result store does not journal, so they run as plain session cells.
 
-use save_bench::print_table;
+use save_bench::figures::{self, Figure, Table};
+use save_bench::{print_table, SweepSession};
 use save_core::CoreConfig;
 use save_kernels::{GemmWorkload, Phase, Precision};
-use save_sim::{CellSpec, MachineConfig, SimError};
+use save_sim::{CellSpec, KernelResult, MachineConfig, SimError};
 use std::process::ExitCode;
-
-/// The cell running `w` under `cfg` on `m`, with the fixed data seed every
-/// study uses.
-fn spec(w: &GemmWorkload, cfg: CoreConfig, m: MachineConfig) -> CellSpec {
-    CellSpec::custom(w.clone(), cfg, m, 1)
-}
 
 fn main() -> ExitCode {
     save_bench::run_main("ablation", body)
 }
 
-fn body(
-    _cli: &save_bench::BenchCli,
-    session: &mut save_bench::SweepSession,
-) -> Result<(), SimError> {
+/// One study's rows `[param, speedup, stat]`: each `(param, cfg, machine)`
+/// SAVE cell on `w` against the baseline on `base_machine`. A failed cell
+/// is left out.
+fn study(
+    session: &mut SweepSession,
+    name: &str,
+    w: &GemmWorkload,
+    base_machine: MachineConfig,
+    cells: impl IntoIterator<Item = (String, CoreConfig, MachineConfig)>,
+    stat: impl Fn(&KernelResult) -> String,
+) -> Vec<Vec<String>> {
+    let mut run = |label: String, cfg, m| {
+        let cell = CellSpec::custom(w.clone(), cfg, m, 1);
+        session.run(&label, |tok| cell.run(Some(tok)))
+    };
+    let base_time = run(format!("{name} baseline"), CoreConfig::baseline(), base_machine).map_or(f64::NAN, |r| r.seconds);
+    let mut rows = Vec::new();
+    for (param, cfg, m) in cells {
+        if let Some(r) = run(format!("{name}={param}"), cfg, m) {
+            rows.push(vec![param, format!("{:.2}x", base_time / r.seconds), stat(&r)]);
+        }
+    }
+    rows
+}
+
+fn body(cli: &save_bench::BenchCli, session: &mut SweepSession) -> Result<(), SimError> {
+    let report = Figure::build("ablation", cli)?.run(session);
     let machine = MachineConfig::default();
-    let shape = save_kernels::shapes::conv_by_name("ResNet3_2").ok_or_else(|| {
-        SimError::InvalidConfig { what: "ablation: ResNet3_2 missing from the shape table".into() }
-    })?;
+    let shape = figures::conv("ResNet3_2")?;
     let fwd = shape.workload(Phase::Forward, Precision::F32).with_sparsity(0.0, 0.6);
     let wgrad = shape.workload(Phase::BackwardWeights, Precision::F32).with_sparsity(0.4, 0.4);
-    let mut base_machine = machine;
-    base_machine.mem.bcast = None;
-    let mp_shape = save_kernels::shapes::conv_by_name("ResNet4_1a").ok_or_else(|| {
-        SimError::InvalidConfig { what: "ablation: ResNet4_1a missing from the shape table".into() }
-    })?;
-    let mp = mp_shape.workload(Phase::BackwardInput, Precision::Mixed).with_sparsity(0.0, 0.6);
-    let widths = [3usize, 4, 5, 6];
-    let overlaps = [0u64, 1, 2, 3];
-
-    // The journaled timings — three baselines, the width study's
-    // (baseline, SAVE) pairs and the overlap study — as one batch.
-    let mut batch = vec![
-        ("baseline fwd".to_string(), spec(&fwd, CoreConfig::baseline(), machine)),
-        ("baseline wgrad".to_string(), spec(&wgrad, CoreConfig::baseline(), base_machine)),
-        ("baseline mp".to_string(), spec(&mp, CoreConfig::baseline(), machine)),
-    ];
-    for width in widths {
-        let base = CoreConfig { issue_width: width, commit_width: width, ..CoreConfig::baseline() };
-        let cfg = CoreConfig { issue_width: width, commit_width: width, ..CoreConfig::save_2vpu() };
-        batch.push((format!("width={width} baseline"), spec(&fwd, base, machine)));
-        batch.push((format!("width={width}"), spec(&fwd, cfg, machine)));
-    }
-    for overlap in overlaps {
-        let cfg = CoreConfig { mp_forward_overlap: overlap, ..CoreConfig::save_1vpu() };
-        batch.push((format!("overlap={overlap}"), spec(&mp, cfg, machine)));
-    }
-    let secs = session.spec_seconds_batch(&batch);
-    let (base_time, tb_wgrad, tb_mp) = (secs[0], secs[1], secs[2]);
-    let (width_secs, overlap_secs) = secs[3..].split_at(2 * widths.len());
 
     // 1. RS size: the combination window is RS-bound until the 32-register
     // limit takes over.
-    let mut rows = Vec::new();
-    for rs in [24usize, 48, 64, 97, 128] {
-        let cfg = CoreConfig { rs_entries: rs, ..CoreConfig::save_2vpu() };
-        let cell = spec(&fwd, cfg, machine);
-        let Some(r) = session.run(&format!("rs={rs}"), |tok| cell.run(Some(tok))) else {
-            continue;
-        };
-        rows.push(vec![
-            format!("{rs}"),
-            format!("{:.2}x", base_time / r.seconds),
-            format!("{:.1}", r.stats.mean_cw()),
-        ]);
-    }
-    print_table(
-        "Ablation: reservation-station size (ResNet3_2 fwd FP32, 60% NBS)",
-        &["RS entries", "speedup", "mean CW"],
-        &rows,
-    );
+    let rs = [24usize, 48, 64, 97, 128]
+        .map(|rs| (rs.to_string(), CoreConfig { rs_entries: rs, ..CoreConfig::save_2vpu() }, machine));
+    let rows = study(session, "rs", &fwd, machine, rs, |r| format!("{:.1}", r.stats.mean_cw()));
+    let title = "Ablation: reservation-station size (ResNet3_2 fwd FP32, 60% NBS)";
+    print_table(title, &["RS entries", "speedup", "mean CW"], &rows);
 
     // 2. Allocation width.
-    let mut rows = Vec::new();
-    for (width, pair) in widths.iter().zip(width_secs.chunks(2)) {
-        let speedup = pair[0] / pair[1];
-        rows.push(vec![format!("{width}-wide"), format!("{speedup:.2}x")]);
-    }
-    print_table(
-        "Ablation: allocation width (speedup vs same-width baseline)",
-        &["front end", "speedup"],
-        &rows,
-    );
+    report.tables[0].print();
 
     // 3. Broadcast-cache entries, on the embedded-broadcast wgrad kernel.
-    let mut rows = Vec::new();
-    for entries in [4usize, 8, 16, 32, 64] {
+    let mut base_machine = machine;
+    base_machine.mem.bcast = None;
+    let entries = [4usize, 8, 16, 32, 64].map(|entries| {
         let mut m = machine;
         m.mem.bcast_entries = entries;
-        let cell = spec(&wgrad, CoreConfig::save_2vpu(), m);
-        let Some(r) = session.run(&format!("bcast={entries}"), |tok| cell.run(Some(tok))) else {
-            continue;
-        };
-        let hit_rate = if r.stats.bcast_loads == 0 {
-            0.0
-        } else {
-            r.stats.bcast_hits as f64 / r.stats.bcast_loads as f64
-        };
-        rows.push(vec![
-            format!("{entries}"),
-            format!("{:.2}x", tb_wgrad / r.seconds),
-            format!("{:.1}%", hit_rate * 100.0),
-        ]);
-    }
-    print_table(
-        "Ablation: B$ entries (ResNet3_2 wgrad FP32, embedded broadcast, 40%/40%)",
-        &["B$ entries", "speedup", "B$ hit rate"],
-        &rows,
-    );
+        (entries.to_string(), CoreConfig::save_2vpu(), m)
+    });
+    let rows = study(session, "bcast", &wgrad, base_machine, entries, |r| {
+        format!("{:.1}%", r.stats.bcast_hits as f64 / r.stats.bcast_loads.max(1) as f64 * 100.0)
+    });
+    let title = "Ablation: B$ entries (ResNet3_2 wgrad FP32, embedded broadcast, 40%/40%)";
+    print_table(title, &["B$ entries", "speedup", "B$ hit rate"], &rows);
 
-    // 4. Prefetch depth.
-    let mut rows = Vec::new();
-    for depth in [0u64, 8, 16, 64] {
-        let mut m = machine;
-        m.mem.prefetch_degree = depth;
-        let Some((tbb, ts)) = session.run(&format!("prefetch={depth}"), |tok| {
-            let tbb = spec(&fwd, CoreConfig::baseline(), m).run(Some(tok))?.seconds;
-            let ts = spec(&fwd, CoreConfig::save_2vpu(), m).run(Some(tok))?.seconds;
-            Ok((tbb, ts))
-        }) else {
-            continue;
-        };
-        rows.push(vec![
-            format!("{depth}"),
-            format!("{:.2}", tbb / base_time),
-            format!("{:.2}x", tbb / ts),
-        ]);
-    }
-    print_table(
-        "Ablation: stream-prefetch depth (baseline time vs depth-64 baseline; SAVE speedup)",
-        &["depth", "baseline slowdown", "SAVE speedup"],
-        &rows,
-    );
-
-    // 5. MP partial-result forwarding overlap (§V-B).
-    let mut rows = Vec::new();
-    for (overlap, ts) in overlaps.iter().zip(overlap_secs) {
-        rows.push(vec![format!("{overlap} cycles"), format!("{:.2}x", tb_mp / ts)]);
-    }
-    print_table(
-        "Ablation: MP partial-result forwarding overlap (ResNet4_1a MP bwd-input, 1 VPU)",
-        &["overlap", "speedup"],
-        &rows,
-    );
+    // 4. Prefetch depth. 5. MP partial-result forwarding overlap (§V-B).
+    report.tables[1..].iter().for_each(Table::print);
     Ok(())
 }

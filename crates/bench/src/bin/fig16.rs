@@ -1,210 +1,4 @@
-//! Fig 16 — histogram of per-kernel speedup caps.
-//!
-//! The 93 studied kernels (62 convolution kernels: all VGG16 layers across
-//! the phases that exhibit sparsity, plus the 24 unique ResNet-50 shapes
-//! forward; and 31 LSTM cell kernels: the GNMT cells across phases and
-//! batch-reuse configurations) are each swept to high sparsity; the *cap*
-//! is the best speedup over the high-sparsity corner points. Histograms are
-//! reported for FP32 and mixed precision with 2 VPUs @ 1.7 GHz and 1 VPU @
-//! 2.1 GHz.
-//!
-//! Paper landmarks (geometric means of the caps): FP32 1.39x (2 VPUs) /
-//! 1.62x (1 VPU); MP 1.48x / 1.77x; using 1 VPU at higher frequency lifts
-//! the caps; LSTM kernels cap lower than conv kernels (memory bound).
-
-use save_bench::print_table;
-use save_kernels::{GemmWorkload, Phase, Precision};
-use save_sim::{CellSpec, ConfigKind, MachineConfig, SimError};
-use serde::Serialize;
-use std::process::ExitCode;
-
-struct KernelDef {
-    name: String,
-    is_lstm: bool,
-    make: Box<dyn Fn(Precision) -> GemmWorkload>,
-}
-
-fn kernel_set() -> Vec<KernelDef> {
-    let mut set: Vec<KernelDef> = Vec::new();
-    // 38 VGG16 kernels: 13 fwd + 12 bwd-input (no first layer) + 13 bwd-w.
-    for (i, s) in save_kernels::shapes::vgg16().into_iter().enumerate() {
-        for phase in Phase::ALL {
-            if phase == Phase::BackwardInput && i == 0 {
-                continue;
-            }
-            let sh = s.clone();
-            set.push(KernelDef {
-                name: format!("{} {phase}", s.name),
-                is_lstm: false,
-                make: Box::new(move |p| sh.workload(phase, p)),
-            });
-        }
-    }
-    // 24 unique ResNet-50 shapes, forward.
-    for s in save_kernels::shapes::resnet50() {
-        let sh = s.clone();
-        set.push(KernelDef {
-            name: format!("{} fwd", s.name),
-            is_lstm: false,
-            make: Box::new(move |p| sh.workload(Phase::Forward, p)),
-        });
-    }
-    // 31 LSTM kernels: 3 GNMT cells x {fwd, bwd} x 5 batch-reuse settings,
-    // plus one long-sequence decoder variant.
-    for cell in save_kernels::shapes::gnmt(64) {
-        for phase in [Phase::Forward, Phase::BackwardInput] {
-            for reuse in [1usize, 2, 4, 8, 16] {
-                let c = cell.clone();
-                set.push(KernelDef {
-                    name: format!("{} {phase} r{reuse}", cell.name),
-                    is_lstm: true,
-                    make: Box::new(move |p| {
-                        let mut w = c.workload(phase, p);
-                        w.b_panel_tiles = reuse;
-                        w
-                    }),
-                });
-            }
-        }
-    }
-    let Some(dec) = save_kernels::shapes::gnmt(64).pop() else {
-        return set;
-    };
-    set.push(KernelDef {
-        name: "GNMT dec fwd long".into(),
-        is_lstm: true,
-        make: Box::new(move |p| {
-            let mut w = dec.workload(Phase::Forward, p);
-            w.tiles = 24;
-            w.b_panel_tiles = 8;
-            w
-        }),
-    });
-    set
-}
-
-#[derive(Serialize)]
-// Fields are consumed via `Serialize` in the session JSON dump only.
-#[allow(dead_code)]
-struct CapRecord {
-    name: String,
-    is_lstm: bool,
-    precision: String,
-    vpus: usize,
-    cap: f64,
-}
-
-fn main() -> ExitCode {
-    save_bench::run_main("fig16", body)
-}
-
-fn body(
-    cli: &save_bench::BenchCli,
-    session: &mut save_bench::SweepSession,
-) -> Result<(), SimError> {
-    let corners: Vec<(f64, f64)> =
-        if cli.quick { vec![(0.8, 0.8)] } else { vec![(0.6, 0.6), (0.8, 0.8), (0.9, 0.9)] };
-    let machine = MachineConfig::default();
-    let set = kernel_set();
-    println!("kernel set: {} kernels ({} conv, {} LSTM)",
-        set.len(),
-        set.iter().filter(|k| !k.is_lstm).count(),
-        set.iter().filter(|k| k.is_lstm).count());
-
-    // Build the whole sweep as one batched cell list, kernel-major so the
-    // cells sharing a functional trace (one kernel x corner across the
-    // baseline and both VPU panels) are adjacent — the local trace store
-    // is FIFO-bounded, and a daemon sees the entire figure in a single
-    // round trip instead of one per cell. The baseline cell's label is
-    // shared across the 2-VPU and 1-VPU panels (it appears once in the
-    // batch), so each baseline is computed exactly once wherever the
-    // batch lands: checkpoint journal, daemon memo, or local memo.
-    let mut cells: Vec<(String, CellSpec)> = Vec::new();
-    for prec in [Precision::F32, Precision::Mixed] {
-        for k in &set {
-            let w0 = (k.make)(prec);
-            for (i, &(a, b)) in corners.iter().enumerate() {
-                let w = w0.clone().with_sparsity(a, b);
-                let seed = 1000 + i as u64;
-                cells.push((
-                    format!("{} {prec} base corner{i}", k.name),
-                    CellSpec::new(w.clone(), ConfigKind::Baseline, machine, seed),
-                ));
-                for (vpus, kind) in [(2usize, ConfigKind::Save2Vpu), (1, ConfigKind::Save1Vpu)] {
-                    cells.push((
-                        format!("{} {prec} {vpus}vpu corner{i}", k.name),
-                        CellSpec::new(w.clone(), kind, machine, seed),
-                    ));
-                }
-            }
-        }
-    }
-    let secs = session.spec_seconds_batch(&cells);
-    let by_label: std::collections::HashMap<&str, f64> =
-        cells.iter().map(|(l, _)| l.as_str()).zip(secs).collect();
-
-    let mut records: Vec<CapRecord> = Vec::new();
-    for prec in [Precision::F32, Precision::Mixed] {
-        for (vpus, _) in [(2usize, ConfigKind::Save2Vpu), (1, ConfigKind::Save1Vpu)] {
-            for k in &set {
-                let mut cap = 0.0f64;
-                for i in 0..corners.len() {
-                    let tb = by_label[format!("{} {prec} base corner{i}", k.name).as_str()];
-                    let ts =
-                        by_label[format!("{} {prec} {vpus}vpu corner{i}", k.name).as_str()];
-                    let ratio = tb / ts;
-                    if ratio.is_finite() {
-                        cap = cap.max(ratio);
-                    }
-                }
-                records.push(CapRecord {
-                    name: k.name.clone(),
-                    is_lstm: k.is_lstm,
-                    precision: prec.to_string(),
-                    vpus,
-                    cap,
-                });
-            }
-        }
-    }
-
-    // Histogram, conv vs LSTM, per panel.
-    let bins = [(1.0, 1.2), (1.2, 1.4), (1.4, 1.6), (1.6, 1.8), (1.8, 2.0), (2.0, f64::MAX)];
-    let mut rows = Vec::new();
-    for prec in ["FP32", "MP"] {
-        for vpus in [2usize, 1] {
-            let sel: Vec<&CapRecord> = records
-                .iter()
-                .filter(|r| r.precision == prec && r.vpus == vpus)
-                .collect();
-            let mut conv_counts = vec![0usize; bins.len()];
-            let mut lstm_counts = vec![0usize; bins.len()];
-            for r in &sel {
-                let b = bins
-                    .iter()
-                    .position(|&(lo, hi)| r.cap >= lo && r.cap < hi)
-                    .unwrap_or(0);
-                if r.is_lstm {
-                    lstm_counts[b] += 1;
-                } else {
-                    conv_counts[b] += 1;
-                }
-            }
-            let geomean = (sel.iter().map(|r| r.cap.max(1e-9).ln()).sum::<f64>()
-                / sel.len() as f64)
-                .exp();
-            let mut row = vec![format!("{prec} {vpus} VPU(s)")];
-            for i in 0..bins.len() {
-                row.push(format!("{}+{}", conv_counts[i], lstm_counts[i]));
-            }
-            row.push(format!("{geomean:.2}x"));
-            rows.push(row);
-        }
-    }
-    print_table(
-        "Fig 16: speedup-cap histogram (cells are conv+LSTM kernel counts)",
-        &["panel", "1.0-1.2x", "1.2-1.4x", "1.4-1.6x", "1.6-1.8x", "1.8-2.0x", ">2.0x", "geomean"],
-        &rows,
-    );
-    save_bench::write_json("fig16", &records)
+//! Fig 16 — histogram of per-kernel speedup caps ([`save_bench::figures`]).
+fn main() -> std::process::ExitCode {
+    save_bench::figures::main("fig16")
 }

@@ -19,10 +19,7 @@ fn body(
 ) -> Result<(), SimError> {
     let machine = MachineConfig::default();
     let pm = PowerModel::default();
-    let shape = save_kernels::shapes::conv_by_name("ResNet3_2").ok_or_else(|| {
-        SimError::InvalidConfig { what: "power: ResNet3_2 missing from the shape table".into() }
-    })?;
-    let w0 = shape.workload(Phase::Forward, Precision::F32);
+    let w0 = save_bench::figures::conv("ResNet3_2")?.workload(Phase::Forward, Precision::F32);
 
     let mut rows = Vec::new();
     for sparsity in [0.0, 0.3, 0.6, 0.9] {

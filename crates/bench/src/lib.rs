@@ -6,6 +6,10 @@
 //! EXPERIMENTS.md. Criterion micro-benchmarks cover the simulator's hot
 //! paths and one representative kernel per experiment.
 //!
+//! The speedup sweeps (Figs 15-19, `extensions`, `ablation`) are library
+//! data in [`figures`]: labelled (baseline, SAVE) cell pairs plus a pure
+//! reducer to tables, which tests read in-process.
+//!
 //! Every binary funnels through [`run_main`], which parses the uniform
 //! durable-execution flags ([`BenchCli`]: `--checkpoint-dir`, `--resume`,
 //! `--cell-deadline`, `--retries`, …), installs the SIGINT/SIGTERM
@@ -39,6 +43,8 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Duration;
+
+pub mod figures;
 
 /// Directory experiment JSON results are written to.
 ///
