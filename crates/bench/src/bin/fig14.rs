@@ -10,7 +10,7 @@
 
 use save_bench::print_table;
 use save_kernels::Precision;
-use save_sim::{Estimator, EstimatorConfig, EstimatorDurability, Network};
+use save_sim::{Estimator, EstimatorConfig, Network};
 use save_sparsity::NetKind;
 use serde::Serialize;
 use std::process::ExitCode;
@@ -35,19 +35,15 @@ fn body(
     cli: &save_bench::BenchCli,
     session: &mut save_bench::SweepSession,
 ) -> Result<(), save_sim::SimError> {
-    let cfg = EstimatorConfig { grid: cli.grid(), ..Default::default() };
-    // Surface sweeps inherit the session's durable-execution settings:
-    // their cells are journaled in the session's result store (no
-    // --checkpoint-dir still gives deadlines, retries and cancellation
-    // without journaling).
-    let est = Estimator::durable(
-        cfg,
-        EstimatorDurability {
-            store: session.store().cloned(),
-            policy: cli.policy(),
-            supervisor: session.supervisor().clone(),
-        },
-    );
+    let cfg = EstimatorConfig {
+        grid: cli.grid(),
+        threads: cli.threads_or_default(),
+        ..Default::default()
+    };
+    // Surface cells are resolved by the session's executor: journaled in
+    // its result store (no --checkpoint-dir still gives deadlines, retries
+    // and cancellation without journaling).
+    let est = Estimator::new(cfg, session.executor().clone());
 
     let kinds = [
         NetKind::Vgg16Dense,

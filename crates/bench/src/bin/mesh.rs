@@ -101,7 +101,7 @@ fn body(
 ) -> Result<(), SimError> {
     let cores = flag_value(&cli.rest, "--cores").unwrap_or(28) as usize;
     let quantum = flag_value(&cli.rest, "--quantum").unwrap_or(1000).max(1);
-    let threads = flag_value(&cli.rest, "--threads").unwrap_or(0) as usize;
+    let threads = cli.threads.unwrap_or(0);
     let compare = cli.rest.iter().any(|a| a == "--compare-lockstep");
     let relaxed = machine(cores, quantum, threads);
     let lockstep = machine(cores, 1, 0);

@@ -24,11 +24,9 @@
 use save_bench::{run_main, BenchCli, SweepSession};
 use save_kernels::{BroadcastPattern, GemmKernelSpec, GemmWorkload, Precision};
 use save_serve::{Client, NamedCell};
-use save_sim::surface::DurableSweep;
 use save_sim::{fsck_journal, ConfigKind, MachineConfig, SimError, Surface};
 use serde::Serialize;
 use std::process::ExitCode;
-use std::sync::Arc;
 
 #[derive(Serialize)]
 struct Out {
@@ -87,21 +85,10 @@ fn serve_sweep(
     grid: &[f64],
     fault_first: bool,
 ) -> Result<(), SimError> {
-    let mut cells = Vec::with_capacity(grid.len() * grid.len());
-    for &a in grid {
-        for &b in grid {
-            cells.push(NamedCell {
-                label: format!("cell({a:.3},{b:.3})"),
-                spec: save_sim::CellSpec::new(
-                    w.clone().with_sparsity(a, b),
-                    kind,
-                    *machine,
-                    Surface::point_seed(a, b),
-                ),
-                fault: None,
-            });
-        }
-    }
+    let mut cells: Vec<NamedCell> = Surface::grid_cells(w, kind, machine, grid, grid)
+        .into_iter()
+        .map(|(label, spec)| NamedCell { label, spec, fault: None })
+        .collect();
     if fault_first {
         if let Some(first) = cells.first_mut() {
             first.fault = Some(save_serve::Fault::KillWorker);
@@ -187,18 +174,14 @@ fn body(cli: &BenchCli, session: &mut SweepSession) -> Result<(), SimError> {
         return serve_sweep(&addr, session, &w, kind, &machine, &grid, fault_first);
     }
 
-    let out = Surface::sweep_durable(
+    let out = Surface::sweep(
         &w,
         kind,
         &machine,
         &grid,
         &grid,
         cli.threads_or_default(),
-        &DurableSweep {
-            store: session.store().map(Arc::as_ref),
-            policy: cli.policy(),
-            supervisor: session.supervisor(),
-        },
+        session.executor(),
     )?;
     if out.cancelled {
         session.note_cancelled();

@@ -17,13 +17,13 @@
 //! convention (0 clean / 1 lossy / 2 usage / 130 cancelled-resumable).
 //!
 //! Sweeps run through [`SweepSession`]: each simulated cell is a recorded
-//! job executed under the per-cell retry/deadline policy of
-//! [`save_sim::durable`], a cell that fails (typed [`SimError`] or a
+//! job resolved by the session's [`Executor`] under the per-cell
+//! retry/deadline policy, a cell that fails (typed [`SimError`] or a
 //! panic) becomes a `NaN` entry instead of aborting the figure, and
 //! [`SweepSession::finish`] dumps a [`FailureReport`] JSON next to the
-//! results. With `--checkpoint-dir`, the session opens one
+//! results. With `--checkpoint-dir`, the executor holds one
 //! [`ResultStore`] there: every [`SweepSession::spec_seconds_batch`] cell,
-//! durable surface sweep and estimator surface is journaled under its
+//! surface sweep and estimator surface is journaled under its
 //! [`CellSpec::cache_key`], so a killed run resumed with `--resume`
 //! restores finished cells bit-identically instead of recomputing them.
 
@@ -31,9 +31,9 @@
 #![warn(missing_docs)]
 
 use save_serve::{CellResult, Client, NamedCell};
-use save_sim::durable::{exit_code_for, run_cell, RetryPolicy, EXIT_FAILURES, EXIT_USAGE};
+use save_sim::durable::{exit_code_for, run_cell, Executor, RetryPolicy, EXIT_FAILURES, EXIT_USAGE};
 use save_sim::error::{RetryClass, SimError};
-use save_sim::parallel::{FailureReport, JobFailure};
+use save_sim::parallel::{host_parallelism, FailureReport, JobFailure};
 use save_sim::spec::CellSpec;
 use save_sim::{CancelToken, CellRecord, ResultStore, Supervisor, SupervisorHandle, TraceStore};
 use serde::Serialize;
@@ -215,20 +215,18 @@ impl BenchCli {
 
     /// Worker threads for sweeps: `--threads` or the host's parallelism.
     pub fn threads_or_default(&self) -> usize {
-        self.threads.unwrap_or_else(|| {
-            std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-        })
+        self.threads.unwrap_or_else(host_parallelism)
     }
 }
 
 /// Fault-isolating, durable harness for one experiment binary.
 ///
 /// Every simulated cell goes through [`SweepSession::run`] or
-/// [`SweepSession::spec_seconds_batch`]: the job runs under the session's
-/// [`RetryPolicy`] via [`save_sim::durable::run_cell`] — panic isolation,
-/// per-attempt wall-clock deadline, bounded retries with exponential
-/// backoff — and a cell that still fails is recorded instead of
-/// propagated, so the sweep continues with the remaining cells.
+/// [`SweepSession::spec_seconds_batch`]: the job runs under the session
+/// executor's [`RetryPolicy`] via [`save_sim::durable::run_cell`] — panic
+/// isolation, per-attempt wall-clock deadline, bounded retries with
+/// exponential backoff — and a cell that still fails is recorded instead
+/// of propagated, so the sweep continues with the remaining cells.
 ///
 /// When built with a result store (through [`run_main`] and
 /// `--checkpoint-dir`), each batch cell is journaled under its
@@ -243,9 +241,8 @@ pub struct SweepSession {
     /// Owns the supervisor for standalone sessions ([`SweepSession::new`]);
     /// sessions built by [`run_main`] share the binary-wide supervisor.
     _own: Option<Supervisor>,
-    sup: SupervisorHandle,
-    policy: RetryPolicy,
-    store: Option<Arc<ResultStore>>,
+    /// Resolves batch cells; its store is the `--checkpoint-dir` one.
+    exec: Executor,
     /// Batch cells served from the store instead of recomputed.
     resumed: usize,
     cancelled: bool,
@@ -266,22 +263,8 @@ impl SweepSession {
     /// handlers, no checkpoint, default retry policy.
     pub fn new(name: &str) -> Self {
         let own = Supervisor::start(false);
-        let sup = own.handle();
-        SweepSession {
-            name: name.to_string(),
-            jobs: 0,
-            failures: Vec::new(),
-            _own: Some(own),
-            sup,
-            policy: RetryPolicy::default(),
-            store: None,
-            resumed: 0,
-            cancelled: false,
-            serve_addr: None,
-            serve_client: None,
-            serve_degraded: false,
-            served: 0,
-        }
+        let exec = Executor::new(own.handle());
+        Self::with(name, exec, Some(own), None)
     }
 
     /// Builds the durable session [`run_main`] hands to the binary body:
@@ -296,33 +279,35 @@ impl SweepSession {
             None => None,
             Some(dir) => Some(Arc::new(ResultStore::open(dir, cli.resume)?)),
         };
-        Ok(SweepSession {
+        let exec = Executor { store, policy: cli.policy(), supervisor: sup };
+        Ok(Self::with(name, exec, None, cli.serve_addr.clone()))
+    }
+
+    fn with(
+        name: &str,
+        exec: Executor,
+        own: Option<Supervisor>,
+        serve_addr: Option<String>,
+    ) -> Self {
+        SweepSession {
             name: name.to_string(),
             jobs: 0,
             failures: Vec::new(),
-            _own: None,
-            sup,
-            policy: cli.policy(),
-            store,
+            _own: own,
+            exec,
             resumed: 0,
             cancelled: false,
-            serve_addr: cli.serve_addr.clone(),
+            serve_addr,
             serve_client: None,
             serve_degraded: false,
             served: 0,
-        })
+        }
     }
 
-    /// The supervisor handle, for threading into [`save_sim::surface::DurableSweep`]
-    /// or [`save_sim::EstimatorDurability`].
-    pub fn supervisor(&self) -> &SupervisorHandle {
-        &self.sup
-    }
-
-    /// The `--checkpoint-dir` result store, for threading into
-    /// [`save_sim::surface::DurableSweep`] or [`save_sim::EstimatorDurability`].
-    pub fn store(&self) -> Option<&Arc<ResultStore>> {
-        self.store.as_ref()
+    /// The session's executor — `--checkpoint-dir` store, retry policy and
+    /// supervisor — for surface sweeps and the [`save_sim::Estimator`].
+    pub fn executor(&self) -> &Executor {
+        &self.exec
     }
 
     /// `true` once a global cancel has been observed; remaining cells
@@ -350,10 +335,36 @@ impl SweepSession {
             self.cancelled = true;
             return;
         }
+        self.tally(label, 1, Some(error));
+    }
+
+    /// Counts one finished job, recording its failure, if any.
+    fn tally(&mut self, label: &str, attempts: u32, error: Option<SimError>) {
         let job = self.jobs;
         self.jobs += 1;
-        eprintln!("[{}] {label} failed: [{}] {error}", self.name, error.kind());
-        self.failures.push(JobFailure { job, label: Some(label.to_string()), attempts: 1, error });
+        if let Some(error) = error {
+            eprintln!(
+                "[{}] job {job} ({label}) failed after {attempts} attempt(s): [{}] {error}",
+                self.name,
+                error.kind()
+            );
+            let (label, attempts) = (Some(label.to_string()), attempts.max(1) as usize);
+            self.failures.push(JobFailure { job, label, attempts, error });
+        }
+    }
+
+    /// Counts one job skipped or stopped by cancellation: resumable, not
+    /// failed. Returns the `NaN` its cell reports.
+    fn cancel_job(&mut self) -> f64 {
+        self.cancelled = true;
+        self.jobs += 1;
+        f64::NAN
+    }
+
+    /// `true` when the session is cancelled, latching a global cancel.
+    fn check_cancelled(&mut self) -> bool {
+        self.cancelled |= self.exec.supervisor.global().is_cancelled();
+        self.cancelled
     }
 
     /// Runs one labelled job under the retry/deadline policy with panic
@@ -369,55 +380,25 @@ impl SweepSession {
         label: &str,
         f: impl Fn(&CancelToken) -> Result<R, SimError>,
     ) -> Option<R> {
-        self.attempt(label, f)?.result.ok()
-    }
-
-    /// [`SweepSession::run`], keeping the attempt count and the final
-    /// error (already recorded as a failure). `None` when cancelled.
-    fn attempt<R>(
-        &mut self,
-        label: &str,
-        f: impl Fn(&CancelToken) -> Result<R, SimError>,
-    ) -> Option<save_sim::CellRun<R>> {
-        let job = self.jobs;
-        self.jobs += 1;
-        if self.cancelled || self.sup.global().is_cancelled() {
-            self.cancelled = true;
+        if self.check_cancelled() {
+            self.cancel_job();
             return None;
         }
-        let run = run_cell(&self.sup, &self.policy, label, job, f);
-        if let Err(error) = &run.result {
-            if error.retry_class() == RetryClass::Cancelled {
-                self.cancelled = true;
-                return None;
+        let run = run_cell(&self.exec.supervisor, &self.exec.policy, label, self.jobs, f);
+        match run.result {
+            Ok(r) => {
+                self.tally(label, run.attempts, None);
+                Some(r)
             }
-            eprintln!(
-                "[{}] job {job} ({label}) failed after {} attempt(s): [{}] {error}",
-                self.name,
-                run.attempts,
-                error.kind()
-            );
-            self.failures.push(JobFailure {
-                job,
-                label: Some(label.to_string()),
-                attempts: run.attempts as usize,
-                error: error.clone(),
-            });
+            Err(e) if e.retry_class() == RetryClass::Cancelled => {
+                self.cancel_job();
+                None
+            }
+            Err(e) => {
+                self.tally(label, run.attempts, Some(e));
+                None
+            }
         }
-        Some(run)
-    }
-
-    /// Records a journaled failure served from the store or the daemon as
-    /// one failed job.
-    fn note_served_failure(&mut self, label: &str, attempts: u32, error: SimError) {
-        let job = self.jobs;
-        self.jobs += 1;
-        self.failures.push(JobFailure {
-            job,
-            label: Some(label.to_string()),
-            attempts: attempts.max(1) as usize,
-            error,
-        });
     }
 
     /// Resolves every `(label, spec)` cell and returns their seconds in
@@ -436,9 +417,10 @@ impl SweepSession {
     ///    without the daemon. Any transport failure — refused connection,
     ///    daemon draining, torn stream — degrades the whole session to
     ///    local execution with a warning;
-    /// 3. whatever is left runs locally through one shared [`TraceStore`],
-    ///    so each distinct functional key is executed once and every other
-    ///    cell replays its trace (DESIGN.md §5h). Each result is journaled.
+    /// 3. whatever is left is resolved one at a time by the session's
+    ///    [`Executor`] through one shared [`TraceStore`], so each distinct
+    ///    functional key is executed once and every other cell replays its
+    ///    trace (DESIGN.md §5h). Each result is journaled.
     ///
     /// The bits are identical whichever step answers, because the
     /// simulator is deterministic.
@@ -462,14 +444,11 @@ impl SweepSession {
         }
         let mut secs: Vec<Option<f64>> = vec![None; unique.len()];
 
-        if let Some(store) = self.store.clone() {
+        if let Some(store) = self.exec.store.clone() {
             for (u, &(i, key)) in unique.iter().enumerate() {
                 let Some(rec) = store.lookup(key) else { continue };
                 self.resumed += 1;
-                match rec.error() {
-                    Some(error) => self.note_served_failure(&cells[i].0, rec.attempts, error),
-                    None => self.jobs += 1,
-                }
+                self.tally(&cells[i].0, rec.attempts, rec.error());
                 secs[u] = Some(rec.secs());
             }
         }
@@ -492,32 +471,24 @@ impl SweepSession {
         slot.iter().map(|s| s.and_then(|u| secs[u]).unwrap_or(f64::NAN)).collect()
     }
 
-    /// Runs one batch cell locally and journals its outcome (cancelled
-    /// cells are not journaled: they re-run on resume).
+    /// Resolves one batch cell locally (cancelled cells are not journaled:
+    /// they re-run on resume).
     fn local_seconds(
         &mut self,
         (label, spec): &(String, CellSpec),
         key: u64,
         traces: &TraceStore,
     ) -> f64 {
-        let Some(run) = self.attempt(label, |tok| spec.run_traced(Some(tok), traces)) else {
-            return f64::NAN;
-        };
-        let rec = match &run.result {
-            Ok(r) => CellRecord::success(key, r, run.attempts),
-            Err(e) => CellRecord::failure(key, e, run.attempts),
-        };
-        self.journal(rec.clone());
-        rec.secs()
-    }
-
-    /// Appends `rec` to the store, if there is one. A failed append only
-    /// costs the resume: the cell's result is still used.
-    fn journal(&self, rec: CellRecord) {
-        if let Some(store) = &self.store {
-            if let Err(e) = store.record(rec) {
-                eprintln!("[{}] journal append failed: {e}", self.name);
+        if self.cancelled {
+            return self.cancel_job();
+        }
+        match self.exec.resolve(label, self.jobs, spec, key, Some(traces)) {
+            Ok(cell) => {
+                self.resumed += cell.served as usize;
+                self.tally(label, cell.rec.attempts, cell.error);
+                cell.rec.secs()
             }
+            Err(_) => self.cancel_job(),
         }
     }
 
@@ -534,10 +505,8 @@ impl SweepSession {
         pending: &[usize],
     ) -> Vec<(usize, f64)> {
         let mut out = Vec::new();
-        if self.cancelled || self.sup.global().is_cancelled() {
-            self.cancelled = true;
-            self.jobs += pending.len();
-            return pending.iter().map(|&u| (u, f64::NAN)).collect();
+        if self.check_cancelled() {
+            return pending.iter().map(|&u| (u, self.cancel_job())).collect();
         }
         let Some(addr) = self.serve_addr.clone() else {
             return out;
@@ -595,39 +564,33 @@ impl SweepSession {
                 if daemon_cancelled {
                     // Daemon cancelled before this cell ran: resumable,
                     // not journaled, not run locally.
-                    self.cancelled = true;
-                    self.jobs += 1;
-                    out.push((u, f64::NAN));
+                    out.push((u, self.cancel_job()));
                 }
                 continue;
             };
             self.served += 1;
             if result.error_kind == "cancelled" {
-                self.cancelled = true;
-                self.jobs += 1;
-                out.push((u, f64::NAN));
+                out.push((u, self.cancel_job()));
                 continue;
             }
-            if result.ok() {
-                self.jobs += 1;
-            } else {
-                eprintln!(
-                    "[{}] job {} ({label}) failed on daemon after {} attempt(s): [{}]",
-                    self.name, self.jobs, result.attempts, result.error_kind
-                );
-                let error = SimError::Io {
-                    what: format!("remote cell failed (kind: {})", result.error_kind),
-                };
-                self.note_served_failure(label, result.attempts, error);
-            }
-            self.journal(CellRecord {
+            let rec = CellRecord {
                 cell: key,
                 secs_bits: result.secs_bits,
                 cycles: result.cycles,
                 attempts: result.attempts,
-                error_kind: result.error_kind.clone(),
+                error_kind: result.error_kind,
+            };
+            let error = (!rec.ok()).then(|| SimError::Io {
+                what: format!("remote cell failed (kind: {})", rec.error_kind),
             });
-            out.push((u, result.secs()));
+            self.tally(label, rec.attempts, error);
+            out.push((u, rec.secs()));
+            // A failed append only costs the resume: the result is used.
+            if let Some(store) = &self.exec.store {
+                if let Err(e) = store.record(rec) {
+                    eprintln!("[{}] journal append failed: {e}", self.name);
+                }
+            }
         }
         out
     }
@@ -668,7 +631,7 @@ impl SweepSession {
             eprintln!(
                 "[{}] cancelled; journal flushed{}",
                 self.name,
-                match self.store.as_ref() {
+                match self.exec.store.as_ref() {
                     Some(store) => format!(
                         " — resume with --checkpoint-dir {} --resume",
                         store.dir().display()
@@ -714,7 +677,7 @@ pub fn run_main(
             return ExitCode::from(EXIT_FAILURES);
         }
     };
-    if let Some(store) = session.store().filter(|s| s.recovered() > 0) {
+    if let Some(store) = session.exec.store.as_ref().filter(|s| s.recovered() > 0) {
         eprintln!("[{name}] resuming: {} journaled cell(s) loaded", store.recovered());
     }
     if let Err(e) = body(&cli, &mut session) {
@@ -794,7 +757,7 @@ mod tests {
     #[test]
     fn cancelled_session_skips_cells_without_recording_failures() {
         let mut s = SweepSession::new("cancel");
-        s.sup.cancel_global();
+        s.exec.supervisor.cancel_global();
         assert_eq!(s.run("skipped", |_| Ok(1u32)), None);
         assert!(s.spec_seconds_batch(&[cell("also skipped", 2)])[0].is_nan());
         assert!(s.is_cancelled());

@@ -8,18 +8,24 @@
 //! would push the admitted count past `capacity` is rejected with a
 //! retry-after hint instead of being buffered without bound.
 //!
+//! A worker resolves each cell through the daemon's
+//! [`save_sim::durable::Executor`], the path every local sweep takes too:
+//! claim the key in the result store (a hit is served from it), run under
+//! the retry policy, journal the record.
+//!
 //! Crash tolerance: a per-cell panic is already absorbed by
 //! [`save_sim::durable::run_cell`]'s isolation boundary. What that cannot
 //! absorb is the worker *thread* dying — emulated here by
-//! [`Fault::KillWorker`], which panics **outside** `run_cell`. A monitor
-//! thread notices the dead worker, reaps it, journals a `worker-lost`
-//! record for the in-flight cell (failed-but-retryable history), requeues
-//! the cell with the fault cleared, and respawns a replacement worker —
-//! the job still completes, and `workers_respawned` counts the incident.
+//! [`Fault::KillWorker`], which panics **before** the cell is claimed. A
+//! monitor thread notices the dead worker, reaps it, journals a
+//! `worker-lost` record for the in-flight cell (failed-but-retryable
+//! history), requeues the cell with the fault cleared, and respawns a
+//! replacement worker — the job still completes, and `workers_respawned`
+//! counts the incident.
 
 use crate::protocol::{CellResult, Fault};
-use save_sim::durable::{run_cell, RetryPolicy};
-use save_sim::{CellRecord, CellSpec, Claim, ResultStore, RetryClass, SimError, SupervisorHandle};
+use save_sim::durable::Executor;
+use save_sim::{CellRecord, CellSpec, SimError};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::Sender;
@@ -43,10 +49,6 @@ pub struct Task {
     pub key: u64,
     /// Crash-test fault, if any (cleared when the monitor requeues).
     pub fault: Option<Fault>,
-    /// Whether this task already owns the store claim for `key` — set by
-    /// the monitor on requeue so the retried execution does not deadlock
-    /// waiting for its own claim.
-    pub holds_claim: bool,
     /// Where the result goes (the submitting connection's channel).
     pub tx: Sender<CellResult>,
 }
@@ -75,9 +77,7 @@ struct Ctx {
     /// Hard stop for Drop: workers exit at the next boundary.
     shutdown: AtomicBool,
     respawned: AtomicU64,
-    sup: SupervisorHandle,
-    policy: RetryPolicy,
-    store: Arc<ResultStore>,
+    exec: Executor,
 }
 
 /// Locks `m`, recovering from poison — worker panics are expected events
@@ -114,41 +114,14 @@ impl Ctx {
         if let Some(Fault::KillWorker) = task.fault {
             // Escapes run_cell's per-cell isolation on purpose: this is
             // "the worker process died", not "the cell errored".
-            panic!("injected fault: worker killed while holding {}", task.label);
+            panic!("injected fault: worker killed while running {}", task.label);
         }
-        let global = self.sup.global();
-        let claim = if task.holds_claim {
-            Claim::Compute
-        } else {
-            self.store.claim(task.key, &global)
-        };
-        let cancelled = || {
-            let e = SimError::Cancelled { what: task.label.clone() };
-            CellRecord::failure(task.key, &e, 0)
-        };
-        let (rec, cached) = match claim {
-            Claim::Hit(rec) => (CellRecord { attempts: 0, ..rec }, true),
-            Claim::Cancelled => (cancelled(), false),
-            Claim::Compute => {
-                let run = run_cell(&self.sup, &self.policy, &task.label, task.index as usize, |tok| {
-                    task.spec.run(Some(tok))
-                });
-                let rec = match &run.result {
-                    Err(e) if e.retry_class() == RetryClass::Cancelled => {
-                        // Nothing to remember: release so a resubmission
-                        // after restart recomputes cleanly.
-                        self.store.release(task.key);
-                        return Self::send(task, cancelled(), false);
-                    }
-                    Ok(kr) => CellRecord::success(task.key, kr, run.attempts),
-                    Err(e) => CellRecord::failure(task.key, e, run.attempts),
-                };
-                if let Err(e) = self.store.complete(rec.clone()) {
-                    eprintln!("save-serve: journal append failed: {e}");
-                }
-                (rec, false)
-            }
-        };
+        let (rec, cached) =
+            match self.exec.resolve(&task.label, task.index as usize, &task.spec, task.key, None) {
+                Ok(cell) if cell.served => (CellRecord { attempts: 0, ..cell.rec }, true),
+                Ok(cell) => (cell.rec, false),
+                Err(e) => (CellRecord::failure(task.key, &e, 0), false),
+            };
         Self::send(task, rec, cached);
     }
 
@@ -224,8 +197,10 @@ impl Ctx {
                 self.respawned.fetch_add(1, Ordering::SeqCst);
                 if let Some(mut t) = lock_recover(&self.slots[i].current).take() {
                     let lost = SimError::WorkerLost { what: t.label.clone() };
-                    if let Err(e) = self.store.record(CellRecord::failure(t.key, &lost, 1)) {
-                        eprintln!("save-serve: journal worker-lost failed: {e}");
+                    if let Some(store) = &self.exec.store {
+                        if let Err(e) = store.record(CellRecord::failure(t.key, &lost, 1)) {
+                            eprintln!("save-serve: journal worker-lost failed: {e}");
+                        }
                     }
                     eprintln!(
                         "save-serve: worker {i} died while running {}; requeued, respawning",
@@ -252,15 +227,10 @@ pub struct Scheduler {
 
 impl Scheduler {
     /// Spawns `workers` worker threads plus the respawn monitor.
-    /// `capacity` bounds admitted-but-incomplete cells; `policy` is the
-    /// per-cell deadline/retry policy (shared with `sweep_durable`).
-    pub fn new(
-        workers: usize,
-        capacity: usize,
-        policy: RetryPolicy,
-        sup: SupervisorHandle,
-        store: Arc<ResultStore>,
-    ) -> Self {
+    /// `capacity` bounds admitted-but-incomplete cells; `exec` resolves
+    /// each one (its store also receives the monitor's `worker-lost`
+    /// records).
+    pub fn new(workers: usize, capacity: usize, exec: Executor) -> Self {
         let workers = workers.max(1);
         let slots = (0..workers)
             .map(|_| {
@@ -282,9 +252,7 @@ impl Scheduler {
             draining: AtomicBool::new(false),
             shutdown: AtomicBool::new(false),
             respawned: AtomicU64::new(0),
-            sup,
-            policy,
-            store,
+            exec,
         });
         {
             let mut handles = lock_recover(&ctx.handles);
@@ -397,7 +365,20 @@ mod tests {
     use super::*;
     use save_sim::cancel::Supervisor;
     use save_sim::runner::{ConfigKind, MachineConfig};
+    use save_sim::{ResultStore, SupervisorHandle};
     use std::sync::mpsc;
+
+    /// A scheduler over a fresh store, with the default retry policy.
+    fn scheduler(
+        workers: usize,
+        capacity: usize,
+        sup: SupervisorHandle,
+        tag: &str,
+    ) -> (Scheduler, Arc<ResultStore>) {
+        let store = Arc::new(ResultStore::open(&tmpdir(tag), true).unwrap());
+        let exec = Executor { store: Some(Arc::clone(&store)), ..Executor::new(sup) };
+        (Scheduler::new(workers, capacity, exec), store)
+    }
 
     fn tmpdir(tag: &str) -> std::path::PathBuf {
         let d = std::env::temp_dir().join(format!("save-serve-sched-{tag}-{}", std::process::id()));
@@ -431,7 +412,6 @@ mod tests {
             key: spec.cache_key().unwrap(),
             spec,
             fault,
-            holds_claim: false,
             tx: tx.clone(),
         }
     }
@@ -439,9 +419,7 @@ mod tests {
     #[test]
     fn executes_and_memoizes() {
         let sup = Supervisor::start(false);
-        let store = Arc::new(ResultStore::open(&tmpdir("memo"), true).unwrap());
-        let sched =
-            Scheduler::new(2, 64, RetryPolicy::default(), sup.handle(), Arc::clone(&store));
+        let (sched, store) = scheduler(2, 64, sup.handle(), "memo");
         let (tx, rx) = mpsc::channel();
         // Two cells with the same spec: one computes, one is served.
         sched.try_submit(vec![task(0, 7, None, &tx), task(1, 7, None, &tx)]).unwrap();
@@ -465,8 +443,7 @@ mod tests {
     #[test]
     fn over_capacity_submission_is_rejected_with_backoff_hint() {
         let sup = Supervisor::start(false);
-        let store = Arc::new(ResultStore::open(&tmpdir("cap"), true).unwrap());
-        let sched = Scheduler::new(1, 2, RetryPolicy::default(), sup.handle(), store);
+        let (sched, _store) = scheduler(1, 2, sup.handle(), "cap");
         let (tx, _rx) = mpsc::channel();
         let err = sched
             .try_submit(vec![task(0, 1, None, &tx), task(1, 2, None, &tx), task(2, 3, None, &tx)])
@@ -483,9 +460,7 @@ mod tests {
     #[test]
     fn killed_worker_is_respawned_and_cell_still_completes() {
         let sup = Supervisor::start(false);
-        let store = Arc::new(ResultStore::open(&tmpdir("kill"), true).unwrap());
-        let sched =
-            Scheduler::new(1, 64, RetryPolicy::default(), sup.handle(), Arc::clone(&store));
+        let (sched, store) = scheduler(1, 64, sup.handle(), "kill");
         let (tx, rx) = mpsc::channel();
         sched.try_submit(vec![task(0, 11, Some(Fault::KillWorker), &tx)]).unwrap();
         drop(tx);
@@ -500,8 +475,7 @@ mod tests {
     #[test]
     fn draining_scheduler_rejects_new_work() {
         let sup = Supervisor::start(false);
-        let store = Arc::new(ResultStore::open(&tmpdir("drain"), true).unwrap());
-        let sched = Scheduler::new(1, 8, RetryPolicy::default(), sup.handle(), store);
+        let (sched, _store) = scheduler(1, 8, sup.handle(), "drain");
         sched.drain();
         let (tx, _rx) = mpsc::channel();
         let err = sched.try_submit(vec![task(0, 1, None, &tx)]).unwrap_err();

@@ -24,7 +24,7 @@ use crate::protocol::{
 };
 use crate::scheduler::{Scheduler, Task};
 use save_sim::cancel::Supervisor;
-use save_sim::durable::{exit_code_for, RetryPolicy};
+use save_sim::durable::{exit_code_for, Executor, RetryPolicy};
 use save_sim::{ResultStore, SimError, SupervisorHandle};
 use std::io::Write;
 use std::net::{TcpListener, TcpStream};
@@ -111,13 +111,12 @@ pub fn serve(cfg: &ServeConfig) -> Result<u8, SimError> {
             cfg.cache_dir.display()
         );
     }
-    let sched = Scheduler::new(
-        cfg.workers,
-        cfg.capacity,
-        cfg.policy,
-        sup.handle(),
-        Arc::clone(&store),
-    );
+    let exec = Executor {
+        store: Some(Arc::clone(&store)),
+        policy: cfg.policy,
+        supervisor: sup.handle(),
+    };
+    let sched = Scheduler::new(cfg.workers, cfg.capacity, exec);
     let listener = TcpListener::bind(&cfg.listen)
         .map_err(|e| SimError::Io { what: format!("bind {}: {e}", cfg.listen) })?;
     let local = listener
@@ -266,7 +265,6 @@ fn run_job(
             spec: cell.spec,
             key,
             fault: cell.fault,
-            holds_claim: false,
             tx: tx.clone(),
         });
     }

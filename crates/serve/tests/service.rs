@@ -2,7 +2,7 @@
 //!
 //! Each test drives the real `save-serve` binary over TCP:
 //!
-//! * remote results are bit-identical to a local [`Surface::sweep`], and a
+//! * remote results are bit-identical to running each cell locally, and a
 //!   resubmission is served entirely from the memo cache;
 //! * a worker killed mid-cell (injected [`Fault::KillWorker`]) is
 //!   respawned and the cell still completes with the right bits;
@@ -33,35 +33,17 @@ fn wl(k_total: usize, tiles: usize) -> GemmWorkload {
     )
 }
 
-/// Grid cells in the same row-major (a outer, b inner) order and with the
-/// same per-point seed as [`Surface::sweep`], so bits are comparable.
+/// The cells a local [`Surface::sweep`] of the grid resolves, so bits are
+/// comparable.
 fn grid_cells(w: &GemmWorkload, grid: &[f64]) -> Vec<NamedCell> {
-    let machine = MachineConfig::default();
-    let mut cells = Vec::new();
-    for &a in grid {
-        for &b in grid {
-            cells.push(NamedCell {
-                label: format!("cell({a:.3},{b:.3})"),
-                spec: CellSpec::new(
-                    w.clone().with_sparsity(a, b),
-                    ConfigKind::Save2Vpu,
-                    machine,
-                    Surface::point_seed(a, b),
-                ),
-                fault: None,
-            });
-        }
-    }
-    cells
+    Surface::grid_cells(w, ConfigKind::Save2Vpu, &MachineConfig::default(), grid, grid)
+        .into_iter()
+        .map(|(label, spec)| NamedCell { label, spec, fault: None })
+        .collect()
 }
 
 fn local_reference_bits(w: &GemmWorkload, grid: &[f64]) -> Vec<u64> {
-    Surface::sweep(w, ConfigKind::Save2Vpu, &MachineConfig::default(), grid, grid, 2)
-        .unwrap()
-        .secs
-        .iter()
-        .map(|s| s.to_bits())
-        .collect()
+    grid_cells(w, grid).iter().map(|c| c.spec.run(None).unwrap().seconds.to_bits()).collect()
 }
 
 struct Daemon {

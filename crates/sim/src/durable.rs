@@ -17,11 +17,21 @@
 //!   attempts; [`RetryClass::Permanent`] errors fail fast;
 //!   [`RetryClass::Cancelled`] aborts immediately so Ctrl-C is honoured
 //!   even mid-backoff (the backoff sleep itself is interruptible).
+//!
+//! [`Executor`] is the one path from a [`CellSpec`] to its journaled
+//! result: claim the key in the [`ResultStore`], run the cell under
+//! [`run_cell`], journal the record (or release the claim when the run was
+//! cancelled). Surface sweeps, the estimator, figure sessions and the
+//! `save-serve` workers all resolve their cells through it.
 
 use crate::cancel::{CancelToken, SupervisorHandle};
 use crate::error::{RetryClass, SimError};
-use crate::parallel::panic_error;
+use crate::parallel::{panic_error, parallel_try_map};
+use crate::spec::CellSpec;
+use crate::store::{CellRecord, Claim, ResultStore};
+use crate::trace::TraceStore;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Process exit code for a fully successful sweep.
@@ -155,6 +165,102 @@ pub fn run_cell<T>(
                 }
             }
         }
+    }
+}
+
+/// How cells are resolved: where results are filed, how each attempt is
+/// bounded, and who can cancel it.
+#[derive(Clone)]
+pub struct Executor {
+    /// Result store cells are served from and journaled to; `None` keeps
+    /// deadlines, retries and cancellation without journaling.
+    pub store: Option<Arc<ResultStore>>,
+    /// Per-cell deadline/retry policy.
+    pub policy: RetryPolicy,
+    /// Supervisor enforcing deadlines and propagating Ctrl-C.
+    pub supervisor: SupervisorHandle,
+}
+
+/// A cell [`Executor::resolve`] finished: served from the store or run.
+#[derive(Debug)]
+pub struct Resolved {
+    /// The cell's record (NaN seconds and an error kind on failure).
+    pub rec: CellRecord,
+    /// The error that failed the cell: the final attempt's for a run cell,
+    /// [`CellRecord::error`] for a served one.
+    pub error: Option<SimError>,
+    /// Served from the store instead of run.
+    pub served: bool,
+}
+
+impl Executor {
+    /// No journal, the default retry policy, cancelled through `supervisor`.
+    pub fn new(supervisor: SupervisorHandle) -> Self {
+        Executor { store: None, policy: RetryPolicy::default(), supervisor }
+    }
+
+    /// Resolves one cell whose [`CellSpec::cache_key`] is `key`. A final
+    /// record in the store is served as is. Otherwise the cell runs under
+    /// the policy (replaying through `traces` when given) and its record is
+    /// journaled, failures included. A failed append is only a warning: it
+    /// costs the resume, not the result. `label` names the cell in errors;
+    /// `job` attributes a panic.
+    ///
+    /// # Errors
+    /// Only cancellation (Ctrl-C, a cancelled wait for another thread's
+    /// claim). A cancelled cell is not journaled, so a resume recomputes it.
+    pub fn resolve(
+        &self,
+        label: &str,
+        job: usize,
+        spec: &CellSpec,
+        key: u64,
+        traces: Option<&TraceStore>,
+    ) -> Result<Resolved, SimError> {
+        if let Some(store) = &self.store {
+            match store.claim(key, &self.supervisor.global()) {
+                Claim::Hit(rec) => return Ok(Resolved { error: rec.error(), rec, served: true }),
+                Claim::Cancelled => return Err(SimError::Cancelled { what: label.to_string() }),
+                Claim::Compute => {}
+            }
+        }
+        let run = run_cell(&self.supervisor, &self.policy, label, job, |tok| match traces {
+            Some(traces) => spec.run_traced(Some(tok), traces),
+            None => spec.run(Some(tok)),
+        });
+        let (rec, error) = match run.result {
+            Ok(r) => (CellRecord::success(key, &r, run.attempts), None),
+            Err(e) if e.retry_class() == RetryClass::Cancelled => {
+                if let Some(store) = &self.store {
+                    store.release(key);
+                }
+                return Err(e);
+            }
+            Err(e) => (CellRecord::failure(key, &e, run.attempts), Some(e)),
+        };
+        if let Some(store) = &self.store {
+            if let Err(e) = store.complete(rec.clone()) {
+                eprintln!("{label}: journal append failed, the result is kept: {e}");
+            }
+        }
+        Ok(Resolved { rec, error, served: false })
+    }
+
+    /// [`Executor::resolve`] over `cells` on up to `threads` host threads
+    /// (0 = all), in input order. Once the supervisor's global token
+    /// latches, unclaimed cells come back as [`SimError::Cancelled`].
+    ///
+    /// # Errors
+    /// A spec that cannot be encoded into a cache key; nothing runs then.
+    pub fn resolve_all(
+        &self,
+        cells: &[(String, CellSpec)],
+        threads: usize,
+    ) -> Result<Vec<Result<Resolved, SimError>>, SimError> {
+        let keys = cells.iter().map(|(_, spec)| spec.cache_key()).collect::<Result<Vec<_>, _>>()?;
+        Ok(parallel_try_map(cells, threads, &self.supervisor.global(), |i, (label, spec)| {
+            self.resolve(label, i, spec, keys[i], None)
+        }))
     }
 }
 

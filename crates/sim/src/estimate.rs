@@ -9,13 +9,11 @@
 //! VPUs per epoch for the whole network, *dynamic* per kernel, both with
 //! negligible switching overhead.
 
-use crate::cancel::SupervisorHandle;
-use crate::durable::RetryPolicy;
+use crate::durable::Executor;
 use crate::error::SimError;
 use crate::net::Network;
 use crate::runner::{ConfigKind, MachineConfig};
-use crate::store::ResultStore;
-use crate::surface::{DurableSweep, Surface};
+use crate::surface::Surface;
 use save_kernels::{Phase, Precision};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -126,38 +124,19 @@ pub struct TrainingEstimate {
     pub dynamic: PhaseTimes,
 }
 
-/// Durable-execution options for an [`Estimator`] (DESIGN.md §5f): every
-/// surface sweep runs through [`Surface::sweep_durable`], its cells served
-/// from and journaled to one shared result store, with the supervisor
-/// enforcing per-cell deadlines and propagating cancellation.
-#[derive(Clone)]
-pub struct EstimatorDurability {
-    /// The result store every surface's cells are filed in; `None` keeps
-    /// deadlines/retries/cancellation without journaling.
-    pub store: Option<Arc<ResultStore>>,
-    /// Per-cell deadline/retry policy.
-    pub policy: RetryPolicy,
-    /// Supervisor handle shared with the rest of the process.
-    pub supervisor: SupervisorHandle,
-}
-
 /// The estimator: sweeps, caches and interpolates kernel surfaces.
 pub struct Estimator {
     cfg: EstimatorConfig,
-    durability: Option<EstimatorDurability>,
+    exec: Executor,
     surfaces: Mutex<HashMap<String, Arc<Surface>>>,
 }
 
 impl Estimator {
-    /// Creates an estimator.
-    pub fn new(cfg: EstimatorConfig) -> Self {
-        Estimator { cfg, durability: None, surfaces: Mutex::new(HashMap::new()) }
-    }
-
-    /// Creates an estimator whose surface sweeps run under the durable
-    /// execution layer (checkpointed, deadline-supervised, cancellable).
-    pub fn durable(cfg: EstimatorConfig, durability: EstimatorDurability) -> Self {
-        Estimator { cfg, durability: Some(durability), surfaces: Mutex::new(HashMap::new()) }
+    /// Creates an estimator whose surface cells are resolved by `exec`
+    /// (DESIGN.md §5f): journaled in its store, if it has one, under its
+    /// deadline/retry policy and supervisor.
+    pub fn new(cfg: EstimatorConfig, exec: Executor) -> Self {
+        Estimator { cfg, exec, surfaces: Mutex::new(HashMap::new()) }
     }
 
     /// The configuration.
@@ -180,8 +159,9 @@ impl Estimator {
     /// the given axes.
     ///
     /// # Errors
-    /// Propagates the first failing grid point from [`Surface::sweep`];
-    /// nothing is cached on failure.
+    /// The estimator interpolates, so it needs a complete surface:
+    /// cancellation or the first failing grid point
+    /// ([`crate::SweepOutcome::into_surface`]); nothing is cached on failure.
     pub fn surface(
         &self,
         w: &save_kernels::GemmWorkload,
@@ -205,43 +185,9 @@ impl Estimator {
         if let Some(s) = self.lock_surfaces().get(&key) {
             return Ok(Arc::clone(s));
         }
-        let s = match &self.durability {
-            None => Arc::new(Surface::sweep(
-                w,
-                kind,
-                &self.cfg.machine,
-                a_levels,
-                b_levels,
-                self.cfg.threads,
-            )?),
-            Some(d) => {
-                let out = Surface::sweep_durable(
-                    w,
-                    kind,
-                    &self.cfg.machine,
-                    a_levels,
-                    b_levels,
-                    self.cfg.threads,
-                    &DurableSweep {
-                        store: d.store.as_deref(),
-                        policy: d.policy,
-                        supervisor: &d.supervisor,
-                    },
-                )?;
-                if out.cancelled {
-                    return Err(SimError::Cancelled {
-                        what: format!("surface of {} under {kind:?}", w.name),
-                    });
-                }
-                // The estimator interpolates, so it needs a complete
-                // surface: surface-level failures propagate as the sweep's
-                // first failure, exactly like Surface::sweep.
-                if let Some(fail) = out.report.failures.into_iter().next() {
-                    return Err(fail.error);
-                }
-                Arc::new(out.surface)
-            }
-        };
+        let (machine, threads) = (&self.cfg.machine, self.cfg.threads);
+        let out = Surface::sweep(w, kind, machine, a_levels, b_levels, threads, &self.exec)?;
+        let s = Arc::new(out.into_surface()?);
         self.lock_surfaces().insert(key, Arc::clone(&s));
         Ok(s)
     }
@@ -388,14 +334,16 @@ impl Estimator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cancel::Supervisor;
+    use crate::store::ResultStore;
     use save_sparsity::NetKind;
 
-    fn small_estimator() -> Estimator {
-        // 4-core machine, 3-level grid: fast enough for unit tests.
+    /// A 4-core machine and a 3-level grid: fast enough for unit tests.
+    fn small_estimator(exec: Executor) -> Estimator {
         let mut cfg = EstimatorConfig::default();
         cfg.machine.cores = 4;
         cfg.grid = vec![0.0, 0.5, 0.9];
-        Estimator::new(cfg)
+        Estimator::new(cfg, exec)
     }
 
     /// A two-layer toy network reusing real shapes, to exercise the
@@ -409,7 +357,8 @@ mod tests {
 
     #[test]
     fn inference_estimate_shows_save_speedup() {
-        let est = small_estimator();
+        let sup = Supervisor::start(false);
+        let est = small_estimator(Executor::new(sup.handle()));
         let net = toy_net(NetKind::ResNet50Pruned);
         let inf = est.estimate_inference(&net, Precision::F32).unwrap();
         assert!(inf.baseline.total() > 0.0);
@@ -424,7 +373,8 @@ mod tests {
 
     #[test]
     fn training_estimate_orders_policies() {
-        let est = small_estimator();
+        let sup = Supervisor::start(false);
+        let est = small_estimator(Executor::new(sup.handle()));
         let net = toy_net(NetKind::ResNet50Pruned);
         let tr = est.estimate_training(&net, Precision::F32).unwrap();
         let (b, s2, st, dy) =
@@ -436,24 +386,14 @@ mod tests {
 
     #[test]
     fn durable_estimator_checkpoints_and_resumes_bit_identically() {
-        use crate::cancel::Supervisor;
         let dir = std::env::temp_dir().join(format!("save-est-ckpt-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let sup = Supervisor::start(false);
         let net = toy_net(NetKind::ResNet50Dense);
         let w = net.layers[1].workload(Phase::Forward, Precision::F32);
         let mk = |store: ResultStore| {
-            let mut cfg = EstimatorConfig::default();
-            cfg.machine.cores = 4;
-            cfg.grid = vec![0.0, 0.5, 0.9];
-            Estimator::durable(
-                cfg,
-                EstimatorDurability {
-                    store: Some(Arc::new(store)),
-                    policy: RetryPolicy::default(),
-                    supervisor: sup.handle(),
-                },
-            )
+            let store = Some(Arc::new(store));
+            small_estimator(Executor { store, ..Executor::new(sup.handle()) })
         };
         let t1 = mk(ResultStore::open(&dir, false).unwrap())
             .kernel_time(&w, ConfigKind::Baseline, 0.3, 0.0)
@@ -474,7 +414,8 @@ mod tests {
 
     #[test]
     fn surfaces_are_cached_and_deduplicated() {
-        let est = small_estimator();
+        let sup = Supervisor::start(false);
+        let est = small_estimator(Executor::new(sup.handle()));
         let net = toy_net(NetKind::ResNet50Dense);
         let w = net.layers[1].workload(Phase::Forward, Precision::F32);
         let before = est.surfaces_built();

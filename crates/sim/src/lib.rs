@@ -13,7 +13,10 @@
 //!    contention report;
 //! 2. [`surface`] sweeps a kernel over a 2-D grid of (broadcasted,
 //!    non-broadcasted) sparsity and interpolates bilinearly — the paper's
-//!    "2D surface of execution times" (§VI);
+//!    "2D surface of execution times" (§VI). Every cell of a sweep, like
+//!    every cell anywhere in the workspace, is resolved by one
+//!    [`durable::Executor`]: claimed in the [`ResultStore`], run under the
+//!    [`RetryPolicy`], journaled;
 //! 3. [`net`] composes the workloads into networks and encodes Table III's
 //!    sparsity roles per phase;
 //! 4. [`estimate`] produces the end-to-end inference and training numbers of
@@ -21,10 +24,10 @@
 //!    1-vs-2-VPU selection of §IV-D.
 //!
 //! Every fallible entry point returns a typed [`SimError`] instead of
-//! panicking, and [`parallel::parallel_try_map`] isolates panics at the
-//! sweep-job boundary, so a figure sweep with one bad operating point still
-//! completes with partial results and a [`parallel::FailureReport`]
-//! (DESIGN.md, "Error handling & fault isolation").
+//! panicking, and [`durable::run_cell`] isolates panics at the cell
+//! boundary, so a figure sweep with one bad operating point still completes
+//! with partial results and a [`parallel::FailureReport`] (DESIGN.md,
+//! "Error handling & fault isolation").
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -47,19 +50,16 @@ pub mod trace;
 
 pub use cancel::{CancelToken, Supervisor, SupervisorHandle, WatchGuard};
 pub use durable::{
-    exit_code_for, run_cell, CellRun, RetryPolicy, EXIT_CANCELLED, EXIT_FAILURES, EXIT_OK,
-    EXIT_USAGE,
+    exit_code_for, run_cell, CellRun, Executor, Resolved, RetryPolicy, EXIT_CANCELLED,
+    EXIT_FAILURES, EXIT_OK, EXIT_USAGE,
 };
 pub use error::{RetryClass, SimError};
 pub use spec::{CellSpec, CoreSel};
 pub use store::{fsck_journal, CellRecord, Claim, FsckReport, ResultStore};
-pub use estimate::{
-    Estimator, EstimatorConfig, EstimatorDurability, InferenceEstimate, TrainingEstimate,
-};
+pub use estimate::{Estimator, EstimatorConfig, InferenceEstimate, TrainingEstimate};
 pub use net::{LayerShape, Network};
 pub use parallel::{
-    host_parallelism, parallel_map, parallel_try_map, parallel_try_map_cancel,
-    sim_thread_allowance, FailureReport, JobFailure,
+    host_parallelism, parallel_try_map, sim_thread_allowance, FailureReport, JobFailure,
 };
 pub use policy::{PolicyOutcome, VpuPolicy};
 pub use power::{EnergyBreakdown, PowerModel};
@@ -67,5 +67,5 @@ pub use runner::{
     run_kernel_full, ConfigKind, KernelResult, KernelRun, MachineConfig, MachineMode,
     MulticoreConfig,
 };
-pub use surface::{DurableSweep, Surface, SweepOutcome};
+pub use surface::{Surface, SweepOutcome};
 pub use trace::{trace_key, CoreTrace, KernelTrace, TraceStore};

@@ -3,8 +3,8 @@
 //! Every kernel simulation is independent (own core, own memory model), so
 //! the sweep driver fans jobs out over host threads with a shared atomic
 //! cursor. Each job runs behind [`std::panic::catch_unwind`]: one panicking
-//! or erroring operating point produces an `Err` slot (with a bounded
-//! retry for transient panics) instead of taking the whole sweep down. The
+//! or erroring operating point produces an `Err` slot instead of taking the
+//! whole sweep down. The
 //! per-item `Result`s roll up into a [`FailureReport`] that sweep binaries
 //! dump as JSON before exiting non-zero.
 
@@ -94,7 +94,7 @@ impl std::fmt::Display for FailureReport {
 }
 
 /// Sweep workers currently claiming jobs across every live
-/// `parallel_try_map*` call in the process — the shared thread budget that
+/// [`parallel_try_map`] call in the process — the shared thread budget that
 /// keeps nested parallelism (sweep workers × per-machine relaxed-sync
 /// threads) from oversubscribing the host.
 static ACTIVE_WORKERS: AtomicUsize = AtomicUsize::new(0);
@@ -143,82 +143,17 @@ pub(crate) fn panic_error(job: usize, payload: Box<dyn std::any::Any + Send>) ->
     SimError::WorkerPanic { job, message }
 }
 
-/// Runs one job with panic isolation and up to `retries` re-attempts after
-/// a panic. Deterministic `Err` returns are NOT retried — a verify mismatch
-/// or invalid config will not heal on a second run.
-fn run_job<T, R, F>(items: &[T], i: usize, retries: usize, f: &F) -> Result<R, SimError>
-where
-    F: Fn(&T) -> Result<R, SimError>,
-{
-    let mut last = None;
-    for _ in 0..=retries {
-        match catch_unwind(AssertUnwindSafe(|| f(&items[i]))) {
-            Ok(r) => return r,
-            Err(payload) => last = Some(panic_error(i, payload)),
-        }
-    }
-    Err(last.expect("loop ran at least once"))
-}
-
 /// Applies the fallible `f` to every item, in parallel over up to `threads`
-/// host threads (the available parallelism when `threads == 0`), catching
-/// panics at the job boundary and retrying a panicked job up to `retries`
-/// times. Results are returned in input order; a failed job occupies its
-/// slot as an `Err` while every other job still completes.
+/// host threads ([`host_parallelism`] when `threads == 0`), catching panics
+/// at the job boundary. Results are returned in input order; a failed job
+/// occupies its slot as an `Err` while every other job still completes.
+///
+/// Workers stop *claiming* new items once `cancel` latches; items never
+/// claimed come back as [`SimError::Cancelled`] so the caller can tell
+/// "not attempted, resumable" from a real failure. The closure receives the
+/// item index and owns its retry policy: panics here are converted, not
+/// retried ([`crate::durable::run_cell`] owns the attempt loop).
 pub fn parallel_try_map<T, R, F>(
-    items: &[T],
-    threads: usize,
-    retries: usize,
-    f: F,
-) -> Vec<Result<R, SimError>>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> Result<R, SimError> + Sync,
-{
-    let threads = if threads == 0 {
-        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4)
-    } else {
-        threads
-    }
-    .min(items.len().max(1));
-    if threads <= 1 {
-        return (0..items.len()).map(|i| run_job(items, i, retries, &f)).collect();
-    }
-    let _budget = WorkerBudget::register(threads);
-    let cursor = AtomicUsize::new(0);
-    let collected: Mutex<Vec<(usize, Result<R, SimError>)>> =
-        Mutex::new(Vec::with_capacity(items.len()));
-    std::thread::scope(|s| {
-        for _ in 0..threads {
-            s.spawn(|| {
-                let mut local: Vec<(usize, Result<R, SimError>)> = Vec::new();
-                loop {
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    if i >= items.len() {
-                        break;
-                    }
-                    local.push((i, run_job(items, i, retries, &f)));
-                }
-                let mut all = collected.lock().unwrap_or_else(|p| p.into_inner());
-                all.extend(local);
-            });
-        }
-    });
-    let mut all = collected.into_inner().unwrap_or_else(|p| p.into_inner());
-    all.sort_by_key(|(i, _)| *i);
-    debug_assert_eq!(all.len(), items.len());
-    all.into_iter().map(|(_, r)| r).collect()
-}
-
-/// Cancel-aware variant of [`parallel_try_map`] for durable sweeps
-/// (DESIGN.md §5f). Workers stop *claiming* new items once `cancel`
-/// latches; items never claimed come back as [`SimError::Cancelled`] so the
-/// caller can tell "not attempted, resumable" from a real failure. The
-/// closure receives the item index (for journaling) and is responsible for
-/// its own retry policy — panics here are converted but not retried (the
-/// durable cell runner owns the attempt loop).
-pub fn parallel_try_map_cancel<T, R, F>(
     items: &[T],
     threads: usize,
     cancel: &crate::cancel::CancelToken,
@@ -229,12 +164,7 @@ where
     R: Send,
     F: Fn(usize, &T) -> Result<R, SimError> + Sync,
 {
-    let threads = if threads == 0 {
-        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4)
-    } else {
-        threads
-    }
-    .min(items.len().max(1));
+    let threads = if threads == 0 { host_parallelism() } else { threads }.min(items.len().max(1));
     let run_one = |i: usize| -> Result<R, SimError> {
         catch_unwind(AssertUnwindSafe(|| f(i, &items[i])))
             .unwrap_or_else(|payload| Err(panic_error(i, payload)))
@@ -283,32 +213,23 @@ where
         .collect()
 }
 
-/// Infallible convenience wrapper over [`parallel_try_map`] for closures
-/// that cannot fail. A panic inside `f` still propagates (after poisoning
-/// only its own job), so pure-math sweeps keep their simple signature.
-pub fn parallel_map<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    parallel_try_map(items, threads, 0, |t| Ok(f(t)))
-        .into_iter()
-        .map(|r| match r {
-            Ok(v) => v,
-            Err(e) => panic!("parallel_map job failed: {e}"),
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cancel::CancelToken;
+
+    /// `f` over `items` with a never-cancelled token, unwrapped.
+    fn map<T: Sync, R: Send>(items: &[T], threads: usize, f: impl Fn(&T) -> R + Sync) -> Vec<R> {
+        parallel_try_map(items, threads, &CancelToken::new(), |_, t| Ok(f(t)))
+            .into_iter()
+            .map(Result::unwrap)
+            .collect()
+    }
 
     #[test]
     fn preserves_order() {
         let items: Vec<u64> = (0..100).collect();
-        let out = parallel_map(&items, 8, |&x| x * x);
+        let out = map(&items, 8, |&x| x * x);
         for (i, v) in out.iter().enumerate() {
             assert_eq!(*v, (i * i) as u64);
         }
@@ -317,19 +238,19 @@ mod tests {
     #[test]
     fn single_thread_fallback() {
         let items = vec![1, 2, 3];
-        assert_eq!(parallel_map(&items, 1, |&x| x + 1), vec![2, 3, 4]);
+        assert_eq!(map(&items, 1, |&x| x + 1), vec![2, 3, 4]);
     }
 
     #[test]
     fn empty_input() {
         let items: Vec<u32> = vec![];
-        assert!(parallel_map(&items, 4, |&x| x).is_empty());
+        assert!(map(&items, 4, |&x| x).is_empty());
     }
 
     #[test]
     fn one_panicking_job_leaves_the_rest_ok() {
         let items: Vec<u32> = (0..16).collect();
-        let out = parallel_try_map(&items, 4, 0, |&x| {
+        let out = parallel_try_map(&items, 4, &CancelToken::new(), |_, &x| {
             if x == 7 {
                 panic!("job seven exploded");
             }
@@ -352,48 +273,27 @@ mod tests {
     }
 
     #[test]
-    fn panics_are_retried_but_errors_are_not() {
-        use std::sync::atomic::AtomicUsize;
-        let attempts = AtomicUsize::new(0);
-        let items = vec![0u32];
-        let out = parallel_try_map(&items, 1, 2, |_| -> Result<u32, SimError> {
-            attempts.fetch_add(1, Ordering::SeqCst);
-            panic!("always");
-        });
-        assert_eq!(attempts.load(Ordering::SeqCst), 3, "1 attempt + 2 retries");
-        assert!(matches!(out[0], Err(SimError::WorkerPanic { .. })));
-
-        let attempts = AtomicUsize::new(0);
-        let out = parallel_try_map(&items, 1, 2, |_| -> Result<u32, SimError> {
-            attempts.fetch_add(1, Ordering::SeqCst);
-            Err(SimError::InvalidConfig { what: "deterministic".into() })
-        });
-        assert_eq!(attempts.load(Ordering::SeqCst), 1, "Err results must not retry");
-        assert!(matches!(out[0], Err(SimError::InvalidConfig { .. })));
-    }
-
-    #[test]
     fn thread_count_is_clamped_to_item_count() {
         // A single job with a generous thread budget must not spawn worker
         // threads at all: the clamp reduces it to the caller-thread path.
         let caller = std::thread::current().id();
         let items = vec![41u32];
-        let out = parallel_try_map(&items, 8, 0, |&x| {
+        let out = map(&items, 8, |&x| {
             assert_eq!(
                 std::thread::current().id(),
                 caller,
                 "one job must run on the calling thread, not a spawned worker"
             );
-            Ok(x + 1)
+            x + 1
         });
-        assert_eq!(*out[0].as_ref().unwrap(), 42);
+        assert_eq!(out[0], 42);
     }
 
     #[test]
     fn cancel_map_completes_when_never_cancelled() {
-        let token = crate::cancel::CancelToken::new();
+        let token = CancelToken::new();
         let items: Vec<u32> = (0..32).collect();
-        let out = parallel_try_map_cancel(&items, 4, &token, |i, &x| {
+        let out = parallel_try_map(&items, 4, &token, |i, &x| {
             assert_eq!(i as u32, x);
             Ok(x * 3)
         });
@@ -404,11 +304,11 @@ mod tests {
 
     #[test]
     fn cancel_map_stops_claiming_after_cancel() {
-        let token = crate::cancel::CancelToken::new();
+        let token = CancelToken::new();
         let items: Vec<u32> = (0..64).collect();
         // Single-threaded so the cancellation point is deterministic: the
         // 5th item latches the token, items 5.. are never claimed.
-        let out = parallel_try_map_cancel(&items, 1, &token, |i, &x| {
+        let out = parallel_try_map(&items, 1, &token, |i, &x| {
             if i == 4 {
                 token.cancel();
             }
@@ -434,16 +334,16 @@ mod tests {
         // further, so the upper bound stays safe to assert.
         let host = host_parallelism();
         let items: Vec<u32> = (0..8).collect();
-        let out = parallel_try_map(&items, 4, 0, |&x| {
+        let out = map(&items, 4, |&x| {
             let a = sim_thread_allowance();
             assert!(a >= 1, "allowance must never reach zero");
             assert!(
                 a <= (host / 4).max(1),
                 "allowance {a} ignores the 4 registered sweep workers (host {host})"
             );
-            Ok(x)
+            x
         });
-        assert!(out.iter().all(|r| r.is_ok()));
+        assert_eq!(out, items);
     }
 
     #[test]

@@ -12,9 +12,10 @@
 //! encoding, so a store hit *is* a re-execution as far as the numbers are
 //! concerned.
 //!
-//! The bench binaries build specs with [`crate::surface::Surface::point_seed`]
-//! so a sweep submitted to a daemon reproduces `sweep_durable`'s bits
-//! exactly (the acceptance criterion for this subsystem).
+//! Surface sweeps build their specs with
+//! [`crate::surface::Surface::grid_cells`], so a grid submitted to a daemon
+//! reproduces a local sweep's bits exactly (the acceptance criterion for
+//! this subsystem).
 
 use crate::cancel::CancelToken;
 use crate::error::SimError;
@@ -259,9 +260,12 @@ mod tests {
     fn spec_execution_matches_local_sweep_bits() {
         let w = tiny();
         let (a, b) = (0.5, 0.25);
-        let surf =
-            Surface::sweep(&w, ConfigKind::Save2Vpu, &MachineConfig::default(), &[a], &[b], 1)
-                .unwrap();
+        let sup = crate::Supervisor::start(false);
+        let exec = crate::Executor::new(sup.handle());
+        let machine = MachineConfig::default();
+        let surf = Surface::sweep(&w, ConfigKind::Save2Vpu, &machine, &[a], &[b], 1, &exec)
+            .and_then(crate::SweepOutcome::into_surface)
+            .unwrap();
         let spec = CellSpec::new(
             w.with_sparsity(a, b),
             ConfigKind::Save2Vpu,

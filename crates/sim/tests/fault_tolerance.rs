@@ -5,7 +5,9 @@
 
 use save_core::{CoreConfig, StallCause};
 use save_kernels::{BroadcastPattern, GemmKernelSpec, GemmWorkload, Precision};
-use save_sim::{parallel_try_map, CellSpec, ConfigKind, FailureReport, MachineConfig, SimError};
+use save_sim::{
+    parallel_try_map, CancelToken, CellSpec, ConfigKind, FailureReport, MachineConfig, SimError,
+};
 
 fn tiny(name: &str) -> GemmWorkload {
     GemmWorkload::dense(
@@ -87,7 +89,7 @@ fn invalid_operating_points_fail_fast() {
 fn panicking_job_is_isolated_from_the_rest_of_the_sweep() {
     let sparsities: Vec<f64> = (0..8).map(|i| i as f64 * 0.1).collect();
     let m = MachineConfig::default();
-    let results = parallel_try_map(&sparsities, 4, 0, |&s| {
+    let results = parallel_try_map(&sparsities, 4, &CancelToken::new(), |_, &s| {
         if s > 0.55 && s < 0.65 {
             panic!("injected failure at sparsity {s}");
         }
@@ -131,7 +133,7 @@ fn sweep_with_panic_and_budget_overrun_completes_with_report() {
         Job { name: "ok-c", max_cycles: 500_000_000, explode: false },
     ];
     let m = MachineConfig::default();
-    let results = parallel_try_map(&jobs, 2, 0, |job| {
+    let results = parallel_try_map(&jobs, 2, &CancelToken::new(), |_, job| {
         if job.explode {
             panic!("kernel {} blew up", job.name);
         }

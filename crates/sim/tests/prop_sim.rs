@@ -2,8 +2,7 @@
 //! the parallel sweep executor.
 
 use proptest::prelude::*;
-use save_sim::parallel::parallel_map;
-use save_sim::Surface;
+use save_sim::{parallel_try_map, CancelToken, Surface};
 
 fn surface_strategy() -> impl Strategy<Value = Surface> {
     (2usize..6, 2usize..6).prop_flat_map(|(na, nb)| {
@@ -55,7 +54,11 @@ proptest! {
         threads in 0usize..8,
     ) {
         let serial: Vec<u64> = items.iter().map(|&x| x as u64 * 3 + 1).collect();
-        let parallel = parallel_map(&items, threads, |&x| x as u64 * 3 + 1);
+        let parallel: Vec<u64> =
+            parallel_try_map(&items, threads, &CancelToken::new(), |_, &x| Ok(x as u64 * 3 + 1))
+                .into_iter()
+                .map(Result::unwrap)
+                .collect();
         prop_assert_eq!(serial, parallel);
     }
 }

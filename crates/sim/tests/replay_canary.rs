@@ -1,15 +1,12 @@
 //! The replay purity canary (DESIGN.md §5h): replaying a recorded
 //! functional trace must be indistinguishable — bit-for-bit — from direct
 //! execution. Random cells across every operating point, both machine
-//! modes, and the Full sanitizer; plus the `sweep_many` ≡ N×`sweep`
-//! equivalence that the "execute once, time N" machinery rests on.
+//! modes, and the Full sanitizer.
 
 use proptest::prelude::*;
 use save_core::{CoreConfig, SanitizeLevel};
 use save_kernels::{BroadcastPattern, GemmKernelSpec, GemmWorkload, Precision};
-use save_sim::{
-    CellSpec, ConfigKind, CoreSel, MachineConfig, MachineMode, Surface, TraceStore,
-};
+use save_sim::{CellSpec, ConfigKind, CoreSel, MachineConfig, MachineMode, TraceStore};
 
 #[derive(Clone, Debug)]
 struct Cell {
@@ -199,36 +196,4 @@ fn result_memo_and_renamed_workloads_stay_pure() {
     let direct = alias.run(None).expect("alias direct");
     assert_eq!(traced.seconds.to_bits(), direct.seconds.to_bits());
     assert_eq!(traced.stats, direct.stats);
-}
-
-/// `sweep_many` over all three kinds is bit-identical to three independent
-/// `sweep` calls — the equivalence "execute once, time N" rests on.
-#[test]
-fn sweep_many_matches_per_kind_sweeps_bit_for_bit() {
-    let w = GemmWorkload::dense(
-        "canary-sweep",
-        GemmKernelSpec {
-            m_tiles: 4,
-            n_vecs: 2,
-            pattern: BroadcastPattern::Explicit,
-            precision: Precision::F32,
-        },
-        16,
-        2,
-    );
-    let machine = MachineConfig::default();
-    let (a_levels, b_levels) = (vec![0.0, 0.6], vec![0.3, 0.8]);
-    let many =
-        Surface::sweep_many(&w, &ConfigKind::ALL, &machine, &a_levels, &b_levels, 2).unwrap();
-    assert_eq!(many.len(), ConfigKind::ALL.len());
-    for (kind, got) in ConfigKind::ALL.iter().zip(&many) {
-        let want = Surface::sweep(&w, *kind, &machine, &a_levels, &b_levels, 2).unwrap();
-        for (i, (g, w_)) in got.secs.iter().zip(&want.secs).enumerate() {
-            assert_eq!(
-                g.to_bits(),
-                w_.to_bits(),
-                "{kind:?} cell {i}: sweep_many diverged from sweep"
-            );
-        }
-    }
 }

@@ -6,12 +6,14 @@
 //! (takes a couple of minutes: it sweeps every unique layer shape).
 
 use save::kernels::Precision;
-use save::sim::{Estimator, EstimatorConfig, Network, SimError};
+use save::sim::{Estimator, EstimatorConfig, Executor, Network, SimError, Supervisor};
 use save::sparsity::NetKind;
 
 fn main() -> Result<(), SimError> {
     let cfg = EstimatorConfig { grid: vec![0.0, 0.3, 0.6, 0.9], ..Default::default() };
-    let est = Estimator::new(cfg);
+    // The supervisor enforces deadlines and cancellation for the sweeps.
+    let sup = Supervisor::start(false);
+    let est = Estimator::new(cfg, Executor::new(sup.handle()));
 
     let net = Network::build(NetKind::ResNet50Pruned);
     println!(

@@ -5,8 +5,8 @@
 use save::core::{CoreConfig, SchedulerKind};
 use save::kernels::{GemmWorkload, Phase, Precision};
 use save::sim::{
-    CellSpec, ConfigKind, Estimator, EstimatorConfig, KernelResult, MachineConfig, MachineMode,
-    Network,
+    CellSpec, ConfigKind, Estimator, EstimatorConfig, Executor, KernelResult, MachineConfig,
+    MachineMode, Network, Supervisor,
 };
 use save::sparsity::NetKind;
 
@@ -102,7 +102,8 @@ fn estimator_reproduces_fig14_ordering_on_truncated_nets() {
     let mut cfg = EstimatorConfig::default();
     cfg.machine.cores = 8;
     cfg.grid = vec![0.0, 0.45, 0.9];
-    let est = Estimator::new(cfg);
+    let sup = Supervisor::start(false);
+    let est = Estimator::new(cfg, Executor::new(sup.handle()));
     let mut speedups = std::collections::HashMap::new();
     for kind in [NetKind::ResNet50Dense, NetKind::ResNet50Pruned] {
         let mut net = Network::build(kind);
@@ -124,7 +125,8 @@ fn mixed_precision_training_estimate_is_finite_and_ordered() {
     let mut cfg = EstimatorConfig::default();
     cfg.machine.cores = 8;
     cfg.grid = vec![0.0, 0.45, 0.9];
-    let est = Estimator::new(cfg);
+    let sup = Supervisor::start(false);
+    let est = Estimator::new(cfg, Executor::new(sup.handle()));
     let mut net = Network::build(NetKind::GnmtPruned);
     net.layers.truncate(1);
     net.epochs = 6;
