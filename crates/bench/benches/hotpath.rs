@@ -3,7 +3,10 @@
 //! scheduler (window masks + select), rename/allocate, the MGU sync path,
 //! and write-back every cycle. The `_ff_off` variants pin the raw cost of
 //! an executed cycle; the `_ff_on` variants show what event-driven
-//! fast-forward recovers on idle-heavy workloads. Tracked over time via
+//! fast-forward recovers on idle-heavy workloads. The baseline stream and
+//! mixed-precision variants cover the two slowest cell classes: one run
+//! gives the stream 2-VPU/baseline cost ratio, and the mixed-precision
+//! loop isolates the MP select. Tracked over time via
 //! `perfstat` (see BENCH_PERF.json); these exist to localize a regression
 //! the trajectory only detects in aggregate.
 
@@ -36,6 +39,13 @@ fn stream_workload() -> GemmWorkload {
     }
 }
 
+/// Mixed precision: BF16 chains through the multiplicand-lane compression
+/// select, the most expensive per-cycle scheduler.
+fn mixed_workload() -> GemmWorkload {
+    let spec_mp = GemmKernelSpec { precision: Precision::Mixed, ..spec() };
+    GemmWorkload::dense("hot-mixed", spec_mp, 32, 2).with_sparsity(0.5, 0.5)
+}
+
 fn run(w: &GemmWorkload, cfg: &CoreConfig) -> u64 {
     let cell = CellSpec::custom(w.clone(), *cfg, MachineConfig::default(), 7);
     cell.run(None).expect("bench kernel must run clean").cycles
@@ -54,6 +64,15 @@ fn bench_step_loop(c: &mut Criterion) {
     });
     c.bench_function("hotpath/stream_step_loop_ff_on", |b| {
         b.iter(|| std::hint::black_box(run(&stream, &on)))
+    });
+    c.bench_function("hotpath/stream_baseline_ff_on", |b| {
+        let cfg = ConfigKind::Baseline.core_config();
+        b.iter(|| std::hint::black_box(run(&stream, &cfg)))
+    });
+    let mixed = mixed_workload();
+    c.bench_function("hotpath/mixed_save1vpu_step_loop", |b| {
+        let cfg = CoreConfig { fast_forward: false, ..ConfigKind::Save1Vpu.core_config() };
+        b.iter(|| std::hint::black_box(run(&mixed, &cfg)))
     });
 }
 

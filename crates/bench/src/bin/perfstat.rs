@@ -429,6 +429,23 @@ fn measure_scaling(quick: bool, tok: &CancelToken) -> Result<MulticoreScaling, S
     })
 }
 
+/// Each point's throughput over its own workload's baseline point from the
+/// same run (`None` for a workload without one, e.g. the 4-core point).
+/// Absolute kcyc/s swing between runs on a shared host; a same-run ratio
+/// such as ref-stream 2 VPUs / baseline does not.
+fn base_ratios(points: &[PerfPoint]) -> Vec<Option<f64>> {
+    let base_label = ConfigKind::Baseline.label();
+    points
+        .iter()
+        .map(|p| {
+            points
+                .iter()
+                .find(|b| b.workload == p.workload && b.config == base_label)
+                .map(|b| p.kcycles_per_host_sec / b.kcycles_per_host_sec.max(1e-9))
+        })
+        .collect()
+}
+
 /// The first point whose simulated cycles differ from the baseline's, with
 /// the baseline's count. Both slices describe the same point set, in order.
 fn first_cycle_mismatch<'a>(
@@ -519,19 +536,21 @@ fn body(
 
     let rows: Vec<Vec<String>> = points
         .iter()
-        .map(|p| {
+        .zip(base_ratios(&points))
+        .map(|(p, ratio)| {
             vec![
                 p.workload.clone(),
                 p.config.clone(),
                 p.cycles.to_string(),
                 format!("{:.3}", p.host_seconds),
                 format!("{:.0}", p.kcycles_per_host_sec),
+                ratio.map_or_else(|| "-".to_string(), |r| format!("{r:.2}x base")),
             ]
         })
         .collect();
     print_table(
         "perfstat — simulated kilocycles per host second",
-        &["workload", "config", "sim cycles", "host s", "kcyc/s"],
+        &["workload", "config", "sim cycles", "host s", "kcyc/s", "vs baseline"],
         &rows,
     );
     println!(
@@ -681,6 +700,23 @@ mod tests {
             host_seconds: 1.0,
             kcycles_per_host_sec: 1.0,
         }
+    }
+
+    #[test]
+    fn ratios_divide_by_the_same_workloads_baseline() {
+        let at = |workload: &str, config: &str, kcps: f64| PerfPoint {
+            config: config.to_string(),
+            kcycles_per_host_sec: kcps,
+            ..point(workload, 1)
+        };
+        let points = [
+            at("s", "baseline", 2000.0),
+            at("s", "2 VPUs", 1100.0),
+            at("c", "baseline", 400.0),
+            at("c", "1 VPU", 200.0),
+            at("s-4core", "2 VPUs", 100.0),
+        ];
+        assert_eq!(base_ratios(&points), vec![Some(1.0), Some(0.55), Some(1.0), Some(0.5), None]);
     }
 
     #[test]

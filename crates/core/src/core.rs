@@ -77,8 +77,21 @@ enum MguTry {
     Stale,
     /// Operands not yet ready; the VFMA stays queued.
     NotReady,
-    /// ELM generated this cycle, consuming MGU bandwidth.
-    Generated,
+    /// ELM generated this cycle, consuming MGU bandwidth. `done` when the
+    /// masks came out empty (a whole-VFMA BS skip): the entry is finished
+    /// and the RS sweep must run.
+    Generated { done: bool },
+}
+
+/// A VFMA waiting for ELM generation, with the multiplicand registers the
+/// MGU waits on. Those registers stay allocated while the VFMA sits in the
+/// RS (commit is in order, so no later writer of A or B can free them), so
+/// their readiness can be polled without locating the RS entry.
+#[derive(Clone, Copy, Debug)]
+struct ElmWait {
+    rob: RobId,
+    a: PhysId,
+    b: PhysId,
 }
 
 /// The out-of-order core.
@@ -114,11 +127,12 @@ pub struct Core {
     load_seq: u64,
     rec: Option<Box<Recorder>>,
     rep: Option<Arc<FuncTrace>>,
-    // ROB ids of VFMAs still awaiting ELM generation, allocation (=
-    // program) order. `run_mgus` walks this instead of the whole station;
-    // a reorder fault falls back to the full scan (see `Rs::order_intact`).
-    elm_queue: Vec<RobId>,
-    elm_scratch: Vec<RobId>,
+    // VFMAs still awaiting ELM generation, allocation (= program) order.
+    // `run_mgus` walks this instead of the whole station and touches an
+    // entry's RS slot only once its operands are ready; a reorder fault
+    // falls back to the full scan (see `Rs::order_intact`).
+    elm_queue: Vec<ElmWait>,
+    elm_scratch: Vec<ElmWait>,
     // `SAVE_DEBUG_IDLE` probed once at construction: the per-cycle
     // `env::var_os` call used to rescan the environment on every idle
     // cycle, which is pure host overhead on memory-bound kernels.
@@ -592,7 +606,8 @@ impl Core {
             if let Some(s) = self.san.as_mut() {
                 s.check_issue(&ops, &self.prf, cycle);
             }
-            if !ops.is_empty() {
+            let issued = !ops.is_empty();
+            if issued {
                 self.stats.vpu_busy_cycles += 1;
                 for op in ops.drain(..) {
                     if self.tracer.is_some() {
@@ -640,18 +655,29 @@ impl Core {
                 }
             }
             // Sweep fully scheduled VFMAs out of the RS (Algorithm 1 lines
-            // 12-14, including whole-VFMA BS skips).
-            active |= self.sweep_rs(cycle);
+            // 12-14, including whole-VFMA BS skips). Only a SAVE select
+            // that issued lanes or an MGU that produced an empty mask can
+            // finish an entry (the baseline select removes what it issues
+            // itself), so the sweep runs only after one of those. An
+            // injected fault may finish entries behind the model's back:
+            // fault runs sweep every cycle.
+            let always_sweep = self.cfg.fault.is_some();
+            let save = self.cfg.scheduler != SchedulerKind::Baseline;
+            if always_sweep || (issued && save) {
+                active |= self.sweep_rs(cycle);
+            }
 
             // 4. Mask generation (SAVE only).
-            if self.cfg.scheduler != SchedulerKind::Baseline {
-                self.run_mgus(cycle);
+            if save {
+                let bs_skipped = self.run_mgus(cycle);
                 // Capture fresh ELMs before the sweep removes BS skips, so
                 // the sanitizer's expectation is the ground-truth mask.
                 if let Some(s) = self.san.as_mut() {
                     s.sync_elms(&self.rs);
                 }
-                active |= self.sweep_rs(cycle);
+                if always_sweep || bs_skipped {
+                    active |= self.sweep_rs(cycle);
+                }
             }
 
             // 5. Allocate / rename.
@@ -893,8 +919,13 @@ impl Core {
         // schedulable when its predecessor's lane value reaches the forward
         // point. Past-due forwards are excluded — they are already usable
         // and whatever blocks them unlocks only via one of the events above.
+        // Only the mixed-precision select sets `fwd_ready`, and only on
+        // Bf16 entries, so FP32 entries are skipped unread.
         for e in self.rs.iter() {
             if let RsEntry::Fma(f) = e {
+                if f.precision != FmaPrecision::Bf16 {
+                    continue;
+                }
                 if let Some(c) = f.next_fwd_event(self.cycle) {
                     t = t.min(c);
                 }
@@ -1126,26 +1157,38 @@ impl Core {
         progressed
     }
 
-    fn run_mgus(&mut self, cycle: u64) {
+    /// Generates up to `issue_width` ELMs this cycle; returns `true` when
+    /// one of them finished its VFMA outright (a BS skip the sweep removes).
+    fn run_mgus(&mut self, cycle: u64) -> bool {
         let mut budget = self.cfg.issue_width;
+        let mut finished = false;
         if self.rs.order_intact() {
             // Fast path: only VFMAs still awaiting ELM generation are
             // visited (the queue is allocation = program order), so a
-            // station full of already-masked VFMAs costs the MGUs nothing.
+            // station full of already-masked VFMAs costs the MGUs nothing,
+            // and one still waiting on its operands costs two readiness
+            // reads.
             if !self.elm_queue.is_empty() {
                 let queue = std::mem::take(&mut self.elm_queue);
                 let mut kept = std::mem::take(&mut self.elm_scratch);
                 kept.clear();
-                for (qi, &rob) in queue.iter().enumerate() {
+                for (qi, w) in queue.iter().enumerate() {
                     if budget == 0 {
                         kept.extend_from_slice(&queue[qi..]);
                         break;
                     }
-                    let Some(pos) = self.rs.pos_of(rob) else { continue };
+                    if !self.prf.fully_ready(w.a) || !self.prf.fully_ready(w.b) {
+                        kept.push(*w);
+                        continue;
+                    }
+                    let Some(pos) = self.rs.pos_of(w.rob) else { continue };
                     match self.mgu_try_generate(pos, cycle) {
                         MguTry::Stale => {}
-                        MguTry::NotReady => kept.push(rob),
-                        MguTry::Generated => budget -= 1,
+                        MguTry::NotReady => kept.push(*w),
+                        MguTry::Generated { done } => {
+                            budget -= 1;
+                            finished |= done;
+                        }
                     }
                 }
                 self.elm_queue = kept;
@@ -1160,13 +1203,15 @@ impl Core {
                 if budget == 0 {
                     break;
                 }
-                if matches!(self.mgu_try_generate(pos, cycle), MguTry::Generated) {
+                if let MguTry::Generated { done } = self.mgu_try_generate(pos, cycle) {
                     budget -= 1;
+                    finished |= done;
                 }
             }
         }
         // Newly created watchers may copy already-ready lanes this cycle.
         self.run_watchers();
+        finished
     }
 
     /// One ELM-generation attempt for the RS entry at program-order
@@ -1176,7 +1221,7 @@ impl Core {
         // Watchers are pushed straight into `self.watchers` (a distinct
         // field, so the entry borrow allows it); only the BS-skip trace
         // needs `&mut self` and is emitted after the borrow ends.
-        let skipped_rob = {
+        let (done, skipped_rob) = {
             let f = match self.rs.at_mut(pos) {
                 RsEntry::Fma(f) => f,
                 _ => return MguTry::Stale,
@@ -1236,14 +1281,14 @@ impl Core {
                     remaining: passthrough,
                 });
             }
-            (f.orig_elm == 0).then_some(f.rob)
+            (f.elm == 0 && f.ml == 0, (f.orig_elm == 0).then_some(f.rob))
         };
         if trace_on {
             if let Some(rob) = skipped_rob {
                 self.trace(TraceEvent::BsSkip { cycle, rob });
             }
         }
-        MguTry::Generated
+        MguTry::Generated { done }
     }
 
     /// Attempts to allocate one µop; returns `false` on a structural stall.
@@ -1421,7 +1466,7 @@ impl Core {
                 // Baseline never runs the MGUs, so only SAVE schedulers
                 // queue the VFMA for ELM generation.
                 if self.cfg.scheduler != SchedulerKind::Baseline {
-                    self.elm_queue.push(rob);
+                    self.elm_queue.push(ElmWait { rob, a: a_phys, b: b_phys });
                 }
             }
         }

@@ -34,7 +34,7 @@ pub fn elm_mp(a: &VecF32, b: &VecF32) -> (u32, u16) {
 /// per-ELM-generation hot-path code; the scalar loop it replaces lives on
 /// in the tests as the property-test oracle.
 #[inline]
-fn fold_ml_to_al(ml: u32) -> u16 {
+pub(crate) fn fold_ml_to_al(ml: u32) -> u16 {
     let mut x = (ml | (ml >> 1)) & 0x5555_5555;
     x = (x | (x >> 1)) & 0x3333_3333;
     x = (x | (x >> 2)) & 0x0F0F_0F0F;

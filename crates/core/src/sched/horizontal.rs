@@ -30,10 +30,7 @@ pub fn select(
     out: &mut Vec<VpuOp>,
     elide: bool,
 ) {
-    let precision = match super::oldest_window_precision(rs, prf) {
-        Some(p) => p,
-        None => return,
-    };
+    let Some(precision) = sx.window_precision else { return };
     let latency = match precision {
         FmaPrecision::F32 => cfg.fp32_fma_cycles,
         FmaPrecision::Bf16 => cfg.mp_fma_cycles,

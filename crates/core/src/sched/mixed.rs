@@ -19,11 +19,11 @@
 //!   latency elapses (§V-B).
 
 use crate::config::CoreConfig;
+use crate::mgu;
 use crate::rename::PhysRegFile;
 use crate::rs::{FmaEntry, Rs, RsEntry, NO_FWD};
 use crate::sched::SelectScratch;
 use crate::stats::CoreStats;
-use crate::uop::FmaPrecision;
 use crate::vpu::{LaneResult, VpuOp};
 use save_isa::LANES;
 
@@ -32,6 +32,27 @@ fn as_fma(e: &RsEntry) -> Option<&FmaEntry> {
         RsEntry::Fma(f) => Some(f),
         _ => None,
     }
+}
+
+/// Chain links of one candidate (an in-window BF16 VFMA), resolved at most
+/// once per cycle, on first use. Select pushes and removes no RS entry and
+/// changes no window membership, so a position found once stays valid for
+/// all 16 lane positions; resolving lazily keeps the cost proportional to
+/// the candidates select actually examines (it stops at the first `N`
+/// leaders of each position).
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct MpLinks {
+    /// RS position of the chain predecessor if it is still waiting;
+    /// `None` until resolved.
+    pred: Option<Option<usize>>,
+    /// RS position of the chain successor if it is in the window; `None`
+    /// until resolved.
+    succ: Option<Option<usize>>,
+}
+
+/// RS position of the FMA with ROB id `rob`, if it is still waiting.
+fn fma_pos(rs: &Rs, rob: Option<usize>) -> Option<usize> {
+    rob.and_then(|r| rs.pos_of(r)).filter(|&p| as_fma(rs.at(p)).is_some())
 }
 
 /// Runs one cycle of mixed-precision selection with ML compression.
@@ -54,19 +75,23 @@ pub fn select(
     let latency = cfg.mp_fma_cycles;
     let fwd_delay = latency.saturating_sub(cfg.mp_forward_overlap).max(1);
 
-    // Index MP entries oldest-first; chain lookups (predecessor/successor by
-    // ROB id) go through the RS's own sorted order index.
-    sx.idxs.clear();
-    for (i, e) in rs.iter().enumerate() {
-        if let Some(f) = as_fma(e) {
-            if f.precision == FmaPrecision::Bf16 {
-                sx.idxs.push(i);
-            }
-        }
-    }
-    if sx.idxs.is_empty() {
+    // Candidates: the in-window BF16 entries the window scoreboard listed,
+    // oldest first, each with its live positions — the rotated positions
+    // whose accumulator lane still has MLs. Select only ever clears ML
+    // bits, so a position ruled out here stays ruled out all cycle; a set
+    // bit still goes through the checks below.
+    if sx.mp_window.is_empty() {
         return;
     }
+    sx.mp_live.clear();
+    for &idx in &sx.mp_window {
+        let live = as_fma(rs.at(idx)).map_or(0, |f| {
+            mgu::fold_ml_to_al(f.ml).rotate_left(f.rot.rem_euclid(LANES as i8) as u32)
+        });
+        sx.mp_live.push(live);
+    }
+    sx.mp_links.clear();
+    sx.mp_links.resize(sx.mp_window.len(), MpLinks::default());
 
     // Per-VPU result accumulators, recycled across cycles.
     for slot in sx.per_vpu.iter_mut() {
@@ -79,32 +104,30 @@ pub fn select(
 
     for pos in 0..LANES {
         let mut v = 0;
-        for ii in 0..sx.idxs.len() {
+        for ci in 0..sx.mp_window.len() {
             if v == nv {
                 break;
             }
-            let idx = sx.idxs[ii];
+            if sx.mp_live[ci] >> pos & 1 == 0 {
+                continue;
+            }
+            let idx = sx.mp_window[ci];
             // Immutable phase: decide whether this entry can lead a slot.
             // At most two MLs fit a temp AL slot, so a pick list is a
             // fixed pair: the leader and optionally its chain successor.
             let (l, picks, npicks, base) = {
                 let Some(f) = as_fma(rs.at(idx)) else { continue };
-                if !f.in_window(prf) {
-                    continue;
-                }
                 let l = f.logical_lane(pos);
                 let bits = f.ml_bits_at(l);
                 if bits == 0 {
                     continue;
                 }
                 // Chain order: the predecessor must have drained this AL.
-                if let Some(p) = f.chain_pred {
-                    if let Some(pidx) = rs.pos_of(p) {
-                        if let Some(pf) = as_fma(rs.at(pidx)) {
-                            if pf.ml_bits_at(l) != 0 {
-                                continue;
-                            }
-                        }
+                let links = &mut sx.mp_links[ci];
+                let pred = *links.pred.get_or_insert_with(|| fma_pos(rs, f.chain_pred));
+                if let Some(pf) = pred.and_then(|p| as_fma(rs.at(p))) {
+                    if pf.ml_bits_at(l) != 0 {
+                        continue;
                     }
                 }
                 // Accumulation base: a forwarded partial, or the source
@@ -130,15 +153,17 @@ pub fn select(
                 let mut picks = [(idx, bits), (0, 0)];
                 let mut npicks = 1;
                 if bits.count_ones() == 1 {
-                    if let Some(sidx) = f.chain_succ.and_then(|s| rs.pos_of(s)) {
+                    let succ = *links.succ.get_or_insert_with(|| {
+                        fma_pos(rs, f.chain_succ)
+                            .filter(|&s| as_fma(rs.at(s)).is_some_and(|sf| sf.in_window(prf)))
+                    });
+                    if let Some(sidx) = succ {
                         if let Some(sf) = as_fma(rs.at(sidx)) {
-                            if sf.in_window(prf) {
-                                let sbits = sf.ml_bits_at(l);
-                                if sbits != 0 {
-                                    let first = sbits & sbits.wrapping_neg();
-                                    picks[1] = (sidx, first);
-                                    npicks = 2;
-                                }
+                            let sbits = sf.ml_bits_at(l);
+                            if sbits != 0 {
+                                let first = sbits & sbits.wrapping_neg();
+                                picks[1] = (sidx, first);
+                                npicks = 2;
                             }
                         }
                     }

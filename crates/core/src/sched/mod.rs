@@ -31,9 +31,10 @@ use save_isa::LANES;
 
 /// Reusable per-core scheduling buffers (see the module docs).
 ///
-/// The combination-window scoreboard (`masks`) must be refreshed with
-/// [`window_masks`] each cycle before calling [`select`] under a non-baseline
-/// scheduler — the core does this anyway to sample the CW-size statistic.
+/// The combination-window scoreboard (`masks`, `window_precision`,
+/// `mp_window`) must be refreshed with [`window_masks`] each cycle before
+/// calling [`select`] under a non-baseline scheduler — the core does this
+/// anyway to sample the CW-size statistic.
 #[derive(Debug, Default)]
 pub struct SelectScratch {
     /// Per-cycle window scoreboard: `(program-order position, schedulable
@@ -42,12 +43,21 @@ pub struct SelectScratch {
     /// depend only on the entry's own state and the unmodified PRF), so the
     /// scoreboard stays valid for the whole select pass.
     masks: Vec<(usize, u16)>,
+    /// Precision of the oldest VFMA in the combination window this cycle
+    /// (a cycle's temps are homogeneous in precision and follow it).
+    window_precision: Option<FmaPrecision>,
+    /// Program-order positions of the in-window BF16 VFMAs, oldest first:
+    /// the mixed-precision select's candidates, whatever their accumulator
+    /// readiness (a forwarded partial can stand in for it).
+    mp_window: Vec<usize>,
     /// Vertical: candidates of the window precision, masks consumed in place.
     cand: Vec<(usize, u16)>,
     /// Vertical: per-temp `(entry position, logical lane)` assignments.
     temps: Vec<Vec<(usize, usize)>>,
-    /// Mixed: program-order positions of MP entries.
-    idxs: Vec<usize>,
+    /// Mixed: each candidate's live lane positions for the cycle.
+    mp_live: Vec<u16>,
+    /// Mixed: each candidate's chain links, resolved on first use.
+    mp_links: Vec<mixed::MpLinks>,
     /// Mixed: per-VPU result accumulators.
     per_vpu: Vec<Vec<LaneResult>>,
     /// Baseline: ROB ids issued this cycle (removed from the RS after).
@@ -83,16 +93,26 @@ impl SelectScratch {
 }
 
 /// Refreshes the combination-window scoreboard in `sx` (and nothing else):
-/// one [`sched_mask`] evaluation per RS entry per cycle, shared by the
-/// CW-size statistic and the vertical/horizontal select passes.
+/// one pass over the RS per cycle, evaluating each VFMA's window membership
+/// and schedulable mask once. The CW-size statistic and every select pass
+/// read the result; none of them rescans the station for the window's
+/// precision or its BF16 members.
 pub fn window_masks(rs: &Rs, prf: &PhysRegFile, lane_wise: bool, sx: &mut SelectScratch) {
     sx.masks.clear();
+    sx.mp_window.clear();
+    sx.window_precision = None;
     for (i, e) in rs.iter().enumerate() {
-        if let RsEntry::Fma(f) = e {
-            let m = sched_mask(f, prf, lane_wise);
-            if m != 0 {
-                sx.masks.push((i, m));
-            }
+        let RsEntry::Fma(f) = e else { continue };
+        if !f.in_window(prf) {
+            continue;
+        }
+        sx.window_precision.get_or_insert(f.precision);
+        if f.precision == FmaPrecision::Bf16 {
+            sx.mp_window.push(i);
+        }
+        let m = acc_ready_lanes(f, prf, lane_wise);
+        if m != 0 {
+            sx.masks.push((i, m));
         }
     }
 }
@@ -122,21 +142,19 @@ pub fn select(
     out.clear();
     match cfg.scheduler {
         SchedulerKind::Baseline => baseline::select(rs, prf, cfg, cycle, stats, sx, out, rec, elide),
-        SchedulerKind::Vertical => {
-            // A cycle's temps are homogeneous in precision; follow the
-            // oldest entry that is in the combination window.
-            match oldest_window_precision(rs, prf) {
-                Some(FmaPrecision::Bf16) if cfg.mp_compress => {
-                    mixed::select(rs, prf, cfg, cycle, stats, sx, out, elide)
-                }
-                _ => vertical::select(rs, prf, cfg, cycle, stats, sx, out, elide),
+        SchedulerKind::Vertical => match sx.window_precision {
+            Some(FmaPrecision::Bf16) if cfg.mp_compress => {
+                mixed::select(rs, prf, cfg, cycle, stats, sx, out, elide)
             }
-        }
+            _ => vertical::select(rs, prf, cfg, cycle, stats, sx, out, elide),
+        },
         SchedulerKind::Horizontal => horizontal::select(rs, prf, cfg, cycle, stats, sx, out, elide),
     }
 }
 
-/// Precision of the oldest VFMA currently in the combination window.
+/// Precision of the oldest VFMA currently in the combination window — a
+/// fresh scan, for the sanitizer's independent view; the schedulers read
+/// the value [`window_masks`] recorded.
 pub(crate) fn oldest_window_precision(rs: &Rs, prf: &PhysRegFile) -> Option<FmaPrecision> {
     rs.iter().find_map(|e| match e {
         RsEntry::Fma(f) if f.in_window(prf) => Some(f.precision),
@@ -151,6 +169,11 @@ pub(crate) fn sched_mask(e: &FmaEntry, prf: &PhysRegFile, lane_wise: bool) -> u1
     if !e.in_window(prf) {
         return 0;
     }
+    acc_ready_lanes(e, prf, lane_wise)
+}
+
+/// [`sched_mask`] of an entry already known to be in the window.
+fn acc_ready_lanes(e: &FmaEntry, prf: &PhysRegFile, lane_wise: bool) -> u16 {
     if lane_wise {
         e.elm & prf.ready_mask(e.acc_src)
     } else if prf.fully_ready(e.acc_src) {

@@ -37,10 +37,7 @@ pub fn select(
 ) {
     // Candidates: the window scoreboard filtered to the cycle's precision,
     // oldest-first, masks consumed in place as lanes are assigned.
-    let precision = match super::oldest_window_precision(rs, prf) {
-        Some(p) => p,
-        None => return,
-    };
+    let Some(precision) = sx.window_precision else { return };
     sx.cand.clear();
     for &(pos, m) in &sx.masks {
         if let RsEntry::Fma(f) = rs.at(pos) {

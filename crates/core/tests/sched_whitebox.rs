@@ -1,15 +1,16 @@
 //! White-box scheduler tests: hand-built reservation-station states
 //! reproducing the paper's worked examples — Fig 5a (vertical coalescing
 //! with lane conflicts), Fig 7 (rotation vs register reuse) and Fig 8
-//! (vector-wise vs lane-wise dependence) — checked directly against the
-//! select logic's lane assignments.
+//! (vector-wise vs lane-wise dependence) — and the Fig 10/11 mixed-precision
+//! chain rules, checked directly against the select logic's lane and
+//! multiplicand-lane (ML) assignments.
 
 use save_core::rename::PhysRegFile;
 use save_core::rs::{FmaEntry, Rs, RsEntry, NO_FWD};
 use save_core::sched;
 use save_core::uop::FmaPrecision;
 use save_core::{CoreConfig, CoreStats};
-use save_isa::{VReg, VecF32, LANES};
+use save_isa::{Bf16, VReg, VecBf16, VecF32, LANES, ML_LANES};
 
 struct Setup {
     rs: Rs,
@@ -232,4 +233,137 @@ fn horizontal_compression_ignores_lane_positions() {
         10 + cfg.fp32_fma_cycles + cfg.hc_penalty_cycles,
         "HC pays the crossbar latency"
     );
+}
+
+/// A BF16 vector with `v` in every multiplicand lane.
+fn bf16_splat(v: f32) -> VecF32 {
+    VecBf16::from_lanes([Bf16::from_f32(v); ML_LANES]).to_vec_f32_bits()
+}
+
+/// Adds an in-window mixed-precision VFMA (operands 2.0 × 3.0 in every ML)
+/// accumulating from `acc_src` with the given remaining ML mask, rotation
+/// and chain predecessor; links the predecessor's `chain_succ` back to it.
+/// Returns its acc_dst physical register.
+fn add_mp(s: &mut Setup, rob: usize, acc_src: u32, ml: u32, rot: i8, pred: Option<usize>) -> u32 {
+    let a = s.prf.alloc().unwrap();
+    let b = s.prf.alloc().unwrap();
+    let acc_dst = s.prf.alloc().unwrap();
+    s.prf.write_all(a, bf16_splat(2.0));
+    s.prf.write_all(b, bf16_splat(3.0));
+    let al = (0..LANES).filter(|&l| ml >> (2 * l) & 0b11 != 0).fold(0u16, |m, l| m | 1 << l);
+    s.rs.push(RsEntry::Fma(FmaEntry {
+        rob,
+        precision: FmaPrecision::Bf16,
+        acc_log: VReg(0),
+        rot,
+        acc_src,
+        acc_dst,
+        a,
+        b,
+        wm: u16::MAX,
+        elm_ready: true,
+        elm: al,
+        orig_elm: al,
+        ml,
+        orig_ml: ml,
+        chain_pred: pred,
+        chain_succ: None,
+        fwd_base: [0.0; LANES],
+        fwd_ready: [NO_FWD; LANES],
+        seq: rob as u64,
+    }));
+    if let Some(p) = pred {
+        s.rs.find_fma_mut(p).unwrap().chain_succ = Some(rob);
+    }
+    acc_dst
+}
+
+/// Refreshes the window scoreboard and runs one mixed-precision select.
+fn select_mixed(
+    rs: &mut Rs,
+    prf: &PhysRegFile,
+    cfg: &CoreConfig,
+    cycle: u64,
+    stats: &mut CoreStats,
+) -> Vec<save_core::vpu::VpuOp> {
+    let mut sx = sched::SelectScratch::new();
+    sched::window_masks(rs, prf, cfg.lane_wise, &mut sx);
+    let mut out = Vec::new();
+    sched::mixed::select(rs, prf, cfg, cycle, stats, &mut sx, &mut out, false);
+    out
+}
+
+fn mp_state(rs: &Rs, rob: usize) -> (u32, u16) {
+    rs.iter()
+        .find_map(|e| match e {
+            RsEntry::Fma(f) if f.rob == rob => Some((f.ml, f.elm)),
+            _ => None,
+        })
+        .unwrap()
+}
+
+#[test]
+fn mp_successor_waits_while_its_predecessor_holds_the_lane() {
+    // I1 holds both MLs of AL0 but cannot issue: in one case its
+    // accumulator is not ready (it is still in the combination window), in
+    // the other its multiplicand is not (it has left the window). I2, its
+    // chain successor, has one ML at AL0 and one at AL1 and a ready base
+    // everywhere. Program order per AL (§V-A) forbids I2 from leading AL0
+    // while I1 still holds MLs there; AL1, where I1 has nothing, issues.
+    for i1_in_window in [true, false] {
+        let mut s = setup();
+        let pending = s.prf.alloc().unwrap(); // never written: not ready
+        let ready = s.prf.alloc().unwrap();
+        s.prf.write_all(ready, VecF32::splat(1.0));
+        add_mp(&mut s, 1, if i1_in_window { pending } else { ready }, 0b11, 0, None);
+        if !i1_in_window {
+            let RsEntry::Fma(f) = s.rs.at_mut(0) else { unreachable!() };
+            f.a = pending;
+        }
+        add_mp(&mut s, 2, ready, 0b01_01, 0, Some(1));
+        let cfg = CoreConfig { mp_compress: true, ..CoreConfig::save_2vpu() };
+        let mut stats = CoreStats::default();
+        let ops = select_mixed(&mut s.rs, &s.prf, &cfg, 0, &mut stats);
+        assert_eq!(ops.len(), 1, "I1 in window: {i1_in_window}");
+        let got: Vec<(usize, usize, f32)> =
+            ops[0].results.iter().map(|r| (r.rob, r.lane, r.value)).collect();
+        assert_eq!(got, vec![(2, 1, 1.0 + 2.0 * 3.0)], "only I2's AL1 may issue");
+        assert_eq!(stats.mp_mls_issued, 1);
+        assert_eq!(mp_state(&s.rs, 1), (0b11, 0b01), "I1 untouched");
+        assert_eq!(mp_state(&s.rs, 2), (0b01, 0b01), "I2 keeps its AL0 ML");
+    }
+}
+
+#[test]
+fn mp_single_ml_leader_extends_into_its_successor() {
+    // I1 has one effectual ML at AL3 (ML0) and I2, its chain successor,
+    // both MLs there. One VPU: the temp AL3 slot packs I1's ML and I2's
+    // first ML (Fig 10b). I1 finishes at AL3 and writes its destination;
+    // I2's running value is forwarded, not written, and its second ML
+    // stays for a later op (§V-B). The chain's accumulator is rotated by
+    // one lane, so AL3 sits at temp position 4 (§IV-B).
+    let mut s = setup();
+    let base = s.prf.alloc().unwrap();
+    s.prf.write_all(base, VecF32::splat(1.0));
+    let mid = add_mp(&mut s, 1, base, 0b01 << 6, 1, None);
+    add_mp(&mut s, 2, mid, 0b11 << 6, 1, Some(1));
+    let cfg = CoreConfig { mp_compress: true, num_vpus: 1, ..CoreConfig::save_2vpu() };
+    let mut stats = CoreStats::default();
+    let cycle = 40;
+    let ops = select_mixed(&mut s.rs, &s.prf, &cfg, cycle, &mut stats);
+    assert_eq!(ops.len(), 1);
+    let got: Vec<(usize, usize, f32)> =
+        ops[0].results.iter().map(|r| (r.rob, r.lane, r.value)).collect();
+    assert_eq!(got, vec![(1, 3, 1.0 + 2.0 * 3.0)], "I1 finalizes AL3");
+    assert_eq!(stats.mp_mls_issued, 2, "one temp slot carried two MLs");
+    assert_eq!(mp_state(&s.rs, 1), (0, 0));
+    assert_eq!(mp_state(&s.rs, 2), (0b10 << 6, 1 << 3), "I2's ML1 at AL3 remains");
+    let i2 = s.rs.iter().find_map(|e| match e {
+        RsEntry::Fma(f) if f.rob == 2 => Some(f.clone()),
+        _ => None,
+    });
+    let i2 = i2.unwrap();
+    let fwd_delay = cfg.mp_fma_cycles - cfg.mp_forward_overlap;
+    assert_eq!(i2.fwd_ready[3], cycle + fwd_delay, "partial forwarded to the next op");
+    assert_eq!(i2.fwd_base[3], 1.0 + 2.0 * 3.0 + 2.0 * 3.0);
 }

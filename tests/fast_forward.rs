@@ -8,7 +8,7 @@
 //! results. The memory-streaming workload matters most: its long
 //! DRAM-bound idle stretches are where fast-forward actually engages.
 
-use save::core::{CoreConfig, SanitizeLevel};
+use save::core::{CoreConfig, SanitizeLevel, SchedulerKind};
 use save::kernels::{BroadcastPattern, GemmKernelSpec, GemmWorkload, Precision};
 use save::sim::{CellSpec, ConfigKind, KernelResult, MachineConfig, MachineMode};
 
@@ -86,13 +86,31 @@ fn fast_forward_is_pure_under_full_sanitizer() {
     // With every invariant checked every cycle, a clean run must stay
     // clean and bit-identical through the fast-forward path: skipped
     // cycles would have scanned exactly the state the probe cycle scanned.
+    // Every workload class runs under both SAVE operating points and under
+    // horizontal compression, so the event-gated RS sweeps (audited by the
+    // RS-exit lane-conservation check), the MGU wait list and the
+    // mixed-precision chain links all run under the Algorithm 1 age-order
+    // and lane-conservation checks on every cycle.
     let m = MachineConfig::default();
-    let w = &workloads()[1];
-    let on = CoreConfig { sanitize: SanitizeLevel::Full, ..ConfigKind::Save2Vpu.core_config() };
-    let off = CoreConfig { fast_forward: false, ..on };
-    let a = run(w, on, m, 7);
-    let b = run(w, off, m, 7);
-    assert!(a.completed && b.completed, "sanitizer flagged a clean run");
-    assert_eq!(a.cycles, b.cycles);
-    assert_eq!(a.stats, b.stats);
+    let horizontal = CoreConfig {
+        scheduler: SchedulerKind::Horizontal,
+        ..ConfigKind::Save2Vpu.core_config()
+    };
+    let configs = [
+        ("2 VPUs", ConfigKind::Save2Vpu.core_config()),
+        ("1 VPU", ConfigKind::Save1Vpu.core_config()),
+        ("HC", horizontal),
+    ];
+    for w in workloads() {
+        for (label, cfg) in configs {
+            let on = CoreConfig { sanitize: SanitizeLevel::Full, ..cfg };
+            let off = CoreConfig { fast_forward: false, ..on };
+            let a = run(&w, on, m, 7);
+            let b = run(&w, off, m, 7);
+            assert!(a.completed && b.completed, "{} {label}: sanitizer flagged a clean run", w.name);
+            assert!(a.verified && b.verified, "{} {label}", w.name);
+            assert_eq!(a.cycles, b.cycles, "{} {label}", w.name);
+            assert_eq!(a.stats, b.stats, "{} {label}", w.name);
+        }
+    }
 }
