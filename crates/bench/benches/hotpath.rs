@@ -6,7 +6,9 @@
 //! fast-forward recovers on idle-heavy workloads. The baseline stream and
 //! mixed-precision variants cover the two slowest cell classes: one run
 //! gives the stream 2-VPU/baseline cost ratio, and the mixed-precision
-//! loop isolates the MP select. Tracked over time via
+//! loop isolates the MP select. The 1-VPU compute loop isolates vertical
+//! select at its most contended (every lane position competes for one
+//! temp). Tracked over time via
 //! `perfstat` (see BENCH_PERF.json); these exist to localize a regression
 //! the trajectory only detects in aggregate.
 
@@ -69,6 +71,10 @@ fn bench_step_loop(c: &mut Criterion) {
         let cfg = ConfigKind::Baseline.core_config();
         b.iter(|| std::hint::black_box(run(&stream, &cfg)))
     });
+    c.bench_function("hotpath/compute_save1vpu_step_loop", |b| {
+        let cfg = CoreConfig { fast_forward: false, ..ConfigKind::Save1Vpu.core_config() };
+        b.iter(|| std::hint::black_box(run(&compute, &cfg)))
+    });
     let mixed = mixed_workload();
     c.bench_function("hotpath/mixed_save1vpu_step_loop", |b| {
         let cfg = CoreConfig { fast_forward: false, ..ConfigKind::Save1Vpu.core_config() };
@@ -79,8 +85,10 @@ fn bench_step_loop(c: &mut Criterion) {
 fn bench_baseline_vs_save(c: &mut Criterion) {
     // Scheduler cost comparison: the Baseline selector walks a plain ready
     // scan, the SAVE selector additionally coalesces and compresses — both
-    // go through the same zero-allocation scratch, so their gap is the
-    // price of sparsity awareness, not of the harness.
+    // go through the same zero-allocation scratch and remove only the
+    // entries they issued or finished, by ROB id (`Rs::remove`), so their
+    // gap is the price of sparsity awareness, not of the harness or of
+    // whole-station RS upkeep.
     let compute = compute_workload();
     c.bench_function("hotpath/select_baseline", |b| {
         let cfg = ConfigKind::Baseline.core_config();

@@ -79,7 +79,7 @@ enum MguTry {
     NotReady,
     /// ELM generated this cycle, consuming MGU bandwidth. `done` when the
     /// masks came out empty (a whole-VFMA BS skip): the entry is finished
-    /// and the RS sweep must run.
+    /// and must leave the RS.
     Generated { done: bool },
 }
 
@@ -145,6 +145,9 @@ pub struct Core {
     lsu_done: Vec<LoadEvent>,
     stores_buf: Vec<RobId>,
     crack_buf: Vec<Uop>,
+    // VFMAs a stage finished this cycle (select's last lane, an MGU's BS
+    // skip), awaiting `remove_exits`.
+    exits: Vec<RobId>,
     // Event-driven fast-forward state: whether the last step was provably
     // inert, the statistics delta one such inert cycle contributes
     // (replayed verbatim for each skipped cycle), and the cached next-event
@@ -209,6 +212,7 @@ impl Core {
             lsu_done: Vec::new(),
             stores_buf: Vec::new(),
             crack_buf: Vec::new(),
+            exits: Vec::new(),
             ff_inert: false,
             last_delta: CoreStats::default(),
             ff_next: None,
@@ -622,7 +626,9 @@ impl Core {
                 self.ops_buf = ops;
             } else {
                 self.ops_buf = ops;
-                let has_fma = self.rs.iter().any(|e| matches!(e, RsEntry::Fma(_)));
+                // Every entry outside the mem-op index is a VFMA (a reorder
+                // fault permutes order, never that index's membership).
+                let has_fma = self.rs.len() > self.rs.mem_len();
                 if has_fma {
                     self.stats.vpu_idle_not_ready += 1;
                     if self.debug_idle && self.stats.vpu_idle_not_ready % 97 == 1 {
@@ -654,29 +660,26 @@ impl Core {
                     self.stats.vpu_idle_no_fma += 1;
                 }
             }
-            // Sweep fully scheduled VFMAs out of the RS (Algorithm 1 lines
-            // 12-14, including whole-VFMA BS skips). Only a SAVE select
-            // that issued lanes or an MGU that produced an empty mask can
-            // finish an entry (the baseline select removes what it issues
-            // itself), so the sweep runs only after one of those. An
-            // injected fault may finish entries behind the model's back:
-            // fault runs sweep every cycle.
-            let always_sweep = self.cfg.fault.is_some();
-            let save = self.cfg.scheduler != SchedulerKind::Baseline;
-            if always_sweep || (issued && save) {
-                active |= self.sweep_rs(cycle);
-            }
+            // Remove the VFMAs select finished (Algorithm 1 lines 12-14);
+            // the baseline select removes what it issues itself.
+            self.exits.extend_from_slice(self.sx.finished());
+            active |= self.remove_exits(cycle);
 
             // 4. Mask generation (SAVE only).
-            if save {
-                let bs_skipped = self.run_mgus(cycle);
-                // Capture fresh ELMs before the sweep removes BS skips, so
-                // the sanitizer's expectation is the ground-truth mask.
+            if self.cfg.scheduler != SchedulerKind::Baseline {
+                self.run_mgus(cycle);
+                // Capture fresh ELMs before the BS skips leave, so the
+                // sanitizer's expectation is the ground-truth mask.
                 if let Some(s) = self.san.as_mut() {
                     s.sync_elms(&self.rs);
                 }
-                if always_sweep || bs_skipped {
-                    active |= self.sweep_rs(cycle);
+                active |= self.remove_exits(cycle);
+            }
+            // Every finished VFMA has left by now; a leftover means a stage
+            // failed to report one. Checked before state faults land.
+            if let Some(s) = self.san.as_mut() {
+                if s.due(cycle) {
+                    s.check_no_finished(&self.rs, cycle);
                 }
             }
 
@@ -1084,30 +1087,34 @@ impl Core {
         }
     }
 
-    /// Removes fully scheduled VFMAs from the RS (Algorithm 1 lines 12-14,
-    /// including whole-VFMA BS skips), notifying the sanitizer so it can
-    /// verify each departing VFMA scheduled exactly its ELM. Returns `true`
-    /// if anything was removed.
-    fn sweep_rs(&mut self, cycle: u64) -> bool {
-        let mut exited: Vec<RobId> = Vec::new();
-        let track = self.san.is_some();
-        let before = self.rs.len();
-        self.rs.retain(|e| match e {
-            RsEntry::Fma(f) => {
-                let done = f.elm_ready && f.elm == 0 && f.ml == 0;
-                if done && track {
-                    exited.push(f.rob);
-                }
-                !done
-            }
-            _ => true,
-        });
+    /// Removes the finished VFMAs listed in `exits` from the RS (Algorithm 1
+    /// lines 12-14, including whole-VFMA BS skips), notifying the sanitizer
+    /// in ascending ROB order — program order — so it can verify each
+    /// departing VFMA scheduled exactly its ELM. An injected fault may
+    /// finish entries behind the model's back, so fault runs ignore the
+    /// list and collect every finished VFMA with a full scan instead.
+    /// Returns `true` if anything was removed.
+    fn remove_exits(&mut self, cycle: u64) -> bool {
+        let mut exits = std::mem::take(&mut self.exits);
+        if self.cfg.fault.is_some() {
+            exits.clear();
+            exits.extend(self.rs.iter().filter_map(|e| match e {
+                RsEntry::Fma(f) if f.is_finished() => Some(f.rob),
+                _ => None,
+            }));
+        } else {
+            exits.sort_unstable();
+        }
         if let Some(s) = self.san.as_mut() {
-            for r in exited {
+            for &r in &exits {
                 s.on_rs_exit(r, cycle);
             }
         }
-        self.rs.len() != before
+        self.rs.remove(&exits);
+        let removed = !exits.is_empty();
+        exits.clear();
+        self.exits = exits;
+        removed
     }
 
     /// Captures the pipeline state for a stall report.
@@ -1157,11 +1164,10 @@ impl Core {
         progressed
     }
 
-    /// Generates up to `issue_width` ELMs this cycle; returns `true` when
-    /// one of them finished its VFMA outright (a BS skip the sweep removes).
-    fn run_mgus(&mut self, cycle: u64) -> bool {
+    /// Generates up to `issue_width` ELMs this cycle, listing each VFMA
+    /// that finished outright (a BS skip) in `exits`.
+    fn run_mgus(&mut self, cycle: u64) {
         let mut budget = self.cfg.issue_width;
-        let mut finished = false;
         if self.rs.order_intact() {
             // Fast path: only VFMAs still awaiting ELM generation are
             // visited (the queue is allocation = program order), so a
@@ -1187,7 +1193,9 @@ impl Core {
                         MguTry::NotReady => kept.push(*w),
                         MguTry::Generated { done } => {
                             budget -= 1;
-                            finished |= done;
+                            if done {
+                                self.exits.push(w.rob);
+                            }
                         }
                     }
                 }
@@ -1205,13 +1213,14 @@ impl Core {
                 }
                 if let MguTry::Generated { done } = self.mgu_try_generate(pos, cycle) {
                     budget -= 1;
-                    finished |= done;
+                    if done {
+                        self.exits.push(self.rs.at(pos).rob());
+                    }
                 }
             }
         }
         // Newly created watchers may copy already-ready lanes this cycle.
         self.run_watchers();
-        finished
     }
 
     /// One ELM-generation attempt for the RS entry at program-order
@@ -1281,7 +1290,7 @@ impl Core {
                     remaining: passthrough,
                 });
             }
-            (f.elm == 0 && f.ml == 0, (f.orig_elm == 0).then_some(f.rob))
+            (f.is_finished(), (f.orig_elm == 0).then_some(f.rob))
         };
         if trace_on {
             if let Some(rob) = skipped_rob {

@@ -316,13 +316,7 @@ impl Lsu {
             }
         }
 
-        if !issued.is_empty() {
-            rs.retain(|e| match e {
-                RsEntry::Load(l) => !issued.contains(&l.rob),
-                RsEntry::Store(s) => !issued.contains(&s.rob),
-                RsEntry::Fma(_) => true,
-            });
-        }
+        rs.remove(&issued);
         self.actions = actions;
         self.issued = issued;
     }

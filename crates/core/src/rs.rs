@@ -74,6 +74,12 @@ impl FmaEntry {
         self.elm_ready && prf.fully_ready(self.a) && prf.fully_ready(self.b)
     }
 
+    /// `true` once every effectual lane has been scheduled (Algorithm 1
+    /// lines 12-14): the entry must leave the RS this cycle.
+    pub fn is_finished(&self) -> bool {
+        self.elm_ready && self.elm == 0 && self.ml == 0
+    }
+
     /// Logical lane that sits at rotated position `pos` (§IV-B: operands of
     /// an entry with rotation `r` are shifted right by `r` lanes, so
     /// position `pos` holds logical lane `pos - r`).
@@ -166,8 +172,9 @@ pub struct Rs {
     order: Vec<(RobId, u32)>,
     /// Memory-op subset of `order` (loads and stores only, program order):
     /// the LSU's per-cycle scan walks this instead of the whole station, so
-    /// a VFMA-saturated RS costs the LSU nothing. Invalidated — with a
-    /// full-scan fallback — once [`Rs::swap_order`] permutes program order.
+    /// a VFMA-saturated RS costs the LSU nothing. Its order is
+    /// invalidated — with a full-scan fallback — once [`Rs::swap_order`]
+    /// permutes program order; its membership stays exact.
     mem_order: Vec<(RobId, u32)>,
     /// Whether `order` is still sorted by ROB id (cleared by
     /// [`Rs::swap_order`] and by out-of-order pushes in unit tests).
@@ -322,31 +329,30 @@ impl Rs {
         self.permuted = true;
     }
 
-    /// Removes entries matching the predicate (issued / fully scheduled).
-    /// Frees the slot and drops the index pair; entry payloads never move.
-    pub fn retain(&mut self, mut keep: impl FnMut(&RsEntry) -> bool) {
-        let slots = &mut self.slots;
-        let free = &mut self.free;
-        let mut mem_removed = false;
-        self.order.retain(|&(_, s)| {
-            let e = slots[s as usize].as_ref().expect("order refers to a filled slot");
-            if keep(e) {
-                true
-            } else {
-                mem_removed |= matches!(e, RsEntry::Load(_) | RsEntry::Store(_));
-                slots[s as usize] = None;
-                free.push(s);
-                false
+    /// Removes the entries with the given ROB ids — the ones a stage just
+    /// issued or finished. Each is located with [`Rs::pos_of`] (a binary
+    /// search), its slot freed and its index pair dropped by shifting the
+    /// rest of the order list; entry payloads never move and no other
+    /// entry is read. The mem-op index is touched only when a load or
+    /// store leaves.
+    ///
+    /// # Panics
+    /// Panics when an id is not in the station (a stage reported an entry
+    /// it did not own, or reported it twice).
+    pub fn remove(&mut self, robs: &[RobId]) {
+        for &rob in robs {
+            let pos = self.pos_of(rob).expect("removed ROB id is waiting in the RS");
+            let (_, s) = self.order.remove(pos);
+            let e = self.slots[s as usize].take().expect("order refers to a filled slot");
+            self.free.push(s);
+            if matches!(e, RsEntry::Load(_) | RsEntry::Store(_)) {
+                let mpos = if self.sorted {
+                    self.mem_order.binary_search_by_key(&rob, |&(r, _)| r).ok()
+                } else {
+                    self.mem_order.iter().position(|&(r, _)| r == rob)
+                };
+                self.mem_order.remove(mpos.expect("mem_order lists every load and store"));
             }
-        });
-        // Freed slots are `None` until the next push, so pruning the mem-op
-        // index here (before any reuse) cannot mistake a recycled slot for
-        // the removed entry.
-        if mem_removed {
-            let slots = &self.slots;
-            self.mem_order.retain(|&(_, s)| {
-                matches!(slots[s as usize], Some(RsEntry::Load(_) | RsEntry::Store(_)))
-            });
         }
     }
 }
@@ -407,7 +413,7 @@ mod tests {
         assert!(rs.is_full());
         let robs: Vec<_> = rs.iter().map(|e| e.rob()).collect();
         assert_eq!(robs, vec![0, 1]);
-        rs.retain(|e| e.rob() != 0);
+        rs.remove(&[0]);
         assert_eq!(rs.len(), 1);
         assert!(rs.find_fma_mut(1).is_some());
         assert!(rs.find_fma_mut(0).is_none());
@@ -420,7 +426,7 @@ mod tests {
             rs.push(RsEntry::Fma(fma(r, 0)));
         }
         // Remove the middle entry; survivors keep program order.
-        rs.retain(|e| e.rob() != 1);
+        rs.remove(&[1]);
         let robs: Vec<_> = rs.iter().map(|e| e.rob()).collect();
         assert_eq!(robs, vec![0, 2]);
         // The freed slot is reused by the next push, appended in order.
@@ -469,9 +475,9 @@ mod tests {
         assert_eq!(mem_robs, vec![1, 3], "mem index preserves program order");
         // Removing a VFMA leaves the mem index untouched; removing the load
         // prunes it even though the freed slot is immediately reused.
-        rs.retain(|e| e.rob() != 0);
+        rs.remove(&[0]);
         assert_eq!(rs.mem_len(), 2);
-        rs.retain(|e| e.rob() != 1);
+        rs.remove(&[1]);
         assert_eq!(rs.mem_len(), 1);
         rs.push(RsEntry::Load(LoadEntry {
             rob: 4,
@@ -486,6 +492,94 @@ mod tests {
         assert!(rs.order_intact());
         rs.swap_order(0, 1);
         assert!(!rs.order_intact(), "reorder fault invalidates the fast path");
+    }
+
+    fn load(rob: RobId) -> RsEntry {
+        RsEntry::Load(LoadEntry {
+            rob,
+            dst: 0,
+            addr: 64 * rob as u64,
+            value_addr: 64 * rob as u64,
+            kind: crate::uop::LoadKind::Vector,
+            seq: rob as u64,
+        })
+    }
+
+    fn store(rob: RobId) -> RsEntry {
+        RsEntry::Store(StoreEntry { rob, src: 0, addr: 64 * rob as u64 })
+    }
+
+    /// Every view of the station agrees: `iter` is `expect` in order,
+    /// `mem_iter` its loads and stores, `pos_of` finds each entry at its
+    /// position, and the lengths match.
+    fn assert_views(rs: &Rs, expect: &[RobId], mem: &[RobId]) {
+        let robs: Vec<_> = rs.iter().map(|e| e.rob()).collect();
+        assert_eq!(robs, expect);
+        assert_eq!(rs.len(), expect.len());
+        for (i, &r) in expect.iter().enumerate() {
+            assert_eq!(rs.pos_of(r), Some(i), "rob {r}");
+        }
+        assert_eq!(rs.mem_len(), mem.len());
+        if rs.order_intact() {
+            let mem_robs: Vec<_> = rs.mem_iter().map(|e| e.rob()).collect();
+            assert_eq!(mem_robs, mem);
+        }
+    }
+
+    #[test]
+    fn remove_keeps_every_view_consistent_and_reuses_slots() {
+        let mut rs = Rs::new(8);
+        for r in 0..8 {
+            rs.push(match r % 3 {
+                0 => RsEntry::Fma(fma(r, 0)),
+                1 => load(r),
+                _ => store(r),
+            });
+        }
+        assert!(rs.is_full());
+        assert_views(&rs, &[0, 1, 2, 3, 4, 5, 6, 7], &[1, 2, 4, 5, 7]);
+        // A VFMA, a load and a store leave together; removed ids vanish
+        // from every view.
+        rs.remove(&[1, 3, 5]);
+        assert_views(&rs, &[0, 2, 4, 6, 7], &[2, 4, 7]);
+        assert_eq!(rs.pos_of(3), None);
+        // Removing only VFMAs leaves the mem-op index as it was.
+        rs.remove(&[0, 6]);
+        assert_views(&rs, &[2, 4, 7], &[2, 4, 7]);
+        rs.remove(&[]);
+        assert_views(&rs, &[2, 4, 7], &[2, 4, 7]);
+        // The five freed slots are reused: the station fills up again.
+        for r in 8..13 {
+            rs.push(if r % 2 == 0 { RsEntry::Fma(fma(r, 0)) } else { load(r) });
+        }
+        assert!(rs.is_full());
+        assert_views(&rs, &[2, 4, 7, 8, 9, 10, 11, 12], &[2, 4, 7, 9, 11]);
+        rs.remove(&[2, 4, 7, 8, 9, 10, 11, 12]);
+        assert!(rs.is_empty());
+        assert_eq!(rs.mem_len(), 0);
+    }
+
+    #[test]
+    fn remove_after_reorder_fault_uses_the_linear_fallback() {
+        let mut rs = Rs::new(6);
+        for r in 0..6 {
+            rs.push(if r == 2 { load(r) } else { RsEntry::Fma(fma(r, 0)) });
+        }
+        rs.swap_order(0, 4);
+        assert_views(&rs, &[4, 1, 2, 3, 0, 5], &[2]);
+        // Binary search over the permuted order list would miss 0 and 4.
+        rs.remove(&[0, 2, 4]);
+        assert_views(&rs, &[1, 3, 5], &[]);
+        rs.push(RsEntry::Fma(fma(6, 0)));
+        assert_views(&rs, &[1, 3, 5, 6], &[]);
+    }
+
+    #[test]
+    #[should_panic(expected = "waiting in the RS")]
+    fn removing_an_absent_entry_panics() {
+        let mut rs = Rs::new(2);
+        rs.push(RsEntry::Fma(fma(0, 0)));
+        rs.remove(&[0, 0]);
     }
 
     #[test]

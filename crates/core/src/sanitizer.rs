@@ -22,7 +22,9 @@
 //!   no leak, no double-free, no register both free and live;
 //! * **rob-retire-order** — entries retire in allocation-sequence order;
 //! * **rs-scoreboard** — an ELM-ready RS entry's operands really are fully
-//!   ready, and no entry holds effectual bits outside its generated masks;
+//!   ready, no entry holds effectual bits outside its generated masks, and
+//!   no finished VFMA (ELM and ML fully scheduled) is left in the station
+//!   once the stages that finish entries have removed them;
 //! * **bcast-freshness** — B$ entries (with-data and with-masks designs
 //!   both store the line zero-mask) agree with backing memory, audited
 //!   round-robin one entry per state-scan;
@@ -566,6 +568,30 @@ impl Sanitizer {
                     ),
                 );
             }
+        }
+    }
+
+    /// The finish-reporting audit: runs after the cycle's last removal of
+    /// finished VFMAs (select's, then the MGUs' BS skips). The core removes
+    /// only the entries a stage reported, so a finished VFMA still waiting
+    /// here is one whose finish went unreported — it would hold its RS
+    /// slot until the watchdog.
+    pub(crate) fn check_no_finished(&mut self, rs: &Rs, cycle: u64) {
+        let stuck = rs.iter().find_map(|e| match e {
+            RsEntry::Fma(f) if f.is_finished() => Some(f),
+            _ => None,
+        });
+        if let Some(f) = stuck {
+            set(
+                &mut self.violation,
+                "rs-scoreboard",
+                cycle,
+                Some(f.rob),
+                format!(
+                    "VFMA finished (ELM {:#06x} fully scheduled) but was never removed from the RS",
+                    f.orig_elm
+                ),
+            );
         }
     }
 

@@ -89,11 +89,5 @@ pub fn select(
         out.push(VpuOp { complete_at: cycle + latency, results });
         sx.issued.push(f.rob);
     }
-    if !sx.issued.is_empty() {
-        let issued = &sx.issued;
-        rs.retain(|e| match e {
-            RsEntry::Fma(f) => !issued.contains(&f.rob),
-            _ => true,
-        });
-    }
+    rs.remove(&sx.issued);
 }

@@ -81,6 +81,9 @@ pub fn select(
                 }
             };
             f.elm &= !(1 << lane);
+            if f.is_finished() {
+                sx.finished.push(f.rob);
+            }
             current.push(LaneResult { rob: f.rob, dst: f.acc_dst, lane, value });
             slots_in_current += 1;
             if slots_in_current == LANES {

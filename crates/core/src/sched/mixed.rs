@@ -185,6 +185,9 @@ pub fn select(
                     // This op finalizes the instruction at this AL.
                     f.elm &= !(1 << l);
                     f.fwd_ready[l] = NO_FWD;
+                    if f.is_finished() {
+                        sx.finished.push(f.rob);
+                    }
                     sx.per_vpu[v].push(LaneResult { rob: f.rob, dst: f.acc_dst, lane: l, value: cum });
                 } else {
                     // Partial: forward the running value to the chain's next

@@ -50,10 +50,14 @@ pub struct SelectScratch {
     /// the mixed-precision select's candidates, whatever their accumulator
     /// readiness (a forwarded partial can stand in for it).
     mp_window: Vec<usize>,
-    /// Vertical: candidates of the window precision, masks consumed in place.
+    /// Vertical: candidates of the window precision, oldest first, as
+    /// `(entry position, schedulable lanes rotated into temp positions)`.
     cand: Vec<(usize, u16)>,
-    /// Vertical: per-temp `(entry position, logical lane)` assignments.
-    temps: Vec<Vec<(usize, usize)>>,
+    /// Vertical: per temp, the lane positions already assigned this cycle.
+    vc_taken: Vec<u16>,
+    /// Vertical: per temp and lane position, the RS position of the entry
+    /// that owns it (meaningful where `vc_taken` has the bit set).
+    vc_owner: Vec<[u32; LANES]>,
     /// Mixed: each candidate's live lane positions for the cycle.
     mp_live: Vec<u16>,
     /// Mixed: each candidate's chain links, resolved on first use.
@@ -62,6 +66,10 @@ pub struct SelectScratch {
     per_vpu: Vec<Vec<LaneResult>>,
     /// Baseline: ROB ids issued this cycle (removed from the RS after).
     issued: Vec<RobId>,
+    /// SAVE selects: ROB ids of the VFMAs whose last effectual lane (or
+    /// ML) this cycle's select scheduled, each reported once, in the order
+    /// select finished them. The core removes exactly these from the RS.
+    finished: Vec<RobId>,
     /// Recycled lane-result payloads from completed ops.
     pool: Vec<Vec<LaneResult>>,
 }
@@ -77,6 +85,11 @@ impl SelectScratch {
     /// [`window_masks`] refresh (§III samples 24-28 on SAVE workloads).
     pub fn window_len(&self) -> usize {
         self.masks.len()
+    }
+
+    /// VFMAs the last [`select`] finished (see the field docs); not sorted.
+    pub fn finished(&self) -> &[RobId] {
+        &self.finished
     }
 
     /// Hands out an empty lane-result vector, recycling a completed op's
@@ -140,6 +153,7 @@ pub fn select(
     elide: bool,
 ) {
     out.clear();
+    sx.finished.clear();
     match cfg.scheduler {
         SchedulerKind::Baseline => baseline::select(rs, prf, cfg, cycle, stats, sx, out, rec, elide),
         SchedulerKind::Vertical => match sx.window_precision {
@@ -193,14 +207,19 @@ pub(crate) fn lane_value_f32(e: &FmaEntry, prf: &PhysRegFile, lane: usize) -> f3
 
 /// Mixed-precision AL result: two chained MACs over the AL's effectual MLs
 /// in ML order (paper Fig 2), starting from `base`.
+///
+/// Only FP32 slot `al` of each operand is read: ML `2·al + h` is its half
+/// `h` (low half first), and widening a BF16 to FP32 is placing its bits
+/// in the high half — bit-identical to `as_bf16().lane(m).to_f32()`
+/// without converting both 512-bit operands per lane.
 pub(crate) fn al_value_mp(e: &FmaEntry, prf: &PhysRegFile, al: usize, ml_bits: u32, base: f32) -> f32 {
-    let av = prf.value(e.a).as_bf16();
-    let bv = prf.value(e.b).as_bf16();
+    let a = prf.value(e.a).lane(al).to_bits();
+    let b = prf.value(e.b).lane(al).to_bits();
+    let ml = |bits: u32, half: usize| f32::from_bits((bits >> (16 * half)) << 16);
     let mut acc = base;
     for half in 0..2usize {
         if ml_bits >> half & 1 == 1 {
-            let m = 2 * al + half;
-            acc = av.lane(m).to_f32().mul_add(bv.lane(m).to_f32(), acc);
+            acc = ml(a, half).mul_add(ml(b, half), acc);
         }
     }
     acc

@@ -6,6 +6,8 @@
 //! picks up to `N` entries per position. Elements never move across lanes
 //! (that is horizontal compression's job), so per-lane accumulation order is
 //! program order and FP32 results are bit-exact with sequential execution.
+//! A VFMA whose last effectual lane is picked is reported in
+//! [`SelectScratch::finished`] (Algorithm 1 lines 12-14).
 //!
 //! Mixed-precision VFMAs are handled here at accumulator-lane granularity
 //! when the MP compression technique is disabled: an AL issues as a unit
@@ -36,47 +38,49 @@ pub fn select(
     elide: bool,
 ) {
     // Candidates: the window scoreboard filtered to the cycle's precision,
-    // oldest-first, masks consumed in place as lanes are assigned.
+    // oldest-first, each mask rotated from logical lanes into temp lane
+    // positions (position `p` holds logical lane `p - rot`, §IV-B).
     let Some(precision) = sx.window_precision else { return };
     sx.cand.clear();
     for &(pos, m) in &sx.masks {
         if let RsEntry::Fma(f) = rs.at(pos) {
             if f.precision == precision {
-                sx.cand.push((pos, m));
+                let rot = f.rot.rem_euclid(LANES as i8) as u32;
+                sx.cand.push((pos, m.rotate_left(rot)));
             }
         }
     }
-    if sx.cand.is_empty() {
+    let nv = cfg.num_vpus;
+    if sx.cand.is_empty() || nv == 0 {
         return;
     }
 
     // Algorithm 1: per lane position, assign the first N candidates with an
-    // unscheduled effectual lane there to the N temps.
-    let nv = cfg.num_vpus;
-    if sx.temps.len() < nv {
-        sx.temps.resize_with(nv, Vec::new);
+    // unscheduled effectual lane there to the N temps. Walked candidate-
+    // major: each candidate, oldest first, drops each of its positions
+    // into the lowest temp still free there, so a position's k-th
+    // candidate lands in temp k exactly as a per-position walk would
+    // place it — as bit operations on whole 16-position masks.
+    if sx.vc_taken.len() < nv {
+        sx.vc_taken.resize(nv, 0);
+        sx.vc_owner.resize(nv, [0; LANES]);
     }
-    for t in &mut sx.temps[..nv] {
-        t.clear();
-    }
-    for pos in 0..LANES {
-        let mut v = 0;
-        for ci in 0..sx.cand.len() {
-            if v == nv {
+    sx.vc_taken[..nv].fill(0);
+    for &(entry_pos, mut avail) in &sx.cand {
+        for v in 0..nv {
+            if avail == 0 {
                 break;
             }
-            let entry_pos = sx.cand[ci].0;
-            let f = match rs.at(entry_pos) {
-                RsEntry::Fma(f) => f,
-                _ => unreachable!(),
-            };
-            let lane = f.logical_lane(pos);
-            if sx.cand[ci].1 >> lane & 1 == 0 {
-                continue;
+            let mut take = avail & !sx.vc_taken[v];
+            sx.vc_taken[v] |= take;
+            avail &= !take;
+            while take != 0 {
+                sx.vc_owner[v][take.trailing_zeros() as usize] = entry_pos as u32;
+                take &= take - 1;
             }
-            sx.cand[ci].1 &= !(1 << lane);
-            sx.temps[v].push((entry_pos, lane));
-            v += 1;
+        }
+        if sx.vc_taken[nv - 1] == u16::MAX {
+            break; // every temp is full at every position
         }
     }
 
@@ -85,17 +89,21 @@ pub fn select(
         FmaPrecision::F32 => cfg.fp32_fma_cycles,
         FmaPrecision::Bf16 => cfg.mp_fma_cycles,
     };
+    // Each temp's lanes are emitted in position order.
     for v in 0..nv {
-        if sx.temps[v].is_empty() {
+        let mut taken = sx.vc_taken[v];
+        if taken == 0 {
             continue;
         }
         let mut results = sx.lease();
-        for pi in 0..sx.temps[v].len() {
-            let (entry_pos, lane) = sx.temps[v][pi];
-            let f = match rs.at_mut(entry_pos) {
+        while taken != 0 {
+            let pos = taken.trailing_zeros() as usize;
+            taken &= taken - 1;
+            let f = match rs.at_mut(sx.vc_owner[v][pos] as usize) {
                 RsEntry::Fma(f) => f,
                 _ => unreachable!(),
             };
+            let lane = f.logical_lane(pos);
             let value = match precision {
                 FmaPrecision::F32 => {
                     if elide {
@@ -118,6 +126,9 @@ pub fn select(
                 }
             };
             f.elm &= !(1 << lane);
+            if f.is_finished() {
+                sx.finished.push(f.rob);
+            }
             results.push(LaneResult { rob: f.rob, dst: f.acc_dst, lane, value });
         }
         stats.vpu_ops += 1;

@@ -367,3 +367,337 @@ fn mp_single_ml_leader_extends_into_its_successor() {
     assert_eq!(i2.fwd_ready[3], cycle + fwd_delay, "partial forwarded to the next op");
     assert_eq!(i2.fwd_base[3], 1.0 + 2.0 * 3.0 + 2.0 * 3.0);
 }
+
+// ---------------------------------------------------------------------------
+// Randomized windows: the vertical select against a position-major
+// reference, and finish reporting under every SAVE select.
+
+use proptest::prelude::*;
+
+/// One generated RS entry: effectual bits (the ELM for FP32, the ML mask
+/// for BF16), a rotation selector (0, 1, 2 → rot -1, 0, +1), a role
+/// selector, and a seed for its operand and accumulator lanes.
+type EntrySpec = (u32, u8, u8, u64);
+
+/// Roles drawn from the selector: `0` has not generated its ELM yet (out
+/// of the window), `1` has its accumulator only half ready, `2` is of the
+/// other precision, `3` chains to the previous entry (its accumulator is
+/// the predecessor's destination); everything else is an ordinary ready
+/// entry.
+fn role(sel: u8) -> u8 {
+    if sel < 4 {
+        sel
+    } else {
+        4
+    }
+}
+
+fn entry_specs(max: usize) -> impl Strategy<Value = Vec<EntrySpec>> {
+    // Dense, half-dense and sparse effectual masks, so that windows both
+    // conflict heavily and hold entries one select can finish.
+    let bits = (any::<u32>(), any::<u32>(), 0u8..3).prop_map(|(x, y, d)| match d {
+        0 => x,
+        1 => x & y,
+        _ => x & y & y.rotate_left(11),
+    });
+    prop::collection::vec((bits, 0u8..3, 0u8..14, any::<u64>()), 1..max + 1)
+}
+
+/// Lane `l` of a seeded vector: small nonzero values for FP32, arbitrary
+/// (non-NaN) BF16 pairs for BF16.
+fn seeded(seed: u64, bf16: bool) -> VecF32 {
+    let mut x = seed | 1;
+    let lanes = std::array::from_fn(|_| {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        if bf16 {
+            // Two BF16 halves with exponents kept well inside range.
+            let h = |b: u64| (0x3c00 | (b & 0x0f7f)) as u32;
+            f32::from_bits(h(x >> 8) << 16 | h(x >> 24))
+        } else {
+            ((x >> 40) % 29) as f32 * 0.25 - 3.5
+        }
+    });
+    VecF32::from_lanes(lanes)
+}
+
+/// Builds an RS (ROB ids 1..) from `specs`. The window precision is BF16
+/// when `bf16`, with the other-precision role flipping it per entry.
+fn build_window(specs: &[EntrySpec], bf16: bool) -> Setup {
+    let mut s = Setup { rs: Rs::new(97), prf: PhysRegFile::new(200) };
+    let mut prev_dst = None;
+    for (i, &(bits, rot_sel, role_sel, seed)) in specs.iter().enumerate() {
+        let rob = i + 1;
+        let role = role(role_sel);
+        let mp = bf16 != (role == 2);
+        let a = s.prf.alloc().unwrap();
+        let b = s.prf.alloc().unwrap();
+        let acc_dst = s.prf.alloc().unwrap();
+        s.prf.write_all(a, seeded(seed, mp));
+        s.prf.write_all(b, seeded(seed.rotate_left(17), mp));
+        let (acc_src, chain_pred) = match (role, prev_dst) {
+            (3, Some((p, pd))) => (pd, Some(p)),
+            _ => {
+                let c = s.prf.alloc().unwrap();
+                let acc = seeded(seed.rotate_left(33), false);
+                if role == 1 {
+                    for l in (0..LANES).filter(|l| seed >> l & 1 == 1) {
+                        s.prf.write_lane(c, l, acc.lane(l));
+                    }
+                } else {
+                    s.prf.write_all(c, acc);
+                }
+                (c, None)
+            }
+        };
+        let (elm, ml) = if mp {
+            let ml = bits.max(1);
+            let al = (0..LANES).filter(|&l| ml >> (2 * l) & 0b11 != 0).fold(0, |m, l| m | 1 << l);
+            (al, ml)
+        } else {
+            ((bits as u16).max(1), 0)
+        };
+        s.rs.push(RsEntry::Fma(FmaEntry {
+            rob,
+            precision: if mp { FmaPrecision::Bf16 } else { FmaPrecision::F32 },
+            acc_log: VReg(0),
+            rot: rot_sel as i8 - 1,
+            acc_src,
+            acc_dst,
+            a,
+            b,
+            wm: u16::MAX,
+            elm_ready: role != 0,
+            elm,
+            orig_elm: elm,
+            ml,
+            orig_ml: ml,
+            chain_pred,
+            chain_succ: None,
+            fwd_base: [0.0; LANES],
+            fwd_ready: [NO_FWD; LANES],
+            seq: rob as u64,
+        }));
+        if let Some(p) = chain_pred {
+            s.rs.find_fma_mut(p).unwrap().chain_succ = Some(rob);
+        }
+        prev_dst = Some((rob, acc_dst));
+    }
+    s
+}
+
+/// An issued op as comparable data: completion cycle and `(rob, dst,
+/// lane, value bits)` per lane result, in order.
+type OpView = (u64, Vec<(usize, u32, usize, u32)>);
+
+fn view(ops: &[save_core::vpu::VpuOp]) -> Vec<OpView> {
+    ops.iter()
+        .map(|o| {
+            let r = o.results.iter().map(|r| (r.rob, r.dst, r.lane, r.value.to_bits())).collect();
+            (o.complete_at, r)
+        })
+        .collect()
+}
+
+/// `(rob, elm, ml)` of every entry, in program order.
+fn masks(rs: &Rs) -> Vec<(usize, u16, u32)> {
+    rs.iter()
+        .filter_map(|e| match e {
+            RsEntry::Fma(f) => Some((f.rob, f.elm, f.ml)),
+            _ => None,
+        })
+        .collect()
+}
+
+/// ROB ids of the finished entries still in the station, ascending.
+fn finished_in(rs: &Rs) -> Vec<usize> {
+    rs.iter()
+        .filter_map(|e| match e {
+            RsEntry::Fma(f) if f.elm_ready && f.elm == 0 && f.ml == 0 => Some(f.rob),
+            _ => None,
+        })
+        .collect()
+}
+
+/// Algorithm 1 as a position-major loop — for each temp lane position,
+/// the first `N` candidates (oldest first) with an unscheduled effectual
+/// lane there go to temps `0..N` — with the lane math widening both
+/// operands to BF16 vectors. The reference the candidate-major select and
+/// its per-lane operand reads must match bit for bit.
+fn reference_vertical(
+    rs: &mut Rs,
+    prf: &PhysRegFile,
+    cfg: &CoreConfig,
+    cycle: u64,
+    stats: &mut CoreStats,
+) -> (Vec<OpView>, Vec<usize>) {
+    let window = |f: &FmaEntry| f.elm_ready && prf.fully_ready(f.a) && prf.fully_ready(f.b);
+    let Some(precision) = rs.iter().find_map(|e| match e {
+        RsEntry::Fma(f) if window(f) => Some(f.precision),
+        _ => None,
+    }) else {
+        return (Vec::new(), Vec::new());
+    };
+    let mut cand: Vec<(usize, u16)> = Vec::new();
+    for (pos, e) in rs.iter().enumerate() {
+        if let RsEntry::Fma(f) = e {
+            let m = f.elm & prf.ready_mask(f.acc_src);
+            if window(f) && f.precision == precision && m != 0 {
+                cand.push((pos, m));
+            }
+        }
+    }
+    let nv = cfg.num_vpus;
+    let mut temps: Vec<Vec<(usize, usize)>> = vec![Vec::new(); nv];
+    for pos in 0..LANES {
+        let mut v = 0;
+        for c in cand.iter_mut() {
+            if v == nv {
+                break;
+            }
+            let RsEntry::Fma(f) = rs.at(c.0) else { unreachable!() };
+            let lane = f.logical_lane(pos);
+            if c.1 >> lane & 1 == 0 {
+                continue;
+            }
+            c.1 &= !(1 << lane);
+            temps[v].push((c.0, lane));
+            v += 1;
+        }
+    }
+    let latency = match precision {
+        FmaPrecision::F32 => cfg.fp32_fma_cycles,
+        FmaPrecision::Bf16 => cfg.mp_fma_cycles,
+    };
+    let mut ops = Vec::new();
+    let mut finished = Vec::new();
+    for temp in temps.iter().filter(|t| !t.is_empty()) {
+        let mut results = Vec::new();
+        for &(pos, lane) in temp {
+            let RsEntry::Fma(f) = rs.at_mut(pos) else { unreachable!() };
+            let c = prf.value(f.acc_src).lane(lane);
+            let value = match precision {
+                FmaPrecision::F32 => {
+                    prf.value(f.a).lane(lane).mul_add(prf.value(f.b).lane(lane), c)
+                }
+                FmaPrecision::Bf16 => {
+                    let (av, bv) = (prf.value(f.a).as_bf16(), prf.value(f.b).as_bf16());
+                    let bits = f.ml_bits_at(lane);
+                    let mut acc = c;
+                    for half in 0..2 {
+                        if bits >> half & 1 == 1 {
+                            let m = 2 * lane + half;
+                            acc = av.lane(m).to_f32().mul_add(bv.lane(m).to_f32(), acc);
+                        }
+                    }
+                    f.ml &= !(0b11 << (2 * lane));
+                    stats.mp_mls_issued += u64::from(bits.count_ones());
+                    acc
+                }
+            };
+            f.elm &= !(1 << lane);
+            if f.elm == 0 && f.ml == 0 {
+                finished.push(f.rob);
+            }
+            results.push((f.rob, f.acc_dst, lane, value.to_bits()));
+        }
+        stats.vpu_ops += 1;
+        stats.lanes_issued += results.len() as u64;
+        ops.push((cycle + latency, results));
+    }
+    finished.sort_unstable();
+    (ops, finished)
+}
+
+/// Runs one select of `cfg.scheduler` through the dispatcher after a
+/// window refresh, as the core does; returns the ops and the reported
+/// finishes, sorted.
+fn select_once(
+    s: &mut Setup,
+    cfg: &CoreConfig,
+    cycle: u64,
+    stats: &mut CoreStats,
+) -> (Vec<OpView>, Vec<usize>) {
+    let mut sx = sched::SelectScratch::new();
+    sched::window_masks(&s.rs, &s.prf, cfg.lane_wise, &mut sx);
+    let mut out = Vec::new();
+    sched::select(&mut s.rs, &s.prf, cfg, cycle, stats, &mut sx, &mut out, None, false);
+    let mut finished = sx.finished().to_vec();
+    let reported = finished.len();
+    finished.sort_unstable();
+    finished.dedup();
+    assert_eq!(finished.len(), reported, "an entry was reported finished twice");
+    (view(&out), finished)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The candidate-major vertical select issues exactly what Algorithm 1's
+    /// position-major loop issues: the same ops with the same lane results
+    /// in the same order, the same residual masks and statistics, and the
+    /// same finished entries.
+    #[test]
+    fn vertical_select_matches_position_major_reference(
+        specs in entry_specs(40),
+        nv in 1usize..5,
+        bf16 in any::<bool>(),
+    ) {
+        let cfg = CoreConfig { num_vpus: nv, mp_compress: false, ..CoreConfig::save_2vpu() };
+        let mut got = build_window(&specs, bf16);
+        let mut want = build_window(&specs, bf16);
+        let before = finished_in(&got.rs);
+        prop_assert!(before.is_empty());
+        let (mut got_stats, mut want_stats) = (CoreStats::default(), CoreStats::default());
+        let (ops, finished) = select_once(&mut got, &cfg, 7, &mut got_stats);
+        let (ref_ops, ref_finished) =
+            reference_vertical(&mut want.rs, &want.prf, &cfg, 7, &mut want_stats);
+        prop_assert_eq!(ops, ref_ops);
+        prop_assert_eq!(masks(&got.rs), masks(&want.rs));
+        prop_assert_eq!(&finished, &ref_finished);
+        prop_assert_eq!(got_stats, want_stats);
+    }
+
+    /// Every SAVE select reports exactly the entries its bit clearing
+    /// finished: after one select from a window with no finished entry,
+    /// the report equals the set of entries that are now ELM-ready with
+    /// no effectual lane or ML left.
+    #[test]
+    fn save_selects_report_exactly_what_they_finish(
+        specs in entry_specs(24),
+        nv in 1usize..4,
+        which in 0u8..4,
+    ) {
+        let (scheduler, bf16, mp_compress) = match which {
+            0 => (save_core::SchedulerKind::Vertical, false, false),
+            1 => (save_core::SchedulerKind::Horizontal, false, false),
+            2 => (save_core::SchedulerKind::Horizontal, true, false),
+            _ => (save_core::SchedulerKind::Vertical, true, true),
+        };
+        let cfg = CoreConfig { scheduler, num_vpus: nv, mp_compress, ..CoreConfig::save_2vpu() };
+        let mut s = build_window(&specs, bf16);
+        let mut stats = CoreStats::default();
+        let (_, finished) = select_once(&mut s, &cfg, 3, &mut stats);
+        prop_assert_eq!(finished, finished_in(&s.rs));
+    }
+}
+
+#[test]
+fn mixed_select_reports_a_successor_it_finishes_as_an_extension() {
+    // I1 has one ML at AL0; its chain successor I2 has one ML there and
+    // nothing else. The single temp slot packs both, which finishes both
+    // VFMAs in one op: I2 through the extension, never as a leader.
+    let mut s = setup();
+    let base = s.prf.alloc().unwrap();
+    s.prf.write_all(base, VecF32::splat(1.0));
+    let mid = add_mp(&mut s, 1, base, 0b01, 0, None);
+    add_mp(&mut s, 2, mid, 0b10, 0, Some(1));
+    let cfg = CoreConfig { mp_compress: true, num_vpus: 1, ..CoreConfig::save_2vpu() };
+    let mut stats = CoreStats::default();
+    let (ops, finished) = select_once(&mut s, &cfg, 0, &mut stats);
+    assert_eq!(ops.len(), 1);
+    assert_eq!(stats.mp_mls_issued, 2);
+    assert_eq!(finished, vec![1, 2]);
+    assert_eq!(finished, finished_in(&s.rs));
+}
