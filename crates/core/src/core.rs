@@ -129,14 +129,9 @@ pub struct Core {
     rep: Option<Arc<FuncTrace>>,
     // VFMAs still awaiting ELM generation, allocation (= program) order.
     // `run_mgus` walks this instead of the whole station and touches an
-    // entry's RS slot only once its operands are ready; a reorder fault
-    // falls back to the full scan (see `Rs::order_intact`).
+    // entry's RS slot only once its operands are ready.
     elm_queue: Vec<ElmWait>,
     elm_scratch: Vec<ElmWait>,
-    // `SAVE_DEBUG_IDLE` probed once at construction: the per-cycle
-    // `env::var_os` call used to rescan the environment on every idle
-    // cycle, which is pure host overhead on memory-bound kernels.
-    debug_idle: bool,
     // Reusable per-cycle buffers: the cycle loop allocates nothing in
     // steady state (see DESIGN.md, host performance).
     sx: sched::SelectScratch,
@@ -172,7 +167,7 @@ impl Core {
             prf,
             rt,
             rob: Rob::new(cfg.rob_entries),
-            rs: Rs::new(cfg.rs_entries),
+            rs: Rs::new(cfg.rs_entries, cfg.rob_entries),
             vpu: VpuPipeline::new(),
             lsu: Lsu::new(),
             watchers: Vec::new(),
@@ -205,7 +200,6 @@ impl Core {
             rep: None,
             elm_queue: Vec::new(),
             elm_scratch: Vec::new(),
-            debug_idle: std::env::var_os("SAVE_DEBUG_IDLE").is_some(),
             sx: sched::SelectScratch::new(),
             ops_buf: Vec::new(),
             vpu_done: Vec::new(),
@@ -562,6 +556,8 @@ impl Core {
             // Sanitizer: snapshot the vertical-coalescing candidate set for
             // the Algorithm 1 age-order check on cycles where vertical
             // select will run (heavier, so gated on the sanitize stride).
+            // The reorder fault lands after the snapshot, which therefore
+            // holds the station's true age order.
             if let Some(s) = self.san.as_mut() {
                 let vertical_selects = self.cfg.scheduler == SchedulerKind::Vertical
                     && !(self.cfg.mp_compress
@@ -569,6 +565,12 @@ impl Core {
                             == Some(FmaPrecision::Bf16));
                 if vertical_selects && s.due(cycle) {
                     s.snapshot_vc(&self.rs, &self.prf, self.cfg.lane_wise);
+                    let reorder = self
+                        .fault_pending
+                        .is_some_and(|p| p.kind == FaultKind::ReorderRsPick && cycle >= p.at_cycle);
+                    if reorder && sched::swap_oldest_candidates(&self.rs, &mut self.sx) {
+                        self.fault_pending = None;
+                    }
                 } else {
                     s.clear_snapshot();
                 }
@@ -626,36 +628,9 @@ impl Core {
                 self.ops_buf = ops;
             } else {
                 self.ops_buf = ops;
-                // Every entry outside the mem-op index is a VFMA (a reorder
-                // fault permutes order, never that index's membership).
-                let has_fma = self.rs.len() > self.rs.mem_len();
-                if has_fma {
+                // Every entry that is not a load or store is a VFMA.
+                if self.rs.len() > self.rs.mem_len() {
                     self.stats.vpu_idle_not_ready += 1;
-                    if self.debug_idle && self.stats.vpu_idle_not_ready % 97 == 1 {
-                        let mut wait_a = 0;
-                        let mut wait_b = 0;
-                        let mut wait_acc = 0;
-                        let mut wait_elm = 0;
-                        for e in self.rs.iter() {
-                            if let RsEntry::Fma(f) = e {
-                                if !self.prf.fully_ready(f.a) {
-                                    wait_a += 1;
-                                } else if !self.prf.fully_ready(f.b) {
-                                    wait_b += 1;
-                                } else if !f.elm_ready
-                                    && self.cfg.scheduler != SchedulerKind::Baseline
-                                {
-                                    wait_elm += 1;
-                                } else if !self.prf.fully_ready(f.acc_src) {
-                                    wait_acc += 1;
-                                }
-                            }
-                        }
-                        eprintln!(
-                            "cycle {cycle}: idle, rs={} wait_a={wait_a} wait_b={wait_b} wait_elm={wait_elm} wait_acc={wait_acc}",
-                            self.rs.len()
-                        );
-                    }
                 } else {
                     self.stats.vpu_idle_no_fma += 1;
                 }
@@ -992,16 +967,16 @@ impl Core {
         match plan.kind {
             FaultKind::FlipElmBit => {
                 let bit = 1u16 << (plan.seed % LANES as u64);
-                for pos in 0..self.rs.len() {
-                    if let RsEntry::Fma(f) = self.rs.at_mut(pos) {
-                        if f.elm_ready && f.precision == FmaPrecision::F32 {
-                            f.elm ^= bit;
-                            f.orig_elm ^= bit;
-                            return true;
-                        }
-                    }
+                let target = self.rs.indexed().find_map(|(slot, e)| match e {
+                    RsEntry::Fma(f) if f.elm_ready && f.precision == FmaPrecision::F32 => Some(slot),
+                    _ => None,
+                });
+                let Some(slot) = target else { return false };
+                if let RsEntry::Fma(f) = self.rs.at_mut(slot) {
+                    f.elm ^= bit;
+                    f.orig_elm ^= bit;
                 }
-                false
+                true
             }
             FaultKind::DropWakeup => {
                 let lane = (plan.seed % LANES as u64) as usize;
@@ -1060,30 +1035,11 @@ impl Core {
                     false
                 }
             }
-            FaultKind::ReorderRsPick => {
-                let ready: Vec<usize> = self
-                    .rs
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(i, e)| match e {
-                        RsEntry::Fma(f)
-                            if sched::sched_mask(f, &self.prf, self.cfg.lane_wise) != 0 =>
-                        {
-                            Some(i)
-                        }
-                        _ => None,
-                    })
-                    .take(2)
-                    .collect();
-                if let [first, second] = ready[..] {
-                    self.rs.swap_order(first, second);
-                    true
-                } else {
-                    false
-                }
-            }
-            // Issue-path faults are applied by `fault::apply_issue_fault`.
-            FaultKind::DuplicateLaneResult | FaultKind::RotateWritebackLane => false,
+            // Issue-path faults are applied by `fault::apply_issue_fault`,
+            // the reorder fault by `sched::swap_oldest_candidates`.
+            FaultKind::DuplicateLaneResult
+            | FaultKind::RotateWritebackLane
+            | FaultKind::ReorderRsPick => false,
         }
     }
 
@@ -1168,70 +1124,52 @@ impl Core {
     /// that finished outright (a BS skip) in `exits`.
     fn run_mgus(&mut self, cycle: u64) {
         let mut budget = self.cfg.issue_width;
-        if self.rs.order_intact() {
-            // Fast path: only VFMAs still awaiting ELM generation are
-            // visited (the queue is allocation = program order), so a
-            // station full of already-masked VFMAs costs the MGUs nothing,
-            // and one still waiting on its operands costs two readiness
-            // reads.
-            if !self.elm_queue.is_empty() {
-                let queue = std::mem::take(&mut self.elm_queue);
-                let mut kept = std::mem::take(&mut self.elm_scratch);
-                kept.clear();
-                for (qi, w) in queue.iter().enumerate() {
-                    if budget == 0 {
-                        kept.extend_from_slice(&queue[qi..]);
-                        break;
-                    }
-                    if !self.prf.fully_ready(w.a) || !self.prf.fully_ready(w.b) {
-                        kept.push(*w);
-                        continue;
-                    }
-                    let Some(pos) = self.rs.pos_of(w.rob) else { continue };
-                    match self.mgu_try_generate(pos, cycle) {
-                        MguTry::Stale => {}
-                        MguTry::NotReady => kept.push(*w),
-                        MguTry::Generated { done } => {
-                            budget -= 1;
-                            if done {
-                                self.exits.push(w.rob);
-                            }
+        // Only VFMAs still awaiting ELM generation are visited (the queue is
+        // allocation = program order), so a station full of already-masked
+        // VFMAs costs the MGUs nothing, and one still waiting on its
+        // operands costs two readiness reads.
+        if !self.elm_queue.is_empty() {
+            let queue = std::mem::take(&mut self.elm_queue);
+            let mut kept = std::mem::take(&mut self.elm_scratch);
+            kept.clear();
+            for (qi, w) in queue.iter().enumerate() {
+                if budget == 0 {
+                    kept.extend_from_slice(&queue[qi..]);
+                    break;
+                }
+                if !self.prf.fully_ready(w.a) || !self.prf.fully_ready(w.b) {
+                    kept.push(*w);
+                    continue;
+                }
+                let Some(slot) = self.rs.pos_of(w.rob) else { continue };
+                match self.mgu_try_generate(slot, cycle) {
+                    MguTry::Stale => {}
+                    MguTry::NotReady => kept.push(*w),
+                    MguTry::Generated { done } => {
+                        budget -= 1;
+                        if done {
+                            self.exits.push(w.rob);
                         }
                     }
                 }
-                self.elm_queue = kept;
-                self.elm_scratch = queue;
-                self.elm_scratch.clear();
             }
-        } else {
-            // A reorder fault permuted the station: walk the full
-            // (permuted) program order, exactly like the pre-index scan
-            // the fault was written against.
-            for pos in 0..self.rs.len() {
-                if budget == 0 {
-                    break;
-                }
-                if let MguTry::Generated { done } = self.mgu_try_generate(pos, cycle) {
-                    budget -= 1;
-                    if done {
-                        self.exits.push(self.rs.at(pos).rob());
-                    }
-                }
-            }
+            self.elm_queue = kept;
+            self.elm_scratch = queue;
+            self.elm_scratch.clear();
         }
         // Newly created watchers may copy already-ready lanes this cycle.
         self.run_watchers();
     }
 
-    /// One ELM-generation attempt for the RS entry at program-order
-    /// position `pos` (the body of [`Core::run_mgus`]'s per-entry step).
-    fn mgu_try_generate(&mut self, pos: usize, cycle: u64) -> MguTry {
+    /// One ELM-generation attempt for the RS entry in payload slot `slot`
+    /// (the body of [`Core::run_mgus`]'s per-entry step).
+    fn mgu_try_generate(&mut self, slot: usize, cycle: u64) -> MguTry {
         let trace_on = self.tracer.is_some();
         // Watchers are pushed straight into `self.watchers` (a distinct
         // field, so the entry borrow allows it); only the BS-skip trace
         // needs `&mut self` and is emitted after the borrow ends.
         let (done, skipped_rob) = {
-            let f = match self.rs.at_mut(pos) {
+            let f = match self.rs.at_mut(slot) {
                 RsEntry::Fma(f) => f,
                 _ => return MguTry::Stale,
             };

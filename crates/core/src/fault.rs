@@ -12,8 +12,9 @@
 //! of the first step at or after `at_cycle` that has an eligible target
 //! (retrying every cycle until one appears); issue-path faults instead
 //! mutate the scheduler's output between select and the sanitizer's issue
-//! check. Application is deterministic — same plan, same program, same
-//! trigger cycle.
+//! check, and the reorder fault mutates select's candidate list just
+//! before select. Application is deterministic — same plan, same program,
+//! same trigger cycle.
 
 use crate::vpu::VpuOp;
 use serde::{Deserialize, Serialize};
@@ -51,8 +52,11 @@ pub enum FaultKind {
     /// destination and cancel the watcher copy for it. Caught by the
     /// BS pass-through check at commit.
     CorruptPassthrough,
-    /// Swap the two oldest ready FMAs in the reservation station so select
-    /// sees them youngest-first. Caught by the VC age-order check.
+    /// Swap the two oldest combination-window candidates in select's list
+    /// so it sees them youngest-first — applied after the sanitizer's
+    /// candidate snapshot, on a cycle where vertical select runs and the
+    /// two contest a rotated temp position (retried until one does). The
+    /// station keeps its true age order. Caught by the VC age-order check.
     ReorderRsPick,
 }
 

@@ -191,21 +191,16 @@ impl Lsu {
         let mut b_left = cmem.bcast_read_ports();
         let mut stores_left = store_ports;
 
-        // Collect issue decisions first (immutable scan), then apply. The
-        // scan walks the loads/stores index in program order; after a
-        // reorder fault has permuted the station it falls back to the full
-        // (possibly permuted) program-order walk the fault targets.
+        // Collect issue decisions first (immutable scan of the waiting loads
+        // and stores in program order), then apply.
         let mut actions = std::mem::take(&mut self.actions);
         let mut issued = std::mem::take(&mut self.issued);
         actions.clear();
         issued.clear();
-        let intact = rs.order_intact();
-        let scan_len = if intact { rs.mem_len() } else { rs.len() };
-        for pos in 0..scan_len {
+        for e in rs.mem_iter() {
             if l1_left == 0 && stores_left == 0 {
                 break;
             }
-            let e = if intact { rs.mem_at(pos) } else { rs.at(pos) };
             match e {
                 RsEntry::Load(l) => {
                     if self.blocked_by_store(l.rob, save_mem::line_of(l.addr)) {
@@ -332,7 +327,7 @@ mod tests {
     fn setup() -> (Rs, PhysRegFile, Memory, CoreMemory, Uncore, CoreStats, Rob) {
         let cfg = MemConfig { bcast: None, prefetch_degree: 0, ..MemConfig::default() };
         (
-            Rs::new(97),
+            Rs::new(97, 224),
             PhysRegFile::new(64),
             Memory::new(8192),
             CoreMemory::new(0, cfg, 1.7),

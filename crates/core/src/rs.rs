@@ -4,14 +4,17 @@
 //! loads, stores and VFMAs). SAVE's Combination Window is exactly the set of
 //! ready VFMAs present in these entries at a given cycle (§III).
 //!
-//! Storage is a slot array with a free list plus a program-order index
-//! (`order`, a `(rob, slot)` list): removing an entry returns its slot to
-//! the free list and drops one small index pair instead of memmoving the
-//! ~¼ KB payloads, and `rob → entry` lookups binary-search the index (ROB
-//! ids are allocated monotonically, so the order list is sorted by
-//! construction). The sanitizer's RS-reorder fault permutes the order list,
-//! after which lookups fall back to a linear scan — the fault must corrupt
-//! scheduling age order, not the lookup structure.
+//! The station is indexed by ROB id, as an age matrix over the ROB would
+//! be. Payloads live in a compact slot array with a free list, so a
+//! removal never moves the ~¼ KB entries. Two bitsets over the ROB ring —
+//! occupied, and loads/stores — record which ring positions (`rob mod
+//! ring`) hold a waiting entry, and `slot_at` maps each position to its
+//! payload slot. ROB ids are allocated monotonically and at most
+//! `rob_entries` are in flight, so walking the set bits from the oldest
+//! waiting entry's position round the ring visits entries in program
+//! order; a lookup is one bit test plus a payload ROB-id check, and a
+//! removal clears a bit. The ring is `rob_entries` rounded up to a power
+//! of two, so a ring position is a mask, not a division.
 
 use crate::rename::PhysRegFile;
 use crate::uop::{FmaPrecision, LoadKind, PhysId, RobId};
@@ -160,198 +163,239 @@ impl RsEntry {
     }
 }
 
-/// The reservation station: bounded, iterated in program order.
-#[derive(Clone, Debug, Default)]
+/// The reservation station: bounded, indexed by ROB id, iterated in
+/// program order (see the module docs).
+#[derive(Clone, Debug)]
 pub struct Rs {
-    /// Slot storage; `None` slots are on the free list.
+    /// Payload storage; `None` slots are on the free list.
     slots: Vec<Option<RsEntry>>,
     /// Free slot indices.
     free: Vec<u32>,
-    /// Program-order view: `(rob, slot)` pairs, oldest first. Sorted by
-    /// `rob` as long as `sorted` holds (ROB ids are monotonic).
-    order: Vec<(RobId, u32)>,
-    /// Memory-op subset of `order` (loads and stores only, program order):
-    /// the LSU's per-cycle scan walks this instead of the whole station, so
-    /// a VFMA-saturated RS costs the LSU nothing. Its order is
-    /// invalidated — with a full-scan fallback — once [`Rs::swap_order`]
-    /// permutes program order; its membership stays exact.
-    mem_order: Vec<(RobId, u32)>,
-    /// Whether `order` is still sorted by ROB id (cleared by
-    /// [`Rs::swap_order`] and by out-of-order pushes in unit tests).
-    sorted: bool,
-    /// Whether [`Rs::swap_order`] has permuted program order — `mem_order`
-    /// no longer mirrors `order`'s relative order, and position-independent
-    /// fast paths must fall back to full scans.
-    permuted: bool,
+    /// Payload slot of the entry at each ring position; meaningful where
+    /// `occupied` has the position's bit set.
+    slot_at: Vec<u32>,
+    /// Ring positions holding a waiting entry.
+    occupied: Vec<u64>,
+    /// Ring positions holding a waiting load or store: the LSU walks these
+    /// instead of the whole station, so a VFMA-saturated RS costs it
+    /// nothing.
+    mem: Vec<u64>,
+    /// Waiting loads and stores.
+    mem_len: usize,
+    /// ROB id of the oldest waiting entry (meaningful while non-empty):
+    /// where every age-order walk starts.
+    oldest: RobId,
+    /// `ring - 1`, with `ring` the power of two at or above `rob_entries`.
+    mask: usize,
+    /// ROB ids in flight at once: a new id lies below `oldest + rob_entries`.
+    rob_entries: usize,
     capacity: usize,
 }
 
+/// Age-order walk over a bitset on the ROB ring: the set positions from
+/// `start` to the end of the ring, then from position 0 up to `start`.
+/// `count` must be the number of set bits. The walk stops after that many,
+/// so on coming back round to the start word it yields only the bits below
+/// `start` (a word's bits come out lowest first).
+struct RingWalk<'a> {
+    words: &'a [u64],
+    /// Unvisited set bits of word `wi`.
+    cur: u64,
+    wi: usize,
+    count: usize,
+}
+
+impl<'a> RingWalk<'a> {
+    fn new(words: &'a [u64], start: usize, count: usize) -> Self {
+        let wi = start / 64;
+        let cur = if count == 0 { 0 } else { words[wi] & (u64::MAX << (start % 64)) };
+        RingWalk { words, cur, wi, count }
+    }
+}
+
+impl Iterator for RingWalk<'_> {
+    type Item = usize;
+
+    #[inline]
+    fn next(&mut self) -> Option<usize> {
+        if self.count == 0 {
+            return None;
+        }
+        while self.cur == 0 {
+            self.wi = if self.wi + 1 == self.words.len() { 0 } else { self.wi + 1 };
+            self.cur = self.words[self.wi];
+        }
+        self.count -= 1;
+        let bit = self.cur.trailing_zeros() as usize;
+        self.cur &= self.cur - 1;
+        Some(self.wi * 64 + bit)
+    }
+}
+
 impl Rs {
-    /// Creates an empty RS of `capacity` entries.
-    pub fn new(capacity: usize) -> Self {
+    /// Creates an empty RS of `capacity` entries for a core with
+    /// `rob_entries` ROB entries (the span of ROB ids in flight at once).
+    pub fn new(capacity: usize, rob_entries: usize) -> Self {
+        let ring = rob_entries.next_power_of_two();
         Rs {
             slots: (0..capacity).map(|_| None).collect(),
             // Pop from the back: slot 0 is handed out first.
             free: (0..capacity as u32).rev().collect(),
-            order: Vec::with_capacity(capacity),
-            mem_order: Vec::new(),
-            sorted: true,
-            permuted: false,
+            slot_at: vec![0; ring],
+            occupied: vec![0; ring.div_ceil(64)],
+            mem: vec![0; ring.div_ceil(64)],
+            mem_len: 0,
+            oldest: 0,
+            mask: ring - 1,
+            rob_entries,
             capacity,
         }
     }
 
-    /// `true` while program order is intact (no reorder fault applied).
-    /// Fast paths that iterate derived index lists instead of `order` must
-    /// check this and fall back to a full scan when it is `false`.
-    pub fn order_intact(&self) -> bool {
-        !self.permuted
+    /// Ring position of the oldest waiting entry.
+    fn start(&self) -> usize {
+        self.oldest & self.mask
     }
 
-    /// Loads and stores currently waiting (length of the mem-op index).
+    fn bit(words: &[u64], p: usize) -> bool {
+        words[p / 64] >> (p % 64) & 1 == 1
+    }
+
+    /// Loads and stores currently waiting.
     pub fn mem_len(&self) -> usize {
-        self.mem_order.len()
+        self.mem_len
     }
 
     /// Iterates the waiting loads and stores oldest-first without touching
-    /// the VFMA entries. Only valid while [`Rs::order_intact`]; callers
-    /// must use [`Rs::iter`] after a reorder fault.
+    /// the VFMA entries.
     pub fn mem_iter(&self) -> impl Iterator<Item = &RsEntry> {
-        debug_assert!(!self.permuted, "mem_iter after a reorder fault");
-        self.mem_order.iter().map(|&(_, s)| {
-            self.slots[s as usize].as_ref().expect("mem_order refers to a filled slot")
-        })
-    }
-
-    /// The `pos`-th oldest waiting load/store (see [`Rs::mem_iter`]).
-    ///
-    /// # Panics
-    /// Panics when `pos >= self.mem_len()`.
-    pub fn mem_at(&self, pos: usize) -> &RsEntry {
-        debug_assert!(!self.permuted, "mem_at after a reorder fault");
-        let (_, s) = self.mem_order[pos];
-        self.slots[s as usize].as_ref().expect("mem_order refers to a filled slot")
+        RingWalk::new(&self.mem, self.start(), self.mem_len)
+            .map(move |p| self.at(self.slot_at[p] as usize))
     }
 
     /// Occupied entries.
     pub fn len(&self) -> usize {
-        self.order.len()
+        self.capacity - self.free.len()
     }
 
     /// `true` when the RS holds no entries.
     pub fn is_empty(&self) -> bool {
-        self.order.is_empty()
+        self.len() == 0
     }
 
     /// `true` when allocation must stall.
     pub fn is_full(&self) -> bool {
-        self.order.len() >= self.capacity
+        self.free.is_empty()
     }
 
-    /// Inserts an entry (program order is insertion order).
+    /// Inserts an entry. ROB ids are monotonic, so the new entry is the
+    /// youngest.
     ///
     /// # Panics
-    /// Panics on overflow — callers must check [`Rs::is_full`].
+    /// Panics on overflow (callers must check [`Rs::is_full`]), and when
+    /// the id is not within `rob_entries` of the oldest waiting id or its
+    /// ring position is taken (an id pushed twice).
     pub fn push(&mut self, e: RsEntry) {
         assert!(!self.is_full(), "RS overflow");
         let rob = e.rob();
-        let is_mem = matches!(e, RsEntry::Load(_) | RsEntry::Store(_));
+        if self.is_empty() {
+            self.oldest = rob;
+        }
+        assert!(
+            rob.wrapping_sub(self.oldest) < self.rob_entries,
+            "ROB id {rob} is not within {} of the oldest waiting id {}",
+            self.rob_entries,
+            self.oldest
+        );
+        let p = rob & self.mask;
+        assert!(!Self::bit(&self.occupied, p), "ROB id {rob} pushed while its ring position is taken");
         let slot = self.free.pop().expect("free slot exists below capacity");
+        self.occupied[p / 64] |= 1 << (p % 64);
+        if matches!(e, RsEntry::Load(_) | RsEntry::Store(_)) {
+            self.mem[p / 64] |= 1 << (p % 64);
+            self.mem_len += 1;
+        }
+        self.slot_at[p] = slot;
         self.slots[slot as usize] = Some(e);
-        if let Some(&(last, _)) = self.order.last() {
-            if rob < last {
-                self.sorted = false;
-            }
-        }
-        self.order.push((rob, slot));
-        if is_mem {
-            self.mem_order.push((rob, slot));
-        }
     }
 
     /// Iterates entries oldest-first.
     pub fn iter(&self) -> impl Iterator<Item = &RsEntry> {
-        self.order.iter().map(|&(_, s)| {
-            self.slots[s as usize].as_ref().expect("order refers to a filled slot")
+        self.indexed().map(|(_, e)| e)
+    }
+
+    /// Iterates entries oldest-first with their payload slots (the indices
+    /// [`Rs::at`] and [`Rs::at_mut`] take).
+    pub fn indexed(&self) -> impl Iterator<Item = (usize, &RsEntry)> {
+        RingWalk::new(&self.occupied, self.start(), self.len()).map(move |p| {
+            let s = self.slot_at[p] as usize;
+            (s, self.at(s))
         })
     }
 
-    /// The entry at program-order position `pos` (0 = oldest).
+    /// The entry in payload slot `slot`.
     ///
     /// # Panics
-    /// Panics when `pos >= self.len()`.
-    pub fn at(&self, pos: usize) -> &RsEntry {
-        let (_, s) = self.order[pos];
-        self.slots[s as usize].as_ref().expect("order refers to a filled slot")
+    /// Panics when the slot is free.
+    pub fn at(&self, slot: usize) -> &RsEntry {
+        self.slots[slot].as_ref().expect("at on a free slot")
     }
 
-    /// Mutable access to the entry at program-order position `pos`.
+    /// Mutable access to the entry in payload slot `slot`.
     ///
-    /// Positions are stable while no entry is pushed or removed, which lets
-    /// the schedulers interleave shared and mutable access by position
-    /// without holding one long mutable borrow of the whole station.
+    /// Slots are stable while the entry waits, which lets the schedulers
+    /// interleave shared and mutable access by slot without holding one
+    /// long mutable borrow of the whole station.
     ///
     /// # Panics
-    /// Panics when `pos >= self.len()`.
-    pub fn at_mut(&mut self, pos: usize) -> &mut RsEntry {
-        let (_, s) = self.order[pos];
-        self.slots[s as usize].as_mut().expect("order refers to a filled slot")
+    /// Panics when the slot is free.
+    pub fn at_mut(&mut self, slot: usize) -> &mut RsEntry {
+        self.slots[slot].as_mut().expect("at_mut on a free slot")
     }
 
-    /// Program-order position of the entry with ROB id `rob`, if present.
-    /// Binary search while the order list is sorted, linear after a
-    /// scheduler fault permuted it.
+    /// Payload slot of the entry with ROB id `rob`, if it is waiting. The
+    /// payload's id is checked because a departed id (a stale
+    /// `chain_pred`, say) can share its ring position with a live entry.
     pub fn pos_of(&self, rob: RobId) -> Option<usize> {
-        if self.sorted {
-            self.order.binary_search_by_key(&rob, |&(r, _)| r).ok()
-        } else {
-            self.order.iter().position(|&(r, _)| r == rob)
+        let p = rob & self.mask;
+        if !Self::bit(&self.occupied, p) {
+            return None;
         }
+        let s = self.slot_at[p] as usize;
+        (self.at(s).rob() == rob).then_some(s)
     }
 
     /// Finds the FMA entry with ROB id `rob`.
     pub fn find_fma_mut(&mut self, rob: RobId) -> Option<&mut FmaEntry> {
-        let pos = self.pos_of(rob)?;
-        match self.at_mut(pos) {
+        let slot = self.pos_of(rob)?;
+        match self.at_mut(slot) {
             RsEntry::Fma(f) => Some(f),
             _ => None,
         }
     }
 
-    /// Swaps two program-order positions — the sanitizer's RS-reorder fault
-    /// hook. Marks the order list unsorted so lookups stay correct.
-    ///
-    /// # Panics
-    /// Panics when either position is out of range.
-    pub fn swap_order(&mut self, a: usize, b: usize) {
-        self.order.swap(a, b);
-        self.sorted = false;
-        self.permuted = true;
-    }
-
     /// Removes the entries with the given ROB ids — the ones a stage just
-    /// issued or finished. Each is located with [`Rs::pos_of`] (a binary
-    /// search), its slot freed and its index pair dropped by shifting the
-    /// rest of the order list; entry payloads never move and no other
-    /// entry is read. The mem-op index is touched only when a load or
-    /// store leaves.
+    /// issued or finished. Each removal clears the id's ring bits and
+    /// frees its slot; no other entry is read, except that removing the
+    /// oldest entry walks forward to the next one.
     ///
     /// # Panics
     /// Panics when an id is not in the station (a stage reported an entry
     /// it did not own, or reported it twice).
     pub fn remove(&mut self, robs: &[RobId]) {
         for &rob in robs {
-            let pos = self.pos_of(rob).expect("removed ROB id is waiting in the RS");
-            let (_, s) = self.order.remove(pos);
-            let e = self.slots[s as usize].take().expect("order refers to a filled slot");
-            self.free.push(s);
-            if matches!(e, RsEntry::Load(_) | RsEntry::Store(_)) {
-                let mpos = if self.sorted {
-                    self.mem_order.binary_search_by_key(&rob, |&(r, _)| r).ok()
-                } else {
-                    self.mem_order.iter().position(|&(r, _)| r == rob)
-                };
-                self.mem_order.remove(mpos.expect("mem_order lists every load and store"));
+            let s = self.pos_of(rob).expect("removed ROB id is waiting in the RS");
+            let p = rob & self.mask;
+            self.occupied[p / 64] &= !(1 << (p % 64));
+            if Self::bit(&self.mem, p) {
+                self.mem[p / 64] &= !(1 << (p % 64));
+                self.mem_len -= 1;
+            }
+            self.slots[s] = None;
+            self.free.push(s as u32);
+            if rob == self.oldest && !self.is_empty() {
+                let next = RingWalk::new(&self.occupied, p, 1).next().expect("a waiting entry remains");
+                self.oldest = self.at(self.slot_at[next] as usize).rob();
             }
         }
     }
@@ -407,7 +451,7 @@ mod tests {
 
     #[test]
     fn rs_capacity_and_order() {
-        let mut rs = Rs::new(2);
+        let mut rs = Rs::new(2, 8);
         rs.push(RsEntry::Fma(fma(0, 0)));
         rs.push(RsEntry::Fma(fma(1, 0)));
         assert!(rs.is_full());
@@ -421,7 +465,7 @@ mod tests {
 
     #[test]
     fn slots_are_recycled_without_moving_survivors() {
-        let mut rs = Rs::new(3);
+        let mut rs = Rs::new(3, 8);
         for r in 0..3 {
             rs.push(RsEntry::Fma(fma(r, 0)));
         }
@@ -434,42 +478,21 @@ mod tests {
         let robs: Vec<_> = rs.iter().map(|e| e.rob()).collect();
         assert_eq!(robs, vec![0, 2, 7]);
         assert!(rs.is_full());
-        assert_eq!(rs.pos_of(2), Some(1));
-        assert_eq!(rs.pos_of(7), Some(2));
+        // Survivors keep their slots; the newcomer took the freed one.
+        assert_eq!(rs.pos_of(2), Some(2));
+        assert_eq!(rs.pos_of(7), Some(1));
         assert_eq!(rs.pos_of(3), None);
-    }
-
-    #[test]
-    fn lookup_survives_order_permutation() {
-        let mut rs = Rs::new(4);
-        for r in 0..4 {
-            rs.push(RsEntry::Fma(fma(r, 0)));
-        }
-        rs.swap_order(0, 3);
-        let robs: Vec<_> = rs.iter().map(|e| e.rob()).collect();
-        assert_eq!(robs, vec![3, 1, 2, 0], "iteration follows the permuted order");
-        // Binary search would miss in the permuted list; the linear
-        // fallback must still find every entry.
-        for r in 0..4 {
-            assert_eq!(rs.find_fma_mut(r).map(|f| f.rob), Some(r));
-        }
-        assert_eq!(rs.pos_of(0), Some(3));
+        let slots: Vec<_> = rs.indexed().map(|(s, e)| (s, e.rob())).collect();
+        assert_eq!(slots, vec![(0, 0), (2, 2), (1, 7)]);
     }
 
     #[test]
     fn mem_index_tracks_loads_and_stores_through_churn() {
-        let mut rs = Rs::new(6);
+        let mut rs = Rs::new(6, 8);
         rs.push(RsEntry::Fma(fma(0, 0)));
-        rs.push(RsEntry::Load(LoadEntry {
-            rob: 1,
-            dst: 0,
-            addr: 0,
-            value_addr: 0,
-            kind: crate::uop::LoadKind::Vector,
-            seq: 0,
-        }));
+        rs.push(load(1));
         rs.push(RsEntry::Fma(fma(2, 0)));
-        rs.push(RsEntry::Store(crate::rs::StoreEntry { rob: 3, src: 0, addr: 64 }));
+        rs.push(store(3));
         assert_eq!(rs.mem_len(), 2);
         let mem_robs: Vec<_> = rs.mem_iter().map(|e| e.rob()).collect();
         assert_eq!(mem_robs, vec![1, 3], "mem index preserves program order");
@@ -479,19 +502,9 @@ mod tests {
         assert_eq!(rs.mem_len(), 2);
         rs.remove(&[1]);
         assert_eq!(rs.mem_len(), 1);
-        rs.push(RsEntry::Load(LoadEntry {
-            rob: 4,
-            dst: 1,
-            addr: 128,
-            value_addr: 128,
-            kind: crate::uop::LoadKind::Broadcast,
-            seq: 1,
-        }));
+        rs.push(load(4));
         let mem_robs: Vec<_> = rs.mem_iter().map(|e| e.rob()).collect();
         assert_eq!(mem_robs, vec![3, 4]);
-        assert!(rs.order_intact());
-        rs.swap_order(0, 1);
-        assert!(!rs.order_intact(), "reorder fault invalidates the fast path");
     }
 
     fn load(rob: RobId) -> RsEntry {
@@ -510,25 +523,24 @@ mod tests {
     }
 
     /// Every view of the station agrees: `iter` is `expect` in order,
-    /// `mem_iter` its loads and stores, `pos_of` finds each entry at its
-    /// position, and the lengths match.
+    /// `mem_iter` its loads and stores, `pos_of` finds each entry's slot,
+    /// and the lengths match.
     fn assert_views(rs: &Rs, expect: &[RobId], mem: &[RobId]) {
         let robs: Vec<_> = rs.iter().map(|e| e.rob()).collect();
         assert_eq!(robs, expect);
         assert_eq!(rs.len(), expect.len());
-        for (i, &r) in expect.iter().enumerate() {
-            assert_eq!(rs.pos_of(r), Some(i), "rob {r}");
+        for &r in expect {
+            let slot = rs.pos_of(r).unwrap_or_else(|| panic!("rob {r} not found"));
+            assert_eq!(rs.at(slot).rob(), r);
         }
         assert_eq!(rs.mem_len(), mem.len());
-        if rs.order_intact() {
-            let mem_robs: Vec<_> = rs.mem_iter().map(|e| e.rob()).collect();
-            assert_eq!(mem_robs, mem);
-        }
+        let mem_robs: Vec<_> = rs.mem_iter().map(|e| e.rob()).collect();
+        assert_eq!(mem_robs, mem);
     }
 
     #[test]
     fn remove_keeps_every_view_consistent_and_reuses_slots() {
-        let mut rs = Rs::new(8);
+        let mut rs = Rs::new(8, 16);
         for r in 0..8 {
             rs.push(match r % 3 {
                 0 => RsEntry::Fma(fma(r, 0)),
@@ -560,26 +572,92 @@ mod tests {
     }
 
     #[test]
-    fn remove_after_reorder_fault_uses_the_linear_fallback() {
-        let mut rs = Rs::new(6);
-        for r in 0..6 {
-            rs.push(if r == 2 { load(r) } else { RsEntry::Fma(fma(r, 0)) });
-        }
-        rs.swap_order(0, 4);
-        assert_views(&rs, &[4, 1, 2, 3, 0, 5], &[2]);
-        // Binary search over the permuted order list would miss 0 and 4.
-        rs.remove(&[0, 2, 4]);
-        assert_views(&rs, &[1, 3, 5], &[]);
-        rs.push(RsEntry::Fma(fma(6, 0)));
-        assert_views(&rs, &[1, 3, 5, 6], &[]);
+    #[should_panic(expected = "waiting in the RS")]
+    fn removing_an_absent_entry_panics() {
+        let mut rs = Rs::new(2, 8);
+        rs.push(RsEntry::Fma(fma(0, 0)));
+        rs.remove(&[0, 0]);
     }
 
     #[test]
-    #[should_panic(expected = "waiting in the RS")]
-    fn removing_an_absent_entry_panics() {
-        let mut rs = Rs::new(2);
-        rs.push(RsEntry::Fma(fma(0, 0)));
-        rs.remove(&[0, 0]);
+    #[should_panic(expected = "is not within 8 of the oldest waiting id")]
+    fn pushing_a_full_ring_past_the_oldest_panics() {
+        let mut rs = Rs::new(5, 8);
+        rs.push(RsEntry::Fma(fma(3, 0)));
+        rs.push(RsEntry::Fma(fma(3 + 8, 0)));
+    }
+
+    #[test]
+    #[should_panic(expected = "ring position is taken")]
+    fn pushing_an_id_twice_panics() {
+        let mut rs = Rs::new(5, 8);
+        rs.push(RsEntry::Fma(fma(3, 0)));
+        rs.push(load(4));
+        rs.push(load(4));
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The station against a `BTreeMap` model on a ring of 8 ROB ids:
+        /// random pushes (monotonic ids with gaps, mixed kinds, kept within
+        /// the ring of the oldest waiting id) and random removals wrap the
+        /// ring many times, and after every step each view agrees with the
+        /// model — including absent ids one ring away from live ones.
+        #[test]
+        fn rs_matches_an_ordered_map_model(
+            steps in prop::collection::vec((0u8..8, 0usize..4, any::<u32>()), 200..600),
+        ) {
+            let mut rs = Rs::new(5, 8);
+            let ring = rs.mask + 1;
+            prop_assert_eq!(ring, 8);
+            // rob -> is it a load or store
+            let mut model: std::collections::BTreeMap<RobId, bool> = Default::default();
+            let mut next: RobId = 0;
+            for (op, gap, pick) in steps {
+                let id = next + gap;
+                let in_ring = model.keys().next().is_none_or(|&o| id - o < 8);
+                if op < 5 && model.len() < 5 && in_ring {
+                    rs.push(match op % 3 {
+                        0 => RsEntry::Fma(fma(id, 0)),
+                        1 => load(id),
+                        _ => store(id),
+                    });
+                    model.insert(id, op % 3 != 0);
+                    next = id + 1;
+                } else {
+                    let gone: Vec<RobId> = model
+                        .keys()
+                        .enumerate()
+                        .filter(|&(i, _)| pick >> i & 1 == 1)
+                        .map(|(_, &r)| r)
+                        .collect();
+                    rs.remove(&gone);
+                    for r in &gone {
+                        model.remove(r);
+                    }
+                }
+                let live: Vec<RobId> = model.keys().copied().collect();
+                let mem: Vec<RobId> =
+                    model.iter().filter(|&(_, &m)| m).map(|(&r, _)| r).collect();
+                prop_assert_eq!(rs.iter().map(RsEntry::rob).collect::<Vec<_>>(), live.clone());
+                prop_assert_eq!(rs.mem_iter().map(RsEntry::rob).collect::<Vec<_>>(), mem.clone());
+                prop_assert_eq!(rs.len(), live.len());
+                prop_assert_eq!(rs.mem_len(), mem.len());
+                prop_assert_eq!(rs.is_full(), live.len() == 5);
+                for &r in &live {
+                    let slot = rs.pos_of(r);
+                    prop_assert!(slot.is_some_and(|s| rs.at(s).rob() == r), "rob {} lost", r);
+                    prop_assert_eq!(rs.pos_of(r + ring), None);
+                    if r >= ring {
+                        prop_assert_eq!(rs.pos_of(r - ring), None);
+                    }
+                }
+            }
+            prop_assert!(next > 10 * ring, "ids wrapped the ring only {} times", next / ring);
+        }
     }
 
     #[test]

@@ -45,8 +45,8 @@ pub fn select(
         if out.len() == cfg.num_vpus {
             break;
         }
-        let (pos, mut mask) = sx.masks[mi];
-        let f = match rs.at_mut(pos) {
+        let (slot, mut mask) = sx.masks[mi];
+        let f = match rs.at_mut(slot) {
             RsEntry::Fma(f) => f,
             _ => unreachable!(),
         };

@@ -24,6 +24,7 @@ use crate::rename::PhysRegFile;
 use crate::rs::{FmaEntry, Rs, RsEntry, NO_FWD};
 use crate::sched::SelectScratch;
 use crate::stats::CoreStats;
+use crate::uop::RobId;
 use crate::vpu::{LaneResult, VpuOp};
 use save_isa::LANES;
 
@@ -34,25 +35,12 @@ fn as_fma(e: &RsEntry) -> Option<&FmaEntry> {
     }
 }
 
-/// Chain links of one candidate (an in-window BF16 VFMA), resolved at most
-/// once per cycle, on first use. Select pushes and removes no RS entry and
-/// changes no window membership, so a position found once stays valid for
-/// all 16 lane positions; resolving lazily keeps the cost proportional to
-/// the candidates select actually examines (it stops at the first `N`
-/// leaders of each position).
-#[derive(Clone, Copy, Debug, Default)]
-pub(crate) struct MpLinks {
-    /// RS position of the chain predecessor if it is still waiting;
-    /// `None` until resolved.
-    pred: Option<Option<usize>>,
-    /// RS position of the chain successor if it is in the window; `None`
-    /// until resolved.
-    succ: Option<Option<usize>>,
-}
-
-/// RS position of the FMA with ROB id `rob`, if it is still waiting.
-fn fma_pos(rs: &Rs, rob: Option<usize>) -> Option<usize> {
-    rob.and_then(|r| rs.pos_of(r)).filter(|&p| as_fma(rs.at(p)).is_some())
+/// RS slot and entry of the chain neighbour with ROB id `rob`, if it is
+/// still waiting: one ROB-indexed lookup, so select resolves links where it
+/// needs them instead of caching them per cycle.
+fn chain_fma(rs: &Rs, rob: Option<RobId>) -> Option<(usize, &FmaEntry)> {
+    let slot = rs.pos_of(rob?)?;
+    as_fma(rs.at(slot)).map(|f| (slot, f))
 }
 
 /// Runs one cycle of mixed-precision selection with ML compression.
@@ -90,8 +78,6 @@ pub fn select(
         });
         sx.mp_live.push(live);
     }
-    sx.mp_links.clear();
-    sx.mp_links.resize(sx.mp_window.len(), MpLinks::default());
 
     // Per-VPU result accumulators, recycled across cycles.
     for slot in sx.per_vpu.iter_mut() {
@@ -123,12 +109,8 @@ pub fn select(
                     continue;
                 }
                 // Chain order: the predecessor must have drained this AL.
-                let links = &mut sx.mp_links[ci];
-                let pred = *links.pred.get_or_insert_with(|| fma_pos(rs, f.chain_pred));
-                if let Some(pf) = pred.and_then(|p| as_fma(rs.at(p))) {
-                    if pf.ml_bits_at(l) != 0 {
-                        continue;
-                    }
+                if chain_fma(rs, f.chain_pred).is_some_and(|(_, pf)| pf.ml_bits_at(l) != 0) {
+                    continue;
                 }
                 // Accumulation base: a forwarded partial, or the source
                 // register lane under the configured dependence scheme.
@@ -153,18 +135,12 @@ pub fn select(
                 let mut picks = [(idx, bits), (0, 0)];
                 let mut npicks = 1;
                 if bits.count_ones() == 1 {
-                    let succ = *links.succ.get_or_insert_with(|| {
-                        fma_pos(rs, f.chain_succ)
-                            .filter(|&s| as_fma(rs.at(s)).is_some_and(|sf| sf.in_window(prf)))
-                    });
-                    if let Some(sidx) = succ {
-                        if let Some(sf) = as_fma(rs.at(sidx)) {
-                            let sbits = sf.ml_bits_at(l);
-                            if sbits != 0 {
-                                let first = sbits & sbits.wrapping_neg();
-                                picks[1] = (sidx, first);
-                                npicks = 2;
-                            }
+                    if let Some((sidx, sf)) = chain_fma(rs, f.chain_succ) {
+                        let sbits = sf.ml_bits_at(l);
+                        if sbits != 0 && sf.in_window(prf) {
+                            let first = sbits & sbits.wrapping_neg();
+                            picks[1] = (sidx, first);
+                            npicks = 2;
                         }
                     }
                 }

@@ -37,8 +37,8 @@ use save_isa::LANES;
 /// anyway to sample the CW-size statistic.
 #[derive(Debug, Default)]
 pub struct SelectScratch {
-    /// Per-cycle window scoreboard: `(program-order position, schedulable
-    /// lane mask)` for every VFMA whose mask is nonzero, oldest first.
+    /// Per-cycle window scoreboard: `(RS slot, schedulable lane mask)` for
+    /// every VFMA whose mask is nonzero, oldest first.
     /// Entries mutated by select never change a *later* entry's mask (masks
     /// depend only on the entry's own state and the unmodified PRF), so the
     /// scoreboard stays valid for the whole select pass.
@@ -46,22 +46,20 @@ pub struct SelectScratch {
     /// Precision of the oldest VFMA in the combination window this cycle
     /// (a cycle's temps are homogeneous in precision and follow it).
     window_precision: Option<FmaPrecision>,
-    /// Program-order positions of the in-window BF16 VFMAs, oldest first:
+    /// RS slots of the in-window BF16 VFMAs, oldest first:
     /// the mixed-precision select's candidates, whatever their accumulator
     /// readiness (a forwarded partial can stand in for it).
     mp_window: Vec<usize>,
     /// Vertical: candidates of the window precision, oldest first, as
-    /// `(entry position, schedulable lanes rotated into temp positions)`.
+    /// `(RS slot, schedulable lanes rotated into temp positions)`.
     cand: Vec<(usize, u16)>,
     /// Vertical: per temp, the lane positions already assigned this cycle.
     vc_taken: Vec<u16>,
-    /// Vertical: per temp and lane position, the RS position of the entry
+    /// Vertical: per temp and lane position, the RS slot of the entry
     /// that owns it (meaningful where `vc_taken` has the bit set).
     vc_owner: Vec<[u32; LANES]>,
     /// Mixed: each candidate's live lane positions for the cycle.
     mp_live: Vec<u16>,
-    /// Mixed: each candidate's chain links, resolved on first use.
-    mp_links: Vec<mixed::MpLinks>,
     /// Mixed: per-VPU result accumulators.
     per_vpu: Vec<Vec<LaneResult>>,
     /// Baseline: ROB ids issued this cycle (removed from the RS after).
@@ -114,7 +112,7 @@ pub fn window_masks(rs: &Rs, prf: &PhysRegFile, lane_wise: bool, sx: &mut Select
     sx.masks.clear();
     sx.mp_window.clear();
     sx.window_precision = None;
-    for (i, e) in rs.iter().enumerate() {
+    for (i, e) in rs.indexed() {
         let RsEntry::Fma(f) = e else { continue };
         if !f.in_window(prf) {
             continue;
@@ -164,6 +162,23 @@ pub fn select(
         },
         SchedulerKind::Horizontal => horizontal::select(rs, prf, cfg, cycle, stats, sx, out, elide),
     }
+}
+
+/// The sanitizer's RS-reorder fault ([`crate::FaultKind::ReorderRsPick`]):
+/// swaps the two oldest entries of the window scoreboard refreshed by
+/// [`window_masks`], so select sees them youngest-first. Only a swap that
+/// can change an assignment is made: the two must be of one precision and
+/// share a temp lane position once rotated. Returns whether it swapped;
+/// the caller retries on a later cycle otherwise.
+pub fn swap_oldest_candidates(rs: &Rs, sx: &mut SelectScratch) -> bool {
+    let [(s0, m0), (s1, m1), ..] = sx.masks[..] else { return false };
+    let (RsEntry::Fma(f0), RsEntry::Fma(f1)) = (rs.at(s0), rs.at(s1)) else { return false };
+    let rotated = |f: &FmaEntry, m: u16| m.rotate_left(f.rot.rem_euclid(LANES as i8) as u32);
+    if f0.precision != f1.precision || rotated(f0, m0) & rotated(f1, m1) == 0 {
+        return false;
+    }
+    sx.masks.swap(0, 1);
+    true
 }
 
 /// Precision of the oldest VFMA currently in the combination window — a

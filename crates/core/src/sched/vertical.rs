@@ -42,11 +42,11 @@ pub fn select(
     // positions (position `p` holds logical lane `p - rot`, §IV-B).
     let Some(precision) = sx.window_precision else { return };
     sx.cand.clear();
-    for &(pos, m) in &sx.masks {
-        if let RsEntry::Fma(f) = rs.at(pos) {
+    for &(slot, m) in &sx.masks {
+        if let RsEntry::Fma(f) = rs.at(slot) {
             if f.precision == precision {
                 let rot = f.rot.rem_euclid(LANES as i8) as u32;
-                sx.cand.push((pos, m.rotate_left(rot)));
+                sx.cand.push((slot, m.rotate_left(rot)));
             }
         }
     }
@@ -66,7 +66,7 @@ pub fn select(
         sx.vc_owner.resize(nv, [0; LANES]);
     }
     sx.vc_taken[..nv].fill(0);
-    for &(entry_pos, mut avail) in &sx.cand {
+    for &(slot, mut avail) in &sx.cand {
         for v in 0..nv {
             if avail == 0 {
                 break;
@@ -75,7 +75,7 @@ pub fn select(
             sx.vc_taken[v] |= take;
             avail &= !take;
             while take != 0 {
-                sx.vc_owner[v][take.trailing_zeros() as usize] = entry_pos as u32;
+                sx.vc_owner[v][take.trailing_zeros() as usize] = slot as u32;
                 take &= take - 1;
             }
         }

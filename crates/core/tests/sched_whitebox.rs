@@ -18,7 +18,7 @@ struct Setup {
 }
 
 fn setup() -> Setup {
-    Setup { rs: Rs::new(97), prf: PhysRegFile::new(128) }
+    Setup { rs: Rs::new(97, 224), prf: PhysRegFile::new(128) }
 }
 
 /// Adds an FMA whose operands are ready, with the given remaining ELM and
@@ -317,8 +317,7 @@ fn mp_successor_waits_while_its_predecessor_holds_the_lane() {
         s.prf.write_all(ready, VecF32::splat(1.0));
         add_mp(&mut s, 1, if i1_in_window { pending } else { ready }, 0b11, 0, None);
         if !i1_in_window {
-            let RsEntry::Fma(f) = s.rs.at_mut(0) else { unreachable!() };
-            f.a = pending;
+            s.rs.find_fma_mut(1).unwrap().a = pending;
         }
         add_mp(&mut s, 2, ready, 0b01_01, 0, Some(1));
         let cfg = CoreConfig { mp_compress: true, ..CoreConfig::save_2vpu() };
@@ -425,7 +424,7 @@ fn seeded(seed: u64, bf16: bool) -> VecF32 {
 /// Builds an RS (ROB ids 1..) from `specs`. The window precision is BF16
 /// when `bf16`, with the other-precision role flipping it per entry.
 fn build_window(specs: &[EntrySpec], bf16: bool) -> Setup {
-    let mut s = Setup { rs: Rs::new(97), prf: PhysRegFile::new(200) };
+    let mut s = Setup { rs: Rs::new(97, 224), prf: PhysRegFile::new(200) };
     let mut prev_dst = None;
     for (i, &(bits, rot_sel, role_sel, seed)) in specs.iter().enumerate() {
         let rob = i + 1;
@@ -540,7 +539,7 @@ fn reference_vertical(
         return (Vec::new(), Vec::new());
     };
     let mut cand: Vec<(usize, u16)> = Vec::new();
-    for (pos, e) in rs.iter().enumerate() {
+    for (pos, e) in rs.indexed() {
         if let RsEntry::Fma(f) = e {
             let m = f.elm & prf.ready_mask(f.acc_src);
             if window(f) && f.precision == precision && m != 0 {
@@ -700,4 +699,49 @@ fn mixed_select_reports_a_successor_it_finishes_as_an_extension() {
     assert_eq!(stats.mp_mls_issued, 2);
     assert_eq!(finished, vec![1, 2]);
     assert_eq!(finished, finished_in(&s.rs));
+}
+
+#[test]
+fn reorder_fault_leaves_candidates_that_share_no_position_in_age_order() {
+    // I1 and I2 are both effectual on logical lane 0, but I2's accumulator
+    // rotates it to temp position 1: no position is contested, so the
+    // fault hook declines to swap. Horizontal select packs candidates in
+    // list order, which shows the list is still oldest-first.
+    let mut s = setup();
+    add_fma(&mut s, 1, 0, 0, 0b1);
+    add_fma(&mut s, 2, 1, 1, 0b1);
+    let cfg = CoreConfig {
+        scheduler: save_core::SchedulerKind::Horizontal,
+        num_vpus: 1,
+        ..CoreConfig::save_2vpu()
+    };
+    let mut sx = sched::SelectScratch::new();
+    sched::window_masks(&s.rs, &s.prf, cfg.lane_wise, &mut sx);
+    assert!(!sched::swap_oldest_candidates(&s.rs, &mut sx));
+    let mut out = Vec::new();
+    let mut stats = CoreStats::default();
+    sched::horizontal::select(&mut s.rs, &s.prf, &cfg, 0, &mut stats, &mut sx, &mut out, false);
+    let got: Vec<(usize, usize)> = out[0].results.iter().map(|r| (r.rob, r.lane)).collect();
+    assert_eq!(got, vec![(1, 0), (2, 0)]);
+}
+
+#[test]
+fn reorder_fault_hands_a_shared_position_to_the_younger_candidate() {
+    // I1 is effectual on lane 1 (position 1); I2's lane 0 rotates onto
+    // position 1 too. The hook swaps them, and a one-VPU vertical select
+    // then gives position 1 to I2 — the age inversion the sanitizer's
+    // vc-age-order check exists to catch.
+    let mut s = setup();
+    add_fma(&mut s, 1, 0, 0, 0b10);
+    add_fma(&mut s, 2, 1, 1, 0b01);
+    let cfg = one_vpu();
+    let mut sx = sched::SelectScratch::new();
+    sched::window_masks(&s.rs, &s.prf, cfg.lane_wise, &mut sx);
+    assert!(sched::swap_oldest_candidates(&s.rs, &mut sx));
+    let mut out = Vec::new();
+    let mut stats = CoreStats::default();
+    sched::vertical::select(&mut s.rs, &s.prf, &cfg, 0, &mut stats, &mut sx, &mut out, false);
+    let got: Vec<(usize, usize)> = out[0].results.iter().map(|r| (r.rob, r.lane)).collect();
+    assert_eq!(got, vec![(2, 0)], "the younger entry took the contested position");
+    assert_eq!(mp_state(&s.rs, 1), (0, 0b10), "the older entry still waits");
 }
