@@ -74,7 +74,7 @@ fn fsck(cli: &BenchCli) -> Result<(), SimError> {
 
 /// `--serve ADDR`: submit the whole grid to a daemon as one job. With
 /// `--fault-first` the first cell carries a [`save_serve::Fault::KillWorker`]
-/// injection — the daemon's respawn monitor must recover it, so the output
+/// injection — the daemon's worker must recover and requeue it, so the output
 /// stays identical (this is what the CI serve-smoke job drives).
 fn serve_sweep(
     addr: &str,

@@ -1,16 +1,17 @@
 //! # save-serve — crash-tolerant sweep service (DESIGN.md §5g)
 //!
 //! A persistent daemon that accepts sweep jobs over a JSON-lines TCP
-//! protocol, executes them on a bounded work-stealing worker pool, and
-//! streams per-cell results back — built entirely on threads and
+//! protocol, executes them on a bounded FIFO worker pool, and streams
+//! per-cell results back — built entirely on threads and
 //! `std::net` (no async runtime; the workspace builds offline with
 //! vendored stubs only).
 //!
 //! Robustness features, each with a dedicated module:
 //!
 //! * [`protocol`] — the wire format and timeout-tolerant line framing;
-//! * [`scheduler`] — admission control (reject-with-retry-after), panic-
-//!   isolated workers, and crash/respawn handling for lost workers;
+//! * [`scheduler`] — one shared queue with admission control
+//!   (reject-with-retry-after; store hits answered at admission) and
+//!   workers that recover their own crashes by requeueing the lost cell;
 //! * [`server`] — the accept loop and the two-stage graceful drain
 //!   (first signal: finish and exit 0; second: cancel, exit 130);
 //! * [`client`] — the blocking client the bench binaries' `--serve` mode

@@ -32,10 +32,10 @@ pub const PROTOCOL_VERSION: u32 = 1;
 
 /// Fault injection for crash testing. Threads cannot be SIGKILLed, so
 /// "kill a worker mid-cell" is injected at the protocol level: a faulted
-/// cell panics *outside* the per-cell isolation boundary, killing its
-/// worker thread exactly as an abort in kernel code would. The scheduler's
-/// respawn monitor must then journal the loss, requeue the cell (fault
-/// cleared), and bring up a replacement worker.
+/// cell panics *outside* the per-cell isolation boundary, which would
+/// unwind and end its worker thread. The worker catches that panic at its
+/// task boundary, journals the loss, requeues the cell at the front of the
+/// queue (fault cleared), and keeps serving.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Fault {
     /// Kill the worker thread that picks this cell up (once).
@@ -127,7 +127,8 @@ pub struct ServeStats {
     pub jobs_accepted: u64,
     /// Jobs rejected by admission control since startup.
     pub jobs_rejected: u64,
-    /// Worker threads lost to crashes and respawned since startup.
+    /// Worker crashes recovered since startup: each one a cell whose
+    /// panic escaped the per-cell isolation and was requeued.
     pub workers_respawned: u64,
     /// Whether the daemon is draining (no longer admitting work).
     pub draining: bool,

@@ -1,44 +1,38 @@
-//! Bounded work-stealing worker pool with panic isolation and respawn.
+//! Bounded FIFO worker pool with admission control and crash recovery.
 //!
-//! The daemon's execution engine: admitted cells are distributed
-//! round-robin over per-worker deques; an idle worker first drains its own
-//! deque from the front, then steals from the *back* of a sibling's (the
-//! classic stealing discipline — owners and thieves contend on opposite
-//! ends). Admission control is a single atomic budget: a job whose cells
-//! would push the admitted count past `capacity` is rejected with a
-//! retry-after hint instead of being buffered without bound.
+//! One queue of admitted cells under one lock, served in arrival order by
+//! a fixed set of workers that block on a condition variable while it is
+//! empty. Every task comes from a connection thread and no worker spawns
+//! one, so a shared queue is all the pool needs. Admission is a
+//! check-and-add under the same lock: a job that would push the admitted
+//! count past `capacity` is rejected with a retry-after hint. A cell whose
+//! final record is already in the result store is answered at admission
+//! instead, so a hit takes no slot and never waits behind a miss. Workers
+//! resolve queued cells through the daemon's
+//! [`save_sim::durable::Executor`], the claim → run → journal path every
+//! local sweep takes too.
 //!
-//! A worker resolves each cell through the daemon's
-//! [`save_sim::durable::Executor`], the path every local sweep takes too:
-//! claim the key in the result store (a hit is served from it), run under
-//! the retry policy, journal the record.
-//!
-//! Crash tolerance: a per-cell panic is already absorbed by
-//! [`save_sim::durable::run_cell`]'s isolation boundary. What that cannot
-//! absorb is the worker *thread* dying — emulated here by
-//! [`Fault::KillWorker`], which panics **before** the cell is claimed. A
-//! monitor thread notices the dead worker, reaps it, journals a
-//! `worker-lost` record for the in-flight cell (failed-but-retryable
-//! history), requeues the cell with the fault cleared, and respawns a
-//! replacement worker — the job still completes, and `workers_respawned`
-//! counts the incident.
+//! Crash tolerance: [`save_sim::durable::run_cell`] absorbs a per-cell
+//! panic. A panic that escapes it — emulated by [`Fault::KillWorker`],
+//! which fires **before** the claim — is caught at the worker's task
+//! boundary: the worker journals a `worker-lost` record, puts the cell
+//! back at the front of the queue with the fault cleared, counts the
+//! incident (`workers_respawned`) and keeps serving. The only other way a
+//! thread dies is an abort, which ends the whole process; the journal
+//! covers that as it covers a SIGKILL.
 
 use crate::protocol::{CellResult, Fault};
 use save_sim::durable::Executor;
 use save_sim::{CellRecord, CellSpec, SimError};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::mpsc::Sender;
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::{self, JoinHandle};
-use std::time::Duration;
 
 /// One admitted cell: everything a worker needs to execute it and report
 /// the result back to the submitting connection.
-#[derive(Clone)]
 pub struct Task {
-    /// Daemon-assigned job id (for log attribution).
-    pub job: u64,
     /// Index within the job's cell vector.
     pub index: u64,
     /// Client-chosen label, echoed in the result.
@@ -47,316 +41,227 @@ pub struct Task {
     pub spec: CellSpec,
     /// Result-store key ([`CellSpec::cache_key`]).
     pub key: u64,
-    /// Crash-test fault, if any (cleared when the monitor requeues).
+    /// Crash-test fault, if any (cleared when the cell is requeued).
     pub fault: Option<Fault>,
     /// Where the result goes (the submitting connection's channel).
     pub tx: Sender<CellResult>,
 }
 
-struct WorkerSlot {
-    deque: Mutex<VecDeque<Task>>,
-    /// The task the worker is executing right now — what the monitor
-    /// recovers when the worker dies.
-    current: Mutex<Option<Task>>,
-    /// Set by a worker before a *voluntary* exit (drain/shutdown) so the
-    /// monitor can tell it from a crash.
-    exited_clean: AtomicBool,
+impl Task {
+    /// This cell's result, carrying `rec`; a record served from the store
+    /// reports zero attempts.
+    fn result(&self, rec: CellRecord, cached: bool) -> CellResult {
+        CellResult {
+            label: self.label.clone(),
+            index: self.index,
+            key: self.key,
+            secs_bits: rec.secs_bits,
+            cycles: rec.cycles,
+            attempts: if cached { 0 } else { rec.attempts },
+            error_kind: rec.error_kind,
+            cached,
+        }
+    }
 }
 
-struct Ctx {
-    slots: Vec<Arc<WorkerSlot>>,
-    handles: Mutex<Vec<Option<JoinHandle<()>>>>,
+#[derive(Default)]
+struct State {
+    /// Admitted cells not yet picked up, oldest first.
+    queue: VecDeque<Task>,
     /// Cells admitted but not yet completed (queued + executing).
-    queued: AtomicUsize,
+    admitted: usize,
+    /// Worker crashes recovered since startup.
+    respawned: u64,
+    /// Stop admitting; workers exit once the queue is empty.
+    draining: bool,
+    /// Hard stop for Drop: workers exit at the next task boundary.
+    shutdown: bool,
+}
+
+struct Pool {
+    state: Mutex<State>,
+    /// Signalled when work arrives or the pool starts draining or stops.
+    ready: Condvar,
     capacity: usize,
-    rr: AtomicUsize,
-    park: Mutex<()>,
-    park_cv: Condvar,
-    /// Stop admitting; workers exit once no work remains.
-    draining: AtomicBool,
-    /// Hard stop for Drop: workers exit at the next boundary.
-    shutdown: AtomicBool,
-    respawned: AtomicU64,
     exec: Executor,
 }
 
-/// Locks `m`, recovering from poison — worker panics are expected events
-/// here, and every guarded structure is valid at all times (the panic
-/// sites never hold these locks mid-update).
-fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|p| p.into_inner())
-}
+impl Pool {
+    /// Locks the state. No code panics while holding the lock, but a
+    /// poisoned lock still guards a consistent state, so take it anyway.
+    fn state(&self) -> MutexGuard<'_, State> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 
-impl Ctx {
-    fn pop_task(&self, me: usize) -> Option<Task> {
-        if let Some(t) = lock_recover(&self.slots[me].deque).pop_front() {
-            return Some(t);
-        }
-        let n = self.slots.len();
-        for off in 1..n {
-            let j = (me + off) % n;
-            if let Some(t) = lock_recover(&self.slots[j].deque).pop_back() {
+    /// The next task in arrival order, blocking while the queue is empty;
+    /// `None` tells the worker to exit.
+    fn next_task(&self) -> Option<Task> {
+        let mut st = self.state();
+        loop {
+            if st.shutdown {
+                return None;
+            }
+            if let Some(t) = st.queue.pop_front() {
                 return Some(t);
             }
-        }
-        None
-    }
-
-    fn wake_all(&self) {
-        let _g = lock_recover(&self.park);
-        self.park_cv.notify_all();
-    }
-
-    /// Executes one task end to end and sends exactly one result. May
-    /// panic (by design) on an injected [`Fault::KillWorker`] — that panic
-    /// happens *before* the store claim, so a dying worker never leaks one.
-    fn execute(self: &Arc<Self>, task: &Task) {
-        if let Some(Fault::KillWorker) = task.fault {
-            // Escapes run_cell's per-cell isolation on purpose: this is
-            // "the worker process died", not "the cell errored".
-            panic!("injected fault: worker killed while running {}", task.label);
-        }
-        let (rec, cached) =
-            match self.exec.resolve(&task.label, task.index as usize, &task.spec, task.key, None) {
-                Ok(cell) if cell.served => (CellRecord { attempts: 0, ..cell.rec }, true),
-                Ok(cell) => (cell.rec, false),
-                Err(e) => (CellRecord::failure(task.key, &e, 0), false),
-            };
-        Self::send(task, rec, cached);
-    }
-
-    /// Sends `task`'s one result, carrying `rec`. The client may have
-    /// disconnected; the result is journaled either way, so a resubmission
-    /// is a store hit.
-    fn send(task: &Task, rec: CellRecord, cached: bool) {
-        let _ = task.tx.send(CellResult {
-            label: task.label.clone(),
-            index: task.index,
-            key: task.key,
-            secs_bits: rec.secs_bits,
-            cycles: rec.cycles,
-            attempts: rec.attempts,
-            error_kind: rec.error_kind,
-            cached,
-        });
-    }
-
-    fn worker_loop(self: Arc<Self>, me: usize) {
-        loop {
-            if self.shutdown.load(Ordering::SeqCst) {
-                break;
+            if st.draining {
+                return None;
             }
-            match self.pop_task(me) {
-                Some(t) => {
-                    *lock_recover(&self.slots[me].current) = Some(t.clone());
-                    self.execute(&t);
-                    *lock_recover(&self.slots[me].current) = None;
-                    self.queued.fetch_sub(1, Ordering::SeqCst);
-                }
-                None => {
-                    if self.draining.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    let g = lock_recover(&self.park);
-                    let _ = self
-                        .park_cv
-                        .wait_timeout(g, Duration::from_millis(20))
-                        .unwrap_or_else(|p| p.into_inner());
-                }
-            }
+            st = self.ready.wait(st).unwrap_or_else(PoisonError::into_inner);
         }
-        self.slots[me].exited_clean.store(true, Ordering::SeqCst);
     }
 
-    fn spawn_worker(self: &Arc<Self>, me: usize) -> JoinHandle<()> {
-        let ctx = Arc::clone(self);
-        thread::Builder::new()
-            .name(format!("save-serve-worker-{me}"))
-            .spawn(move || ctx.worker_loop(me))
-            .expect("spawn worker thread")
-    }
-
-    /// The respawn monitor: reaps crashed workers, journals the in-flight
-    /// cell as `worker-lost` (failed, retryable), requeues it with the
-    /// fault cleared, and brings up a replacement.
-    fn monitor_loop(self: Arc<Self>) {
-        while !self.shutdown.load(Ordering::SeqCst) {
-            for i in 0..self.slots.len() {
-                let finished = lock_recover(&self.handles)[i]
-                    .as_ref()
-                    .map(|h| h.is_finished())
-                    .unwrap_or(false);
-                if !finished || self.slots[i].exited_clean.load(Ordering::SeqCst) {
-                    continue;
+    fn worker_loop(&self) {
+        while let Some(mut task) = self.next_task() {
+            match panic::catch_unwind(AssertUnwindSafe(|| self.execute(&task))) {
+                Ok(result) => {
+                    // Release the admission slot first, so a client that
+                    // has seen every result also sees `queued` at zero.
+                    self.state().admitted -= 1;
+                    // The client may have disconnected; the result is
+                    // journaled either way, so a resubmission is a hit.
+                    let _ = task.tx.send(result);
                 }
-                // A worker died without announcing a clean exit: reap it.
-                let handle = lock_recover(&self.handles)[i].take();
-                if let Some(h) = handle {
-                    let _ = h.join();
-                }
-                self.respawned.fetch_add(1, Ordering::SeqCst);
-                if let Some(mut t) = lock_recover(&self.slots[i].current).take() {
-                    let lost = SimError::WorkerLost { what: t.label.clone() };
+                Err(_) => {
+                    let lost = SimError::WorkerLost { what: task.label.clone() };
                     if let Some(store) = &self.exec.store {
-                        if let Err(e) = store.record(CellRecord::failure(t.key, &lost, 1)) {
+                        if let Err(e) = store.record(CellRecord::failure(task.key, &lost, 1)) {
                             eprintln!("save-serve: journal worker-lost failed: {e}");
                         }
                     }
-                    eprintln!(
-                        "save-serve: worker {i} died while running {}; requeued, respawning",
-                        t.label
-                    );
-                    t.fault = None;
-                    lock_recover(&self.slots[i].deque).push_front(t);
-                } else {
-                    eprintln!("save-serve: worker {i} died while idle; respawning");
+                    eprintln!("save-serve: worker lost while running {}; requeued", task.label);
+                    task.fault = None;
+                    let mut st = self.state();
+                    st.respawned += 1;
+                    st.queue.push_front(task);
                 }
-                lock_recover(&self.handles)[i] = Some(self.spawn_worker(i));
-                self.wake_all();
             }
-            thread::sleep(Duration::from_millis(5));
+        }
+    }
+
+    /// Resolves one task to its result. Panics (by design) on an injected
+    /// [`Fault::KillWorker`] — *before* the store claim, so a lost worker
+    /// never leaks one.
+    fn execute(&self, task: &Task) -> CellResult {
+        if let Some(Fault::KillWorker) = task.fault {
+            // Escapes run_cell's per-cell isolation on purpose: this is
+            // "the worker died", not "the cell errored".
+            panic!("injected fault: worker killed while running {}", task.label);
+        }
+        match self.exec.resolve(&task.label, task.index as usize, &task.spec, task.key, None) {
+            Ok(cell) => task.result(cell.rec, cell.served),
+            Err(e) => task.result(CellRecord::failure(task.key, &e, 0), false),
         }
     }
 }
 
 /// See module docs.
 pub struct Scheduler {
-    ctx: Arc<Ctx>,
-    monitor: Mutex<Option<JoinHandle<()>>>,
+    pool: Arc<Pool>,
+    workers: Mutex<Vec<JoinHandle<()>>>,
 }
 
 impl Scheduler {
-    /// Spawns `workers` worker threads plus the respawn monitor.
-    /// `capacity` bounds admitted-but-incomplete cells; `exec` resolves
-    /// each one (its store also receives the monitor's `worker-lost`
-    /// records).
+    /// Spawns `workers` worker threads. `capacity` bounds
+    /// admitted-but-incomplete cells; `exec` resolves each one (its store
+    /// also receives the `worker-lost` records).
     pub fn new(workers: usize, capacity: usize, exec: Executor) -> Self {
-        let workers = workers.max(1);
-        let slots = (0..workers)
-            .map(|_| {
-                Arc::new(WorkerSlot {
-                    deque: Mutex::new(VecDeque::new()),
-                    current: Mutex::new(None),
-                    exited_clean: AtomicBool::new(false),
-                })
-            })
-            .collect();
-        let ctx = Arc::new(Ctx {
-            slots,
-            handles: Mutex::new(Vec::new()),
-            queued: AtomicUsize::new(0),
+        let pool = Arc::new(Pool {
+            state: Mutex::default(),
+            ready: Condvar::new(),
             capacity: capacity.max(1),
-            rr: AtomicUsize::new(0),
-            park: Mutex::new(()),
-            park_cv: Condvar::new(),
-            draining: AtomicBool::new(false),
-            shutdown: AtomicBool::new(false),
-            respawned: AtomicU64::new(0),
             exec,
         });
-        {
-            let mut handles = lock_recover(&ctx.handles);
-            for i in 0..workers {
-                handles.push(Some(ctx.spawn_worker(i)));
-            }
-        }
-        let mctx = Arc::clone(&ctx);
-        let monitor = thread::Builder::new()
-            .name("save-serve-monitor".into())
-            .spawn(move || mctx.monitor_loop())
-            .expect("spawn monitor thread");
-        Scheduler { ctx, monitor: Mutex::new(Some(monitor)) }
+        let workers = (0..workers.max(1))
+            .map(|i| {
+                let pool = Arc::clone(&pool);
+                thread::Builder::new()
+                    .name(format!("save-serve-worker-{i}"))
+                    .spawn(move || pool.worker_loop())
+                    .expect("spawn worker thread")
+            })
+            .collect();
+        Scheduler { pool, workers: Mutex::new(workers) }
     }
 
     /// Admits `tasks` atomically (all or nothing). On overload, returns
     /// [`SimError::Overloaded`] with a backoff hint proportional to the
     /// excess — the admission-control contract: the daemon *rejects*
     /// loudly rather than buffering without bound.
+    ///
+    /// A cell whose final record is already in the store is answered here,
+    /// from the store, and never queued: a hit takes no admission slot and
+    /// does not wait behind the misses ahead of it. A faulted cell always
+    /// queues, so its fault fires.
     pub fn try_submit(&self, tasks: Vec<Task>) -> Result<(), SimError> {
-        if self.ctx.draining.load(Ordering::SeqCst) {
+        let store = self.pool.exec.store.as_deref();
+        let (mut hits, mut misses) = (Vec::new(), Vec::new());
+        for t in tasks {
+            match store.filter(|_| t.fault.is_none()).and_then(|s| s.lookup(t.key)) {
+                Some(rec) => hits.push((t, rec)),
+                None => misses.push(t),
+            }
+        }
+        let mut st = self.pool.state();
+        if st.draining {
             return Err(SimError::Overloaded {
                 what: "daemon is draining".into(),
                 retry_after_ms: 0,
             });
         }
-        let n = tasks.len();
-        let mut cur = self.ctx.queued.load(Ordering::SeqCst);
-        loop {
-            if cur + n > self.ctx.capacity {
-                let excess = (cur + n - self.ctx.capacity) as u64;
-                return Err(SimError::Overloaded {
-                    what: format!(
-                        "queue full: {cur} admitted + {n} submitted exceeds capacity {}",
-                        self.ctx.capacity
-                    ),
-                    retry_after_ms: (25 * excess).clamp(50, 2000),
-                });
-            }
-            match self.ctx.queued.compare_exchange(
-                cur,
-                cur + n,
-                Ordering::SeqCst,
-                Ordering::SeqCst,
-            ) {
-                Ok(_) => break,
-                Err(now) => cur = now,
-            }
+        let (cur, n, cap) = (st.admitted, misses.len(), self.pool.capacity);
+        if cur + n > cap {
+            return Err(SimError::Overloaded {
+                what: format!("queue full: {cur} admitted + {n} submitted exceeds capacity {cap}"),
+                retry_after_ms: (25 * (cur + n - cap) as u64).clamp(50, 2000),
+            });
         }
-        let workers = self.ctx.slots.len();
-        for t in tasks {
-            let slot = self.ctx.rr.fetch_add(1, Ordering::SeqCst) % workers;
-            lock_recover(&self.ctx.slots[slot].deque).push_back(t);
+        st.admitted += n;
+        st.queue.extend(misses);
+        drop(st);
+        self.pool.ready.notify_all();
+        for (t, rec) in hits {
+            let _ = t.tx.send(t.result(rec, true));
         }
-        self.ctx.wake_all();
         Ok(())
     }
 
     /// Cells admitted but not yet completed.
     pub fn queued(&self) -> usize {
-        self.ctx.queued.load(Ordering::SeqCst)
+        self.pool.state().admitted
     }
 
-    /// Workers lost to crashes and respawned.
+    /// Worker crashes recovered (each one a requeued cell).
     pub fn respawned(&self) -> u64 {
-        self.ctx.respawned.load(Ordering::SeqCst)
+        self.pool.state().respawned
     }
 
-    /// Whether the scheduler is draining.
-    pub fn draining(&self) -> bool {
-        self.ctx.draining.load(Ordering::SeqCst)
-    }
-
-    /// Stops admission; workers finish all admitted cells, then exit.
+    /// Stops admission, lets the workers finish every admitted cell, and
+    /// joins them.
     pub fn drain(&self) {
-        self.ctx.draining.store(true, Ordering::SeqCst);
-        self.ctx.wake_all();
+        self.pool.state().draining = true;
+        self.join_workers();
     }
 
-    /// Whether every admitted cell has completed.
-    pub fn is_idle(&self) -> bool {
-        self.queued() == 0
-    }
-
-    /// Hard stop: workers exit at their next boundary (in-flight cells
-    /// still finish — cells are only abandoned via cancellation), monitor
-    /// and workers are joined. Idempotent.
-    pub fn shutdown(&self) {
-        self.ctx.shutdown.store(true, Ordering::SeqCst);
-        self.ctx.wake_all();
-        if let Some(m) = lock_recover(&self.monitor).take() {
-            let _ = m.join();
-        }
-        let handles: Vec<JoinHandle<()>> =
-            lock_recover(&self.ctx.handles).iter_mut().filter_map(|h| h.take()).collect();
-        for h in handles {
-            let _ = h.join();
+    fn join_workers(&self) {
+        self.pool.ready.notify_all();
+        let workers =
+            std::mem::take(&mut *self.workers.lock().unwrap_or_else(PoisonError::into_inner));
+        for w in workers {
+            if w.join().is_err() {
+                eprintln!("save-serve: a worker panicked outside its task boundary");
+            }
         }
     }
 }
 
 impl Drop for Scheduler {
+    /// Hard stop: workers exit at their next task boundary (an in-flight
+    /// cell still finishes — cells are only abandoned via cancellation)
+    /// and are joined.
     fn drop(&mut self) {
-        self.shutdown();
+        self.pool.state().shutdown = true;
+        self.join_workers();
     }
 }
 
@@ -366,7 +271,8 @@ mod tests {
     use save_sim::cancel::Supervisor;
     use save_sim::runner::{ConfigKind, MachineConfig};
     use save_sim::{ResultStore, SupervisorHandle};
-    use std::sync::mpsc;
+    use std::sync::mpsc::{self, Receiver};
+    use std::time::Duration;
 
     /// A scheduler over a fresh store, with the default retry policy.
     fn scheduler(
@@ -403,10 +309,14 @@ mod tests {
         CellSpec::new(w, ConfigKind::Save2Vpu, MachineConfig::default(), seed)
     }
 
+    /// The next `n` results, each within a generous timeout.
+    fn results(rx: &Receiver<CellResult>, n: usize) -> Vec<CellResult> {
+        (0..n).map(|_| rx.recv_timeout(Duration::from_secs(30)).expect("cell reports")).collect()
+    }
+
     fn task(i: u64, seed: u64, fault: Option<Fault>, tx: &Sender<CellResult>) -> Task {
         let spec = tiny_spec(seed);
         Task {
-            job: 0,
             index: i,
             label: format!("cell-{i}"),
             key: spec.cache_key().unwrap(),
@@ -431,13 +341,45 @@ mod tests {
         let cached = [a.cached, b.cached].iter().filter(|&&c| c).count();
         assert_eq!(cached, 1, "exactly one computes, the other is served from the store");
         assert_eq!(store.records(), 1, "one journal record per unique key");
-        // The result is sent before the admitted-count decrement; give the
-        // worker a moment to retire the task.
-        let start = std::time::Instant::now();
-        while sched.queued() != 0 {
-            assert!(start.elapsed() < Duration::from_secs(5), "queued count never drained");
-            thread::sleep(Duration::from_millis(1));
+        // Admission slots are released before each result is sent.
+        assert_eq!(sched.queued(), 0);
+    }
+
+    #[test]
+    fn one_worker_serves_a_job_in_submission_order() {
+        let sup = Supervisor::start(false);
+        let (sched, _store) = scheduler(1, 64, sup.handle(), "fifo");
+        let (tx, rx) = mpsc::channel();
+        sched.try_submit((0..6).map(|i| task(i, 100 + i, None, &tx)).collect()).unwrap();
+        drop(tx);
+        let order: Vec<u64> = results(&rx, 6).iter().map(|r| r.index).collect();
+        assert_eq!(order, [0, 1, 2, 3, 4, 5], "one worker drains the queue FIFO");
+    }
+
+    #[test]
+    fn store_hits_are_answered_at_admission_without_a_slot() {
+        let sup = Supervisor::start(false);
+        let (sched, _store) = scheduler(1, 1, sup.handle(), "hits");
+        let (tx, rx) = mpsc::channel();
+        sched.try_submit(vec![task(0, 9, None, &tx)]).unwrap();
+        let first = results(&rx, 1).remove(0);
+        assert!(first.ok() && !first.cached);
+        // Capacity 1, yet a job of three hits is admitted: none takes a
+        // slot, and each is answered before `try_submit` returns.
+        sched.try_submit((1..4).map(|i| task(i, 9, None, &tx)).collect()).unwrap();
+        assert_eq!(sched.queued(), 0);
+        for _ in 1..4 {
+            let r = rx.try_recv().expect("a hit is answered at admission");
+            assert!(r.cached && r.attempts == 0, "{}", r.label);
+            assert_eq!(r.secs_bits, first.secs_bits);
         }
+        // A faulted cell queues even when its record is in the store; its
+        // `worker-lost` record supersedes that one, so it recomputes.
+        sched.try_submit(vec![task(4, 9, Some(Fault::KillWorker), &tx)]).unwrap();
+        let r = results(&rx, 1).remove(0);
+        assert!(r.ok() && !r.cached);
+        assert_eq!(r.secs_bits, first.secs_bits);
+        assert_eq!(sched.respawned(), 1, "the fault fired");
     }
 
     #[test]
@@ -464,12 +406,35 @@ mod tests {
         let (tx, rx) = mpsc::channel();
         sched.try_submit(vec![task(0, 11, Some(Fault::KillWorker), &tx)]).unwrap();
         drop(tx);
-        let res = rx.recv_timeout(Duration::from_secs(30)).expect("cell completes after respawn");
+        let res = rx.recv_timeout(Duration::from_secs(30)).expect("cell completes after recovery");
         assert!(res.ok(), "requeued cell succeeds: {}", res.error_kind);
         assert!(!res.cached);
-        assert!(sched.respawned() >= 1, "the worker death was observed");
+        assert_eq!(sched.respawned(), 1, "one injected fault, one recovery");
         // The journal remembers the loss *and* the eventual success.
         assert_eq!(store.records(), 1, "latest-record-wins leaves the success");
+    }
+
+    #[test]
+    fn killed_cell_is_requeued_while_the_rest_of_the_job_completes() {
+        let sup = Supervisor::start(false);
+        let (sched, store) = scheduler(2, 64, sup.handle(), "kill2");
+        let (tx, rx) = mpsc::channel();
+        let tasks: Vec<Task> =
+            (0..4).map(|i| task(i, 200 + i, (i == 1).then_some(Fault::KillWorker), &tx)).collect();
+        let local: Vec<u64> =
+            tasks.iter().map(|t| t.spec.run(None).unwrap().seconds.to_bits()).collect();
+        sched.try_submit(tasks).unwrap();
+        drop(tx);
+        let mut bits = vec![None; local.len()];
+        for r in results(&rx, local.len()) {
+            assert!(r.ok() && !r.cached, "cell {} failed: {}", r.label, r.error_kind);
+            assert!(bits[r.index as usize].replace(r.secs_bits).is_none(), "one result per cell");
+        }
+        let bits: Vec<u64> = bits.into_iter().map(|b| b.expect("every cell reports")).collect();
+        assert_eq!(bits, local, "every cell, the requeued one included, keeps local bits");
+        assert_eq!(sched.respawned(), 1);
+        assert_eq!(sched.queued(), 0);
+        assert_eq!(store.records(), 4, "latest-record-wins leaves one success per cell");
     }
 
     #[test]

@@ -25,12 +25,12 @@ use crate::protocol::{
 use crate::scheduler::{Scheduler, Task};
 use save_sim::cancel::Supervisor;
 use save_sim::durable::{exit_code_for, Executor, RetryPolicy};
-use save_sim::{ResultStore, SimError, SupervisorHandle};
+use save_sim::{ResultStore, SimError};
 use std::io::Write;
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
 
@@ -70,10 +70,8 @@ impl Default for ServeConfig {
 struct ServeState {
     sched: Scheduler,
     store: Arc<ResultStore>,
-    sup: SupervisorHandle,
     jobs_accepted: AtomicU64,
     jobs_rejected: AtomicU64,
-    next_job: AtomicU64,
     drain_requested: AtomicBool,
     capacity: usize,
     workers: usize,
@@ -133,16 +131,14 @@ pub fn serve(cfg: &ServeConfig) -> Result<u8, SimError> {
     let state = Arc::new(ServeState {
         sched,
         store,
-        sup: sup.handle(),
         jobs_accepted: AtomicU64::new(0),
         jobs_rejected: AtomicU64::new(0),
-        next_job: AtomicU64::new(0),
         drain_requested: AtomicBool::new(false),
         capacity: cfg.capacity,
         workers: cfg.workers,
     });
 
-    let conns: Arc<Mutex<Vec<thread::JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
+    let mut conns: Vec<thread::JoinHandle<()>> = Vec::new();
     while !state.draining() {
         match listener.accept() {
             Ok((stream, peer)) => {
@@ -156,7 +152,13 @@ pub fn serve(cfg: &ServeConfig) -> Result<u8, SimError> {
                         }
                     })
                     .expect("spawn connection thread");
-                conns.lock().expect("conn list poisoned").push(handle);
+                // Join the connections that have closed, so a long-lived
+                // daemon holds one thread per live connection, not per
+                // past one.
+                for done in conns.extract_if(.., |h| h.is_finished()) {
+                    let _ = done.join();
+                }
+                conns.push(handle);
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                 thread::sleep(Duration::from_millis(10));
@@ -168,23 +170,18 @@ pub fn serve(cfg: &ServeConfig) -> Result<u8, SimError> {
         }
     }
 
-    // Drain: no new admissions; admitted cells finish and journal. A
-    // second signal latches the global token, which makes the remaining
-    // cells cancel at their next quantum — the loop below then terminates
-    // quickly with the queue empty either way.
+    // Drain: no new admissions; admitted cells finish and journal, then
+    // the workers exit. A second signal latches the global token, which
+    // makes the remaining cells cancel at their next quantum — the drain
+    // then returns quickly with the queue empty either way.
     eprintln!("save-serve: draining ({} cells in flight)", state.sched.queued());
     state.sched.drain();
-    while !state.sched.is_idle() {
-        thread::sleep(Duration::from_millis(10));
-    }
     // Let connection threads stream their final results and notice the
     // drain via their read timeouts.
-    let handles: Vec<_> = conns.lock().expect("conn list poisoned").drain(..).collect();
-    for h in handles {
+    for h in conns {
         let _ = h.join();
     }
-    state.sched.shutdown();
-    let forced = state.sup.global().is_cancelled();
+    let forced = sup.handle().global().is_cancelled();
     eprintln!(
         "save-serve: {} ({} results journaled)",
         if forced { "cancelled" } else { "drained" },
@@ -248,7 +245,6 @@ fn run_job(
             &Response::Rejected { reason: "daemon is draining".into(), retry_after_ms: 0 },
         );
     }
-    let job_id = state.next_job.fetch_add(1, Ordering::SeqCst);
     let (tx, rx) = std::sync::mpsc::channel::<CellResult>();
     let mut tasks = Vec::with_capacity(cells.len());
     for (i, cell) in cells.into_iter().enumerate() {
@@ -259,7 +255,6 @@ fn run_job(
             }
         };
         tasks.push(Task {
-            job: job_id,
             index: i as u64,
             label: cell.label,
             spec: cell.spec,

@@ -4,12 +4,14 @@
 //!
 //! * remote results are bit-identical to running each cell locally, and a
 //!   resubmission is served entirely from the memo cache;
-//! * a worker killed mid-cell (injected [`Fault::KillWorker`]) is
-//!   respawned and the cell still completes with the right bits;
+//! * a worker killed mid-cell (injected [`Fault::KillWorker`]) recovers,
+//!   and the cell still completes with the right bits;
 //! * a daemon SIGKILLed mid-job recovers its journal on restart and serves
 //!   the already-completed cells from cache, bit-identically;
 //! * one SIGTERM drains gracefully to exit 0; a second mid-drain signal
-//!   cancels the remaining cells and exits 130.
+//!   cancels the remaining cells and exits 130;
+//! * a daemon that has served many short connections still drains to
+//!   exit 0.
 
 use save_kernels::{BroadcastPattern, GemmKernelSpec, GemmWorkload, Precision};
 use save_serve::{Client, Fault, NamedCell};
@@ -158,9 +160,10 @@ fn killed_worker_is_respawned_and_the_cell_still_completes() {
         })
         .unwrap();
     assert_eq!(done.ok, cells.len(), "the faulted cell must still complete");
-    assert_eq!(bits, reference, "respawned execution keeps bit identity");
+    assert_eq!(bits, reference, "the requeued cell keeps bit identity");
     let stats = client.status().unwrap();
-    assert!(stats.workers_respawned >= 1, "the monitor must have respawned a worker");
+    assert_eq!(stats.workers_respawned, 1, "one injected fault, one recovery");
+    assert_eq!(stats.queued, 0, "every admission slot is released once the job is done");
 
     client.drain().unwrap();
     drop(client);
@@ -273,5 +276,24 @@ fn second_signal_cancels_and_exits_130() {
     daemon.signal_term(); // stage 2: cancel
     assert_eq!(daemon.wait_code(), 130, "second signal = cancelled-but-resumable = 130");
     submitter.join().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn many_short_connections_then_drain_exits_zero() {
+    let dir = tmpdir("conns");
+    let daemon = Daemon::start(&dir, &["--workers", "1"]);
+    for i in 0..64 {
+        let mut client = Client::connect(&daemon.addr).unwrap();
+        if i % 8 == 0 {
+            assert!(!client.status().unwrap().draining);
+        }
+    }
+    let mut client = Client::connect(&daemon.addr).unwrap();
+    let done = client.submit("after-churn", &grid_cells(&wl(16, 2), &[0.5]), |_| {}).unwrap();
+    assert_eq!(done.ok, 1);
+    client.drain().unwrap();
+    drop(client);
+    assert_eq!(daemon.wait_code(), 0, "drain after connection churn exits 0");
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -100,9 +100,9 @@ pub enum SimError {
         /// Description of the violation.
         what: String,
     },
-    /// A `save-serve` worker died (crashed / was killed) while this cell
-    /// was in flight; the cell is journaled as failed-retryable and
-    /// requeued to a fresh worker.
+    /// A `save-serve` worker crashed while this cell was in flight (a
+    /// panic escaped the per-cell isolation); the cell is journaled as
+    /// failed-retryable and requeued for another attempt.
     WorkerLost {
         /// The cell that was in flight on the lost worker.
         what: String,
@@ -160,7 +160,7 @@ impl SimError {
     ///   they can come from resource pressure on the machine, not the model.
     /// * Service-side conditions: [`SimError::Overloaded`] and
     ///   [`SimError::WorkerLost`] are [`RetryClass::Transient`] (the queue
-    ///   drains, a fresh worker is respawned), while [`SimError::Protocol`]
+    ///   drains, the lost cell is requeued), while [`SimError::Protocol`]
     ///   is [`RetryClass::Permanent`] (resending the same malformed message
     ///   reproduces the same rejection).
     pub fn retry_class(&self) -> RetryClass {

@@ -265,8 +265,8 @@ impl ResultStore {
 
     /// Journals a record *without* touching any claim: results computed
     /// elsewhere (a daemon's answer to a session), or the `worker-lost`
-    /// event the daemon's respawn monitor leaves for a cell it requeues (the
-    /// worker died before claiming the key, so no claim is held).
+    /// event a daemon worker leaves for a cell it requeues after a crash
+    /// (the crash came before the key was claimed, so no claim is held).
     pub fn record(&self, rec: CellRecord) -> Result<(), SimError> {
         append(&mut self.lock(), rec)
     }

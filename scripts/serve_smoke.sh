@@ -6,7 +6,8 @@
 #   1. start a daemon, submit the quick surface sweep over TCP, and check
 #      the bits against a purely local run;
 #   2. resubmit with a KillWorker fault injected into the first cell — the
-#      respawn monitor must recover it and the bits must not change;
+#      worker must catch it and requeue the cell, and the bits must not
+#      change;
 #   3. SIGTERM the daemon: graceful drain, exit code 0;
 #   4. restart on the same cache dir: the whole sweep must be served from
 #      the recovered journal (every cell a cache hit), bit-identically;
