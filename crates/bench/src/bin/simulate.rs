@@ -98,7 +98,7 @@ fn body(
         None => 1,
     };
 
-    // The single simulated kernel still runs as a supervised cell, so
+    // The single simulated kernel still runs as a durable session cell, so
     // `--cell-deadline`, `--retries` and Ctrl-C behave exactly as in the
     // sweep binaries.
     let sanitize = match get("--sanitize") {

@@ -13,7 +13,7 @@
 //! Every binary funnels through [`run_main`], which parses the uniform
 //! durable-execution flags ([`BenchCli`]: `--checkpoint-dir`, `--resume`,
 //! `--cell-deadline`, `--retries`, …), installs the SIGINT/SIGTERM
-//! supervisor, and maps the run's outcome to one process exit code
+//! handlers, and maps the run's outcome to one process exit code
 //! convention (0 clean / 1 lossy / 2 usage / 130 cancelled-resumable).
 //!
 //! Sweeps run through [`SweepSession`]: each simulated cell is a recorded
@@ -35,7 +35,7 @@ use save_sim::durable::{exit_code_for, run_cell, Executor, RetryPolicy, EXIT_FAI
 use save_sim::error::{RetryClass, SimError};
 use save_sim::parallel::{host_parallelism, FailureReport, JobFailure};
 use save_sim::spec::CellSpec;
-use save_sim::{CancelToken, CellRecord, ResultStore, Supervisor, SupervisorHandle, TraceStore};
+use save_sim::{CancelToken, CellRecord, ResultStore, TraceStore};
 use serde::Serialize;
 use std::collections::HashMap;
 use std::io::Write;
@@ -238,9 +238,6 @@ pub struct SweepSession {
     name: String,
     jobs: usize,
     failures: Vec<JobFailure>,
-    /// Owns the supervisor for standalone sessions ([`SweepSession::new`]);
-    /// sessions built by [`run_main`] share the binary-wide supervisor.
-    _own: Option<Supervisor>,
     /// Resolves batch cells; its store is the `--checkpoint-dir` one.
     exec: Executor,
     /// Batch cells served from the store instead of recomputed.
@@ -259,41 +256,33 @@ pub struct SweepSession {
 
 impl SweepSession {
     /// Starts a standalone session for the experiment called `name` (used
-    /// for the `<name>-failures.json` dump): private supervisor, no signal
-    /// handlers, no checkpoint, default retry policy.
+    /// for the `<name>-failures.json` dump): a private token that ignores
+    /// signals, no checkpoint, default retry policy.
     pub fn new(name: &str) -> Self {
-        let own = Supervisor::start(false);
-        let exec = Executor::new(own.handle());
-        Self::with(name, exec, Some(own), None)
+        Self::with(name, Executor::new(CancelToken::new()), None)
     }
 
     /// Builds the durable session [`run_main`] hands to the binary body:
-    /// shared supervisor, the CLI's retry policy, and — when
+    /// cancelled through `cancel`, the CLI's retry policy, and — when
     /// `--checkpoint-dir` was given — the [`ResultStore`] there.
     ///
     /// # Errors
     /// Store errors: an existing journal without `--resume`, a corrupt
     /// journal, or plain I/O failure.
-    pub fn durable(name: &str, cli: &BenchCli, sup: SupervisorHandle) -> Result<Self, SimError> {
+    pub fn durable(name: &str, cli: &BenchCli, cancel: CancelToken) -> Result<Self, SimError> {
         let store = match &cli.checkpoint_dir {
             None => None,
             Some(dir) => Some(Arc::new(ResultStore::open(dir, cli.resume)?)),
         };
-        let exec = Executor { store, policy: cli.policy(), supervisor: sup };
-        Ok(Self::with(name, exec, None, cli.serve_addr.clone()))
+        let exec = Executor { store, policy: cli.policy(), cancel };
+        Ok(Self::with(name, exec, cli.serve_addr.clone()))
     }
 
-    fn with(
-        name: &str,
-        exec: Executor,
-        own: Option<Supervisor>,
-        serve_addr: Option<String>,
-    ) -> Self {
+    fn with(name: &str, exec: Executor, serve_addr: Option<String>) -> Self {
         SweepSession {
             name: name.to_string(),
             jobs: 0,
             failures: Vec::new(),
-            _own: own,
             exec,
             resumed: 0,
             cancelled: false,
@@ -305,7 +294,7 @@ impl SweepSession {
     }
 
     /// The session's executor — `--checkpoint-dir` store, retry policy and
-    /// supervisor — for surface sweeps and the [`save_sim::Estimator`].
+    /// cancel token — for surface sweeps and the [`save_sim::Estimator`].
     pub fn executor(&self) -> &Executor {
         &self.exec
     }
@@ -363,7 +352,7 @@ impl SweepSession {
 
     /// `true` when the session is cancelled, latching a global cancel.
     fn check_cancelled(&mut self) -> bool {
-        self.cancelled |= self.exec.supervisor.global().is_cancelled();
+        self.cancelled |= self.exec.cancel.is_cancelled();
         self.cancelled
     }
 
@@ -384,7 +373,7 @@ impl SweepSession {
             self.cancel_job();
             return None;
         }
-        let run = run_cell(&self.exec.supervisor, &self.exec.policy, label, self.jobs, f);
+        let run = run_cell(&self.exec.cancel, &self.exec.policy, label, self.jobs, f);
         match run.result {
             Ok(r) => {
                 self.tally(label, run.attempts, None);
@@ -655,8 +644,8 @@ impl SweepSession {
 
 /// Entry point shared by every experiment binary: parses the uniform
 /// [`BenchCli`] flags (usage errors exit 2), installs SIGINT/SIGTERM
-/// handlers via the process supervisor, opens the optional result store, runs
-/// `body`, and maps the session outcome to the exit-code convention
+/// handlers (the first signal cancels the run), opens the optional result
+/// store, runs `body`, and maps the session outcome to the exit-code convention
 /// (0 clean / 1 lossy / 2 usage / 130 cancelled).
 pub fn run_main(
     name: &str,
@@ -669,8 +658,8 @@ pub fn run_main(
             return ExitCode::from(EXIT_USAGE);
         }
     };
-    let sup = Supervisor::start(true);
-    let mut session = match SweepSession::durable(name, &cli, sup.handle()) {
+    save_signal::install();
+    let mut session = match SweepSession::durable(name, &cli, CancelToken::on_signals(1)) {
         Ok(s) => s,
         Err(e) => {
             eprintln!("{name}: [{}] {e}", e.kind());
@@ -757,7 +746,7 @@ mod tests {
     #[test]
     fn cancelled_session_skips_cells_without_recording_failures() {
         let mut s = SweepSession::new("cancel");
-        s.exec.supervisor.cancel_global();
+        s.exec.cancel.cancel();
         assert_eq!(s.run("skipped", |_| Ok(1u32)), None);
         assert!(s.spec_seconds_batch(&[cell("also skipped", 2)])[0].is_nan());
         assert!(s.is_cancelled());
@@ -813,8 +802,7 @@ mod tests {
         .unwrap();
         let batch = [cell("cell-a", 2), cell("cell-b", 0), cell("cell-a again", 2)];
 
-        let sup = Supervisor::start(false);
-        let mut s = SweepSession::durable("unit", &cli, sup.handle()).unwrap();
+        let mut s = SweepSession::durable("unit", &cli, CancelToken::new()).unwrap();
         let first = s.spec_seconds_batch(&batch);
         assert!(!first[0].is_nan());
         assert!(first[1].is_nan(), "invalid config fails");
@@ -823,11 +811,13 @@ mod tests {
         drop(s);
 
         // Without --resume, the journal refuses to be overwritten.
-        let err = SweepSession::durable("unit", &cli, sup.handle()).err().expect("journal must refuse overwrite");
+        let err = SweepSession::durable("unit", &cli, CancelToken::new())
+            .err()
+            .expect("journal must refuse overwrite");
         assert!(err.to_string().contains("--resume"), "{err}");
 
         let cli2 = BenchCli { resume: true, ..cli.clone() };
-        let mut s = SweepSession::durable("unit", &cli2, sup.handle()).unwrap();
+        let mut s = SweepSession::durable("unit", &cli2, CancelToken::new()).unwrap();
         let restored = s.spec_seconds_batch(&batch);
         assert_eq!(s.resumed(), 2, "no recompute");
         assert_eq!(restored[0].to_bits(), first[0].to_bits(), "bit-identical restore");

@@ -5,7 +5,7 @@
 use save_bench::{BenchCli, SweepSession};
 use save_kernels::{BroadcastPattern, GemmKernelSpec, GemmWorkload, Precision};
 use save_serve::{Client, ServeConfig};
-use save_sim::{CellSpec, ConfigKind, MachineConfig, Supervisor, Surface};
+use save_sim::{CancelToken, CellSpec, ConfigKind, MachineConfig, Surface};
 use std::net::TcpListener;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
@@ -54,7 +54,6 @@ fn served_batch_resumes_from_the_store_without_the_daemon() {
     let ckpt = tmpdir("session");
     let ckpt_arg = ckpt.display().to_string();
     let cells = batch();
-    let sup = Supervisor::start(false);
 
     // An in-process daemon on a free port (it prints its address only to
     // stdout, so pick the port here).
@@ -80,7 +79,7 @@ fn served_batch_resumes_from_the_store_without_the_daemon() {
     };
 
     let cli = BenchCli::parse_from(["--serve", &addr, "--checkpoint-dir", &ckpt_arg]).unwrap();
-    let mut served = SweepSession::durable("serve-resume", &cli, sup.handle()).unwrap();
+    let mut served = SweepSession::durable("serve-resume", &cli, CancelToken::new()).unwrap();
     let first = served.spec_seconds_batch(&cells);
     assert_eq!(served.served(), cells.len(), "every cell answered by the daemon");
     assert!(served.is_clean(), "{}", served.report());
@@ -91,7 +90,7 @@ fn served_batch_resumes_from_the_store_without_the_daemon() {
     assert_eq!(daemon.join().unwrap().unwrap(), 0, "drain exits 0");
 
     let cli = BenchCli::parse_from(["--checkpoint-dir", &ckpt_arg, "--resume"]).unwrap();
-    let mut resumed = SweepSession::durable("serve-resume", &cli, sup.handle()).unwrap();
+    let mut resumed = SweepSession::durable("serve-resume", &cli, CancelToken::new()).unwrap();
     let second = resumed.spec_seconds_batch(&cells);
     assert_eq!(resumed.resumed(), cells.len(), "every cell restored, none executed");
     assert_eq!(resumed.served(), 0);

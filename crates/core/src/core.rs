@@ -25,11 +25,10 @@ use crate::vpu::{VpuOp, VpuPipeline};
 use save_isa::{Program, VecF32, LANES, NUM_VREGS};
 use save_mem::{CoreMemory, UncoreAccess};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-/// How many cycles a cancellable core runs between checks of its cancel
-/// flag — the "cycle quantum" of cooperative cancellation. An in-flight
+/// How many cycles a cancellable core runs between calls of its cancel
+/// poll — the "cycle quantum" of cooperative cancellation. An in-flight
 /// run reacts to a cancel request within one quantum (plus at most one
 /// fast-forward jump, which is bounded by the watchdog horizon).
 pub const CANCEL_QUANTUM: u64 = 4096;
@@ -48,9 +47,9 @@ pub struct RunOutcome {
     /// Set when the sanitizer (or an internal integrity check) detected an
     /// invariant violation — the run is aborted with `completed == false`.
     pub violation: Option<Box<SanitizerReport>>,
-    /// `true` when the run stopped because its cancel flag (see
-    /// [`Core::set_cancel`]) was raised — cooperative cancellation, not a
-    /// stall: `completed == false` and `stall == None`.
+    /// `true` when the run stopped because its cancel poll (see
+    /// [`Core::set_cancel`]) answered `true` — cooperative cancellation,
+    /// not a stall: `completed == false` and `stall == None`.
     pub cancelled: bool,
 }
 
@@ -151,10 +150,10 @@ pub struct Core {
     ff_inert: bool,
     last_delta: CoreStats,
     ff_next: Option<u64>,
-    // Cooperative cancellation: an optional shared flag polled every
+    // Cooperative cancellation: an optional poll called every
     // CANCEL_QUANTUM cycles (and after every fast-forward jump). `None`
     // costs one well-predicted branch per cycle.
-    cancel: Option<Arc<AtomicBool>>,
+    cancel: Option<Box<dyn Fn() -> bool + Send>>,
     cancel_countdown: u64,
 }
 
@@ -216,26 +215,25 @@ impl Core {
         }
     }
 
-    /// Attaches a shared cancel flag. Once the flag is `true`, the run
-    /// stops at the next cycle-quantum boundary ([`CANCEL_QUANTUM`]) with
-    /// an outcome whose `cancelled` field is set. Detached cores (the
-    /// default) never observe cancellation.
-    pub fn set_cancel(&mut self, flag: Arc<AtomicBool>) {
-        self.cancel = Some(flag);
+    /// Attaches a cancel poll. It is called every [`CANCEL_QUANTUM`]
+    /// cycles and once after each fast-forward jump; once it answers
+    /// `true`, the run stops with an outcome whose `cancelled` field is
+    /// set. Detached cores (the default) never observe cancellation.
+    pub fn set_cancel(&mut self, poll: Box<dyn Fn() -> bool + Send>) {
+        self.cancel = Some(poll);
         self.cancel_countdown = CANCEL_QUANTUM;
     }
 
-    /// Polls the cancel flag on its quantum; returns `true` when the run
-    /// must stop. Relaxed ordering suffices: the flag only ever goes
-    /// false→true and a one-quantum delay is within the contract.
+    /// Calls the cancel poll on its quantum; returns `true` when the run
+    /// must stop.
     fn cancel_due(&mut self) -> bool {
-        let Some(flag) = &self.cancel else { return false };
+        let Some(poll) = &self.cancel else { return false };
         self.cancel_countdown -= 1;
         if self.cancel_countdown > 0 {
             return false;
         }
         self.cancel_countdown = CANCEL_QUANTUM;
-        flag.load(Ordering::Relaxed)
+        poll()
     }
 
     /// The cancelled-run outcome: not completed, no stall diagnosis, no
@@ -929,10 +927,8 @@ impl Core {
         // A jump may cross many cancel quanta; one check on arrival keeps
         // the reaction bound at (quantum + one jump), and jumps are bounded
         // by the watchdog horizon.
-        if let Some(flag) = &self.cancel {
-            if flag.load(Ordering::Relaxed) {
-                return Some(self.cancelled_outcome());
-            }
+        if self.cancel.as_ref().is_some_and(|poll| poll()) {
+            return Some(self.cancelled_outcome());
         }
         if self.cycle >= self.cfg.max_cycles {
             self.finished = true;

@@ -97,17 +97,28 @@ impl Pool {
     /// `None` tells the worker to exit.
     fn next_task(&self) -> Option<Task> {
         let mut st = self.state();
+        let mut woken = false;
         loop {
             if st.shutdown {
                 return None;
             }
             if let Some(t) = st.queue.pop_front() {
+                drop(st);
+                if woken {
+                    // A submission just woke this worker. Let the connection
+                    // thread that made it stream the job's cache hits before
+                    // the simulation takes the CPU: on a host with fewer free
+                    // cores than workers, the hits otherwise wait out a
+                    // scheduler slice behind the misses.
+                    thread::yield_now();
+                }
                 return Some(t);
             }
             if st.draining {
                 return None;
             }
             st = self.ready.wait(st).unwrap_or_else(PoisonError::into_inner);
+            woken = true;
         }
     }
 
@@ -268,21 +279,16 @@ impl Drop for Scheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use save_sim::cancel::Supervisor;
     use save_sim::runner::{ConfigKind, MachineConfig};
-    use save_sim::{ResultStore, SupervisorHandle};
+    use save_sim::{CancelToken, ResultStore};
     use std::sync::mpsc::{self, Receiver};
     use std::time::Duration;
 
     /// A scheduler over a fresh store, with the default retry policy.
-    fn scheduler(
-        workers: usize,
-        capacity: usize,
-        sup: SupervisorHandle,
-        tag: &str,
-    ) -> (Scheduler, Arc<ResultStore>) {
+    fn scheduler(workers: usize, capacity: usize, tag: &str) -> (Scheduler, Arc<ResultStore>) {
         let store = Arc::new(ResultStore::open(&tmpdir(tag), true).unwrap());
-        let exec = Executor { store: Some(Arc::clone(&store)), ..Executor::new(sup) };
+        let exec =
+            Executor { store: Some(Arc::clone(&store)), ..Executor::new(CancelToken::new()) };
         (Scheduler::new(workers, capacity, exec), store)
     }
 
@@ -328,8 +334,7 @@ mod tests {
 
     #[test]
     fn executes_and_memoizes() {
-        let sup = Supervisor::start(false);
-        let (sched, store) = scheduler(2, 64, sup.handle(), "memo");
+        let (sched, store) = scheduler(2, 64, "memo");
         let (tx, rx) = mpsc::channel();
         // Two cells with the same spec: one computes, one is served.
         sched.try_submit(vec![task(0, 7, None, &tx), task(1, 7, None, &tx)]).unwrap();
@@ -347,8 +352,7 @@ mod tests {
 
     #[test]
     fn one_worker_serves_a_job_in_submission_order() {
-        let sup = Supervisor::start(false);
-        let (sched, _store) = scheduler(1, 64, sup.handle(), "fifo");
+        let (sched, _store) = scheduler(1, 64, "fifo");
         let (tx, rx) = mpsc::channel();
         sched.try_submit((0..6).map(|i| task(i, 100 + i, None, &tx)).collect()).unwrap();
         drop(tx);
@@ -358,8 +362,7 @@ mod tests {
 
     #[test]
     fn store_hits_are_answered_at_admission_without_a_slot() {
-        let sup = Supervisor::start(false);
-        let (sched, _store) = scheduler(1, 1, sup.handle(), "hits");
+        let (sched, _store) = scheduler(1, 1, "hits");
         let (tx, rx) = mpsc::channel();
         sched.try_submit(vec![task(0, 9, None, &tx)]).unwrap();
         let first = results(&rx, 1).remove(0);
@@ -384,8 +387,7 @@ mod tests {
 
     #[test]
     fn over_capacity_submission_is_rejected_with_backoff_hint() {
-        let sup = Supervisor::start(false);
-        let (sched, _store) = scheduler(1, 2, sup.handle(), "cap");
+        let (sched, _store) = scheduler(1, 2, "cap");
         let (tx, _rx) = mpsc::channel();
         let err = sched
             .try_submit(vec![task(0, 1, None, &tx), task(1, 2, None, &tx), task(2, 3, None, &tx)])
@@ -401,8 +403,7 @@ mod tests {
 
     #[test]
     fn killed_worker_is_respawned_and_cell_still_completes() {
-        let sup = Supervisor::start(false);
-        let (sched, store) = scheduler(1, 64, sup.handle(), "kill");
+        let (sched, store) = scheduler(1, 64, "kill");
         let (tx, rx) = mpsc::channel();
         sched.try_submit(vec![task(0, 11, Some(Fault::KillWorker), &tx)]).unwrap();
         drop(tx);
@@ -416,8 +417,7 @@ mod tests {
 
     #[test]
     fn killed_cell_is_requeued_while_the_rest_of_the_job_completes() {
-        let sup = Supervisor::start(false);
-        let (sched, store) = scheduler(2, 64, sup.handle(), "kill2");
+        let (sched, store) = scheduler(2, 64, "kill2");
         let (tx, rx) = mpsc::channel();
         let tasks: Vec<Task> =
             (0..4).map(|i| task(i, 200 + i, (i == 1).then_some(Fault::KillWorker), &tx)).collect();
@@ -439,8 +439,7 @@ mod tests {
 
     #[test]
     fn draining_scheduler_rejects_new_work() {
-        let sup = Supervisor::start(false);
-        let (sched, _store) = scheduler(1, 8, sup.handle(), "drain");
+        let (sched, _store) = scheduler(1, 8, "drain");
         sched.drain();
         let (tx, _rx) = mpsc::channel();
         let err = sched.try_submit(vec![task(0, 1, None, &tx)]).unwrap_err();

@@ -7,12 +7,11 @@
 //!   connections and admitting jobs, let every admitted cell finish and
 //!   journal, flush, exit **0** — clients that were told `Accepted` get
 //!   their full result stream;
-//! * **second** signal: the supervisor's global cancel token latches
-//!   (bridge threshold 2 — see [`save_sim::cancel::Supervisor::start_with_bridge`]),
-//!   in-flight cells stop at their next cycle quantum, cancelled cells are
-//!   *not* journaled (so they recompute on resubmission), and the daemon
-//!   exits **130** — the same "cancelled, resumable" code the sweep
-//!   binaries use.
+//! * **second** signal: the daemon's cancel token fires (it is built with
+//!   [`save_sim::CancelToken::on_signals`]`(2)`), in-flight cells stop at
+//!   their next cycle quantum, cancelled cells are *not* journaled (so
+//!   they recompute on resubmission), and the daemon exits **130** — the
+//!   same "cancelled, resumable" code the sweep binaries use.
 //!
 //! A SIGKILL (which cannot be handled) is covered by the journal: at most
 //! one torn record, repaired on the next daemon start by
@@ -23,9 +22,8 @@ use crate::protocol::{
     write_line, CellResult, LineIn, LineReader, Request, Response, ServeStats, PROTOCOL_VERSION,
 };
 use crate::scheduler::{Scheduler, Task};
-use save_sim::cancel::Supervisor;
 use save_sim::durable::{exit_code_for, Executor, RetryPolicy};
-use save_sim::{ResultStore, SimError};
+use save_sim::{CancelToken, ResultStore, SimError};
 use std::io::Write;
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -100,7 +98,10 @@ impl ServeState {
 /// Runs the daemon to completion. Returns the process exit code: 0 after a
 /// graceful drain, 130 after a forced (second-signal) cancellation.
 pub fn serve(cfg: &ServeConfig) -> Result<u8, SimError> {
-    let sup = Supervisor::start_with_bridge(cfg.install_signals, 2);
+    if cfg.install_signals {
+        save_signal::install();
+    }
+    let cancel = CancelToken::on_signals(2);
     let store = Arc::new(ResultStore::open(&cfg.cache_dir, true)?);
     if store.recovered() > 0 {
         eprintln!(
@@ -109,11 +110,8 @@ pub fn serve(cfg: &ServeConfig) -> Result<u8, SimError> {
             cfg.cache_dir.display()
         );
     }
-    let exec = Executor {
-        store: Some(Arc::clone(&store)),
-        policy: cfg.policy,
-        supervisor: sup.handle(),
-    };
+    let exec =
+        Executor { store: Some(Arc::clone(&store)), policy: cfg.policy, cancel: cancel.clone() };
     let sched = Scheduler::new(cfg.workers, cfg.capacity, exec);
     let listener = TcpListener::bind(&cfg.listen)
         .map_err(|e| SimError::Io { what: format!("bind {}: {e}", cfg.listen) })?;
@@ -171,7 +169,7 @@ pub fn serve(cfg: &ServeConfig) -> Result<u8, SimError> {
     }
 
     // Drain: no new admissions; admitted cells finish and journal, then
-    // the workers exit. A second signal latches the global token, which
+    // the workers exit. A second signal cancels the daemon's token, which
     // makes the remaining cells cancel at their next quantum — the drain
     // then returns quickly with the queue empty either way.
     eprintln!("save-serve: draining ({} cells in flight)", state.sched.queued());
@@ -181,7 +179,7 @@ pub fn serve(cfg: &ServeConfig) -> Result<u8, SimError> {
     for h in conns {
         let _ = h.join();
     }
-    let forced = sup.handle().global().is_cancelled();
+    let forced = cancel.is_cancelled();
     eprintln!(
         "save-serve: {} ({} results journaled)",
         if forced { "cancelled" } else { "drained" },

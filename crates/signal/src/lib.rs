@@ -1,4 +1,4 @@
-//! # save-signal — SIGINT/SIGTERM to atomic-flag bridge
+//! # save-signal — SIGINT/SIGTERM to atomic-counter bridge
 //!
 //! Long sweeps need graceful cancellation: on Ctrl-C or a scheduler's
 //! SIGTERM, in-flight simulation cells should stop at their next
@@ -8,30 +8,22 @@
 //! confines the two `libc` calls a signal handler needs to one audited
 //! module so `save-sim`/`save-bench` can stay `#![forbid(unsafe_code)]`.
 //!
-//! The handler itself only performs an atomic store, which is
-//! async-signal-safe. Everything else (supervisor threads, journal flushes)
-//! happens cooperatively on normal threads that poll [`cancel_requested`].
+//! The handler itself only performs one atomic increment, which is
+//! async-signal-safe. Everything else (cancel tokens, journal flushes)
+//! happens cooperatively on normal threads that read [`signal_count`].
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
-
-/// Set by the signal handler (or [`request_cancel`]) once a cancellation
-/// signal has been observed. Never cleared in production code.
-static CANCEL_REQUESTED: AtomicBool = AtomicBool::new(false);
+use std::sync::atomic::{AtomicU32, Ordering};
 
 /// Number of cancellation signals observed (SIGINT/SIGTERM deliveries plus
 /// [`request_cancel`] calls). A long-running daemon distinguishes "first
 /// signal: stop admitting work and drain gracefully" from "second signal:
 /// force-cancel in-flight cells and exit with the resumable 130 code" by
-/// watching this count; one-shot sweep binaries only care about the flag.
+/// watching this count; one-shot sweep binaries cancel on the first. Never
+/// cleared in production code.
 static SIGNAL_COUNT: AtomicU32 = AtomicU32::new(0);
-
-/// `true` once SIGINT/SIGTERM was received (or [`request_cancel`] called).
-pub fn cancel_requested() -> bool {
-    CANCEL_REQUESTED.load(Ordering::SeqCst)
-}
 
 /// How many cancellation signals have been observed so far.
 pub fn signal_count() -> u32 {
@@ -43,13 +35,11 @@ pub fn signal_count() -> u32 {
 /// signal delivery for [`signal_count`].
 pub fn request_cancel() {
     SIGNAL_COUNT.fetch_add(1, Ordering::SeqCst);
-    CANCEL_REQUESTED.store(true, Ordering::SeqCst);
 }
 
-/// Test-only reset so independent tests can each observe a fresh flag.
+/// Test-only reset so independent tests can each observe a fresh count.
 /// Production code must never call this: a user's Ctrl-C is final.
 pub fn reset_for_test() {
-    CANCEL_REQUESTED.store(false, Ordering::SeqCst);
     SIGNAL_COUNT.store(0, Ordering::SeqCst);
 }
 
@@ -57,8 +47,8 @@ pub fn reset_for_test() {
 #[allow(unsafe_code)]
 mod imp {
     //! The one `unsafe` region in the workspace: registering a C signal
-    //! handler. The handler body is a single relaxed-to-SeqCst atomic
-    //! store, the canonical async-signal-safe operation.
+    //! handler. The handler body is a single SeqCst atomic increment, an
+    //! async-signal-safe operation.
 
     use std::sync::atomic::Ordering;
 
@@ -66,9 +56,8 @@ mod imp {
     const SIGTERM: i32 = 15;
 
     extern "C" fn on_signal(_sig: i32) {
-        // Both operations are single atomic RMW/stores — async-signal-safe.
+        // A single atomic RMW — async-signal-safe.
         super::SIGNAL_COUNT.fetch_add(1, Ordering::SeqCst);
-        super::CANCEL_REQUESTED.store(true, Ordering::SeqCst);
     }
 
     extern "C" {
@@ -79,7 +68,7 @@ mod imp {
 
     pub fn install() {
         // SAFETY: `signal` is the POSIX API for exactly this; the handler
-        // only performs an atomic store (async-signal-safe), and the
+        // only performs an atomic increment (async-signal-safe), and the
         // function pointer has the required `extern "C" fn(i32)` ABI.
         unsafe {
             signal(SIGINT, on_signal);
@@ -96,11 +85,11 @@ mod imp {
 }
 
 /// Installs the SIGINT/SIGTERM handlers (idempotent). After this, a Ctrl-C
-/// or SIGTERM no longer kills the process; it latches the flag read by
-/// [`cancel_requested`] so sweeps can flush their journals and exit with
-/// the "cancelled, resumable" code. A *second* signal while the first is
-/// still being honoured is latched into the same flag (the process is
-/// already shutting down as fast as its cycle quantum allows).
+/// or SIGTERM no longer kills the process; each delivery increments
+/// [`signal_count`], so sweeps can flush their journals and exit with the
+/// "cancelled, resumable" code. Every delivery is counted separately: the
+/// `save-serve` daemon drains on the first signal and cancels in-flight
+/// cells on the second.
 pub fn install() {
     imp::install();
 }
@@ -112,16 +101,12 @@ mod tests {
     #[test]
     fn flag_latches_counts_and_resets() {
         reset_for_test();
-        assert!(!cancel_requested());
         assert_eq!(signal_count(), 0);
         request_cancel();
-        assert!(cancel_requested());
         assert_eq!(signal_count(), 1);
         request_cancel();
-        assert!(cancel_requested(), "latching is idempotent");
         assert_eq!(signal_count(), 2, "each delivery is counted");
         reset_for_test();
-        assert!(!cancel_requested());
         assert_eq!(signal_count(), 0);
     }
 

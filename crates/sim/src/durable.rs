@@ -5,10 +5,9 @@
 //!
 //! * **panic isolation** — a panic becomes [`SimError::WorkerPanic`], as in
 //!   [`crate::parallel`], but here it feeds the retry state machine;
-//! * **a wall-clock deadline** — each *attempt* registers a
-//!   [`crate::cancel::WatchGuard`] with the supervisor; when the deadline
-//!   passes, the attempt's cancel token latches, the simulated core stops
-//!   at its next quantum boundary, and the resulting
+//! * **a wall-clock deadline** — each *attempt* runs on a child of the
+//!   executor's [`CancelToken`] carrying the deadline; once it passes, the
+//!   simulated core stops at its next quantum boundary, and the resulting
 //!   [`SimError::Cancelled`] is reclassified to
 //!   [`SimError::DeadlineExceeded`];
 //! * **bounded retries with exponential backoff** — errors classified
@@ -24,7 +23,7 @@
 //! cancelled). Surface sweeps, the estimator, figure sessions and the
 //! `save-serve` workers all resolve their cells through it.
 
-use crate::cancel::{CancelToken, SupervisorHandle};
+use crate::cancel::CancelToken;
 use crate::error::{RetryClass, SimError};
 use crate::parallel::{panic_error, parallel_try_map};
 use crate::spec::CellSpec;
@@ -106,12 +105,14 @@ pub struct CellRun<T> {
     pub attempts: u32,
 }
 
-/// Runs one cell under the policy. `what` names the cell in errors; `job`
-/// is its index (used for panic attribution). The closure receives the
-/// attempt's cancel token — thread it into [`crate::CellSpec::run`] so
-/// deadlines and Ctrl-C can stop the simulated core mid-run.
+/// Runs one cell under the policy, cancelled through `cancel`. `what`
+/// names the cell in errors; `job` is its index (used for panic
+/// attribution). The closure receives the attempt's token, a child of
+/// `cancel` carrying the policy's deadline — thread it into
+/// [`crate::CellSpec::run`] so deadlines and Ctrl-C can stop the simulated
+/// core mid-run.
 pub fn run_cell<T>(
-    sup: &SupervisorHandle,
+    cancel: &CancelToken,
     policy: &RetryPolicy,
     what: &str,
     job: usize,
@@ -120,15 +121,14 @@ pub fn run_cell<T>(
     let mut attempts = 0u32;
     loop {
         attempts += 1;
-        if sup.global().is_cancelled() {
+        if cancel.is_cancelled() {
             return CellRun {
                 result: Err(SimError::Cancelled { what: what.to_string() }),
                 attempts,
             };
         }
-        let guard = sup.watch(policy.deadline);
-        let token = guard.token();
-        let err = match catch_unwind(AssertUnwindSafe(|| f(&token))) {
+        let tok = cancel.with_deadline(policy.deadline);
+        let err = match catch_unwind(AssertUnwindSafe(|| f(&tok))) {
             Ok(Ok(v)) => return CellRun { result: Ok(v), attempts },
             Ok(Err(e)) => e,
             Err(payload) => panic_error(job, payload),
@@ -138,7 +138,7 @@ pub fn run_cell<T>(
         // different journal entry than user cancellation.
         let err = match err {
             SimError::Cancelled { what: w }
-                if guard.deadline_expired() && !sup.global().is_cancelled() =>
+                if tok.deadline_expired() && !cancel.is_cancelled() =>
             {
                 SimError::DeadlineExceeded {
                     what: w,
@@ -147,7 +147,6 @@ pub fn run_cell<T>(
             }
             e => e,
         };
-        drop(guard);
         match err.retry_class() {
             RetryClass::Permanent | RetryClass::Cancelled => {
                 return CellRun { result: Err(err), attempts }
@@ -156,7 +155,7 @@ pub fn run_cell<T>(
                 if attempts > policy.retries {
                     return CellRun { result: Err(err), attempts };
                 }
-                if !sup.backoff_sleep(policy.backoff_for(attempts)) {
+                if !cancel.sleep(policy.backoff_for(attempts)) {
                     // Backoff interrupted by a global cancel.
                     return CellRun {
                         result: Err(SimError::Cancelled { what: what.to_string() }),
@@ -177,8 +176,9 @@ pub struct Executor {
     pub store: Option<Arc<ResultStore>>,
     /// Per-cell deadline/retry policy.
     pub policy: RetryPolicy,
-    /// Supervisor enforcing deadlines and propagating Ctrl-C.
-    pub supervisor: SupervisorHandle,
+    /// Cancels every cell (Ctrl-C, an embedder's cancel); each attempt runs
+    /// on a child carrying the policy's deadline.
+    pub cancel: CancelToken,
 }
 
 /// A cell [`Executor::resolve`] finished: served from the store or run.
@@ -194,9 +194,9 @@ pub struct Resolved {
 }
 
 impl Executor {
-    /// No journal, the default retry policy, cancelled through `supervisor`.
-    pub fn new(supervisor: SupervisorHandle) -> Self {
-        Executor { store: None, policy: RetryPolicy::default(), supervisor }
+    /// No journal, the default retry policy, cancelled through `cancel`.
+    pub fn new(cancel: CancelToken) -> Self {
+        Executor { store: None, policy: RetryPolicy::default(), cancel }
     }
 
     /// Resolves one cell whose [`CellSpec::cache_key`] is `key`. A final
@@ -218,13 +218,13 @@ impl Executor {
         traces: Option<&TraceStore>,
     ) -> Result<Resolved, SimError> {
         if let Some(store) = &self.store {
-            match store.claim(key, &self.supervisor.global()) {
+            match store.claim(key, &self.cancel) {
                 Claim::Hit(rec) => return Ok(Resolved { error: rec.error(), rec, served: true }),
                 Claim::Cancelled => return Err(SimError::Cancelled { what: label.to_string() }),
                 Claim::Compute => {}
             }
         }
-        let run = run_cell(&self.supervisor, &self.policy, label, job, |tok| match traces {
+        let run = run_cell(&self.cancel, &self.policy, label, job, |tok| match traces {
             Some(traces) => spec.run_traced(Some(tok), traces),
             None => spec.run(Some(tok)),
         });
@@ -247,8 +247,8 @@ impl Executor {
     }
 
     /// [`Executor::resolve`] over `cells` on up to `threads` host threads
-    /// (0 = all), in input order. Once the supervisor's global token
-    /// latches, unclaimed cells come back as [`SimError::Cancelled`].
+    /// (0 = all), in input order. Once the executor's token is cancelled,
+    /// unclaimed cells come back as [`SimError::Cancelled`].
     ///
     /// # Errors
     /// A spec that cannot be encoded into a cache key; nothing runs then.
@@ -258,7 +258,7 @@ impl Executor {
         threads: usize,
     ) -> Result<Vec<Result<Resolved, SimError>>, SimError> {
         let keys = cells.iter().map(|(_, spec)| spec.cache_key()).collect::<Result<Vec<_>, _>>()?;
-        Ok(parallel_try_map(cells, threads, &self.supervisor.global(), |i, (label, spec)| {
+        Ok(parallel_try_map(cells, threads, &self.cancel, |i, (label, spec)| {
             self.resolve(label, i, spec, keys[i], None)
         }))
     }
@@ -267,7 +267,6 @@ impl Executor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cancel::Supervisor;
     use std::sync::atomic::{AtomicU32, Ordering};
 
     fn fast_policy() -> RetryPolicy {
@@ -319,17 +318,15 @@ mod tests {
 
     #[test]
     fn first_try_success_is_one_attempt() {
-        let sup = Supervisor::start(false);
-        let run = run_cell(&sup.handle(), &fast_policy(), "cell", 0, |_| Ok(42));
+        let run = run_cell(&CancelToken::new(), &fast_policy(), "cell", 0, |_| Ok(42));
         assert_eq!(run.result.unwrap(), 42);
         assert_eq!(run.attempts, 1);
     }
 
     #[test]
     fn transient_errors_retry_until_budget() {
-        let sup = Supervisor::start(false);
         let calls = AtomicU32::new(0);
-        let run = run_cell(&sup.handle(), &fast_policy(), "cell", 0, |_| {
+        let run = run_cell(&CancelToken::new(), &fast_policy(), "cell", 0, |_| {
             calls.fetch_add(1, Ordering::SeqCst);
             Err::<u32, _>(SimError::Io { what: "flaky".into() })
         });
@@ -340,9 +337,8 @@ mod tests {
 
     #[test]
     fn transient_error_heals_on_retry() {
-        let sup = Supervisor::start(false);
         let calls = AtomicU32::new(0);
-        let run = run_cell(&sup.handle(), &fast_policy(), "cell", 0, |_| {
+        let run = run_cell(&CancelToken::new(), &fast_policy(), "cell", 0, |_| {
             if calls.fetch_add(1, Ordering::SeqCst) == 0 {
                 Err(SimError::Io { what: "first try flaky".into() })
             } else {
@@ -355,9 +351,8 @@ mod tests {
 
     #[test]
     fn permanent_errors_fail_fast() {
-        let sup = Supervisor::start(false);
         let calls = AtomicU32::new(0);
-        let run = run_cell(&sup.handle(), &fast_policy(), "cell", 0, |_| {
+        let run = run_cell(&CancelToken::new(), &fast_policy(), "cell", 0, |_| {
             calls.fetch_add(1, Ordering::SeqCst);
             Err::<u32, _>(SimError::InvalidConfig { what: "deterministic".into() })
         });
@@ -367,9 +362,8 @@ mod tests {
 
     #[test]
     fn panics_are_transient_and_attributed() {
-        let sup = Supervisor::start(false);
         let calls = AtomicU32::new(0);
-        let run = run_cell(&sup.handle(), &fast_policy(), "cell", 9, |_| -> Result<u32, _> {
+        let run = run_cell(&CancelToken::new(), &fast_policy(), "cell", 9, |_| -> Result<u32, _> {
             calls.fetch_add(1, Ordering::SeqCst);
             panic!("boom");
         });
@@ -385,17 +379,15 @@ mod tests {
 
     #[test]
     fn global_cancel_stops_before_first_attempt() {
-        let sup = Supervisor::start(false);
-        let h = sup.handle();
-        h.cancel_global();
-        let run = run_cell(&h, &fast_policy(), "cell", 0, |_| Ok(1u32));
+        let cancel = CancelToken::new();
+        cancel.cancel();
+        let run = run_cell(&cancel, &fast_policy(), "cell", 0, |_| Ok(1u32));
         assert_eq!(run.result.unwrap_err().kind(), "cancelled");
     }
 
     #[test]
     fn deadline_is_reclassified_and_retried() {
-        let sup = Supervisor::start(false);
-        let h = sup.handle();
+        let cancel = CancelToken::new();
         let policy = RetryPolicy {
             retries: 1,
             backoff: Duration::from_millis(1),
@@ -405,7 +397,7 @@ mod tests {
         let calls = AtomicU32::new(0);
         // The cell honours its token like a real kernel run: it spins
         // until cancelled, then reports SimError::Cancelled.
-        let run = run_cell(&h, &policy, "slow-cell", 0, |tok| -> Result<u32, _> {
+        let run = run_cell(&cancel, &policy, "slow-cell", 0, |tok| -> Result<u32, _> {
             calls.fetch_add(1, Ordering::SeqCst);
             while !tok.is_cancelled() {
                 std::thread::sleep(Duration::from_millis(1));

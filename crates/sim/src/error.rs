@@ -75,8 +75,8 @@ pub enum SimError {
         /// Kernel / sweep cell that was interrupted.
         what: String,
     },
-    /// A sweep cell exceeded its per-cell wall-clock deadline and was
-    /// interrupted by the supervisor. Distinct from [`SimError::Cancelled`]:
+    /// A sweep cell exceeded its per-cell wall-clock deadline and stopped
+    /// at its next cycle quantum. Distinct from [`SimError::Cancelled`]:
     /// only this cell was stopped, the sweep keeps going.
     DeadlineExceeded {
         /// Kernel / sweep cell that was interrupted.

@@ -134,7 +134,7 @@ pub struct Estimator {
 impl Estimator {
     /// Creates an estimator whose surface cells are resolved by `exec`
     /// (DESIGN.md §5f): journaled in its store, if it has one, under its
-    /// deadline/retry policy and supervisor.
+    /// deadline/retry policy and cancel token.
     pub fn new(cfg: EstimatorConfig, exec: Executor) -> Self {
         Estimator { cfg, exec, surfaces: Mutex::new(HashMap::new()) }
     }
@@ -334,7 +334,7 @@ impl Estimator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cancel::Supervisor;
+    use crate::cancel::CancelToken;
     use crate::store::ResultStore;
     use save_sparsity::NetKind;
 
@@ -357,8 +357,7 @@ mod tests {
 
     #[test]
     fn inference_estimate_shows_save_speedup() {
-        let sup = Supervisor::start(false);
-        let est = small_estimator(Executor::new(sup.handle()));
+        let est = small_estimator(Executor::new(CancelToken::new()));
         let net = toy_net(NetKind::ResNet50Pruned);
         let inf = est.estimate_inference(&net, Precision::F32).unwrap();
         assert!(inf.baseline.total() > 0.0);
@@ -373,8 +372,7 @@ mod tests {
 
     #[test]
     fn training_estimate_orders_policies() {
-        let sup = Supervisor::start(false);
-        let est = small_estimator(Executor::new(sup.handle()));
+        let est = small_estimator(Executor::new(CancelToken::new()));
         let net = toy_net(NetKind::ResNet50Pruned);
         let tr = est.estimate_training(&net, Precision::F32).unwrap();
         let (b, s2, st, dy) =
@@ -388,12 +386,11 @@ mod tests {
     fn durable_estimator_checkpoints_and_resumes_bit_identically() {
         let dir = std::env::temp_dir().join(format!("save-est-ckpt-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let sup = Supervisor::start(false);
         let net = toy_net(NetKind::ResNet50Dense);
         let w = net.layers[1].workload(Phase::Forward, Precision::F32);
         let mk = |store: ResultStore| {
             let store = Some(Arc::new(store));
-            small_estimator(Executor { store, ..Executor::new(sup.handle()) })
+            small_estimator(Executor { store, ..Executor::new(CancelToken::new()) })
         };
         let t1 = mk(ResultStore::open(&dir, false).unwrap())
             .kernel_time(&w, ConfigKind::Baseline, 0.3, 0.0)
@@ -414,8 +411,7 @@ mod tests {
 
     #[test]
     fn surfaces_are_cached_and_deduplicated() {
-        let sup = Supervisor::start(false);
-        let est = small_estimator(Executor::new(sup.handle()));
+        let est = small_estimator(Executor::new(CancelToken::new()));
         let net = toy_net(NetKind::ResNet50Dense);
         let w = net.layers[1].workload(Phase::Forward, Precision::F32);
         let before = est.surfaces_built();

@@ -48,7 +48,7 @@ pub mod store;
 pub mod surface;
 pub mod trace;
 
-pub use cancel::{CancelToken, Supervisor, SupervisorHandle, WatchGuard};
+pub use cancel::CancelToken;
 pub use durable::{
     exit_code_for, run_cell, CellRun, Executor, Resolved, RetryPolicy, EXIT_CANCELLED,
     EXIT_FAILURES, EXIT_OK, EXIT_USAGE,

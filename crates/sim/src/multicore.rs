@@ -256,7 +256,8 @@ pub(crate) fn execute(
     let mut lanes = setup_lanes(w, cfg, machine, seed, n, &mode, &mut uncore)?;
     if let Some(tok) = cancel {
         for lane in &mut lanes {
-            lane.core.set_cancel(tok.as_flag());
+            let tok = tok.clone();
+            lane.core.set_cancel(Box::new(move || tok.is_cancelled()));
         }
     }
     if !detailed {

@@ -73,7 +73,7 @@ impl FailureReport {
     /// The process exit code a sweep binary should return — delegated to
     /// the workspace-wide mapping [`crate::durable::exit_code_for`] so
     /// every binary agrees (0 clean, 1 failures; cancellation is decided
-    /// higher up where the supervisor is visible).
+    /// higher up where the cancel token is visible).
     pub fn exit_code(&self) -> i32 {
         crate::durable::exit_code_for(false, self.is_clean()) as i32
     }

@@ -260,8 +260,7 @@ mod tests {
     fn spec_execution_matches_local_sweep_bits() {
         let w = tiny();
         let (a, b) = (0.5, 0.25);
-        let sup = crate::Supervisor::start(false);
-        let exec = crate::Executor::new(sup.handle());
+        let exec = crate::Executor::new(CancelToken::new());
         let machine = MachineConfig::default();
         let surf = Surface::sweep(&w, ConfigKind::Save2Vpu, &machine, &[a], &[b], 1, &exec)
             .and_then(crate::SweepOutcome::into_surface)

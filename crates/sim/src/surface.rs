@@ -112,7 +112,7 @@ impl Surface {
     /// A failed cell does not abort the sweep: it becomes `NaN` in the
     /// surface and an entry in the report; [`SweepOutcome::into_surface`] turns
     /// that into the first error for callers that need every point.
-    /// Cancellation (Ctrl-C through `exec.supervisor`) stops in-flight
+    /// Cancellation (Ctrl-C through `exec.cancel`) stops in-flight
     /// cells at their next cycle quantum and comes back with
     /// `cancelled = true`; cancelled cells are not journaled, so a
     /// `--resume` recomputes exactly those.
@@ -134,7 +134,7 @@ impl Surface {
         let mut failures: Vec<JobFailure> = Vec::new();
         let mut total_cycles = 0u64;
         let mut resumed = 0usize;
-        let mut cancelled = exec.supervisor.global().is_cancelled();
+        let mut cancelled = exec.cancel.is_cancelled();
         for (i, (r, (label, _))) in results.into_iter().zip(&cells).enumerate() {
             let label = Some(label.clone());
             match r {

@@ -5,8 +5,8 @@
 
 use save_kernels::{BroadcastPattern, GemmKernelSpec, GemmWorkload, Precision};
 use save_sim::{
-    CellSpec, ConfigKind, Executor, MachineConfig, ResultStore, RetryPolicy, Supervisor,
-    SupervisorHandle, Surface, SweepOutcome,
+    CancelToken, CellSpec, ConfigKind, Executor, MachineConfig, ResultStore, RetryPolicy,
+    Surface, SweepOutcome,
 };
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -27,8 +27,8 @@ fn tiny() -> GemmWorkload {
     )
 }
 
-/// A workload large enough that one cell takes well over the supervisor's
-/// poll period, so a sub-millisecond deadline reliably interrupts it.
+/// A workload large enough that one cell runs many cancel quanta, so a
+/// sub-millisecond deadline reliably interrupts it.
 fn big() -> GemmWorkload {
     GemmWorkload::dense(
         "durable-big",
@@ -57,8 +57,8 @@ fn open(dir: &Path, resume: bool) -> Arc<ResultStore> {
     Arc::new(ResultStore::open(dir, resume).unwrap())
 }
 
-fn exec(store: &Arc<ResultStore>, policy: RetryPolicy, sup: &SupervisorHandle) -> Executor {
-    Executor { store: Some(Arc::clone(store)), policy, supervisor: sup.clone() }
+fn exec(store: &Arc<ResultStore>, policy: RetryPolicy, cancel: &CancelToken) -> Executor {
+    Executor { store: Some(Arc::clone(store)), policy, cancel: cancel.clone() }
 }
 
 fn sweep(
@@ -96,15 +96,14 @@ const B: [f64; 2] = [0.0, 0.6];
 #[test]
 fn resume_skips_journaled_cells_and_is_bit_identical() {
     let dir = tmpdir("resume");
-    let sup = Supervisor::start(false);
-    let h = sup.handle();
+    let cancel = CancelToken::new();
     let first = sweep(
         &tiny(),
         ConfigKind::Save2Vpu,
         &A,
         &B,
         2,
-        &exec(&open(&dir, false), RetryPolicy::default(), &h),
+        &exec(&open(&dir, false), RetryPolicy::default(), &cancel),
     );
     assert!(!first.cancelled);
     assert!(first.report.is_clean());
@@ -117,7 +116,7 @@ fn resume_skips_journaled_cells_and_is_bit_identical() {
         &A,
         &B,
         2,
-        &exec(&open(&dir, true), RetryPolicy::default(), &h),
+        &exec(&open(&dir, true), RetryPolicy::default(), &cancel),
     );
     assert_eq!(second.resumed, 4, "every cell restored from the journal");
     assert_eq!(second.total_cycles, first.total_cycles, "cycle account is resume-invariant");
@@ -140,15 +139,14 @@ fn partial_journal_resume_completes_the_remainder() {
     // from it.
     let dir_a = tmpdir("partial-a");
     let dir_b = tmpdir("partial-b");
-    let sup = Supervisor::start(false);
-    let h = sup.handle();
+    let cancel = CancelToken::new();
     let full = sweep(
         &tiny(),
         ConfigKind::Save1Vpu,
         &A,
         &B,
         1,
-        &exec(&open(&dir_a, false), RetryPolicy::default(), &h),
+        &exec(&open(&dir_a, false), RetryPolicy::default(), &cancel),
     );
     assert!(full.report.is_clean());
 
@@ -163,7 +161,7 @@ fn partial_journal_resume_completes_the_remainder() {
         &A,
         &B,
         1,
-        &exec(&open(&dir_b, true), RetryPolicy::default(), &h),
+        &exec(&open(&dir_b, true), RetryPolicy::default(), &cancel),
     );
     assert_eq!(resumed.resumed, 2, "two journaled cells skipped");
     assert!(resumed.report.is_clean());
@@ -178,16 +176,15 @@ fn cancelled_sweep_is_resumable_and_converges() {
     let dir = tmpdir("cancel");
     // Cancel before the sweep starts: deterministically, no cell is
     // claimed, the outcome is "cancelled", and nothing is journaled.
-    let sup = Supervisor::start(false);
-    let h = sup.handle();
-    h.cancel_global();
+    let cancel = CancelToken::new();
+    cancel.cancel();
     let out = sweep(
         &tiny(),
         ConfigKind::Baseline,
         &A,
         &B,
         2,
-        &exec(&open(&dir, false), RetryPolicy::default(), &h),
+        &exec(&open(&dir, false), RetryPolicy::default(), &cancel),
     );
     assert!(out.cancelled);
     assert_eq!(out.resumed, 0);
@@ -198,16 +195,15 @@ fn cancelled_sweep_is_resumable_and_converges() {
         out.report.failures
     );
 
-    // A fresh supervisor (fresh process, conceptually) resumes to completion.
-    let sup2 = Supervisor::start(false);
-    let h2 = sup2.handle();
+    // A fresh token (fresh process, conceptually) resumes to completion.
+    let cancel2 = CancelToken::new();
     let done = sweep(
         &tiny(),
         ConfigKind::Baseline,
         &A,
         &B,
         2,
-        &exec(&open(&dir, true), RetryPolicy::default(), &h2),
+        &exec(&open(&dir, true), RetryPolicy::default(), &cancel2),
     );
     assert!(!done.cancelled);
     assert!(done.report.is_clean());
@@ -219,7 +215,7 @@ fn cancelled_sweep_is_resumable_and_converges() {
         &A,
         &B,
         2,
-        &exec(&open(&reference, false), RetryPolicy::default(), &h2),
+        &exec(&open(&reference, false), RetryPolicy::default(), &cancel2),
     );
     assert_eq!(bits(&fresh), bits(&done), "cancel+resume equals one uninterrupted run");
     let _ = fs::remove_dir_all(&dir);
@@ -229,15 +225,14 @@ fn cancelled_sweep_is_resumable_and_converges() {
 #[test]
 fn deadline_overrun_is_retried_then_recorded_without_aborting_the_sweep() {
     let dir = tmpdir("deadline");
-    let sup = Supervisor::start(false);
-    let h = sup.handle();
+    let cancel = CancelToken::new();
     let policy = RetryPolicy {
         retries: 1,
         backoff: Duration::from_millis(1),
         max_backoff: Duration::from_millis(2),
         deadline: Some(Duration::from_micros(100)),
     };
-    let ex = exec(&open(&dir, false), policy, &h);
+    let ex = exec(&open(&dir, false), policy, &cancel);
     let out = sweep(&big(), ConfigKind::Baseline, &[0.0], &[0.0, 0.5], 1, &ex);
     assert!(!out.cancelled, "a deadline is per-cell, not a sweep cancellation");
     assert_eq!(out.report.failures.len(), 2, "both cells exceed the 100µs deadline");
@@ -256,7 +251,7 @@ fn deadline_overrun_is_retried_then_recorded_without_aborting_the_sweep() {
         &[0.0],
         &[0.0, 0.5],
         1,
-        &exec(&open(&dir, true), RetryPolicy::default(), &h),
+        &exec(&open(&dir, true), RetryPolicy::default(), &cancel),
     );
     assert_eq!(resumed.resumed, 0, "transient failures are recomputed, not served");
     assert!(resumed.report.is_clean(), "{:?}", resumed.report.failures);
@@ -271,10 +266,9 @@ fn deadline_overrun_is_retried_then_recorded_without_aborting_the_sweep() {
 #[test]
 fn sweeps_sharing_a_store_share_only_identical_cells() {
     let dir = tmpdir("shared");
-    let sup = Supervisor::start(false);
-    let h = sup.handle();
+    let cancel = CancelToken::new();
     let store = open(&dir, false);
-    let ex = exec(&store, RetryPolicy::default(), &h);
+    let ex = exec(&store, RetryPolicy::default(), &cancel);
     let first = sweep(&tiny(), ConfigKind::Save2Vpu, &A, &B, 2, &ex);
     assert!(first.report.is_clean());
     assert_eq!(store.records(), 4);
@@ -315,8 +309,7 @@ fn failed_journal_append_keeps_computed_cells() {
     fs::create_dir_all(&dir).unwrap();
     // Writes to /dev/full fail with ENOSPC; opening it for append succeeds.
     std::os::unix::fs::symlink("/dev/full", ResultStore::journal_path(&dir)).unwrap();
-    let sup = Supervisor::start(false);
-    let ex = exec(&open(&dir, true), RetryPolicy::default(), &sup.handle());
+    let ex = exec(&open(&dir, true), RetryPolicy::default(), &CancelToken::new());
     let out = sweep(&tiny(), ConfigKind::Save2Vpu, &[0.0], &[0.0, 0.6], 1, &ex);
     assert!(!out.cancelled);
     assert!(out.report.is_clean(), "a failed append is not a failed cell: {}", out.report);

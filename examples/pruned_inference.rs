@@ -6,14 +6,13 @@
 //! (takes a couple of minutes: it sweeps every unique layer shape).
 
 use save::kernels::Precision;
-use save::sim::{Estimator, EstimatorConfig, Executor, Network, SimError, Supervisor};
+use save::sim::{CancelToken, Estimator, EstimatorConfig, Executor, Network, SimError};
 use save::sparsity::NetKind;
 
 fn main() -> Result<(), SimError> {
     let cfg = EstimatorConfig { grid: vec![0.0, 0.3, 0.6, 0.9], ..Default::default() };
-    // The supervisor enforces deadlines and cancellation for the sweeps.
-    let sup = Supervisor::start(false);
-    let est = Estimator::new(cfg, Executor::new(sup.handle()));
+    // No journal, and a token no signal cancels: Ctrl-C ends the process.
+    let est = Estimator::new(cfg, Executor::new(CancelToken::new()));
 
     let net = Network::build(NetKind::ResNet50Pruned);
     println!(
