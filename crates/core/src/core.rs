@@ -70,29 +70,6 @@ struct Watcher {
     remaining: u16,
 }
 
-/// Outcome of one ELM-generation attempt in [`Core::run_mgus`].
-enum MguTry {
-    /// No longer a pending candidate (left the RS, or already generated).
-    Stale,
-    /// Operands not yet ready; the VFMA stays queued.
-    NotReady,
-    /// ELM generated this cycle, consuming MGU bandwidth. `done` when the
-    /// masks came out empty (a whole-VFMA BS skip): the entry is finished
-    /// and must leave the RS.
-    Generated { done: bool },
-}
-
-/// A VFMA waiting for ELM generation, with the multiplicand registers the
-/// MGU waits on. Those registers stay allocated while the VFMA sits in the
-/// RS (commit is in order, so no later writer of A or B can free them), so
-/// their readiness can be polled without locating the RS entry.
-#[derive(Clone, Copy, Debug)]
-struct ElmWait {
-    rob: RobId,
-    a: PhysId,
-    b: PhysId,
-}
-
 /// The out-of-order core.
 pub struct Core {
     cfg: CoreConfig,
@@ -126,11 +103,6 @@ pub struct Core {
     load_seq: u64,
     rec: Option<Box<Recorder>>,
     rep: Option<Arc<FuncTrace>>,
-    // VFMAs still awaiting ELM generation, allocation (= program) order.
-    // `run_mgus` walks this instead of the whole station and touches an
-    // entry's RS slot only once its operands are ready.
-    elm_queue: Vec<ElmWait>,
-    elm_scratch: Vec<ElmWait>,
     // Reusable per-cycle buffers: the cycle loop allocates nothing in
     // steady state (see DESIGN.md, host performance).
     sx: sched::SelectScratch,
@@ -166,7 +138,7 @@ impl Core {
             prf,
             rt,
             rob: Rob::new(cfg.rob_entries),
-            rs: Rs::new(cfg.rs_entries, cfg.rob_entries),
+            rs: Rs::new(cfg.rs_entries, cfg.rob_entries, cfg.phys_regs),
             vpu: VpuPipeline::new(),
             lsu: Lsu::new(),
             watchers: Vec::new(),
@@ -197,8 +169,6 @@ impl Core {
             load_seq: 0,
             rec: None,
             rep: None,
-            elm_queue: Vec::new(),
-            elm_scratch: Vec::new(),
             sx: sched::SelectScratch::new(),
             ops_buf: Vec::new(),
             vpu_done: Vec::new(),
@@ -461,6 +431,14 @@ impl Core {
                 self.prf.write_all(ev.dst, ev.value);
             }
             active |= self.run_watchers();
+            // Wakeup: deliver every register that turned fully ready since
+            // the last drain (in this write-back, or later in the previous
+            // cycle) to the RS entries waiting on it. Nothing writes the
+            // PRF between here and the MGUs, so `ready` holds exactly what
+            // polling the file there would find.
+            for p in self.prf.drain_woken() {
+                self.rs.wake(p);
+            }
 
             // 2. Commit.
             let mut committed = 0;
@@ -539,10 +517,10 @@ impl Core {
                 }
             }
             self.stores_buf = stores_done;
-            // Refresh the combination-window scoreboard (one sched_mask
-            // evaluation per entry, shared with select) and sample its
-            // size — §III observes 24-28, bounded by the 32 architectural
-            // accumulator registers.
+            // Refresh the combination-window scoreboard (one mask
+            // evaluation per window member, shared with select) and sample
+            // its size — §III observes 24-28, bounded by the 32
+            // architectural accumulator registers.
             if self.cfg.scheduler != SchedulerKind::Baseline {
                 sched::window_masks(&self.rs, &self.prf, self.cfg.lane_wise, &mut self.sx);
                 let cw = self.sx.window_len() as u64;
@@ -709,6 +687,7 @@ impl Core {
                         &self.rob,
                         &self.rs,
                         self.pending_temp,
+                        self.cfg.scheduler == SchedulerKind::Baseline,
                         cycle,
                     );
                     // B$ freshness: audit one entry per scan, round-robin.
@@ -873,7 +852,8 @@ impl Core {
     }
 
     /// The next-event scan behind [`Core::ff_target`] — one pass over the
-    /// pipelines and the RS, run once per inert transition, not per cycle.
+    /// pipelines and the window, run once per inert transition, not per
+    /// cycle.
     fn compute_ff_target(&self) -> u64 {
         // Upper bound: whichever termination deadline comes first. Jumping
         // exactly onto it makes `advance_to` raise the same outcome the
@@ -896,9 +876,10 @@ impl Core {
         // point. Past-due forwards are excluded — they are already usable
         // and whatever blocks them unlocks only via one of the events above.
         // Only the mixed-precision select sets `fwd_ready`, and only on
-        // Bf16 entries, so FP32 entries are skipped unread.
-        for e in self.rs.iter() {
-            if let RsEntry::Fma(f) = e {
+        // Bf16 entries of the window, so the window is all there is to
+        // walk and FP32 entries are skipped.
+        for slot in self.rs.window_slots() {
+            if let RsEntry::Fma(f) = self.rs.at(slot) {
                 if f.precision != FmaPrecision::Bf16 {
                     continue;
                 }
@@ -1116,72 +1097,45 @@ impl Core {
         progressed
     }
 
-    /// Generates up to `issue_width` ELMs this cycle, listing each VFMA
-    /// that finished outright (a BS skip) in `exits`.
+    /// Generates up to `issue_width` ELMs this cycle, oldest first, moving
+    /// each VFMA into the window and listing each that finished outright
+    /// (a BS skip) in `exits`. Only `ready` entries are visited, so VFMAs
+    /// still waiting on operands or already masked cost the MGUs nothing.
     fn run_mgus(&mut self, cycle: u64) {
-        let mut budget = self.cfg.issue_width;
-        // Only VFMAs still awaiting ELM generation are visited (the queue is
-        // allocation = program order), so a station full of already-masked
-        // VFMAs costs the MGUs nothing, and one still waiting on its
-        // operands costs two readiness reads.
-        if !self.elm_queue.is_empty() {
-            let queue = std::mem::take(&mut self.elm_queue);
-            let mut kept = std::mem::take(&mut self.elm_scratch);
-            kept.clear();
-            for (qi, w) in queue.iter().enumerate() {
-                if budget == 0 {
-                    kept.extend_from_slice(&queue[qi..]);
-                    break;
-                }
-                if !self.prf.fully_ready(w.a) || !self.prf.fully_ready(w.b) {
-                    kept.push(*w);
-                    continue;
-                }
-                let Some(slot) = self.rs.pos_of(w.rob) else { continue };
-                match self.mgu_try_generate(slot, cycle) {
-                    MguTry::Stale => {}
-                    MguTry::NotReady => kept.push(*w),
-                    MguTry::Generated { done } => {
-                        budget -= 1;
-                        if done {
-                            self.exits.push(w.rob);
-                        }
-                    }
-                }
+        for _ in 0..self.cfg.issue_width {
+            // Generation moves the entry out of `ready`, so the next one is
+            // again the first.
+            let Some(slot) = self.rs.ready_slots().next() else { break };
+            let rob = self.rs.at(slot).rob();
+            if self.mgu_generate(slot, cycle) {
+                self.exits.push(rob);
             }
-            self.elm_queue = kept;
-            self.elm_scratch = queue;
-            self.elm_scratch.clear();
+            self.rs.enter_window(slot);
         }
         // Newly created watchers may copy already-ready lanes this cycle.
         self.run_watchers();
     }
 
-    /// One ELM-generation attempt for the RS entry in payload slot `slot`
-    /// (the body of [`Core::run_mgus`]'s per-entry step).
-    fn mgu_try_generate(&mut self, slot: usize, cycle: u64) -> MguTry {
+    /// Generates the ELM of the `ready` VFMA in payload slot `slot` (the
+    /// body of [`Core::run_mgus`]'s per-entry step). Returns `true` when
+    /// the masks came out empty (a whole-VFMA BS skip): the entry is
+    /// finished and must leave the RS.
+    fn mgu_generate(&mut self, slot: usize, cycle: u64) -> bool {
         let trace_on = self.tracer.is_some();
         // Watchers are pushed straight into `self.watchers` (a distinct
         // field, so the entry borrow allows it); only the BS-skip trace
         // needs `&mut self` and is emitted after the borrow ends.
         let (done, skipped_rob) = {
-            let f = match self.rs.at_mut(slot) {
-                RsEntry::Fma(f) => f,
-                _ => return MguTry::Stale,
+            let RsEntry::Fma(f) = self.rs.at_mut(slot) else {
+                unreachable!("only VFMAs are ever ready")
             };
-            if f.elm_ready {
-                return MguTry::Stale;
-            }
-            if !self.prf.fully_ready(f.a) || !self.prf.fully_ready(f.b) {
-                return MguTry::NotReady;
-            }
             if let Some(t) = self.rep.as_deref() {
                 // Replay: operand values are all zero, so the masks must
                 // come from the trace — they are what drives coalescing,
                 // BS skipping and pass-through, and serving them keeps
                 // every downstream decision bit-identical to the
-                // recorded run. Readiness gating above is unchanged, so
-                // mask *generation timing* is identical too.
+                // recorded run. Readiness gating is unchanged, so mask
+                // *generation timing* is identical too.
                 let r = t.fma.get(f.seq as usize).copied().unwrap_or(crate::replay::FmaRec {
                     elm: 0,
                     ml: 0,
@@ -1231,7 +1185,7 @@ impl Core {
                 self.trace(TraceEvent::BsSkip { cycle, rob });
             }
         }
-        MguTry::Generated { done }
+        done
     }
 
     /// Attempts to allocate one µop; returns `false` on a structural stall.
@@ -1402,15 +1356,24 @@ impl Core {
                     fwd_base: [0.0; LANES],
                     fwd_ready: [NO_FWD; LANES],
                 };
+                let baseline = self.cfg.scheduler == SchedulerKind::Baseline;
                 if let Some(s) = self.san.as_mut() {
-                    s.on_fma_alloc(&entry, self.cfg.scheduler == SchedulerKind::Baseline);
+                    s.on_fma_alloc(&entry, baseline);
                 }
-                self.rs.push(RsEntry::Fma(entry));
-                // Baseline never runs the MGUs, so only SAVE schedulers
-                // queue the VFMA for ELM generation.
-                if self.cfg.scheduler != SchedulerKind::Baseline {
-                    self.elm_queue.push(ElmWait { rob, a: a_phys, b: b_phys });
+                // The entry waits on its multiplicands — for the MGU — and,
+                // under the baseline, which issues whole vectors, on its
+                // accumulator too. Each distinct register not yet fully
+                // ready wakes it.
+                let mut waits = [0; crate::rs::MAX_WAITS];
+                let mut n = 0;
+                let needs = [a_phys, b_phys, acc_src];
+                for &r in &needs[..if baseline { 3 } else { 2 }] {
+                    if !self.prf.fully_ready(r) && !waits[..n].contains(&r) {
+                        waits[n] = r;
+                        n += 1;
+                    }
                 }
+                self.rs.push_waiting(RsEntry::Fma(entry), &waits[..n]);
             }
         }
         true

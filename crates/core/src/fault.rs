@@ -26,8 +26,11 @@ pub enum FaultKind {
     /// original), making the scheduler drop a real lane or invent a fake
     /// one. Caught by lane conservation (at issue or at RS exit).
     FlipElmBit,
-    /// Clear one lane-ready scoreboard bit of an operand the RS already
-    /// believes is fully ready. Caught by the RS scoreboard cross-check.
+    /// Clear one lane-ready bit of the A operand of a VFMA in the
+    /// combination window: a register its wake list already delivered, so
+    /// the entry keeps its `window` bit while the PRF says the operand is
+    /// not ready. Caught by the RS scoreboard cross-check (an ELM-ready
+    /// entry's operands must be fully ready).
     DropWakeup,
     /// Flip a bit in the stored zero-mask of a valid broadcast-cache entry.
     /// Caught by the B$ freshness audit against backing memory.

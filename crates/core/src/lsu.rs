@@ -327,7 +327,7 @@ mod tests {
     fn setup() -> (Rs, PhysRegFile, Memory, CoreMemory, Uncore, CoreStats, Rob) {
         let cfg = MemConfig { bcast: None, prefetch_degree: 0, ..MemConfig::default() };
         (
-            Rs::new(97, 224),
+            Rs::new(97, 224, 64),
             PhysRegFile::new(64),
             Memory::new(8192),
             CoreMemory::new(0, cfg, 1.7),

@@ -5,6 +5,13 @@
 //! scheme (§IV-C) needs per-lane readiness. We therefore track a 16-bit
 //! ready mask per physical register; a register is *fully* ready when all
 //! 16 bits are set.
+//!
+//! The file also plays the producer side of tag-broadcast wakeup: every
+//! register that turns fully ready (its last lane lands in
+//! [`PhysRegFile::write_lane`], or [`PhysRegFile::write_all`] fills it) is
+//! listed once, and the core drains the list into
+//! [`crate::rs::Rs::wake`] each cycle, so waiting reservation-station
+//! entries learn of their operands without polling the file.
 
 use crate::uop::PhysId;
 use save_isa::{VecF32, LANES, NUM_KREGS, NUM_VREGS};
@@ -18,6 +25,9 @@ pub struct PhysRegFile {
     vals: Vec<VecF32>,
     lane_ready: Vec<u16>,
     free: Vec<PhysId>,
+    /// Registers that turned fully ready since the last
+    /// [`PhysRegFile::drain_woken`], in the order they did.
+    woken: Vec<PhysId>,
 }
 
 impl PhysRegFile {
@@ -31,6 +41,9 @@ impl PhysRegFile {
             vals: vec![VecF32::ZERO; n],
             lane_ready: vec![0; n],
             free: (0..n as PhysId).rev().collect(),
+            // A register turns ready once per allocation, so in steady
+            // state it is listed at most once between drains.
+            woken: Vec::with_capacity(n),
         }
     }
 
@@ -60,16 +73,40 @@ impl PhysRegFile {
         &self.vals[id as usize]
     }
 
-    /// Writes one lane and marks it ready.
+    /// Writes one lane and marks it ready; lists the register as woken when
+    /// this was its last outstanding lane.
     pub fn write_lane(&mut self, id: PhysId, lane: usize, v: f32) {
         self.vals[id as usize].set_lane(lane, v);
-        self.lane_ready[id as usize] |= 1 << lane;
+        let r = &mut self.lane_ready[id as usize];
+        if *r != ALL_LANES {
+            *r |= 1 << lane;
+            if *r == ALL_LANES {
+                self.woken.push(id);
+            }
+        }
     }
 
-    /// Writes the full vector and marks every lane ready.
+    /// Writes the full vector and marks every lane ready; lists the
+    /// register as woken unless it already was fully ready.
     pub fn write_all(&mut self, id: PhysId, v: VecF32) {
         self.vals[id as usize] = v;
-        self.lane_ready[id as usize] = ALL_LANES;
+        if self.lane_ready[id as usize] != ALL_LANES {
+            self.lane_ready[id as usize] = ALL_LANES;
+            self.woken.push(id);
+        }
+    }
+
+    /// Registers that turned fully ready since the last drain, not yet
+    /// delivered to their waiters (the sanitizer's view of wakeups in
+    /// flight).
+    pub fn woken(&self) -> &[PhysId] {
+        &self.woken
+    }
+
+    /// Hands out the registers that turned fully ready since the last
+    /// drain, oldest first, and forgets them.
+    pub fn drain_woken(&mut self) -> std::vec::Drain<'_, PhysId> {
+        self.woken.drain(..)
     }
 
     /// Per-lane ready mask.
@@ -203,6 +240,27 @@ mod tests {
             prf.write_lane(id, l, 0.0);
         }
         assert!(prf.fully_ready(id));
+    }
+
+    #[test]
+    fn registers_are_listed_once_when_they_turn_fully_ready() {
+        let mut prf = PhysRegFile::new(40);
+        let (x, y) = (prf.alloc().unwrap(), prf.alloc().unwrap());
+        prf.write_all(x, VecF32::ZERO);
+        prf.write_all(x, VecF32::ZERO);
+        for l in 0..LANES {
+            prf.write_lane(y, l, 1.0);
+            assert_eq!(prf.woken().contains(&y), l == LANES - 1);
+        }
+        prf.write_lane(y, 3, 2.0);
+        assert_eq!(prf.drain_woken().collect::<Vec<_>>(), vec![x, y]);
+        assert!(prf.woken().is_empty());
+        // Reallocated, a register is listed again when it next fills.
+        prf.release(x);
+        let z = prf.alloc().unwrap();
+        assert_eq!(z, x);
+        prf.write_all(z, VecF32::ZERO);
+        assert_eq!(prf.woken(), &[z]);
     }
 
     #[test]

@@ -15,6 +15,32 @@
 //! order; a lookup is one bit test plus a payload ROB-id check, and a
 //! removal clears a bit. The ring is `rob_entries` rounded up to a power
 //! of two, so a ring position is a mask, not a division.
+//!
+//! Operand readiness is event-driven, as tag-broadcast wakeup is in
+//! hardware. A VFMA is pushed with the registers it still waits on, and
+//! each of those registers lists it as a waiter; [`Rs::wake`] delivers a
+//! register that turned fully ready to its waiters, and a waiter with no
+//! operand left to wait for joins one of two more ring bitsets:
+//!
+//! * `ready` — operands ready, ELM not yet generated: what the MGUs take
+//!   (and, since the baseline never generates an ELM and waits on its
+//!   accumulator as well, what the baseline select issues);
+//! * `window` — ELM generated (which in the core implies operands ready):
+//!   the Combination Window, which [`Rs::enter_window`] moves an entry
+//!   into once its MGU has run.
+//!
+//! Each consumer walks its own bitset oldest-first, so nothing polls a
+//! VFMA that is still waiting on an operand. The results are exact
+//! because readiness is monotone while an entry waits: its operands stay
+//! allocated until it leaves (commit is in order), so a ready register
+//! never turns not-ready under a waiting reader.
+//!
+//! Waiter lists are intrusive singly linked lists over a node pool, one
+//! head per physical register. A node names its entry by ROB id, which
+//! locates it on the ring and tells it from a later occupant of the same
+//! position: an entry removed while still listed leaves a stale node,
+//! which its register's wake frees and skips rather than waking the
+//! position's next occupant.
 
 use crate::rename::PhysRegFile;
 use crate::uop::{FmaPrecision, LoadKind, PhysId, RobId};
@@ -73,6 +99,8 @@ impl FmaEntry {
     /// `true` once multiplicand/mask operands are available and the ELM has
     /// been generated — the entry is then in the Combination Window (its
     /// accumulator dependence is checked separately per dependence scheme).
+    /// This reads the PRF; the stages use the station's `window` bitset
+    /// ([`Rs::in_window`]), and the sanitizer this independent view.
     pub fn in_window(&self, prf: &PhysRegFile) -> bool {
         self.elm_ready && prf.fully_ready(self.a) && prf.fully_ready(self.b)
     }
@@ -163,6 +191,20 @@ impl RsEntry {
     }
 }
 
+/// Operands a VFMA can wait on: A, B and, under the baseline, the
+/// accumulator source.
+pub const MAX_WAITS: usize = 3;
+
+/// End of a waiter list.
+const NIL: u32 = u32::MAX;
+
+/// One node of a register's waiter list (see the module docs).
+#[derive(Clone, Copy, Debug)]
+struct Waiter {
+    rob: RobId,
+    next: u32,
+}
+
 /// The reservation station: bounded, indexed by ROB id, iterated in
 /// program order (see the module docs).
 #[derive(Clone, Debug)]
@@ -182,6 +224,19 @@ pub struct Rs {
     mem: Vec<u64>,
     /// Waiting loads and stores.
     mem_len: usize,
+    /// Ring positions of VFMAs with every operand ready and no ELM yet.
+    ready: Vec<u64>,
+    ready_len: usize,
+    /// Ring positions of VFMAs whose ELM has been generated.
+    window: Vec<u64>,
+    window_len: usize,
+    /// Operands the VFMA at each ring position still waits on.
+    pending: Vec<u8>,
+    /// First waiter-list node of each physical register.
+    head: Vec<u32>,
+    /// Waiter-list nodes; the free ones are chained from `free_node`.
+    nodes: Vec<Waiter>,
+    free_node: u32,
     /// ROB id of the oldest waiting entry (meaningful while non-empty):
     /// where every age-order walk starts.
     oldest: RobId,
@@ -234,17 +289,29 @@ impl Iterator for RingWalk<'_> {
 
 impl Rs {
     /// Creates an empty RS of `capacity` entries for a core with
-    /// `rob_entries` ROB entries (the span of ROB ids in flight at once).
-    pub fn new(capacity: usize, rob_entries: usize) -> Self {
+    /// `rob_entries` ROB entries (the span of ROB ids in flight at once)
+    /// and `phys_regs` physical registers (the registers entries can wait
+    /// on). Every table is sized here; none grows while entries flow.
+    pub fn new(capacity: usize, rob_entries: usize, phys_regs: usize) -> Self {
         let ring = rob_entries.next_power_of_two();
+        let words = ring.div_ceil(64);
         Rs {
             slots: (0..capacity).map(|_| None).collect(),
             // Pop from the back: slot 0 is handed out first.
             free: (0..capacity as u32).rev().collect(),
             slot_at: vec![0; ring],
-            occupied: vec![0; ring.div_ceil(64)],
-            mem: vec![0; ring.div_ceil(64)],
+            occupied: vec![0; words],
+            mem: vec![0; words],
             mem_len: 0,
+            ready: vec![0; words],
+            ready_len: 0,
+            window: vec![0; words],
+            window_len: 0,
+            pending: vec![0; ring],
+            head: vec![NIL; phys_regs],
+            // Waiting entries list at most this many nodes at once.
+            nodes: Vec::with_capacity(MAX_WAITS * capacity),
+            free_node: NIL,
             oldest: 0,
             mask: ring - 1,
             rob_entries,
@@ -259,6 +326,17 @@ impl Rs {
 
     fn bit(words: &[u64], p: usize) -> bool {
         words[p / 64] >> (p % 64) & 1 == 1
+    }
+
+    fn set_bit(words: &mut [u64], p: usize) {
+        words[p / 64] |= 1 << (p % 64);
+    }
+
+    /// Clears bit `p`, returning whether it was set.
+    fn take_bit(words: &mut [u64], p: usize) -> bool {
+        let was = Self::bit(words, p);
+        words[p / 64] &= !(1 << (p % 64));
+        was
     }
 
     /// Loads and stores currently waiting.
@@ -288,14 +366,25 @@ impl Rs {
         self.free.is_empty()
     }
 
+    /// Inserts an entry that waits on no register: a load, a store, or a
+    /// VFMA whose operands are all ready (see [`Rs::push_waiting`]).
+    pub fn push(&mut self, e: RsEntry) {
+        self.push_waiting(e, &[]);
+    }
+
     /// Inserts an entry. ROB ids are monotonic, so the new entry is the
-    /// youngest.
+    /// youngest. A VFMA lists itself on each register in `waits` — the
+    /// distinct registers it needs that are not yet fully ready — and
+    /// joins `ready` (or `window`, when its ELM is already generated) once
+    /// [`Rs::wake`] has delivered them all; with `waits` empty it joins at
+    /// once.
     ///
     /// # Panics
     /// Panics on overflow (callers must check [`Rs::is_full`]), and when
     /// the id is not within `rob_entries` of the oldest waiting id or its
-    /// ring position is taken (an id pushed twice).
-    pub fn push(&mut self, e: RsEntry) {
+    /// ring position is taken (an id pushed twice), or when a load or
+    /// store is given registers to wait on.
+    pub fn push_waiting(&mut self, e: RsEntry, waits: &[PhysId]) {
         assert!(!self.is_full(), "RS overflow");
         let rob = e.rob();
         if self.is_empty() {
@@ -310,13 +399,108 @@ impl Rs {
         let p = rob & self.mask;
         assert!(!Self::bit(&self.occupied, p), "ROB id {rob} pushed while its ring position is taken");
         let slot = self.free.pop().expect("free slot exists below capacity");
-        self.occupied[p / 64] |= 1 << (p % 64);
-        if matches!(e, RsEntry::Load(_) | RsEntry::Store(_)) {
-            self.mem[p / 64] |= 1 << (p % 64);
-            self.mem_len += 1;
+        Self::set_bit(&mut self.occupied, p);
+        match &e {
+            RsEntry::Fma(f) => {
+                debug_assert!(waits.len() <= MAX_WAITS, "a VFMA waits on {MAX_WAITS} registers at most");
+                self.pending[p] = waits.len() as u8;
+                for &r in waits {
+                    self.listen(r, rob);
+                }
+                if waits.is_empty() {
+                    self.operands_ready(p, f.elm_ready);
+                }
+            }
+            RsEntry::Load(_) | RsEntry::Store(_) => {
+                assert!(waits.is_empty(), "loads and stores wait in the LSU, not on wake lists");
+                Self::set_bit(&mut self.mem, p);
+                self.mem_len += 1;
+            }
         }
         self.slot_at[p] = slot;
         self.slots[slot as usize] = Some(e);
+    }
+
+    /// Lists ROB id `rob` as a waiter of register `reg`.
+    fn listen(&mut self, reg: PhysId, rob: RobId) {
+        let next = self.head[reg as usize];
+        let n = if self.free_node == NIL {
+            self.nodes.push(Waiter { rob, next });
+            (self.nodes.len() - 1) as u32
+        } else {
+            let n = self.free_node;
+            self.free_node = self.nodes[n as usize].next;
+            self.nodes[n as usize] = Waiter { rob, next };
+            n
+        };
+        self.head[reg as usize] = n;
+    }
+
+    /// The VFMA at ring position `p` waits on nothing more: it joins the
+    /// window when its ELM is already generated, `ready` otherwise.
+    fn operands_ready(&mut self, p: usize, generated: bool) {
+        if generated {
+            Self::set_bit(&mut self.window, p);
+            self.window_len += 1;
+        } else {
+            Self::set_bit(&mut self.ready, p);
+            self.ready_len += 1;
+        }
+    }
+
+    /// Delivers register `reg`'s wakeup: it has turned fully ready. Each
+    /// waiter still in the station counts one operand off, and one with
+    /// none left joins `ready` (or `window`); stale nodes are skipped. The
+    /// register's list is emptied, so a later reallocation starts afresh.
+    pub fn wake(&mut self, reg: PhysId) {
+        let mut n = std::mem::replace(&mut self.head[reg as usize], NIL);
+        while n != NIL {
+            let Waiter { rob, next } = self.nodes[n as usize];
+            self.nodes[n as usize].next = self.free_node;
+            self.free_node = n;
+            n = next;
+            let Some(slot) = self.pos_of(rob) else { continue };
+            let p = rob & self.mask;
+            self.pending[p] -= 1;
+            if self.pending[p] == 0 {
+                let generated = matches!(self.at(slot), RsEntry::Fma(f) if f.elm_ready);
+                self.operands_ready(p, generated);
+            }
+        }
+    }
+
+    /// Payload slots of the `ready` VFMAs, oldest first.
+    pub fn ready_slots(&self) -> impl Iterator<Item = usize> + '_ {
+        let walk = RingWalk::new(&self.ready, self.start(), self.ready_len);
+        walk.map(move |p| self.slot_at[p] as usize)
+    }
+
+    /// Payload slots of the VFMAs in the window, oldest first.
+    pub fn window_slots(&self) -> impl Iterator<Item = usize> + '_ {
+        let walk = RingWalk::new(&self.window, self.start(), self.window_len);
+        walk.map(move |p| self.slot_at[p] as usize)
+    }
+
+    /// Moves the `ready` VFMA in payload slot `slot` into the window: its
+    /// MGU has just generated the ELM.
+    ///
+    /// # Panics
+    /// Panics when the entry is not in `ready`.
+    pub fn enter_window(&mut self, slot: usize) {
+        let p = self.at(slot).rob() & self.mask;
+        assert!(Self::take_bit(&mut self.ready, p), "entered the window without being ready");
+        self.ready_len -= 1;
+        self.operands_ready(p, true);
+    }
+
+    /// Whether the waiting entry with ROB id `rob` is in `ready`.
+    pub fn is_ready(&self, rob: RobId) -> bool {
+        self.pos_of(rob).is_some() && Self::bit(&self.ready, rob & self.mask)
+    }
+
+    /// Whether the waiting entry with ROB id `rob` is in the window.
+    pub fn in_window(&self, rob: RobId) -> bool {
+        self.pos_of(rob).is_some() && Self::bit(&self.window, rob & self.mask)
     }
 
     /// Iterates entries oldest-first.
@@ -377,7 +561,8 @@ impl Rs {
     /// Removes the entries with the given ROB ids — the ones a stage just
     /// issued or finished. Each removal clears the id's ring bits and
     /// frees its slot; no other entry is read, except that removing the
-    /// oldest entry walks forward to the next one.
+    /// oldest entry walks forward to the next one. An entry still listed
+    /// on a register leaves a stale node behind (see the module docs).
     ///
     /// # Panics
     /// Panics when an id is not in the station (a stage reported an entry
@@ -386,11 +571,10 @@ impl Rs {
         for &rob in robs {
             let s = self.pos_of(rob).expect("removed ROB id is waiting in the RS");
             let p = rob & self.mask;
-            self.occupied[p / 64] &= !(1 << (p % 64));
-            if Self::bit(&self.mem, p) {
-                self.mem[p / 64] &= !(1 << (p % 64));
-                self.mem_len -= 1;
-            }
+            Self::take_bit(&mut self.occupied, p);
+            self.mem_len -= Self::take_bit(&mut self.mem, p) as usize;
+            self.ready_len -= Self::take_bit(&mut self.ready, p) as usize;
+            self.window_len -= Self::take_bit(&mut self.window, p) as usize;
             self.slots[s] = None;
             self.free.push(s as u32);
             if rob == self.oldest && !self.is_empty() {
@@ -451,7 +635,7 @@ mod tests {
 
     #[test]
     fn rs_capacity_and_order() {
-        let mut rs = Rs::new(2, 8);
+        let mut rs = Rs::new(2, 8, 8);
         rs.push(RsEntry::Fma(fma(0, 0)));
         rs.push(RsEntry::Fma(fma(1, 0)));
         assert!(rs.is_full());
@@ -465,7 +649,7 @@ mod tests {
 
     #[test]
     fn slots_are_recycled_without_moving_survivors() {
-        let mut rs = Rs::new(3, 8);
+        let mut rs = Rs::new(3, 8, 8);
         for r in 0..3 {
             rs.push(RsEntry::Fma(fma(r, 0)));
         }
@@ -488,7 +672,7 @@ mod tests {
 
     #[test]
     fn mem_index_tracks_loads_and_stores_through_churn() {
-        let mut rs = Rs::new(6, 8);
+        let mut rs = Rs::new(6, 8, 8);
         rs.push(RsEntry::Fma(fma(0, 0)));
         rs.push(load(1));
         rs.push(RsEntry::Fma(fma(2, 0)));
@@ -540,7 +724,7 @@ mod tests {
 
     #[test]
     fn remove_keeps_every_view_consistent_and_reuses_slots() {
-        let mut rs = Rs::new(8, 16);
+        let mut rs = Rs::new(8, 16, 8);
         for r in 0..8 {
             rs.push(match r % 3 {
                 0 => RsEntry::Fma(fma(r, 0)),
@@ -574,7 +758,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "waiting in the RS")]
     fn removing_an_absent_entry_panics() {
-        let mut rs = Rs::new(2, 8);
+        let mut rs = Rs::new(2, 8, 8);
         rs.push(RsEntry::Fma(fma(0, 0)));
         rs.remove(&[0, 0]);
     }
@@ -582,7 +766,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "is not within 8 of the oldest waiting id")]
     fn pushing_a_full_ring_past_the_oldest_panics() {
-        let mut rs = Rs::new(5, 8);
+        let mut rs = Rs::new(5, 8, 8);
         rs.push(RsEntry::Fma(fma(3, 0)));
         rs.push(RsEntry::Fma(fma(3 + 8, 0)));
     }
@@ -590,10 +774,60 @@ mod tests {
     #[test]
     #[should_panic(expected = "ring position is taken")]
     fn pushing_an_id_twice_panics() {
-        let mut rs = Rs::new(5, 8);
+        let mut rs = Rs::new(5, 8, 8);
         rs.push(RsEntry::Fma(fma(3, 0)));
         rs.push(load(4));
         rs.push(load(4));
+    }
+
+    fn walk(rs: &Rs, slots: impl Iterator<Item = usize>) -> Vec<RobId> {
+        slots.map(|s| rs.at(s).rob()).collect()
+    }
+
+    #[test]
+    fn wakes_move_entries_into_ready_and_generation_into_the_window() {
+        let mut rs = Rs::new(6, 8, 8);
+        rs.push_waiting(RsEntry::Fma(fma(0, 0)), &[4, 5]);
+        rs.push(load(1));
+        rs.push_waiting(RsEntry::Fma(fma(2, 0)), &[5]);
+        rs.push(RsEntry::Fma(fma(3, 0)));
+        let mut generated = fma(4, 0);
+        generated.elm_ready = true;
+        rs.push(RsEntry::Fma(generated));
+        assert_eq!(walk(&rs, rs.ready_slots()), vec![3]);
+        assert_eq!(walk(&rs, rs.window_slots()), vec![4]);
+        // One wake delivers a register to every waiter; an entry joins
+        // `ready` with its last operand, in age order.
+        rs.wake(5);
+        assert_eq!(walk(&rs, rs.ready_slots()), vec![2, 3]);
+        rs.wake(4);
+        assert_eq!(walk(&rs, rs.ready_slots()), vec![0, 2, 3]);
+        assert!(rs.is_ready(0) && !rs.in_window(0) && !rs.is_ready(1));
+        // A delivered register's list is empty: waking it again is a no-op.
+        rs.wake(4);
+        assert_eq!(walk(&rs, rs.ready_slots()), vec![0, 2, 3]);
+        let slot = rs.pos_of(2).unwrap();
+        rs.enter_window(slot);
+        assert_eq!(walk(&rs, rs.ready_slots()), vec![0, 3]);
+        assert_eq!(walk(&rs, rs.window_slots()), vec![2, 4]);
+        rs.remove(&[2, 3]);
+        assert_eq!(walk(&rs, rs.ready_slots()), vec![0]);
+        assert_eq!(walk(&rs, rs.window_slots()), vec![4]);
+    }
+
+    #[test]
+    fn a_stale_waiter_does_not_wake_the_next_occupant_of_its_position() {
+        let mut rs = Rs::new(2, 8, 8);
+        rs.push_waiting(RsEntry::Fma(fma(1, 0)), &[5]);
+        // The entry leaves while still listed on register 5, and a younger
+        // one takes its ring position, waiting on register 6.
+        rs.remove(&[1]);
+        rs.push_waiting(RsEntry::Fma(fma(9, 0)), &[6]);
+        rs.wake(5);
+        assert!(!rs.is_ready(9));
+        assert_eq!(rs.ready_slots().count(), 0);
+        rs.wake(6);
+        assert_eq!(walk(&rs, rs.ready_slots()), vec![9]);
     }
 
     use proptest::prelude::*;
@@ -610,7 +844,7 @@ mod tests {
         fn rs_matches_an_ordered_map_model(
             steps in prop::collection::vec((0u8..8, 0usize..4, any::<u32>()), 200..600),
         ) {
-            let mut rs = Rs::new(5, 8);
+            let mut rs = Rs::new(5, 8, 8);
             let ring = rs.mask + 1;
             prop_assert_eq!(ring, 8);
             // rob -> is it a load or store
@@ -657,6 +891,122 @@ mod tests {
                 }
             }
             prop_assert!(next > 10 * ring, "ids wrapped the ring only {} times", next / ring);
+        }
+
+        /// The wake lists against a `BTreeMap` model on a ring of 8 ROB ids
+        /// and 6 registers: VFMAs pushed with random wait sets (some with
+        /// their ELM already generated), loads, wakes, ELM generations,
+        /// registers reallocated after their wake, and removals — of
+        /// entries still listed too, whose ring positions are then reused
+        /// while their stale nodes linger. After every step the `ready` and
+        /// `window` walks agree with the model.
+        #[test]
+        fn wake_lists_match_an_ordered_map_model(
+            steps in prop::collection::vec((0u8..10, any::<u32>()), 200..600),
+        ) {
+            const REGS: u32 = 6;
+            let mut rs = Rs::new(5, 8, REGS as usize);
+            let ring = rs.mask + 1;
+            // rob -> (registers still awaited, ELM generated); `None` for
+            // a load
+            type Model = std::collections::BTreeMap<RobId, Option<(Vec<PhysId>, bool)>>;
+            let mut model = Model::new();
+            let mut reg_ready = [true; REGS as usize];
+            let mut next: RobId = 0;
+            let mut stale_reuses = 0;
+            for (op, pick) in steps {
+                let reg = pick % REGS;
+                match op {
+                    0..=3 => {
+                        let id = next + (pick >> 16) as usize % 3;
+                        let in_ring = model.keys().next().is_none_or(|&o| id - o < ring);
+                        if model.len() == 5 || !in_ring {
+                            continue;
+                        }
+                        if op == 3 {
+                            rs.push(load(id));
+                            model.insert(id, None);
+                        } else {
+                            let waits: Vec<PhysId> = (0..REGS)
+                                .filter(|&r| !reg_ready[r as usize] && pick >> (4 + r) & 1 == 1)
+                                .take(MAX_WAITS)
+                                .collect();
+                            let mut f = fma(id, 0);
+                            f.elm_ready = pick >> 12 & 7 == 0;
+                            let elm_ready = f.elm_ready;
+                            rs.push_waiting(RsEntry::Fma(f), &waits);
+                            model.insert(id, Some((waits, elm_ready)));
+                        }
+                        next = id + 1;
+                    }
+                    4 | 5 => {
+                        // A register turns ready once per allocation.
+                        if reg_ready[reg as usize] {
+                            continue;
+                        }
+                        reg_ready[reg as usize] = true;
+                        rs.wake(reg);
+                        for (waits, _) in model.values_mut().flatten() {
+                            waits.retain(|&w| w != reg);
+                        }
+                    }
+                    6 => {
+                        // Released and reallocated: not ready again. No
+                        // waiting entry is listed on it, only stale nodes.
+                        reg_ready[reg as usize] = false;
+                    }
+                    7 => {
+                        let want = model
+                            .iter()
+                            .find(|(_, e)| matches!(e, Some((w, false)) if w.is_empty()))
+                            .map(|(&r, _)| r);
+                        let got = rs.ready_slots().next();
+                        prop_assert_eq!(got.map(|s| rs.at(s).rob()), want);
+                        if let Some(slot) = got {
+                            if let RsEntry::Fma(f) = rs.at_mut(slot) {
+                                f.elm_ready = true;
+                            }
+                            rs.enter_window(slot);
+                            if let Some(Some((_, g))) = model.get_mut(&want.unwrap()) {
+                                *g = true;
+                            }
+                        }
+                    }
+                    _ => {
+                        let gone: Vec<RobId> = model
+                            .keys()
+                            .enumerate()
+                            .filter(|&(i, _)| pick >> i & 1 == 1)
+                            .map(|(_, &r)| r)
+                            .collect();
+                        rs.remove(&gone);
+                        for r in &gone {
+                            if matches!(&model[r], Some((w, _)) if !w.is_empty()) {
+                                stale_reuses += 1;
+                            }
+                            model.remove(r);
+                        }
+                    }
+                }
+                let ready: Vec<RobId> = model
+                    .iter()
+                    .filter(|(_, e)| matches!(e, Some((w, false)) if w.is_empty()))
+                    .map(|(&r, _)| r)
+                    .collect();
+                let window: Vec<RobId> = model
+                    .iter()
+                    .filter(|(_, e)| matches!(e, Some((w, true)) if w.is_empty()))
+                    .map(|(&r, _)| r)
+                    .collect();
+                prop_assert_eq!(walk(&rs, rs.ready_slots()), ready.clone());
+                prop_assert_eq!(walk(&rs, rs.window_slots()), window.clone());
+                for &r in model.keys() {
+                    prop_assert_eq!(rs.is_ready(r), ready.contains(&r));
+                    prop_assert_eq!(rs.in_window(r), window.contains(&r));
+                    prop_assert!(!rs.is_ready(r + ring) && !rs.in_window(r + ring));
+                }
+            }
+            prop_assert!(stale_reuses > 0, "no entry left while still listed");
         }
     }
 

@@ -22,9 +22,11 @@
 //!   no leak, no double-free, no register both free and live;
 //! * **rob-retire-order** — entries retire in allocation-sequence order;
 //! * **rs-scoreboard** — an ELM-ready RS entry's operands really are fully
-//!   ready, no entry holds effectual bits outside its generated masks, and
-//!   no finished VFMA (ELM and ML fully scheduled) is left in the station
-//!   once the stages that finish entries have removed them;
+//!   ready, each VFMA's `ready` and `window` bits agree with its operands'
+//!   delivered wakeups and its ELM, no entry holds effectual bits outside
+//!   its generated masks, and no finished VFMA (ELM and ML fully scheduled)
+//!   is left in the station once the stages that finish entries have
+//!   removed them;
 //! * **bcast-freshness** — B$ entries (with-data and with-masks designs
 //!   both store the line zero-mask) agree with backing memory, audited
 //!   round-robin one entry per state-scan;
@@ -463,7 +465,9 @@ impl Sanitizer {
     }
 
     /// Heavy state scans: the rename-pool partition and the RS scoreboard
-    /// cross-check. Run at the configured stride.
+    /// cross-check. Run at the configured stride. `baseline` says whether
+    /// VFMAs wait on their accumulator as well as on A and B.
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn check_state(
         &mut self,
         prf: &PhysRegFile,
@@ -471,6 +475,7 @@ impl Sanitizer {
         rob: &Rob,
         rs: &Rs,
         pending_temp: Option<PhysId>,
+        baseline: bool,
         cycle: u64,
     ) {
         self.state_scans += 1;
@@ -527,10 +532,33 @@ impl Sanitizer {
             );
         }
 
-        // RS scoreboard: ELM-ready entries really have ready operands, and
-        // residual masks stay within what the MGU generated.
+        // RS scoreboard: ELM-ready entries really have ready operands, the
+        // wake-list bitsets match the operands and the ELM, and residual
+        // masks stay within what the MGU generated.
         for e in rs.iter() {
             let RsEntry::Fma(f) = e else { continue };
+            // `ready` is "every awaited operand is fully ready and the ELM
+            // is not generated". A register that turned ready after this
+            // cycle's wakeup drain is delivered next cycle, so while one
+            // is in flight the bit may still read clear.
+            let waits = [f.a, f.b, f.acc_src];
+            let waits = &waits[..if baseline { 3 } else { 2 }];
+            let want_ready = !f.elm_ready && waits.iter().all(|&r| prf.fully_ready(r));
+            let in_flight = waits.iter().any(|r| prf.woken().contains(r));
+            let (ready, window) = (rs.is_ready(f.rob), rs.in_window(f.rob));
+            if (ready != want_ready && !(want_ready && in_flight)) || window != f.elm_ready {
+                set(
+                    vio,
+                    "rs-scoreboard",
+                    cycle,
+                    Some(f.rob),
+                    format!(
+                        "wake bits disagree: ready {ready} (operands ready and no ELM: \
+                         {want_ready}), window {window} (ELM generated: {})",
+                        f.elm_ready
+                    ),
+                );
+            }
             if f.elm_ready && !(prf.fully_ready(f.a) && prf.fully_ready(f.b)) {
                 set(
                     vio,

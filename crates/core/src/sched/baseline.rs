@@ -12,7 +12,9 @@ use crate::uop::FmaPrecision;
 use crate::vpu::{LaneResult, VpuOp};
 use save_isa::LANES;
 
-/// Issues up to one full VFMA per VPU per cycle.
+/// Issues up to one full VFMA per VPU per cycle: the oldest in the RS's
+/// `ready` bitset, which under the baseline holds the VFMAs whose A, B and
+/// accumulator are all ready — no waiting entry is read.
 ///
 /// The baseline never runs the MGUs, so under trace recording (`rec`) it
 /// computes each VFMA's would-be ELM here, at issue time — operands are
@@ -33,17 +35,11 @@ pub fn select(
     elide: bool,
 ) {
     sx.issued.clear();
-    for e in rs.iter() {
+    for slot in rs.ready_slots() {
         if out.len() == cfg.num_vpus {
             break;
         }
-        let f = match e {
-            RsEntry::Fma(f) => f,
-            _ => continue,
-        };
-        if !(prf.fully_ready(f.a) && prf.fully_ready(f.b) && prf.fully_ready(f.acc_src)) {
-            continue;
-        }
+        let RsEntry::Fma(f) = rs.at(slot) else { continue };
         if let Some(r) = rec.as_deref_mut() {
             match f.precision {
                 FmaPrecision::F32 => {

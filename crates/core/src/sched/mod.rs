@@ -104,19 +104,17 @@ impl SelectScratch {
 }
 
 /// Refreshes the combination-window scoreboard in `sx` (and nothing else):
-/// one pass over the RS per cycle, evaluating each VFMA's window membership
-/// and schedulable mask once. The CW-size statistic and every select pass
-/// read the result; none of them rescans the station for the window's
-/// precision or its BF16 members.
+/// one pass over the RS's window bitset per cycle, evaluating each member's
+/// schedulable mask once. VFMAs still waiting on operands or on their MGU
+/// are not visited. The CW-size statistic and every select pass read the
+/// result; none of them rescans the station for the window's precision or
+/// its BF16 members.
 pub fn window_masks(rs: &Rs, prf: &PhysRegFile, lane_wise: bool, sx: &mut SelectScratch) {
     sx.masks.clear();
     sx.mp_window.clear();
     sx.window_precision = None;
-    for (i, e) in rs.indexed() {
-        let RsEntry::Fma(f) = e else { continue };
-        if !f.in_window(prf) {
-            continue;
-        }
+    for i in rs.window_slots() {
+        let RsEntry::Fma(f) = rs.at(i) else { continue };
         sx.window_precision.get_or_insert(f.precision);
         if f.precision == FmaPrecision::Bf16 {
             sx.mp_window.push(i);

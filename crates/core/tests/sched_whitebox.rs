@@ -18,7 +18,7 @@ struct Setup {
 }
 
 fn setup() -> Setup {
-    Setup { rs: Rs::new(97, 224), prf: PhysRegFile::new(128) }
+    Setup { rs: Rs::new(97, 224, 128), prf: PhysRegFile::new(128) }
 }
 
 /// Adds an FMA whose operands are ready, with the given remaining ELM and
@@ -306,7 +306,7 @@ fn mp_state(rs: &Rs, rob: usize) -> (u32, u16) {
 fn mp_successor_waits_while_its_predecessor_holds_the_lane() {
     // I1 holds both MLs of AL0 but cannot issue: in one case its
     // accumulator is not ready (it is still in the combination window), in
-    // the other its multiplicand is not (it has left the window). I2, its
+    // the other it waits on a multiplicand (it is not in the window). I2, its
     // chain successor, has one ML at AL0 and one at AL1 and a ready base
     // everywhere. Program order per AL (§V-A) forbids I2 from leading AL0
     // while I1 still holds MLs there; AL1, where I1 has nothing, issues.
@@ -317,7 +317,11 @@ fn mp_successor_waits_while_its_predecessor_holds_the_lane() {
         s.prf.write_all(ready, VecF32::splat(1.0));
         add_mp(&mut s, 1, if i1_in_window { pending } else { ready }, 0b11, 0, None);
         if !i1_in_window {
-            s.rs.find_fma_mut(1).unwrap().a = pending;
+            // Re-listed on the register it now waits for, which never wakes.
+            let mut i1 = s.rs.find_fma_mut(1).unwrap().clone();
+            s.rs.remove(&[1]);
+            i1.a = pending;
+            s.rs.push_waiting(RsEntry::Fma(i1), &[pending]);
         }
         add_mp(&mut s, 2, ready, 0b01_01, 0, Some(1));
         let cfg = CoreConfig { mp_compress: true, ..CoreConfig::save_2vpu() };
@@ -424,7 +428,7 @@ fn seeded(seed: u64, bf16: bool) -> VecF32 {
 /// Builds an RS (ROB ids 1..) from `specs`. The window precision is BF16
 /// when `bf16`, with the other-precision role flipping it per entry.
 fn build_window(specs: &[EntrySpec], bf16: bool) -> Setup {
-    let mut s = Setup { rs: Rs::new(97, 224), prf: PhysRegFile::new(200) };
+    let mut s = Setup { rs: Rs::new(97, 224, 200), prf: PhysRegFile::new(200) };
     let mut prev_dst = None;
     for (i, &(bits, rot_sel, role_sel, seed)) in specs.iter().enumerate() {
         let rob = i + 1;

@@ -135,13 +135,12 @@ pub fn run_cell<T>(
         };
         // A cooperative stop caused by *this cell's* deadline (not a global
         // cancel) is a deadline overrun — a different retry class and a
-        // different journal entry than user cancellation.
+        // different journal entry than user cancellation. It names the
+        // cell: the core's `Cancelled` names only the workload it ran.
         let err = match err {
-            SimError::Cancelled { what: w }
-                if tok.deadline_expired() && !cancel.is_cancelled() =>
-            {
+            SimError::Cancelled { .. } if tok.deadline_expired() && !cancel.is_cancelled() => {
                 SimError::DeadlineExceeded {
-                    what: w,
+                    what: what.to_string(),
                     millis: policy.deadline.map(|d| d.as_millis() as u64).unwrap_or(0),
                 }
             }
@@ -410,6 +409,18 @@ mod tests {
                 assert_eq!(what, "slow-cell");
                 assert_eq!(millis, 10);
             }
+            other => panic!("expected DeadlineExceeded, got {other}"),
+        }
+    }
+
+    #[test]
+    fn deadline_error_names_the_cell_not_the_workload() {
+        let policy = RetryPolicy { retries: 0, deadline: Some(Duration::ZERO), ..fast_policy() };
+        let run = run_cell(&CancelToken::new(), &policy, "cell-3", 3, |_| -> Result<u32, _> {
+            Err(SimError::Cancelled { what: "workload".into() })
+        });
+        match run.result.unwrap_err() {
+            SimError::DeadlineExceeded { what, .. } => assert_eq!(what, "cell-3"),
             other => panic!("expected DeadlineExceeded, got {other}"),
         }
     }
