@@ -285,9 +285,10 @@ fn replay_sweep_cells(quick: bool) -> Vec<CellSpec> {
 }
 
 /// Times the replay benchmark (best of [`REPS`] sweeps each way, a fresh
-/// trace store per traced rep) and asserts the purity invariant: total
-/// simulated cycles must be bit-identical with and without the store.
-fn replay_sweep(quick: bool, tok: &CancelToken) -> Result<ReplaySweep, SimError> {
+/// trace store per traced rep). Also returns the traced sweep's total
+/// simulated cycles, which the purity gate requires to equal the direct
+/// sweep's.
+fn replay_sweep(quick: bool, tok: &CancelToken) -> Result<(ReplaySweep, u64), SimError> {
     let cells = replay_sweep_cells(quick);
     let mut direct_best = f64::INFINITY;
     let mut direct_cycles = 0u64;
@@ -318,15 +319,7 @@ fn replay_sweep(quick: bool, tok: &CancelToken) -> Result<ReplaySweep, SimError>
         trace_hits = store.hits();
         memo_hits = store.result_hits();
     }
-    if direct_cycles != traced_cycles {
-        return Err(SimError::Io {
-            what: format!(
-                "replay purity violation: direct sweep simulated {direct_cycles} cycles \
-                 but the traced sweep simulated {traced_cycles}"
-            ),
-        });
-    }
-    Ok(ReplaySweep {
+    let sweep = ReplaySweep {
         cells: cells.len(),
         direct_host_seconds: direct_best,
         traced_host_seconds: traced_best,
@@ -335,7 +328,8 @@ fn replay_sweep(quick: bool, tok: &CancelToken) -> Result<ReplaySweep, SimError>
         trace_hits,
         memo_hits,
         floor: replay_floor(quick),
-    })
+    };
+    Ok((sweep, traced_cycles))
 }
 
 /// Speedup the largest mesh must reach under the relaxed engine, as a
@@ -465,14 +459,64 @@ fn load_trajectory(path: &PathBuf) -> Vec<PerfRecord> {
     }
 }
 
+/// Why perfstat fails: a simulation error, reported through the sweep
+/// session like any binary's, or a measurement that missed a named gate.
+#[derive(Debug)]
+enum Failure {
+    Sim(SimError),
+    Gate { gate: &'static str, what: String },
+}
+
+impl From<SimError> for Failure {
+    fn from(e: SimError) -> Self {
+        Failure::Sim(e)
+    }
+}
+
+impl std::fmt::Display for Failure {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Failure::Sim(e) => write!(f, "[{}] {e}", e.kind()),
+            Failure::Gate { gate, what } => write!(f, "[gate {gate}] {what}"),
+        }
+    }
+}
+
+/// Fails `gate` when `value` is below `floor`; `what` says what the gate
+/// protects.
+fn floor_gate(gate: &'static str, value: f64, floor: f64, what: &str) -> Result<(), Failure> {
+    if value < floor {
+        return Err(Failure::Gate {
+            gate,
+            what: format!("{value:.2}x below the {floor:.2}x floor: {what}"),
+        });
+    }
+    Ok(())
+}
+
 fn main() -> ExitCode {
-    save_bench::run_main("perfstat", body)
+    let mut missed = None;
+    let code = save_bench::run_main("perfstat", |cli, session| match body(cli, session) {
+        Err(Failure::Sim(e)) => Err(e),
+        Err(gate) => {
+            missed = Some(gate);
+            Ok(())
+        }
+        Ok(()) => Ok(()),
+    });
+    match missed {
+        Some(gate) => {
+            eprintln!("[perfstat] {gate}");
+            ExitCode::from(save_sim::durable::EXIT_FAILURES)
+        }
+        None => code,
+    }
 }
 
 fn body(
     cli: &save_bench::BenchCli,
     session: &mut save_bench::SweepSession,
-) -> Result<(), SimError> {
+) -> Result<(), Failure> {
     let quick = cli.quick;
     let update = cli.rest.iter().any(|a| a == "--update");
     let check = cli.rest.iter().any(|a| a == "--check");
@@ -503,9 +547,19 @@ fn body(
     let Some(points) = session.run("reference sweep", |tok| measure(quick, tok)) else {
         return Ok(());
     };
-    let Some(replay) = session.run("replay sweep", |tok| replay_sweep(quick, tok)) else {
+    let Some((replay, traced_cycles)) = session.run("replay sweep", |tok| replay_sweep(quick, tok))
+    else {
         return Ok(());
     };
+    if replay.total_cycles != traced_cycles {
+        return Err(Failure::Gate {
+            gate: "replay-purity",
+            what: format!(
+                "direct sweep simulated {} cycles but the traced sweep simulated {traced_cycles}",
+                replay.total_cycles
+            ),
+        });
+    }
     let mc_scaling = if scaling {
         match session.run("multicore scaling", |tok| measure_scaling(quick, tok)) {
             Some(s) => Some(s),
@@ -568,15 +622,12 @@ fn body(
         replay.memo_hits,
         replay.total_cycles,
     );
-    if replay.speedup < replay.floor {
-        return Err(SimError::Io {
-            what: format!(
-                "replay sweep speedup {:.2}x below the {:.1}x floor — \
-                 'execute once, time N' is not paying for itself",
-                replay.speedup, replay.floor
-            ),
-        });
-    }
+    floor_gate(
+        "replay-floor",
+        replay.speedup,
+        replay.floor,
+        "'execute once, time N' is not paying for itself",
+    )?;
     if let Some(sc) = &mc_scaling {
         let rows: Vec<Vec<String>> = sc
             .points
@@ -600,15 +651,12 @@ fn body(
             "largest mesh: relaxed engine {:.2}x over lockstep (floor {:.1}x)",
             sc.speedup_28, sc.floor
         );
-        if sc.speedup_28 < sc.floor {
-            return Err(SimError::Io {
-                what: format!(
-                    "28-core relaxed-sync speedup {:.2}x below the {:.1}x floor — \
-                     the quantum engine is not paying for itself",
-                    sc.speedup_28, sc.floor
-                ),
-            });
-        }
+        floor_gate(
+            "scaling-floor",
+            sc.speedup_28,
+            sc.floor,
+            "the relaxed-sync quantum engine is not paying for itself",
+        )?;
     }
 
     let path = trajectory_path();
@@ -641,7 +689,8 @@ fn body(
             Some(base) => {
                 let rev = if base.git_rev.is_empty() { "?" } else { &base.git_rev };
                 if let Some((p, want)) = first_cycle_mismatch(&points, &base.points) {
-                    return Err(SimError::Io {
+                    return Err(Failure::Gate {
+                        gate: "cycles",
                         what: format!(
                             "simulated cycles changed: {} / {} ran {} cycles, \
                              the baseline record ({} rev {rev}) has {want}",
@@ -659,15 +708,12 @@ fn body(
                     "check: {:.0} kcyc/s vs best committed {:.0} kcyc/s ({} @ {} rev {rev}) = {ratio:.2}x",
                     total_kcps, base.total_kcycles_per_host_sec, base.label, base.unix_time,
                 );
-                if ratio < CHECK_FLOOR {
-                    return Err(SimError::Io {
-                        what: format!(
-                            "throughput regressed more than {:.0}% \
-                             ({ratio:.2}x < {CHECK_FLOOR}x baseline)",
-                            (1.0 - CHECK_FLOOR) * 100.0
-                        ),
-                    });
-                }
+                floor_gate(
+                    "throughput-floor",
+                    ratio,
+                    CHECK_FLOOR,
+                    "throughput against the best committed record",
+                )?;
             }
             None => {
                 println!(
@@ -726,5 +772,15 @@ mod tests {
         let mine = [point("a", 10), point("b", 21), point("c", 31)];
         let (p, want) = first_cycle_mismatch(&mine, &base).expect("cycles differ");
         assert_eq!((p.workload.as_str(), p.cycles, want), ("b", 21, 20));
+    }
+
+    #[test]
+    fn gate_failures_name_their_gate_not_io() {
+        assert!(floor_gate("replay-floor", 2.03, 2.0, "speedup").is_ok());
+        let shown = floor_gate("replay-floor", 1.94, 2.0, "speedup").unwrap_err().to_string();
+        assert!(shown.starts_with("[gate replay-floor] 1.94x below the 2.00x floor"), "{shown}");
+        assert!(!shown.contains("io"), "{shown}");
+        let io = Failure::from(SimError::Io { what: "disk full".into() }).to_string();
+        assert!(io.starts_with("[io]"), "{io}");
     }
 }

@@ -1,11 +1,25 @@
 //! The cycle loop: allocation/rename, MGU, select/issue, write-back, commit.
 //!
-//! Stage order within a simulated cycle is write-back → pass-through
-//! watchers → commit → load/store + VPU issue → mask generation →
-//! allocation, so a value written back in cycle *t* can wake a dependent in
-//! the same cycle (full-latency back-to-back), while a newly allocated VFMA
-//! needs one cycle for mask generation before it can enter the combination
-//! window — mirroring the paper's pipeline (Fig 3).
+//! [`Core::step`] is one simulated cycle, a list of stage methods run in
+//! this order:
+//!
+//! 1. `write_back` — VPU and load results land, the pass-through watchers
+//!    copy lanes, and registers that turned ready wake their RS waiters;
+//! 2. `commit` — the ROB retires completed µops in program order;
+//! 3. `issue_memory` — the LSU issues loads and stores;
+//! 4. `refresh_window` — the combination-window scoreboard (SAVE only);
+//! 5. `select_issue` — the scheduler selects, the VPUs issue, and finished
+//!    VFMAs leave the RS;
+//! 6. `generate_masks` — the MGUs make ELMs (SAVE only);
+//! 7. `allocate` — the front end cracks, renames and allocates;
+//! 8. `end_cycle` — state faults, sanitizer scans, the clock tick and the
+//!    fast-forward inert classification;
+//!
+//! and then `stop`, the one stop path [`Core::advance_to`] shares. A value
+//! written back in cycle *t* can wake a dependent in the same cycle
+//! (full-latency back-to-back), while a newly allocated VFMA needs one
+//! cycle for mask generation before it can enter the combination window —
+//! mirroring the paper's pipeline (Fig 3).
 
 use crate::config::{CoreConfig, SchedulerKind};
 use crate::diag::{StallCause, StallDiag};
@@ -22,7 +36,7 @@ use crate::stats::CoreStats;
 use crate::trace::{TraceEvent, Tracer};
 use crate::uop::{crack, FmaPrecision, PhysId, RobId, Uop};
 use crate::vpu::{VpuOp, VpuPipeline};
-use save_isa::{Program, VecF32, LANES, NUM_VREGS};
+use save_isa::{Inst, Program, VecF32, LANES, NUM_VREGS};
 use save_mem::{CoreMemory, UncoreAccess};
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -95,7 +109,9 @@ pub struct Core {
     last_commit_cycle: u64,
     san: Option<Box<Sanitizer>>,
     fault_pending: Option<FaultPlan>,
-    model_fault: Option<SanitizerReport>,
+    // The first invariant violation (a model-integrity check or the
+    // sanitizer's); it ends the run at the next stop check.
+    violation: Option<SanitizerReport>,
     // Functional-trace record/replay (see `crate::replay`). Allocation
     // sequence counters index the trace: the k-th allocated FMA/load is the
     // same static operation under every timing configuration.
@@ -164,7 +180,7 @@ impl Core {
             // results with nothing watching; injection is for self-test
             // only, so it requires checking to be enabled.
             fault_pending: if cfg.sanitize.enabled() { cfg.fault } else { None },
-            model_fault: None,
+            violation: None,
             fma_seq: 0,
             load_seq: 0,
             rec: None,
@@ -194,36 +210,11 @@ impl Core {
         self.cancel_countdown = CANCEL_QUANTUM;
     }
 
-    /// Calls the cancel poll on its quantum; returns `true` when the run
-    /// must stop.
-    fn cancel_due(&mut self) -> bool {
-        let Some(poll) = &self.cancel else { return false };
-        self.cancel_countdown -= 1;
-        if self.cancel_countdown > 0 {
-            return false;
-        }
-        self.cancel_countdown = CANCEL_QUANTUM;
-        poll()
-    }
-
-    /// The cancelled-run outcome: not completed, no stall diagnosis, no
-    /// violation — cancellation is an external event, not a model failure.
-    fn cancelled_outcome(&mut self) -> RunOutcome {
-        self.finished = true;
-        RunOutcome {
-            stats: self.stats,
-            completed: false,
-            stall: None,
-            violation: None,
-            cancelled: true,
-        }
-    }
-
     /// Records an internal model inconsistency (previously a panic on the
     /// run path) as a typed violation; the current step ends the run.
     fn integrity(&mut self, rob: Option<RobId>, witness: String) {
-        if self.model_fault.is_none() {
-            self.model_fault = Some(SanitizerReport {
+        if self.violation.is_none() {
+            self.violation = Some(SanitizerReport {
                 invariant: "model-integrity".to_string(),
                 cycle: self.cycle,
                 rob: rob.map(|r| r as u64),
@@ -330,19 +321,8 @@ impl Core {
         cmem: &mut CoreMemory,
         uncore: &mut dyn UncoreAccess,
     ) -> RunOutcome {
-        cmem.set_freq(self.cfg.freq_ghz);
-        loop {
-            if let Some(outcome) = self.step(program, mem, cmem, uncore) {
-                return outcome;
-            }
-            // Event-driven fast-forward: when the cycle above was provably
-            // inert, jump straight to the next cycle anything can happen.
-            if let Some(target) = self.ff_target() {
-                if let Some(outcome) = self.advance_to(target) {
-                    return outcome;
-                }
-            }
-        }
+        self.run_until_cycle(u64::MAX, program, mem, cmem, uncore)
+            .expect("the cycle budget stops every run before cycle u64::MAX")
     }
 
     /// Runs the core until its local clock reaches `limit` (or the program
@@ -363,12 +343,11 @@ impl Core {
             if let Some(outcome) = self.step(program, mem, cmem, uncore) {
                 return Some(outcome);
             }
+            // Event-driven fast-forward: when the cycle above was provably
+            // inert, jump straight to the next cycle anything can happen.
             if let Some(target) = self.ff_target() {
-                let clamped = target.min(limit);
-                if clamped > self.cycle {
-                    if let Some(outcome) = self.advance_to(clamped) {
-                        return Some(outcome);
-                    }
+                if let Some(outcome) = self.advance_to(target.min(limit)) {
+                    return Some(outcome);
                 }
             }
         }
@@ -385,10 +364,12 @@ impl Core {
         &self.stats
     }
 
-    /// Advances the core by one cycle; returns the outcome when the program
-    /// drains (or the cycle limit is hit). The multicore machine in
-    /// `save-sim` interleaves several cores over a shared [`Uncore`] by
-    /// calling this per core per cycle.
+    /// Advances the core by one cycle; returns the outcome when the run
+    /// stops (see `stop`). The multicore machine in `save-sim`
+    /// interleaves several cores over a shared [`Uncore`] by calling this
+    /// per core per cycle. The stages run in the order the module doc
+    /// lists; a stage returns `true` when it changed state that no
+    /// work-counting statistic shows (fast-forward's `active` bit).
     pub fn step(
         &mut self,
         program: &Program,
@@ -397,338 +378,379 @@ impl Core {
         uncore: &mut dyn UncoreAccess,
     ) -> Option<RunOutcome> {
         if self.finished {
-            return Some(RunOutcome {
-                stats: self.stats,
-                completed: true,
-                stall: None,
-                violation: None,
-                cancelled: false,
-            });
+            return self.stop(true, false);
         }
-        let insts = &program.insts;
-        let mut inst_idx = self.inst_idx;
         let cycle = self.cycle;
-        // Fast-forward activity tracking: `active` records state mutations
-        // that leave no statistics footprint; everything else is detected by
-        // diffing `stats_before` at the end of the cycle.
-        let stats_before = self.stats;
-        let pend_before = self.pend.len();
+        let before = self.stats;
+        let mut active = self.write_back(cycle);
+        active |= self.commit(cycle);
+        self.issue_memory(cycle, mem, cmem, uncore);
+        self.refresh_window();
+        active |= self.select_issue(cycle);
+        active |= self.generate_masks(cycle);
+        active |= self.allocate(cycle, &program.insts);
+        self.end_cycle(cycle, active, &before, mem, cmem);
+        self.stop(self.drained(program), false)
+    }
+
+    /// Write-back and wake: drained VPU ops write their lanes (handing the
+    /// lane-result payloads back to the scheduling scratch for reuse),
+    /// completed loads write whole registers, the pass-through watchers
+    /// copy newly ready lanes, and every register that turned fully ready
+    /// since the last drain (in this write-back, or later in the previous
+    /// cycle) wakes the RS entries waiting on it. Nothing writes the PRF
+    /// between here and the MGUs, so `ready` holds exactly what polling
+    /// the file there would find.
+    fn write_back(&mut self, cycle: u64) -> bool {
+        self.vpu.drain_completed_into(cycle, &mut self.vpu_done);
+        let mut active = !self.vpu_done.is_empty();
+        for op in self.vpu_done.drain(..) {
+            for r in &op.results {
+                self.prf.write_lane(r.dst, r.lane, r.value);
+            }
+            self.sx.recycle(op.results);
+        }
+        self.lsu.drain_completed_into(cycle, &mut self.lsu_done);
+        active |= !self.lsu_done.is_empty();
+        for ev in self.lsu_done.drain(..) {
+            self.prf.write_all(ev.dst, ev.value);
+        }
+        active |= self.run_watchers();
+        for p in self.prf.drain_woken() {
+            self.rs.wake(p);
+        }
+        active
+    }
+
+    /// Commit: retires up to `commit_width` completed µops in program
+    /// order (a fused load does not count against the width), stopping at
+    /// the commit limit of [`Core::run_until_uops`].
+    fn commit(&mut self, cycle: u64) -> bool {
         let mut active = false;
-        {
-            // 1. Write-back. Drained ops hand their lane-result payloads
-            // back to the scheduling scratch for reuse.
-            self.vpu.drain_completed_into(cycle, &mut self.vpu_done);
-            active |= !self.vpu_done.is_empty();
-            for op in self.vpu_done.drain(..) {
-                for r in &op.results {
-                    self.prf.write_lane(r.dst, r.lane, r.value);
-                }
-                self.sx.recycle(op.results);
-            }
-            self.lsu.drain_completed_into(cycle, &mut self.lsu_done);
-            active |= !self.lsu_done.is_empty();
-            for ev in self.lsu_done.drain(..) {
-                self.prf.write_all(ev.dst, ev.value);
-            }
-            active |= self.run_watchers();
-            // Wakeup: deliver every register that turned fully ready since
-            // the last drain (in this write-back, or later in the previous
-            // cycle) to the RS entries waiting on it. Nothing writes the
-            // PRF between here and the MGUs, so `ready` holds exactly what
-            // polling the file there would find.
-            for p in self.prf.drain_woken() {
-                self.rs.wake(p);
-            }
-
-            // 2. Commit.
-            let mut committed = 0;
-            while committed < self.cfg.commit_width {
-                let done = match self.rob.head() {
-                    None => break,
-                    Some(h) => match h.kind {
-                        RobKind::Flagged => h.done,
-                        RobKind::WaitDst(p) => self.prf.fully_ready(p),
-                    },
-                };
-                if !done {
+        let mut committed = 0;
+        while committed < self.cfg.commit_width && self.head_ready() {
+            if let Some(limit) = self.uop_commit_limit {
+                if self.stats.uops_committed >= limit {
                     break;
                 }
-                if let Some(limit) = self.uop_commit_limit {
-                    if self.stats.uops_committed >= limit {
-                        break;
-                    }
-                }
-                let Some(e) = self.rob.pop_head() else {
-                    self.integrity(
-                        None,
-                        "commit saw a completed ROB head but the queue was empty".to_string(),
-                    );
-                    break;
-                };
-                active = true;
-                if self.tracer.is_some() {
-                    let seq = e.seq as RobId;
-                    self.trace(TraceEvent::Commit { cycle, rob: seq });
-                }
-                // Sanitizer commit checks run before the frees are released
-                // so both accumulator registers still hold their values.
-                if let Some(s) = self.san.as_mut() {
-                    s.on_commit(&e, &self.prf, cycle);
-                }
-                if let Some((vreg, phys)) = e.arch_dst {
-                    self.arch_vregs[vreg.index()] = *self.prf.value(phys);
-                }
-                for f in e.frees.into_iter().flatten() {
-                    self.prf.release(f);
-                }
-                self.stats.uops_committed += 1;
-                self.last_commit_cycle = cycle;
-                if !e.fused {
-                    committed += 1;
-                }
             }
-
-            // 3. Issue: memory first, then VPUs. The store-completion list
-            // is core-owned scratch (taken for the duration of the borrow
-            // because `integrity` needs `&mut self`).
-            let mut stores_done = std::mem::take(&mut self.stores_buf);
-            self.lsu.issue_cycle_bounded(
-                &mut self.rs,
-                &self.prf,
-                mem,
-                cmem,
-                uncore,
-                self.cfg.load_ports,
-                self.cfg.load_buffer,
-                self.cfg.store_ports,
-                self.cfg.freq_ghz,
-                cycle,
-                &mut self.stats,
-                &mut stores_done,
-                self.rec.as_deref_mut(),
-                self.rep.as_deref(),
-            );
-            for r in stores_done.drain(..) {
-                if !self.rob.mark_done(r) {
-                    self.integrity(
-                        Some(r),
-                        format!("store completion targeted rob {r}, which is not in flight"),
-                    );
-                }
-            }
-            self.stores_buf = stores_done;
-            // Refresh the combination-window scoreboard (one mask
-            // evaluation per window member, shared with select) and sample
-            // its size — §III observes 24-28, bounded by the 32
-            // architectural accumulator registers.
-            if self.cfg.scheduler != SchedulerKind::Baseline {
-                sched::window_masks(&self.rs, &self.prf, self.cfg.lane_wise, &mut self.sx);
-                let cw = self.sx.window_len() as u64;
-                if cw > 0 {
-                    self.stats.cw_sum += cw;
-                    self.stats.cw_samples += 1;
-                }
-            }
-            // Sanitizer: snapshot the vertical-coalescing candidate set for
-            // the Algorithm 1 age-order check on cycles where vertical
-            // select will run (heavier, so gated on the sanitize stride).
-            // The reorder fault lands after the snapshot, which therefore
-            // holds the station's true age order.
-            if let Some(s) = self.san.as_mut() {
-                let vertical_selects = self.cfg.scheduler == SchedulerKind::Vertical
-                    && !(self.cfg.mp_compress
-                        && sched::oldest_window_precision(&self.rs, &self.prf)
-                            == Some(FmaPrecision::Bf16));
-                if vertical_selects && s.due(cycle) {
-                    s.snapshot_vc(&self.rs, &self.prf, self.cfg.lane_wise);
-                    let reorder = self
-                        .fault_pending
-                        .is_some_and(|p| p.kind == FaultKind::ReorderRsPick && cycle >= p.at_cycle);
-                    if reorder && sched::swap_oldest_candidates(&self.rs, &mut self.sx) {
-                        self.fault_pending = None;
-                    }
-                } else {
-                    s.clear_snapshot();
-                }
-            }
-            // An issue-path fault needs each candidate's rotation state to
-            // mis-rotate a writeback lane; gather before select consumes
-            // the entries' masks.
-            let issue_fault = self
-                .fault_pending
-                .filter(|p| p.kind.targets_issue_path() && cycle >= p.at_cycle);
-            let rots: Vec<(RobId, i8)> = if issue_fault.is_some() {
-                self.rs
-                    .iter()
-                    .filter_map(|e| match e {
-                        RsEntry::Fma(f) => Some((f.rob, f.rot)),
-                        _ => None,
-                    })
-                    .collect()
-            } else {
-                Vec::new()
+            let Some(e) = self.rob.pop_head() else {
+                self.integrity(
+                    None,
+                    "commit saw a completed ROB head but the queue was empty".to_string(),
+                );
+                break;
             };
-            let mut ops = std::mem::take(&mut self.ops_buf);
-            sched::select(
-                &mut self.rs,
-                &self.prf,
-                &self.cfg,
-                cycle,
-                &mut self.stats,
-                &mut self.sx,
-                &mut ops,
-                self.rec.as_deref_mut(),
-                self.rep.is_some(),
-            );
-            if let Some(plan) = issue_fault {
-                if fault::apply_issue_fault(plan, &mut ops, &rots) {
+            active = true;
+            if self.tracer.is_some() {
+                let seq = e.seq as RobId;
+                self.trace(TraceEvent::Commit { cycle, rob: seq });
+            }
+            // Sanitizer commit checks run before the frees are released
+            // so both accumulator registers still hold their values.
+            if let Some(s) = self.san.as_mut() {
+                s.on_commit(&e, &self.prf, cycle);
+            }
+            if let Some((vreg, phys)) = e.arch_dst {
+                self.arch_vregs[vreg.index()] = *self.prf.value(phys);
+            }
+            for f in e.frees.into_iter().flatten() {
+                self.prf.release(f);
+            }
+            self.stats.uops_committed += 1;
+            self.last_commit_cycle = cycle;
+            if !e.fused {
+                committed += 1;
+            }
+        }
+        active
+    }
+
+    /// Memory issue: the LSU issues loads and stores from the RS ahead of
+    /// the VPUs. Stores complete at issue and mark their ROB entries done;
+    /// the completion list is core-owned scratch (taken for the duration
+    /// of the borrow because `integrity` needs `&mut self`).
+    fn issue_memory(
+        &mut self,
+        cycle: u64,
+        mem: &mut save_isa::Memory,
+        cmem: &mut CoreMemory,
+        uncore: &mut dyn UncoreAccess,
+    ) {
+        let mut stores_done = std::mem::take(&mut self.stores_buf);
+        self.lsu.issue_cycle_bounded(
+            &mut self.rs,
+            &self.prf,
+            mem,
+            cmem,
+            uncore,
+            self.cfg.load_ports,
+            self.cfg.load_buffer,
+            self.cfg.store_ports,
+            self.cfg.freq_ghz,
+            cycle,
+            &mut self.stats,
+            &mut stores_done,
+            self.rec.as_deref_mut(),
+            self.rep.as_deref(),
+        );
+        for r in stores_done.drain(..) {
+            if !self.rob.mark_done(r) {
+                self.integrity(
+                    Some(r),
+                    format!("store completion targeted rob {r}, which is not in flight"),
+                );
+            }
+        }
+        self.stores_buf = stores_done;
+    }
+
+    /// Window refresh (SAVE only): re-evaluates the combination-window
+    /// scoreboard (one mask evaluation per window member, shared with
+    /// select) and samples its size — §III observes 24-28, bounded by the
+    /// 32 architectural accumulator registers.
+    fn refresh_window(&mut self) {
+        if self.cfg.scheduler != SchedulerKind::Baseline {
+            sched::window_masks(&self.rs, &self.prf, self.cfg.lane_wise, &mut self.sx);
+            let cw = self.sx.window_len() as u64;
+            if cw > 0 {
+                self.stats.cw_sum += cw;
+                self.stats.cw_samples += 1;
+            }
+        }
+    }
+
+    /// Select, VPU issue and RS removal: the configured scheduler picks
+    /// this cycle's VPU ops, they enter the VPU pipelines, and the VFMAs
+    /// select finished leave the RS (Algorithm 1 lines 12-14; the baseline
+    /// select removes what it issues itself).
+    fn select_issue(&mut self, cycle: u64) -> bool {
+        // Sanitizer: snapshot the vertical-coalescing candidate set for
+        // the Algorithm 1 age-order check on cycles where vertical select
+        // will run (heavier, so gated on the sanitize stride). The reorder
+        // fault lands after the snapshot, which therefore holds the
+        // station's true age order.
+        if let Some(s) = self.san.as_mut() {
+            let vertical_selects = self.cfg.scheduler == SchedulerKind::Vertical
+                && !(self.cfg.mp_compress
+                    && sched::oldest_window_precision(&self.rs, &self.prf)
+                        == Some(FmaPrecision::Bf16));
+            if vertical_selects && s.due(cycle) {
+                s.snapshot_vc(&self.rs, &self.prf, self.cfg.lane_wise);
+                let reorder = self
+                    .fault_pending
+                    .is_some_and(|p| p.kind == FaultKind::ReorderRsPick && cycle >= p.at_cycle);
+                if reorder && sched::swap_oldest_candidates(&self.rs, &mut self.sx) {
                     self.fault_pending = None;
                 }
-            }
-            if let Some(s) = self.san.as_mut() {
-                s.check_issue(&ops, &self.prf, cycle);
-            }
-            let issued = !ops.is_empty();
-            if issued {
-                self.stats.vpu_busy_cycles += 1;
-                for op in ops.drain(..) {
-                    if self.tracer.is_some() {
-                        let mut from: Vec<RobId> =
-                            op.results.iter().map(|r| r.rob).collect();
-                        from.dedup();
-                        let lanes = op.results.len();
-                        self.trace(TraceEvent::VpuIssue { cycle, lanes, from });
-                    }
-                    self.vpu.issue(op);
-                }
-                self.ops_buf = ops;
             } else {
-                self.ops_buf = ops;
-                // Every entry that is not a load or store is a VFMA.
-                if self.rs.len() > self.rs.mem_len() {
-                    self.stats.vpu_idle_not_ready += 1;
-                } else {
-                    self.stats.vpu_idle_no_fma += 1;
-                }
+                s.clear_snapshot();
             }
-            // Remove the VFMAs select finished (Algorithm 1 lines 12-14);
-            // the baseline select removes what it issues itself.
-            self.exits.extend_from_slice(self.sx.finished());
-            active |= self.remove_exits(cycle);
-
-            // 4. Mask generation (SAVE only).
-            if self.cfg.scheduler != SchedulerKind::Baseline {
-                self.run_mgus(cycle);
-                // Capture fresh ELMs before the BS skips leave, so the
-                // sanitizer's expectation is the ground-truth mask.
-                if let Some(s) = self.san.as_mut() {
-                    s.sync_elms(&self.rs);
-                }
-                active |= self.remove_exits(cycle);
+        }
+        // An issue-path fault needs each candidate's rotation state to
+        // mis-rotate a writeback lane; gather before select consumes the
+        // entries' masks.
+        let issue_fault =
+            self.fault_pending.filter(|p| p.kind.targets_issue_path() && cycle >= p.at_cycle);
+        let rots: Vec<(RobId, i8)> = if issue_fault.is_some() {
+            self.rs
+                .iter()
+                .filter_map(|e| match e {
+                    RsEntry::Fma(f) => Some((f.rob, f.rot)),
+                    _ => None,
+                })
+                .collect()
+        } else {
+            Vec::new()
+        };
+        let mut ops = std::mem::take(&mut self.ops_buf);
+        sched::select(
+            &mut self.rs,
+            &self.prf,
+            &self.cfg,
+            cycle,
+            &mut self.stats,
+            &mut self.sx,
+            &mut ops,
+            self.rec.as_deref_mut(),
+            self.rep.is_some(),
+        );
+        if let Some(plan) = issue_fault {
+            if fault::apply_issue_fault(plan, &mut ops, &rots) {
+                self.fault_pending = None;
             }
-            // Every finished VFMA has left by now; a leftover means a stage
-            // failed to report one. Checked before state faults land.
-            if let Some(s) = self.san.as_mut() {
-                if s.due(cycle) {
-                    s.check_no_finished(&self.rs, cycle);
-                }
+        }
+        if let Some(s) = self.san.as_mut() {
+            s.check_issue(&ops, &self.prf, cycle);
+        }
+        if ops.is_empty() {
+            // Every entry that is not a load or store is a VFMA.
+            if self.rs.len() > self.rs.mem_len() {
+                self.stats.vpu_idle_not_ready += 1;
+            } else {
+                self.stats.vpu_idle_no_fma += 1;
             }
-
-            // 5. Allocate / rename.
-            let mut slots = if cycle < self.alloc_stalled_until { 0 } else { self.cfg.issue_width };
-            while slots > 0 {
-                while self.pend.len() < self.cfg.issue_width && inst_idx < insts.len() {
-                    self.crack_buf.clear();
-                    crack(&insts[inst_idx], &mut self.crack_buf);
-                    inst_idx += 1;
-                    self.pend.extend(self.crack_buf.drain(..));
-                }
-                let Some(u) = self.pend.front().copied() else { break };
-                if let Uop::Bubble(n) = u {
-                    // A front-end redirect: fetch restarts after n cycles.
-                    self.alloc_stalled_until = cycle + 1 + n as u64;
-                    self.pend.pop_front();
-                    break;
-                }
-                if !self.try_allocate(&u) {
-                    break;
-                }
+        } else {
+            self.stats.vpu_busy_cycles += 1;
+            for op in ops.drain(..) {
                 if self.tracer.is_some() {
-                    let rob = self.last_alloc_rob;
-                    self.trace(TraceEvent::Alloc { cycle, rob, what: format!("{u:?}") });
+                    let mut from: Vec<RobId> = op.results.iter().map(|r| r.rob).collect();
+                    from.dedup();
+                    let lanes = op.results.len();
+                    self.trace(TraceEvent::VpuIssue { cycle, lanes, from });
                 }
-                // An embedded-broadcast load is micro-fused with its VFMA:
-                // the pair moves through allocation as one µop.
-                let fused_free = matches!(u, Uop::Load { dst: None, .. });
-                self.pend.pop_front();
-                if !fused_free {
-                    slots -= 1;
-                }
+                self.vpu.issue(op);
             }
+        }
+        self.ops_buf = ops;
+        self.exits.extend_from_slice(self.sx.finished());
+        self.remove_exits(cycle)
+    }
 
-            // 6. Fault injection (state faults) and sanitizer state scans.
-            // State faults land after allocation and before the end-of-step
-            // scan so a freed-but-live register is caught this cycle under
-            // Full, before a later allocation could re-grab it and mask the
-            // inconsistency.
-            if let Some(plan) = self.fault_pending {
-                if !plan.kind.targets_issue_path()
-                    && cycle >= plan.at_cycle
-                    && self.apply_state_fault(plan, cmem)
-                {
-                    self.fault_pending = None;
+    /// MGU (SAVE only): generates up to `issue_width` ELMs, oldest first,
+    /// moving each VFMA into the window; a VFMA whose masks come out empty
+    /// (a whole-VFMA BS skip) leaves the RS at once. Only `ready` entries
+    /// are visited, so VFMAs still waiting on operands or already masked
+    /// cost the MGUs nothing. Ends with the sanitizer's check that every
+    /// finished VFMA has left, before state faults land.
+    fn generate_masks(&mut self, cycle: u64) -> bool {
+        let mut active = false;
+        if self.cfg.scheduler != SchedulerKind::Baseline {
+            for _ in 0..self.cfg.issue_width {
+                // Generation moves the entry out of `ready`, so the next
+                // one is again the first.
+                let Some(slot) = self.rs.ready_slots().next() else { break };
+                let rob = self.rs.at(slot).rob();
+                if self.mgu_generate(slot, cycle) {
+                    self.exits.push(rob);
                 }
+                self.rs.enter_window(slot);
             }
+            // Newly created watchers may copy already-ready lanes this cycle.
+            self.run_watchers();
+            // Capture fresh ELMs before the BS skips leave, so the
+            // sanitizer's expectation is the ground-truth mask.
             if let Some(s) = self.san.as_mut() {
-                if s.due(cycle) {
-                    s.check_state(
-                        &self.prf,
-                        &self.rt,
-                        &self.rob,
-                        &self.rs,
-                        self.pending_temp,
-                        self.cfg.scheduler == SchedulerKind::Baseline,
-                        cycle,
-                    );
-                    // B$ freshness: audit one entry per scan, round-robin.
-                    // Under replay the functional arena is empty, so the
-                    // expected masks come from the trace (the recorder
-                    // poisons any trace whose line masks went stale).
-                    if let Some(n) = cmem.bcast_entries() {
-                        if n > 0 {
-                            let idx = s.next_bcast_idx(n);
-                            let stale = match self.rep.as_deref() {
-                                Some(t) => cmem.audit_bcast_entry(idx, |line| {
-                                    t.bcast_lines.get(&line).copied().unwrap_or(0)
-                                }),
-                                None => cmem.audit_bcast_entry(idx, |line| {
-                                    crate::lsu::line_zero_mask(mem, line * save_mem::LINE_BYTES)
-                                }),
-                            };
-                            if let Some((line, stored, actual)) = stale {
-                                s.report_bcast_stale(cycle, line, stored, actual);
-                            }
+                s.sync_elms(&self.rs);
+            }
+            active = self.remove_exits(cycle);
+        }
+        if let Some(s) = self.san.as_mut() {
+            if s.due(cycle) {
+                s.check_no_finished(&self.rs, cycle);
+            }
+        }
+        active
+    }
+
+    /// Allocate/rename: cracks instructions into the pending µop queue and
+    /// allocates up to `issue_width` µops (a front-end bubble stalls
+    /// allocation for its length). Returns `true` when the front end
+    /// moved: cracking advances `inst_idx`, and a bubble or an allocation
+    /// shortens the queue (a crack-and-allocate cycle that restores its
+    /// length still moves `inst_idx`).
+    fn allocate(&mut self, cycle: u64, insts: &[Inst]) -> bool {
+        let (idx_before, pend_before) = (self.inst_idx, self.pend.len());
+        let mut slots = if cycle < self.alloc_stalled_until { 0 } else { self.cfg.issue_width };
+        while slots > 0 {
+            while self.pend.len() < self.cfg.issue_width && self.inst_idx < insts.len() {
+                self.crack_buf.clear();
+                crack(&insts[self.inst_idx], &mut self.crack_buf);
+                self.inst_idx += 1;
+                self.pend.extend(self.crack_buf.drain(..));
+            }
+            let Some(u) = self.pend.front().copied() else { break };
+            if let Uop::Bubble(n) = u {
+                // A front-end redirect: fetch restarts after n cycles.
+                self.alloc_stalled_until = cycle + 1 + n as u64;
+                self.pend.pop_front();
+                break;
+            }
+            if !self.try_allocate(&u) {
+                break;
+            }
+            if self.tracer.is_some() {
+                let rob = self.last_alloc_rob;
+                self.trace(TraceEvent::Alloc { cycle, rob, what: format!("{u:?}") });
+            }
+            // An embedded-broadcast load is micro-fused with its VFMA: the
+            // pair moves through allocation as one µop.
+            let fused_free = matches!(u, Uop::Load { dst: None, .. });
+            self.pend.pop_front();
+            if !fused_free {
+                slots -= 1;
+            }
+        }
+        self.inst_idx != idx_before || self.pend.len() != pend_before
+    }
+
+    /// The tail of the cycle: state faults land, the sanitizer scans the
+    /// machine, the clock advances, the cycle is classified for
+    /// fast-forward, and a sanitizer violation becomes the run's.
+    ///
+    /// State faults land after allocation and before the scan so a
+    /// freed-but-live register is caught this cycle under Full, before a
+    /// later allocation could re-grab it and mask the inconsistency. A
+    /// cycle is inert when no stage reported `active` AND no work-counting
+    /// statistic moved since `before`; idle/stall counters (and the CW
+    /// sample) may move — they are exactly what `last_delta` replays for
+    /// each skipped cycle. The clock is already advanced, so the cached
+    /// next-event target is computed against the next probe cycle.
+    fn end_cycle(
+        &mut self,
+        cycle: u64,
+        active: bool,
+        before: &CoreStats,
+        mem: &save_isa::Memory,
+        cmem: &mut CoreMemory,
+    ) {
+        if let Some(plan) = self.fault_pending {
+            if !plan.kind.targets_issue_path()
+                && cycle >= plan.at_cycle
+                && self.apply_state_fault(plan, cmem)
+            {
+                self.fault_pending = None;
+            }
+        }
+        if let Some(s) = self.san.as_mut() {
+            if s.due(cycle) {
+                s.check_state(
+                    &self.prf,
+                    &self.rt,
+                    &self.rob,
+                    &self.rs,
+                    self.pending_temp,
+                    self.cfg.scheduler == SchedulerKind::Baseline,
+                    cycle,
+                );
+                // B$ freshness: audit one entry per scan, round-robin.
+                // Under replay the functional arena is empty, so the
+                // expected masks come from the trace (the recorder poisons
+                // any trace whose line masks went stale).
+                if let Some(n) = cmem.bcast_entries() {
+                    if n > 0 {
+                        let idx = s.next_bcast_idx(n);
+                        let stale = match self.rep.as_deref() {
+                            Some(t) => cmem.audit_bcast_entry(idx, |line| {
+                                t.bcast_lines.get(&line).copied().unwrap_or(0)
+                            }),
+                            None => cmem.audit_bcast_entry(idx, |line| {
+                                crate::lsu::line_zero_mask(mem, line * save_mem::LINE_BYTES)
+                            }),
+                        };
+                        if let Some((line, stored, actual)) = stale {
+                            s.report_bcast_stale(cycle, line, stored, actual);
                         }
                     }
                 }
             }
         }
-        // Allocation progress: cracking advances `inst_idx`; bubble
-        // consumption and successful allocation both change the pending
-        // queue length (a crack-and-allocate cycle that restores the length
-        // still moves `inst_idx`).
-        active |= inst_idx != self.inst_idx || self.pend.len() != pend_before;
-        self.inst_idx = inst_idx;
         self.cycle = cycle + 1;
         self.stats.cycles = self.cycle;
-        // Classify the cycle for fast-forward. A cycle is inert when no
-        // tracked mutation happened AND no work-counting statistic moved;
-        // idle/stall counters (and the CW sample) are allowed to move — they
-        // are exactly what `last_delta` replays for each skipped cycle.
-        // The clock is already advanced, so the cached next-event target is
-        // computed against the next probe cycle.
+        self.ff_inert = false;
+        self.ff_next = None;
         if self.ff_allowed() {
-            let mut d = self.stats.delta_since(&stats_before);
+            let mut d = self.stats.delta_since(before);
             d.cycles = 0;
             let progressed = active
                 || d.uops_committed != 0
@@ -744,72 +766,69 @@ impl Core {
                 || d.stores_issued != 0
                 || d.bcast_loads != 0
                 || d.bcast_hits != 0;
-            self.ff_inert = !progressed;
-            self.ff_next = if self.ff_inert {
+            if !progressed {
+                self.ff_inert = true;
                 self.last_delta = d;
-                Some(self.compute_ff_target())
-            } else {
-                None
-            };
+                self.ff_next = Some(self.compute_ff_target());
+            }
+        }
+        if self.violation.is_none() {
+            self.violation = self.san.as_mut().and_then(|s| s.take_violation());
+        }
+    }
+
+    /// `true` once the whole program is cracked, allocated and committed.
+    fn drained(&self, program: &Program) -> bool {
+        self.pend.is_empty() && self.inst_idx == program.insts.len() && self.rob.is_empty()
+    }
+
+    /// The one stop path, shared by [`Core::step`] and
+    /// [`Core::advance_to`]. The first of these that holds ends the run
+    /// (and finishes the core): an invariant violation, a drained program
+    /// (which reports completion, not cancellation), a cancel request, the
+    /// cycle budget, the retire-progress watchdog (work is outstanding yet
+    /// nothing has committed for a long time). A stepped cycle calls the
+    /// cancel poll on its quantum; an arrival by fast-forward (`jumped`)
+    /// calls it at once, since one jump may cross many quanta — that keeps
+    /// the reaction bound at one quantum plus one jump, and jumps are
+    /// bounded by the watchdog horizon.
+    fn stop(&mut self, drained: bool, jumped: bool) -> Option<RunOutcome> {
+        let violation = self.violation.take();
+        let (completed, cancelled, cause) = if violation.is_some() {
+            (false, false, None)
+        } else if drained {
+            (true, false, None)
+        } else if self.cancel_requested(jumped) {
+            (false, true, None)
+        } else if self.cycle >= self.cfg.max_cycles {
+            (false, false, Some(StallCause::CycleBudget))
+        } else if self.cycle - self.last_commit_cycle >= self.cfg.watchdog_cycles {
+            (false, false, Some(StallCause::NoCommitProgress))
         } else {
-            self.ff_inert = false;
-            self.ff_next = None;
-        }
-        let violation = match self.san.as_mut() {
-            Some(s) => self.model_fault.take().or_else(|| s.take_violation()),
-            None => self.model_fault.take(),
+            return None;
         };
-        if let Some(v) = violation {
-            self.finished = true;
-            return Some(RunOutcome {
-                stats: self.stats,
-                completed: false,
-                stall: None,
-                violation: Some(Box::new(v)),
-                cancelled: false,
-            });
+        self.finished = true;
+        Some(RunOutcome {
+            stats: self.stats,
+            completed,
+            stall: cause.map(|c| self.stall_diag(c)),
+            violation: violation.map(Box::new),
+            cancelled,
+        })
+    }
+
+    /// Calls the cancel poll — every [`CANCEL_QUANTUM`] calls, or at once
+    /// when `now` — and returns its answer.
+    fn cancel_requested(&mut self, now: bool) -> bool {
+        let Some(poll) = &self.cancel else { return false };
+        if !now {
+            self.cancel_countdown -= 1;
+            if self.cancel_countdown > 0 {
+                return false;
+            }
+            self.cancel_countdown = CANCEL_QUANTUM;
         }
-        if self.pend.is_empty() && inst_idx == insts.len() && self.rob.is_empty() {
-            self.finished = true;
-            return Some(RunOutcome {
-                stats: self.stats,
-                completed: true,
-                stall: None,
-                violation: None,
-                cancelled: false,
-            });
-        }
-        // Cooperative cancellation: checked after the drain test (a program
-        // that just finished reports completion, not cancellation) and only
-        // on its cycle quantum.
-        if self.cancel_due() {
-            return Some(self.cancelled_outcome());
-        }
-        if self.cycle >= self.cfg.max_cycles {
-            self.finished = true;
-            let stall = Some(self.stall_diag(StallCause::CycleBudget));
-            return Some(RunOutcome {
-                stats: self.stats,
-                completed: false,
-                stall,
-                violation: None,
-                cancelled: false,
-            });
-        }
-        // Retire-progress watchdog: work is outstanding (the drained case
-        // returned above) yet nothing has committed for a long time.
-        if self.cycle - self.last_commit_cycle >= self.cfg.watchdog_cycles {
-            self.finished = true;
-            let stall = Some(self.stall_diag(StallCause::NoCommitProgress));
-            return Some(RunOutcome {
-                stats: self.stats,
-                completed: false,
-                stall,
-                violation: None,
-                cancelled: false,
-            });
-        }
-        None
+        poll()
     }
 
     /// Whether event-driven fast-forward may engage at all. Forced off
@@ -892,48 +911,18 @@ impl Core {
     }
 
     /// Jumps the clock to `target`, replaying the captured inert-cycle
-    /// statistics delta once per skipped cycle, then applies the same
-    /// termination checks (in the same precedence order) that stepping to
-    /// `target` would have applied. Only valid directly after a step that
-    /// left the core inert (see [`Core::ff_target`]).
+    /// statistics delta once per skipped cycle, then takes the same stop
+    /// path (in the same precedence order) that stepping to `target` would
+    /// have taken. Only valid directly after a step that left the core
+    /// inert (see [`Core::ff_target`]).
     pub fn advance_to(&mut self, target: u64) -> Option<RunOutcome> {
         if target <= self.cycle {
             return None;
         }
-        let skipped = target - self.cycle;
-        let delta = self.last_delta;
-        self.stats.add_scaled(&delta, skipped);
+        self.stats.add_scaled(&self.last_delta, target - self.cycle);
         self.cycle = target;
         self.stats.cycles = target;
-        // A jump may cross many cancel quanta; one check on arrival keeps
-        // the reaction bound at (quantum + one jump), and jumps are bounded
-        // by the watchdog horizon.
-        if self.cancel.as_ref().is_some_and(|poll| poll()) {
-            return Some(self.cancelled_outcome());
-        }
-        if self.cycle >= self.cfg.max_cycles {
-            self.finished = true;
-            let stall = Some(self.stall_diag(StallCause::CycleBudget));
-            return Some(RunOutcome {
-                stats: self.stats,
-                completed: false,
-                stall,
-                violation: None,
-                cancelled: false,
-            });
-        }
-        if self.cycle - self.last_commit_cycle >= self.cfg.watchdog_cycles {
-            self.finished = true;
-            let stall = Some(self.stall_diag(StallCause::NoCommitProgress));
-            return Some(RunOutcome {
-                stats: self.stats,
-                completed: false,
-                stall,
-                violation: None,
-                cancelled: false,
-            });
-        }
-        None
+        self.stop(false, true)
     }
 
     /// Applies a planned state fault, returning `true` when an eligible
@@ -978,14 +967,7 @@ impl Core {
             }
             FaultKind::LeakPhysReg => self.prf.leak_free_reg().is_some(),
             FaultKind::SkipRobRetire => {
-                let done = match self.rob.head() {
-                    Some(h) => match h.kind {
-                        RobKind::Flagged => h.done,
-                        RobKind::WaitDst(p) => self.prf.fully_ready(p),
-                    },
-                    None => false,
-                };
-                if !done {
+                if !self.head_ready() {
                     return false;
                 }
                 // Drop the completed head without committing it: releases
@@ -1097,27 +1079,17 @@ impl Core {
         progressed
     }
 
-    /// Generates up to `issue_width` ELMs this cycle, oldest first, moving
-    /// each VFMA into the window and listing each that finished outright
-    /// (a BS skip) in `exits`. Only `ready` entries are visited, so VFMAs
-    /// still waiting on operands or already masked cost the MGUs nothing.
-    fn run_mgus(&mut self, cycle: u64) {
-        for _ in 0..self.cfg.issue_width {
-            // Generation moves the entry out of `ready`, so the next one is
-            // again the first.
-            let Some(slot) = self.rs.ready_slots().next() else { break };
-            let rob = self.rs.at(slot).rob();
-            if self.mgu_generate(slot, cycle) {
-                self.exits.push(rob);
-            }
-            self.rs.enter_window(slot);
-        }
-        // Newly created watchers may copy already-ready lanes this cycle.
-        self.run_watchers();
+    /// Whether the ROB head has completed: its flag for µops that finish
+    /// at issue, its destination register for the rest.
+    fn head_ready(&self) -> bool {
+        self.rob.head().is_some_and(|h| match h.kind {
+            RobKind::Flagged => h.done,
+            RobKind::WaitDst(p) => self.prf.fully_ready(p),
+        })
     }
 
     /// Generates the ELM of the `ready` VFMA in payload slot `slot` (the
-    /// body of [`Core::run_mgus`]'s per-entry step). Returns `true` when
+    /// per-entry step of [`Core::generate_masks`]). Returns `true` when
     /// the masks came out empty (a whole-VFMA BS skip): the entry is
     /// finished and must leave the RS.
     fn mgu_generate(&mut self, slot: usize, cycle: u64) -> bool {

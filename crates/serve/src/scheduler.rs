@@ -230,10 +230,12 @@ impl Scheduler {
         st.admitted += n;
         st.queue.extend(misses);
         drop(st);
-        self.pool.ready.notify_all();
+        // Hand the hits to the connection before waking the workers, so
+        // no woken simulation competes with sending them.
         for (t, rec) in hits {
             let _ = t.tx.send(t.result(rec, true));
         }
+        self.pool.ready.notify_all();
         Ok(())
     }
 

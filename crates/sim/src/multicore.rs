@@ -30,7 +30,7 @@ use crate::error::SimError;
 use crate::runner::{warm_regions, KernelResult, KernelRun, MachineConfig, MachineMode};
 use crate::trace::{CoreTrace, KernelTrace, TraceMode};
 use save_core::{Core, CoreConfig, RunOutcome};
-use save_isa::Memory;
+use save_isa::{Memory, Program};
 use save_kernels::{BuiltKernel, GemmWorkload};
 use save_mem::{CoreMemory, Uncore, UncoreAccess};
 use std::sync::Arc;
@@ -64,17 +64,21 @@ pub(crate) struct Lane {
     pub(crate) outcome: Option<RunOutcome>,
 }
 
+impl LaneExec {
+    /// The program core `idx` runs and the functional memory it runs on.
+    fn parts(&mut self, idx: usize) -> (&Program, &mut Memory) {
+        match self {
+            LaneExec::Built(bk) => (&bk.program, &mut bk.mem),
+            LaneExec::Replay { trace, mem } => (&trace.cores[idx].program, mem),
+        }
+    }
+}
+
 impl Lane {
     /// Advances the lane one cycle against `uncore` (lockstep engine).
     fn step(&mut self, uncore: &mut dyn UncoreAccess) -> Option<RunOutcome> {
-        match &mut self.exec {
-            LaneExec::Built(bk) => {
-                self.core.step(&bk.program, &mut bk.mem, &mut self.cmem, uncore)
-            }
-            LaneExec::Replay { trace, mem } => {
-                self.core.step(&trace.cores[self.idx].program, mem, &mut self.cmem, uncore)
-            }
-        }
+        let (program, mem) = self.exec.parts(self.idx);
+        self.core.step(program, mem, &mut self.cmem, uncore)
     }
 
     /// Runs the lane until its local clock reaches `limit` (see
@@ -85,23 +89,8 @@ impl Lane {
         if self.outcome.is_some() {
             return;
         }
-        let res = match &mut self.exec {
-            LaneExec::Built(bk) => self.core.run_until_cycle(
-                limit,
-                &bk.program,
-                &mut bk.mem,
-                &mut self.cmem,
-                uncore,
-            ),
-            LaneExec::Replay { trace, mem } => self.core.run_until_cycle(
-                limit,
-                &trace.cores[self.idx].program,
-                mem,
-                &mut self.cmem,
-                uncore,
-            ),
-        };
-        self.outcome = res;
+        let (program, mem) = self.exec.parts(self.idx);
+        self.outcome = self.core.run_until_cycle(limit, program, mem, &mut self.cmem, uncore);
     }
 }
 

@@ -8,9 +8,9 @@
 //! results. The memory-streaming workload matters most: its long
 //! DRAM-bound idle stretches are where fast-forward actually engages.
 
-use save::core::{CoreConfig, SanitizeLevel, SchedulerKind};
+use save::core::{CoreConfig, SanitizeLevel, SchedulerKind, StallCause, StallDiag};
 use save::kernels::{BroadcastPattern, GemmKernelSpec, GemmWorkload, Precision};
-use save::sim::{CellSpec, ConfigKind, KernelResult, MachineConfig, MachineMode};
+use save::sim::{CellSpec, ConfigKind, KernelResult, MachineConfig, MachineMode, SimError};
 
 /// Runs `w` under `cfg` on `m` with output verification.
 fn run(w: &GemmWorkload, cfg: CoreConfig, m: MachineConfig, seed: u64) -> KernelResult {
@@ -111,6 +111,48 @@ fn fast_forward_is_pure_under_full_sanitizer() {
             assert!(a.verified && b.verified, "{} {label}", w.name);
             assert_eq!(a.cycles, b.cycles, "{} {label}", w.name);
             assert_eq!(a.stats, b.stats, "{} {label}", w.name);
+        }
+    }
+}
+
+/// Runs `w` under `cfg` on `m`, expecting it to stop early, and returns
+/// why and where it stopped.
+fn stall(w: &GemmWorkload, cfg: CoreConfig, m: MachineConfig) -> StallDiag {
+    match CellSpec::custom(w.clone(), cfg, m, 7).run(None) {
+        Err(SimError::CycleBudgetExceeded { diag, .. }) => *diag,
+        other => panic!("{}: expected a stall, got {other:?}", w.name),
+    }
+}
+
+#[test]
+fn fast_forward_does_not_change_how_a_run_stops() {
+    // A run stopped by the cycle budget or the retire-progress watchdog
+    // must stop at the same cycle, for the same cause and with the same
+    // statistics whether it stepped or jumped there: a jump lands exactly
+    // on the deadline and takes the stepped run's stop path. The streaming
+    // workload's DRAM gaps are where the deadlines fall inside a jump.
+    let w = &workloads()[1];
+    let detailed = MachineConfig { cores: 4, mode: MachineMode::Detailed, ..Default::default() };
+    for m in [MachineConfig::default(), detailed] {
+        for kind in [ConfigKind::Baseline, ConfigKind::Save2Vpu] {
+            let base = kind.core_config();
+            let full = run(w, base, m, 7).cycles;
+            let budgets = [2, 3, 4, 5]
+                .map(|d| (StallCause::CycleBudget, CoreConfig { max_cycles: full / d, ..base }));
+            let watchdogs = [3, 40, 150]
+                .map(|c| (StallCause::NoCommitProgress, CoreConfig { watchdog_cycles: c, ..base }));
+            for (cause, on) in budgets.into_iter().chain(watchdogs) {
+                let off = CoreConfig { fast_forward: false, ..on };
+                let (a, b) = (stall(w, on, m), stall(w, off, m));
+                let what = format!(
+                    "{:?} {kind:?} max_cycles {} watchdog {}",
+                    m.mode, on.max_cycles, on.watchdog_cycles
+                );
+                assert_eq!(a.cause, cause, "{what}");
+                assert_eq!(a.cause, b.cause, "{what}");
+                assert_eq!(a.cycle, b.cycle, "{what}");
+                assert_eq!(a.stats, b.stats, "{what}");
+            }
         }
     }
 }
