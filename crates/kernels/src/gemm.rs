@@ -93,6 +93,7 @@ pub struct GemmWorkload {
     /// dimension of A (1 = i.i.d. uniform random, the paper's sweeps).
     /// Real ReLU activations cluster; software zero-skipping depends on it
     /// (branch predictability), while SAVE is insensitive to structure.
+    /// FP32 only: mixed-precision A is always i.i.d.
     #[serde(default = "default_cluster")]
     pub a_cluster: usize,
 }
@@ -142,16 +143,22 @@ impl GemmWorkload {
         self
     }
 
+    /// Reduction steps per tile. One step reads 4 bytes of A per row and
+    /// one 64-byte B vector per column block: one FP32 element, or one VNNI
+    /// BF16 `(k, k+1)` pair under mixed precision.
+    fn steps(&self) -> usize {
+        match self.spec.precision {
+            Precision::F32 => self.k_total,
+            Precision::Mixed => self.k_total / 2,
+        }
+    }
+
     /// VFMA µops this workload will execute. With
     /// [`GemmWorkload::software_bs_skip`] the built program may contain
     /// fewer (zero blocks are skipped at build time); this is the analytic
     /// count without skipping.
     pub fn fma_count(&self) -> u64 {
-        let k_steps = match self.spec.precision {
-            Precision::F32 => self.k_total,
-            Precision::Mixed => self.k_total / 2,
-        };
-        (self.tiles * k_steps * self.spec.m_tiles * self.spec.n_vecs) as u64
+        (self.tiles * self.steps() * self.spec.m_tiles * self.spec.n_vecs) as u64
     }
 
     /// Multiply-accumulate FLOPs (2 per MAC) of the scaled-down workload.
@@ -162,69 +169,56 @@ impl GemmWorkload {
     /// Builds the instruction stream, functional memory, and reference
     /// output.
     ///
+    /// Both precisions share one layout and one emission loop, counted in
+    /// reduction steps. Only the VFMA opcode, the operand fill (FP32
+    /// elements or BF16 pairs) and the FP32-only extras (write masks,
+    /// software BS skipping, compressed B panels, clustered A) differ.
+    ///
     /// # Panics
     /// Panics if the blocking does not fit the register file, if `k_total`
     /// is odd for mixed precision, or if write masks are requested for an
     /// unsupported configuration.
     pub fn build(&self, seed: u64) -> BuiltKernel {
         assert!(self.spec.fits_register_file(), "blocking exceeds 32 registers: {:?}", self.spec);
-        if self.spec.precision == Precision::Mixed {
+        let f32 = self.spec.precision == Precision::F32;
+        if !f32 {
             assert!(self.k_total.is_multiple_of(2), "mixed precision needs an even reduction length");
         }
         if self.use_write_masks {
             assert!(
-                self.spec.precision == Precision::F32
-                    && self.spec.pattern == BroadcastPattern::Explicit,
+                f32 && self.spec.pattern == BroadcastPattern::Explicit,
                 "write masks are modelled for FP32 explicit-broadcast kernels"
             );
         }
         if self.software_bs_skip {
             assert!(
-                self.spec.precision == Precision::F32
-                    && self.spec.pattern == BroadcastPattern::Explicit
-                    && !self.use_write_masks,
+                f32 && self.spec.pattern == BroadcastPattern::Explicit && !self.use_write_masks,
                 "software BS skipping is modelled for FP32 explicit-broadcast kernels"
             );
         }
         if self.compressed_b {
-            assert!(
-                self.spec.precision == Precision::F32,
-                "compressed B panels are modelled for FP32 kernels"
-            );
+            assert!(f32, "compressed B panels are modelled for FP32 kernels");
         }
-        let mut rng = StdRng::seed_from_u64(seed ^ 0x5a5e_c0de);
-        match self.spec.precision {
-            Precision::F32 => self.build_f32(&mut rng),
-            Precision::Mixed => self.build_mixed(&mut rng),
-        }
-    }
-
-    fn sparse_value(rng: &mut StdRng, sparsity: f64) -> f32 {
-        if rng.gen_bool(sparsity) {
-            0.0
-        } else {
-            let mag: f32 = rng.gen_range(0.125..1.0);
-            if rng.gen_bool(0.5) {
-                mag
-            } else {
-                -mag
-            }
-        }
-    }
-
-    fn build_f32(&self, rng: &mut StdRng) -> BuiltKernel {
+        let rng = &mut StdRng::seed_from_u64(seed ^ 0x5a5e_c0de);
         let (m, n, k, tiles) = (self.spec.m_tiles, self.spec.n_vecs, self.k_total, self.tiles);
+        let (steps, pair) = (self.steps(), if f32 { 1 } else { 2 });
         let nb = n * LANES;
         let b_panels = self.b_panels();
         let panel_of = |t: usize| t / self.b_panel_tiles.min(self.tiles).max(1);
         let mut mem = Memory::new(0);
-        let a_base = mem.alloc(tiles * m * k * 4);
-        let b_base = mem.alloc(b_panels * k * nb * 4);
+        let a_base = mem.alloc(tiles * m * steps * 4);
+        let b_base = mem.alloc(b_panels * steps * nb * 4);
         let c_base = mem.alloc(tiles * m * nb * 4);
+        // 4-byte word indices: a step's A scalar (or pair) of row `i`, and
+        // lane `col` of its B vector (VNNI-interleaved: [panel][step][col]
+        // [pair], one 64-byte vector holding 16 columns' pairs).
+        let a_word = |t: usize, i: usize, s: usize| (t * m + i) * steps + s;
+        let b_word = |t: usize, s: usize, col: usize| (panel_of(t) * steps + s) * nb + col;
 
-        // Fill A (row-major along k; clustered zeros when requested) and B.
+        // Fill A (row-major along k; clustered zeros when requested, FP32
+        // only) and B. Mixed precision rounds every value to BF16.
+        let cluster = if f32 { self.a_cluster.max(1) } else { 1 };
         let mut a = vec![0.0f32; tiles * m * k];
-        let cluster = self.a_cluster.max(1);
         for row in a.chunks_mut(k) {
             if cluster == 1 {
                 for v in row.iter_mut() {
@@ -238,16 +232,7 @@ impl GemmWorkload {
                 let leave_nonzero = (leave_zero * p / (1.0 - p)).min(1.0);
                 let mut zero = rng.gen_bool(p);
                 for v in row.iter_mut() {
-                    *v = if zero {
-                        0.0
-                    } else {
-                        let mag: f32 = rng.gen_range(0.125..1.0);
-                        if rng.gen_bool(0.5) {
-                            mag
-                        } else {
-                            -mag
-                        }
-                    };
+                    *v = if zero { 0.0 } else { Self::nonzero_value(rng) };
                     let leave = if zero { leave_zero } else { leave_nonzero };
                     if rng.gen_bool(leave) {
                         zero = !zero;
@@ -255,19 +240,28 @@ impl GemmWorkload {
                 }
             }
         }
-        for (i, v) in a.iter().enumerate() {
-            mem.write_f32(a_base + 4 * i as u64, *v);
-        }
         // In the write-mask form (§III: masks identify dropped weights
         // during pruned training) the B values stay non-zero and the
         // sparsity is carried by per-(k, vector) lane masks instead.
-        let mut b = vec![0.0f32; b_panels * k * nb];
-        for (i, v) in b.iter_mut().enumerate() {
-            *v = Self::sparse_value(rng, if self.use_write_masks { 0.0 } else { self.b_sparsity });
-            mem.write_f32(b_base + 4 * i as u64, *v);
+        let b_sparsity = if self.use_write_masks { 0.0 } else { self.b_sparsity };
+        let mut b: Vec<f32> =
+            (0..b_panels * k * nb).map(|_| Self::sparse_value(rng, b_sparsity)).collect();
+        if !f32 {
+            for v in a.iter_mut().chain(b.iter_mut()) {
+                *v = Bf16::from_f32(*v).to_f32();
+            }
         }
-        // masks[(kk, j)]: bit l set = lane kept.
-        let masks: Vec<u16> = (0..k * n)
+        for (base, vals) in [(a_base, &a), (b_base, &b)] {
+            for (i, &v) in vals.iter().enumerate() {
+                if f32 {
+                    mem.write_f32(base + 4 * i as u64, v);
+                } else {
+                    mem.write_bf16(base + 2 * i as u64, Bf16::from_f32(v));
+                }
+            }
+        }
+        // masks[(s, j)]: bit l set = lane kept.
+        let masks: Vec<u16> = (0..steps * n)
             .map(|_| {
                 if !self.use_write_masks {
                     return u16::MAX;
@@ -282,42 +276,36 @@ impl GemmWorkload {
             })
             .collect();
 
-        let a_idx = |t: usize, i: usize, kk: usize| (t * m + i) * k + kk;
-        let b_idx = |t: usize, kk: usize, col: usize| (panel_of(t) * k + kk) * nb + col;
-
         // ZCOMP-style compressed B layout: per 16-element vector, a 16-bit
-        // occupancy bitmap plus the packed non-zero elements. Only the
-        // timing side uses these addresses; values are read uncompressed.
+        // occupancy bitmap plus the packed non-zero elements, one entry per
+        // B vector in `b_word / LANES` order. Only the timing side uses
+        // these addresses; values are read uncompressed.
         let mut b_timing: Vec<u64> = Vec::new();
         let mut bz_base = 0u64;
         if self.compressed_b {
             let mut cursor = 0u64;
-            for pnl in 0..b_panels {
-                for kk in 0..k {
-                    for j in 0..n {
-                        b_timing.push(cursor);
-                        let nnz = (0..LANES)
-                            .filter(|l| b[(pnl * k + kk) * nb + j * LANES + l] != 0.0)
-                            .count() as u64;
-                        cursor += 2 + 4 * nnz;
-                    }
-                }
+            for vector in b.chunks(LANES) {
+                b_timing.push(cursor);
+                cursor += 2 + 4 * vector.iter().filter(|&&v| v != 0.0).count() as u64;
             }
             bz_base = mem.alloc(cursor.max(4) as usize);
         }
-        let bt_idx = |t: usize, kk: usize, j: usize| (panel_of(t) * k + kk) * n + j;
 
         // Reference. Masked-out lanes skip their MAC (the VFMA leaves the
-        // accumulator untouched there).
+        // accumulator untouched there); per AL, the two MACs of a BF16 pair
+        // run in order (Fig 2).
         let mut expected = vec![0.0f32; tiles * m * nb];
         for t in 0..tiles {
             for i in 0..m {
                 for col in 0..nb {
                     let (j, lane) = (col / LANES, col % LANES);
                     let mut c = 0.0f32;
-                    for kk in 0..k {
-                        if masks[kk * n + j] >> lane & 1 == 1 {
-                            c = a[a_idx(t, i, kk)].mul_add(b[b_idx(t, kk, col)], c);
+                    for s in 0..steps {
+                        if masks[s * n + j] >> lane & 1 == 1 {
+                            let (aw, bw) = (a_word(t, i, s) * pair, b_word(t, s, col) * pair);
+                            for h in 0..pair {
+                                c = a[aw + h].mul_add(b[bw + h], c);
+                            }
                         }
                     }
                     expected[(t * m + i) * nb + col] = c;
@@ -330,34 +318,40 @@ impl GemmWorkload {
         let acc_reg = |i: usize, j: usize| VReg((i * n + j) as u8);
         let b_reg = |j: usize| VReg((m * n + j) as u8);
         let bcast_reg = VReg((m * n + n) as u8);
+        let mask_reg = |j: usize| self.use_write_masks.then_some(KReg(1 + j as u8));
+        let vfma = |acc: VReg, a: VOperand, b: VOperand, mask: Option<KReg>| {
+            if f32 {
+                Inst::VfmaF32 { acc, a, b, mask }
+            } else {
+                Inst::VdpBf16 { acc, a, b }
+            }
+        };
         for t in 0..tiles {
             for i in 0..m {
                 for j in 0..n {
                     p.push(Inst::Zero { dst: acc_reg(i, j) });
                 }
             }
-            for kk in 0..k {
+            for s in 0..steps {
                 p.push(Inst::ScalarOp);
                 for j in 0..n {
-                    let addr = b_base + 4 * b_idx(t, kk, j * LANES) as u64;
+                    let word = b_word(t, s, j * LANES);
+                    let addr = b_base + 4 * word as u64;
                     if self.compressed_b {
                         p.push(Inst::CompressedVecLoad {
                             dst: b_reg(j),
                             addr,
-                            timing_addr: bz_base + b_timing[bt_idx(t, kk, j)],
+                            timing_addr: bz_base + b_timing[word / LANES],
                         });
                     } else {
                         p.push(Inst::VecLoad { dst: b_reg(j), addr });
                     }
-                    if self.use_write_masks {
-                        p.push(Inst::SetMask {
-                            dst: KReg(1 + j as u8),
-                            value: masks[kk * n + j],
-                        });
+                    if let Some(dst) = mask_reg(j) {
+                        p.push(Inst::SetMask { dst, value: masks[s * n + j] });
                     }
                 }
                 for i in 0..m {
-                    let a_addr = a_base + 4 * a_idx(t, i, kk) as u64;
+                    let a_addr = a_base + 4 * a_word(t, i, s) as u64;
                     if self.software_bs_skip {
                         // SparseTrain-style software skipping, at the block
                         // granularity the real implementation uses: one
@@ -374,21 +368,18 @@ impl GemmWorkload {
                         const BLK: usize = 16;
                         let block_zero = |kb: usize| -> bool {
                             let lo = kb * BLK;
-                            let hi = ((kb + 1) * BLK).min(k);
-                            (lo..hi).all(|kz| a[a_idx(t, i, kz)] == 0.0)
+                            let hi = ((kb + 1) * BLK).min(steps);
+                            (lo..hi).all(|kz| a[a_word(t, i, kz)] == 0.0)
                         };
-                        if kk % BLK == 0 {
+                        if s % BLK == 0 {
                             p.push(Inst::ScalarOp);
-                            let zero = block_zero(kk / BLK);
-                            let prev = (kk / BLK)
-                                .checked_sub(1)
-                                .map(&block_zero)
-                                .unwrap_or(false);
+                            let zero = block_zero(s / BLK);
+                            let prev = (s / BLK).checked_sub(1).map(&block_zero).unwrap_or(false);
                             if zero != prev {
                                 p.push(Inst::FrontEndBubble { cycles: 15 });
                             }
                         }
-                        if block_zero(kk / BLK) {
+                        if block_zero(s / BLK) {
                             continue;
                         }
                     }
@@ -396,26 +387,14 @@ impl GemmWorkload {
                         BroadcastPattern::Explicit => {
                             p.push(Inst::BroadcastLoad { dst: bcast_reg, addr: a_addr });
                             for j in 0..n {
-                                p.push(Inst::VfmaF32 {
-                                    acc: acc_reg(i, j),
-                                    a: VOperand::Reg(bcast_reg),
-                                    b: VOperand::Reg(b_reg(j)),
-                                    mask: if self.use_write_masks {
-                                        Some(KReg(1 + j as u8))
-                                    } else {
-                                        None
-                                    },
-                                });
+                                let (a, b) = (VOperand::Reg(bcast_reg), VOperand::Reg(b_reg(j)));
+                                p.push(vfma(acc_reg(i, j), a, b, mask_reg(j)));
                             }
                         }
                         BroadcastPattern::Embedded => {
                             for j in 0..n {
-                                p.push(Inst::VfmaF32 {
-                                    acc: acc_reg(i, j),
-                                    a: VOperand::Reg(b_reg(j)),
-                                    b: VOperand::MemBcast(a_addr),
-                                    mask: None,
-                                });
+                                let (a, b) = (VOperand::Reg(b_reg(j)), VOperand::MemBcast(a_addr));
+                                p.push(vfma(acc_reg(i, j), a, b, None));
                             }
                         }
                     }
@@ -431,28 +410,29 @@ impl GemmWorkload {
             }
         }
 
+        let b_region = if self.compressed_b {
+            Region {
+                base: bz_base,
+                bytes: b_timing.last().copied().unwrap_or(0) + 66,
+                role: RegionRole::VectorInput,
+            }
+        } else {
+            Region {
+                base: b_base,
+                bytes: (b_panels * steps * nb * 4) as u64,
+                role: RegionRole::VectorInput,
+            }
+        };
         BuiltKernel {
             program: p,
             mem,
             regions: vec![
                 Region {
                     base: a_base,
-                    bytes: (tiles * m * k * 4) as u64,
+                    bytes: (tiles * m * steps * 4) as u64,
                     role: RegionRole::BroadcastInput,
                 },
-                if self.compressed_b {
-                    Region {
-                        base: bz_base,
-                        bytes: b_timing.last().copied().unwrap_or(0) + 66,
-                        role: RegionRole::VectorInput,
-                    }
-                } else {
-                    Region {
-                        base: b_base,
-                        bytes: (b_panels * k * nb * 4) as u64,
-                        role: RegionRole::VectorInput,
-                    }
-                },
+                b_region,
                 Region { base: c_base, bytes: (tiles * m * nb * 4) as u64, role: RegionRole::Output },
             ],
             c_base,
@@ -460,128 +440,22 @@ impl GemmWorkload {
         }
     }
 
-    fn build_mixed(&self, rng: &mut StdRng) -> BuiltKernel {
-        let (m, n, k, tiles) = (self.spec.m_tiles, self.spec.n_vecs, self.k_total, self.tiles);
-        let nb = n * LANES;
-        let kp = k / 2; // reduction steps (BF16 pairs)
-        let b_panels = self.b_panels();
-        let panel_of = |t: usize| t / self.b_panel_tiles.min(self.tiles).max(1);
-        let mut mem = Memory::new(0);
-        let a_base = mem.alloc(tiles * m * k * 2);
-        let b_base = mem.alloc(b_panels * k * nb * 2);
-        let c_base = mem.alloc(tiles * m * nb * 4);
-
-        let mut sparse_bf16 = |s: f64| -> Bf16 { Bf16::from_f32(Self::sparse_value(rng, s)) };
-
-        // A: row-major [tile][m][k] BF16.
-        let mut a = vec![Bf16::ZERO; tiles * m * k];
-        for (i, v) in a.iter_mut().enumerate() {
-            *v = sparse_bf16(self.a_sparsity);
-            mem.write_bf16(a_base + 2 * i as u64, *v);
+    /// A value with magnitude in `[0.125, 1)` and a random sign.
+    fn nonzero_value(rng: &mut StdRng) -> f32 {
+        let mag: f32 = rng.gen_range(0.125..1.0);
+        if rng.gen_bool(0.5) {
+            mag
+        } else {
+            -mag
         }
-        // B: VNNI-style pair-interleaved: [panel][kp][col][2] BF16 — one
-        // 64-byte vector holds 16 columns' (k, k+1) pairs.
-        let mut b = vec![Bf16::ZERO; b_panels * kp * nb * 2];
-        for (i, v) in b.iter_mut().enumerate() {
-            *v = sparse_bf16(self.b_sparsity);
-            mem.write_bf16(b_base + 2 * i as u64, *v);
-        }
+    }
 
-        let a_idx = |t: usize, i: usize, kk: usize| (t * m + i) * k + kk;
-        let b_idx = |t: usize, kpair: usize, col: usize, half: usize| {
-            ((panel_of(t) * kp + kpair) * nb + col) * 2 + half
-        };
-
-        // Reference: per AL, the two MACs of each pair in order (Fig 2).
-        let mut expected = vec![0.0f32; tiles * m * nb];
-        for t in 0..tiles {
-            for i in 0..m {
-                for col in 0..nb {
-                    let mut c = 0.0f32;
-                    for kpair in 0..kp {
-                        let a0 = a[a_idx(t, i, 2 * kpair)].to_f32();
-                        let a1 = a[a_idx(t, i, 2 * kpair + 1)].to_f32();
-                        let b0 = b[b_idx(t, kpair, col, 0)].to_f32();
-                        let b1 = b[b_idx(t, kpair, col, 1)].to_f32();
-                        c = a0.mul_add(b0, c);
-                        c = a1.mul_add(b1, c);
-                    }
-                    expected[(t * m + i) * nb + col] = c;
-                }
-            }
-        }
-
-        let mut p = Program::new(self.name.clone());
-        let acc_reg = |i: usize, j: usize| VReg((i * n + j) as u8);
-        let b_reg = |j: usize| VReg((m * n + j) as u8);
-        let bcast_reg = VReg((m * n + n) as u8);
-        for t in 0..tiles {
-            for i in 0..m {
-                for j in 0..n {
-                    p.push(Inst::Zero { dst: acc_reg(i, j) });
-                }
-            }
-            for kpair in 0..kp {
-                p.push(Inst::ScalarOp);
-                for j in 0..n {
-                    p.push(Inst::VecLoad {
-                        dst: b_reg(j),
-                        addr: b_base + 2 * b_idx(t, kpair, j * LANES, 0) as u64,
-                    });
-                }
-                for i in 0..m {
-                    let a_addr = a_base + 2 * a_idx(t, i, 2 * kpair) as u64;
-                    match self.spec.pattern {
-                        BroadcastPattern::Explicit => {
-                            p.push(Inst::BroadcastLoad { dst: bcast_reg, addr: a_addr });
-                            for j in 0..n {
-                                p.push(Inst::VdpBf16 {
-                                    acc: acc_reg(i, j),
-                                    a: VOperand::Reg(bcast_reg),
-                                    b: VOperand::Reg(b_reg(j)),
-                                });
-                            }
-                        }
-                        BroadcastPattern::Embedded => {
-                            for j in 0..n {
-                                p.push(Inst::VdpBf16 {
-                                    acc: acc_reg(i, j),
-                                    a: VOperand::Reg(b_reg(j)),
-                                    b: VOperand::MemBcast(a_addr),
-                                });
-                            }
-                        }
-                    }
-                }
-            }
-            for i in 0..m {
-                for j in 0..n {
-                    p.push(Inst::VecStore {
-                        src: acc_reg(i, j),
-                        addr: c_base + 4 * ((t * m + i) * nb + j * LANES) as u64,
-                    });
-                }
-            }
-        }
-
-        BuiltKernel {
-            program: p,
-            mem,
-            regions: vec![
-                Region {
-                    base: a_base,
-                    bytes: (tiles * m * k * 2) as u64,
-                    role: RegionRole::BroadcastInput,
-                },
-                Region {
-                    base: b_base,
-                    bytes: (b_panels * k * nb * 2) as u64,
-                    role: RegionRole::VectorInput,
-                },
-                Region { base: c_base, bytes: (tiles * m * nb * 4) as u64, role: RegionRole::Output },
-            ],
-            c_base,
-            expected,
+    /// Zero with probability `sparsity`, else [`Self::nonzero_value`].
+    fn sparse_value(rng: &mut StdRng, sparsity: f64) -> f32 {
+        if rng.gen_bool(sparsity) {
+            0.0
+        } else {
+            Self::nonzero_value(rng)
         }
     }
 }

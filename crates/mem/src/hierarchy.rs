@@ -560,26 +560,12 @@ impl CoreMemory {
         self.freq_ghz = ghz;
     }
 
-    /// Current core frequency in GHz.
-    pub fn freq_ghz(&self) -> f64 {
-        self.freq_ghz
-    }
-
     /// Per-core statistics.
     pub fn stats(&self) -> CoreMemStats {
         let mut s = self.stats;
         s.l1 = self.l1.stats();
         s.l2 = self.l2.stats();
         s
-    }
-
-    /// Earliest in-flight prefetch-fill completion (ns), if any fill is
-    /// outstanding. Diagnostics only: fills never gate core progress — a
-    /// demand load racing a fill folds the remaining wait into its own
-    /// latency at issue time — which is why the core's event-driven
-    /// fast-forward needs no memory-side wake-up event (see DESIGN.md).
-    pub fn next_inflight_fill_ns(&self) -> Option<f64> {
-        self.inflight.values().copied().reduce(f64::min)
     }
 
     /// Broadcast-cache statistics, if a B$ is instantiated.
