@@ -6,8 +6,10 @@
 //!
 //! [`Figure::run`] resolves every pair in one
 //! [`SweepSession::spec_seconds_batch`], so a figure is journaled, resumed
-//! and sent to a `--serve` daemon as one unit, and pairs that share a
-//! baseline run it once. [`main`] is the whole body of a figure binary;
+//! and sent to a `--serve` daemon as one unit, pairs that share a baseline
+//! run it once, and its local cells run in parallel on `--threads`
+//! workers through one `Executor::resolve_all` call. The result does not
+//! depend on the thread count. [`main`] is the whole body of a figure binary;
 //! tests read the same [`Report`] in-process.
 
 use crate::{print_table, write_json, BenchCli, SweepSession};
@@ -158,8 +160,8 @@ type Reduce = Box<dyn Fn(&[f64]) -> Report>;
 
 /// One figure: its cell pairs for one grid and the reducer of their speedups.
 pub struct Figure {
-    /// The pairs, in batch order: cells that share a functional trace sit
-    /// close together, because the local trace store is FIFO-bounded.
+    /// The pairs, in batch order: the order the reducer reads their
+    /// speedups in.
     pub pairs: Vec<Pair>,
     reduce: Reduce,
 }
@@ -252,8 +254,7 @@ fn fig15(grid: Vec<f64>) -> Result<Figure, SimError> {
         Table::grid("Fig 15b: ResNet2_2 MP fwd speedup, 1 VPU @ 2.1GHz", "", "BS", &grid),
     ];
     let mut pairs = Vec::new();
-    // Grid-point-major: the three operating points of a point share one
-    // recorded functional trace.
+    // Grid-point-major: a point's three operating points sit together.
     for &nbs in &grid {
         tables.iter_mut().for_each(|t| t.push(format!("NBS {:>3.0}%", nbs * 100.0), grid.len()));
         for &bs in &grid {
@@ -323,8 +324,8 @@ const BINS: [(f64, f64); 6] = [(1.0, 1.2), (1.2, 1.4), (1.4, 1.6), (1.6, 1.8), (
 /// the caps; LSTM kernels cap lower than conv kernels (memory bound).
 fn fig16(quick: bool) -> Figure {
     let corners = if quick { vec![(0.8, 0.8)] } else { vec![(0.6, 0.6), (0.8, 0.8), (0.9, 0.9)] };
-    // Kernel-major, so one kernel x corner's baseline and both VPU panels
-    // share a recorded trace.
+    // Kernel-major: one kernel x corner's baseline and both VPU panels sit
+    // together.
     let mut pairs = Vec::new();
     for prec in PRECISIONS {
         for (name, _, w0) in kernel_set(prec) {

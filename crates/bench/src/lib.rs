@@ -18,7 +18,9 @@
 //!
 //! Sweeps run through [`SweepSession`]: each simulated cell is a recorded
 //! job resolved by the session's [`Executor`] under the per-cell
-//! retry/deadline policy, a cell that fails (typed [`SimError`] or a
+//! retry/deadline policy (a batch's local cells in one
+//! [`Executor::resolve_all`] call on `--threads` workers, settled in
+//! submission order), a cell that fails (typed [`SimError`] or a
 //! panic) becomes a `NaN` entry instead of aborting the figure, and
 //! [`SweepSession::finish`] dumps a [`FailureReport`] JSON next to the
 //! results. With `--checkpoint-dir`, the executor holds one
@@ -35,7 +37,7 @@ use save_sim::durable::{exit_code_for, run_cell, Executor, RetryPolicy, EXIT_FAI
 use save_sim::error::{RetryClass, SimError};
 use save_sim::parallel::{host_parallelism, FailureReport, JobFailure};
 use save_sim::spec::CellSpec;
-use save_sim::{CancelToken, CellRecord, ResultStore, TraceStore};
+use save_sim::{CancelToken, CellRecord, ResultStore};
 use serde::Serialize;
 use std::collections::HashMap;
 use std::io::Write;
@@ -118,7 +120,8 @@ pub struct BenchCli {
     pub cell_deadline_ms: Option<u64>,
     /// Extra attempts per transiently-failing cell (`--retries N`).
     pub retries: u32,
-    /// Worker threads for surface sweeps (`--threads N`).
+    /// Worker threads for sweeps: surface grids and figure batches
+    /// (`--threads N`).
     pub threads: Option<usize>,
     /// Submit spec-based cells to a running save-serve daemon at this
     /// address instead of simulating locally (`--serve ADDR`). Transport
@@ -240,6 +243,8 @@ pub struct SweepSession {
     failures: Vec<JobFailure>,
     /// Resolves batch cells; its store is the `--checkpoint-dir` one.
     exec: Executor,
+    /// Worker threads a batch's local cells run on (`--threads`).
+    threads: usize,
     /// Batch cells served from the store instead of recomputed.
     resumed: usize,
     cancelled: bool,
@@ -257,14 +262,15 @@ pub struct SweepSession {
 impl SweepSession {
     /// Starts a standalone session for the experiment called `name` (used
     /// for the `<name>-failures.json` dump): a private token that ignores
-    /// signals, no checkpoint, default retry policy.
+    /// signals, no checkpoint, default retry policy, every host thread.
     pub fn new(name: &str) -> Self {
-        Self::with(name, Executor::new(CancelToken::new()), None)
+        let cli = BenchCli { retries: RetryPolicy::default().retries, ..BenchCli::default() };
+        Self::durable(name, &cli, CancelToken::new()).expect("a session without a store opens")
     }
 
     /// Builds the durable session [`run_main`] hands to the binary body:
-    /// cancelled through `cancel`, the CLI's retry policy, and — when
-    /// `--checkpoint-dir` was given — the [`ResultStore`] there.
+    /// cancelled through `cancel`, the CLI's retry policy and thread count,
+    /// and — when `--checkpoint-dir` was given — the [`ResultStore`] there.
     ///
     /// # Errors
     /// Store errors: an existing journal without `--resume`, a corrupt
@@ -274,23 +280,19 @@ impl SweepSession {
             None => None,
             Some(dir) => Some(Arc::new(ResultStore::open(dir, cli.resume)?)),
         };
-        let exec = Executor { store, policy: cli.policy(), cancel };
-        Ok(Self::with(name, exec, cli.serve_addr.clone()))
-    }
-
-    fn with(name: &str, exec: Executor, serve_addr: Option<String>) -> Self {
-        SweepSession {
+        Ok(SweepSession {
             name: name.to_string(),
             jobs: 0,
             failures: Vec::new(),
-            exec,
+            exec: Executor { store, policy: cli.policy(), cancel },
+            threads: cli.threads_or_default(),
             resumed: 0,
             cancelled: false,
-            serve_addr,
+            serve_addr: cli.serve_addr.clone(),
             serve_client: None,
             serve_degraded: false,
             served: 0,
-        }
+        })
     }
 
     /// The session's executor — `--checkpoint-dir` store, retry policy and
@@ -406,10 +408,11 @@ impl SweepSession {
     ///    without the daemon. Any transport failure — refused connection,
     ///    daemon draining, torn stream — degrades the whole session to
     ///    local execution with a warning;
-    /// 3. whatever is left is resolved one at a time by the session's
-    ///    [`Executor`] through one shared [`TraceStore`], so each distinct
-    ///    functional key is executed once and every other cell replays its
-    ///    trace (DESIGN.md §5h). Each result is journaled.
+    /// 3. whatever is left goes to one [`Executor::resolve_all`] call on
+    ///    the session's `--threads` worker threads, which runs each cell and
+    ///    journals its record. Results settle in submission order, so
+    ///    job numbers, failure reports and the returned seconds do not
+    ///    depend on the thread count.
     ///
     /// The bits are identical whichever step answers, because the
     /// simulator is deterministic.
@@ -442,51 +445,47 @@ impl SweepSession {
             }
         }
 
-        if self.serve_addr.is_some() && !self.serve_degraded {
-            let pending: Vec<usize> = (0..unique.len()).filter(|&u| secs[u].is_none()).collect();
-            if !pending.is_empty() {
-                for (u, s) in self.remote_seconds_batch(cells, &unique, &pending) {
-                    secs[u] = Some(s);
-                }
+        let mut pending: Vec<usize> = (0..unique.len()).filter(|&u| secs[u].is_none()).collect();
+        if self.serve_addr.is_some() && !self.serve_degraded && !pending.is_empty() {
+            for (u, s) in self.remote_seconds_batch(cells, &unique, &pending) {
+                secs[u] = Some(s);
             }
+            pending.retain(|&u| secs[u].is_none());
         }
 
-        let traces = TraceStore::with_capacity(8);
-        for (u, &(i, key)) in unique.iter().enumerate() {
-            if secs[u].is_none() {
-                secs[u] = Some(self.local_seconds(&cells[i], key, &traces));
+        if self.check_cancelled() {
+            // Cancelled cells are not journaled: they re-run on resume.
+            for &u in &pending {
+                secs[u] = Some(self.cancel_job());
+            }
+        } else if !pending.is_empty() {
+            let todo: Vec<(String, CellSpec)> =
+                pending.iter().map(|&u| cells[unique[u].0].clone()).collect();
+            let results = self.exec.resolve_all(&todo, self.threads).expect("keys encoded above");
+            for ((&u, (label, _)), result) in pending.iter().zip(&todo).zip(results) {
+                secs[u] = Some(match result {
+                    Ok(cell) => {
+                        self.resumed += cell.served as usize;
+                        self.tally(label, cell.rec.attempts, cell.error);
+                        cell.rec.secs()
+                    }
+                    Err(e) if e.retry_class() == RetryClass::Cancelled => self.cancel_job(),
+                    Err(e) => {
+                        self.tally(label, 1, Some(e));
+                        f64::NAN
+                    }
+                });
             }
         }
         slot.iter().map(|s| s.and_then(|u| secs[u]).unwrap_or(f64::NAN)).collect()
     }
 
-    /// Resolves one batch cell locally (cancelled cells are not journaled:
-    /// they re-run on resume).
-    fn local_seconds(
-        &mut self,
-        (label, spec): &(String, CellSpec),
-        key: u64,
-        traces: &TraceStore,
-    ) -> f64 {
-        if self.cancelled {
-            return self.cancel_job();
-        }
-        match self.exec.resolve(label, self.jobs, spec, key, Some(traces)) {
-            Ok(cell) => {
-                self.resumed += cell.served as usize;
-                self.tally(label, cell.rec.attempts, cell.error);
-                cell.rec.secs()
-            }
-            Err(_) => self.cancel_job(),
-        }
-    }
-
     /// One batched submission of `pending` (indices into `unique`, whose
     /// entries are `(index into cells, key)`) to the daemon. Returns
     /// definitive `(unique index, secs)` outcomes; results the daemon never
-    /// delivered — transport failure mid-stream, refused connection — are
-    /// simply absent, and the caller runs them locally (transport failures
-    /// latch degraded mode).
+    /// delivered — transport failure mid-stream, refused connection, a
+    /// cancelled session — are simply absent, and the caller runs them
+    /// locally (transport failures latch degraded mode).
     fn remote_seconds_batch(
         &mut self,
         cells: &[(String, CellSpec)],
@@ -495,7 +494,7 @@ impl SweepSession {
     ) -> Vec<(usize, f64)> {
         let mut out = Vec::new();
         if self.check_cancelled() {
-            return pending.iter().map(|&u| (u, self.cancel_job())).collect();
+            return out;
         }
         let Some(addr) = self.serve_addr.clone() else {
             return out;

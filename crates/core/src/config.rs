@@ -228,11 +228,6 @@ impl CoreConfig {
         CoreConfig { num_vpus: 1, freq_ghz: 2.1, ..CoreConfig::default() }
     }
 
-    /// Nanoseconds per core cycle.
-    pub fn cycle_ns(&self) -> f64 {
-        1.0 / self.freq_ghz
-    }
-
     /// Converts a wall-clock latency to (rounded-up) core cycles.
     pub fn ns_to_cycles(&self, ns: f64) -> u64 {
         (ns * self.freq_ghz).ceil() as u64

@@ -76,19 +76,6 @@ impl Rob {
         self.push_full(kind, frees, false, None)
     }
 
-    /// Allocates an entry, optionally marking it micro-fused with the next.
-    ///
-    /// # Panics
-    /// Panics if the ROB is full — callers must check [`Rob::is_full`].
-    pub fn push_with_fusion(
-        &mut self,
-        kind: RobKind,
-        frees: [Option<PhysId>; 2],
-        fused: bool,
-    ) -> RobId {
-        self.push_full(kind, frees, fused, None)
-    }
-
     /// Allocates an entry with full retirement metadata.
     ///
     /// # Panics

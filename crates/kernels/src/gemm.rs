@@ -93,7 +93,8 @@ pub struct GemmWorkload {
     /// dimension of A (1 = i.i.d. uniform random, the paper's sweeps).
     /// Real ReLU activations cluster; software zero-skipping depends on it
     /// (branch predictability), while SAVE is insensitive to structure.
-    /// FP32 only: mixed-precision A is always i.i.d.
+    /// FP32 only: [`GemmWorkload::build`] rejects a clustered
+    /// mixed-precision request.
     #[serde(default = "default_cluster")]
     pub a_cluster: usize,
 }
@@ -199,6 +200,7 @@ impl GemmWorkload {
         if self.compressed_b {
             assert!(f32, "compressed B panels are modelled for FP32 kernels");
         }
+        assert!(f32 || self.a_cluster <= 1, "clustered A sparsity is modelled for FP32 kernels");
         let rng = &mut StdRng::seed_from_u64(seed ^ 0x5a5e_c0de);
         let (m, n, k, tiles) = (self.spec.m_tiles, self.spec.n_vecs, self.k_total, self.tiles);
         let (steps, pair) = (self.steps(), if f32 { 1 } else { 2 });
@@ -215,9 +217,9 @@ impl GemmWorkload {
         let a_word = |t: usize, i: usize, s: usize| (t * m + i) * steps + s;
         let b_word = |t: usize, s: usize, col: usize| (panel_of(t) * steps + s) * nb + col;
 
-        // Fill A (row-major along k; clustered zeros when requested, FP32
-        // only) and B. Mixed precision rounds every value to BF16.
-        let cluster = if f32 { self.a_cluster.max(1) } else { 1 };
+        // Fill A (row-major along k; clustered zeros when requested) and B.
+        // Mixed precision rounds every value to BF16.
+        let cluster = self.a_cluster.max(1);
         let mut a = vec![0.0f32; tiles * m * k];
         for row in a.chunks_mut(k) {
             if cluster == 1 {
@@ -575,6 +577,13 @@ mod tests {
     fn mixed_rejects_odd_k() {
         GemmWorkload::dense("t", spec(2, 1, BroadcastPattern::Explicit, Precision::Mixed), 15, 1)
             .build(0);
+    }
+
+    #[test]
+    #[should_panic(expected = "clustered A sparsity")]
+    fn mixed_rejects_clustered_a() {
+        let spec = spec(2, 1, BroadcastPattern::Explicit, Precision::Mixed);
+        GemmWorkload { a_cluster: 4, ..GemmWorkload::dense("t", spec, 16, 1) }.build(0);
     }
 
     #[test]

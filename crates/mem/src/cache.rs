@@ -116,11 +116,6 @@ impl Cache {
         self.stats
     }
 
-    /// Resets the counters (not the contents).
-    pub fn reset_stats(&mut self) {
-        self.stats = CacheStats::default();
-    }
-
     fn set_of(&self, line: u64) -> usize {
         (line % self.sets as u64) as usize
     }

@@ -568,11 +568,6 @@ impl CoreMemory {
         s
     }
 
-    /// Broadcast-cache statistics, if a B$ is instantiated.
-    pub fn bcast_stats(&self) -> Option<crate::bcast_cache::BcastStats> {
-        self.bcast.as_ref().map(|b| b.stats())
-    }
-
     /// B$ read ports per cycle (0 when no B$).
     pub fn bcast_read_ports(&self) -> usize {
         self.bcast.as_ref().map(|b| b.read_ports()).unwrap_or(0)

@@ -69,12 +69,6 @@ impl Mesh {
         tile * 4 + dir
     }
 
-    /// Decomposes a link id back into `(tile, dir)` — the inverse of
-    /// [`Mesh::link_id`], for reporting.
-    pub fn link_of(&self, id: usize) -> (usize, usize) {
-        (id / 4, id % 4)
-    }
-
     /// Visits the directed link ids a flit traverses from `from` to `to`
     /// under XY routing (all X hops, then all Y hops) — one call per hop.
     ///

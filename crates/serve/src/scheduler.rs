@@ -159,7 +159,7 @@ impl Pool {
             // "the worker died", not "the cell errored".
             panic!("injected fault: worker killed while running {}", task.label);
         }
-        match self.exec.resolve(&task.label, task.index as usize, &task.spec, task.key, None) {
+        match self.exec.resolve(&task.label, task.index as usize, &task.spec, task.key) {
             Ok(cell) => task.result(cell.rec, cell.served),
             Err(e) => task.result(CellRecord::failure(task.key, &e, 0), false),
         }

@@ -28,7 +28,6 @@ use crate::error::{RetryClass, SimError};
 use crate::parallel::{panic_error, parallel_try_map};
 use crate::spec::CellSpec;
 use crate::store::{CellRecord, Claim, ResultStore};
-use crate::trace::TraceStore;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::Duration;
@@ -200,10 +199,9 @@ impl Executor {
 
     /// Resolves one cell whose [`CellSpec::cache_key`] is `key`. A final
     /// record in the store is served as is. Otherwise the cell runs under
-    /// the policy (replaying through `traces` when given) and its record is
-    /// journaled, failures included. A failed append is only a warning: it
-    /// costs the resume, not the result. `label` names the cell in errors;
-    /// `job` attributes a panic.
+    /// the policy and its record is journaled, failures included. A failed
+    /// append is only a warning: it costs the resume, not the result.
+    /// `label` names the cell in errors; `job` attributes a panic.
     ///
     /// # Errors
     /// Only cancellation (Ctrl-C, a cancelled wait for another thread's
@@ -214,7 +212,6 @@ impl Executor {
         job: usize,
         spec: &CellSpec,
         key: u64,
-        traces: Option<&TraceStore>,
     ) -> Result<Resolved, SimError> {
         if let Some(store) = &self.store {
             match store.claim(key, &self.cancel) {
@@ -223,10 +220,7 @@ impl Executor {
                 Claim::Compute => {}
             }
         }
-        let run = run_cell(&self.cancel, &self.policy, label, job, |tok| match traces {
-            Some(traces) => spec.run_traced(Some(tok), traces),
-            None => spec.run(Some(tok)),
-        });
+        let run = run_cell(&self.cancel, &self.policy, label, job, |tok| spec.run(Some(tok)));
         let (rec, error) = match run.result {
             Ok(r) => (CellRecord::success(key, &r, run.attempts), None),
             Err(e) if e.retry_class() == RetryClass::Cancelled => {
@@ -258,7 +252,7 @@ impl Executor {
     ) -> Result<Vec<Result<Resolved, SimError>>, SimError> {
         let keys = cells.iter().map(|(_, spec)| spec.cache_key()).collect::<Result<Vec<_>, _>>()?;
         Ok(parallel_try_map(cells, threads, &self.cancel, |i, (label, spec)| {
-            self.resolve(label, i, spec, keys[i], None)
+            self.resolve(label, i, spec, keys[i])
         }))
     }
 }

@@ -172,16 +172,18 @@ impl ResultStore {
                 dir.display(),
             )));
         }
-        let done = if journal_len > 0 {
+        let mut done = HashMap::new();
+        if journal_len > 0 {
             // Repair the tail *before* opening the append handle: otherwise
             // the first new record would be glued onto whatever debris the
             // previous crash left on the final line, turning a tolerated
             // torn tail into interior corruption on the *next* open.
-            repair_tail(&path)?;
-            load_journal(&path)?
-        } else {
-            HashMap::new()
-        };
+            let scan = scan_journal(&path)?;
+            repair_tail(&path, &scan.tail)?;
+            // A later record for the same cell wins: retries append a fresh
+            // record rather than rewriting history.
+            done.extend(scan.complete().map(|rec| (rec.cell, rec)));
+        }
         let journal = OpenOptions::new()
             .create(true)
             .append(true)
@@ -287,64 +289,89 @@ fn append(inner: &mut Inner, rec: CellRecord) -> Result<(), SimError> {
     Ok(())
 }
 
-/// Parses a journal whose tail [`repair_tail`] has already fixed. A later
-/// record for the same cell wins — retries append a fresh record rather
-/// than rewriting history.
-fn load_journal(path: &Path) -> Result<HashMap<u64, CellRecord>, SimError> {
+/// What follows a journal's last `\n`.
+enum Tail {
+    /// Nothing: the file ends on a line break (or is empty).
+    Clean,
+    /// A complete record missing only its `\n` — the crash landed between
+    /// the record bytes and the terminator. It is kept and terminated.
+    Unterminated(CellRecord),
+    /// A partial record torn by a crash mid-append: `bytes` bytes from
+    /// offset `at`. It is truncated away, and the cell re-runs.
+    Torn { at: u64, bytes: u64 },
+}
+
+/// A journal as read from disk by [`scan_journal`].
+struct Scan {
+    /// The records on `\n`-terminated lines, in file order.
+    records: Vec<CellRecord>,
+    tail: Tail,
+}
+
+impl Scan {
+    /// Every complete record in file order, the unterminated tail one last.
+    fn complete(self) -> impl Iterator<Item = CellRecord> {
+        let tail = if let Tail::Unterminated(rec) = self.tail { Some(rec) } else { None };
+        self.records.into_iter().chain(tail)
+    }
+}
+
+/// Reads and parses the journal at `path` once. Only the final line may be
+/// damaged: a malformed line anywhere else cannot come from a crash and is
+/// a corruption error.
+fn scan_journal(path: &Path) -> Result<Scan, SimError> {
     let text =
         fs::read_to_string(path).map_err(|e| io_err(format!("read {}: {e}", path.display())))?;
-    let mut done = HashMap::new();
-    for (i, line) in text.lines().enumerate() {
+    let (terminated, tail) = match text.rfind('\n') {
+        Some(i) => text.split_at(i + 1),
+        None => ("", text.as_str()),
+    };
+    let mut records = Vec::new();
+    for (i, line) in terminated.lines().enumerate() {
         if line.trim().is_empty() {
             continue;
         }
-        let rec: CellRecord = serde_json::from_str(line).map_err(|e| {
+        records.push(serde_json::from_str(line).map_err(|e| {
             io_err(format!(
                 "corrupt journal {}: line {} is malformed ({e}); only the final \
-                 line may be truncated by a crash",
+                 line may be damaged by a crash, so this journal needs manual \
+                 triage, not a tail repair",
                 path.display(),
                 i + 1,
             ))
-        })?;
-        done.insert(rec.cell, rec);
+        })?);
     }
-    Ok(done)
+    let tail = if tail.is_empty() {
+        Tail::Clean
+    } else if let Ok(rec) = serde_json::from_str(tail) {
+        Tail::Unterminated(rec)
+    } else {
+        Tail::Torn { at: terminated.len() as u64, bytes: tail.len() as u64 }
+    };
+    Ok(Scan { records, tail })
 }
 
-/// Splits journal text into its newline-terminated prefix and the
-/// unterminated tail that a crash mid-append can leave behind.
-fn split_terminated(text: &str) -> (&str, &str) {
-    match text.rfind('\n') {
-        Some(i) => text.split_at(i + 1),
-        None => ("", text),
-    }
-}
-
-/// Repairs a journal's tail in place so subsequent appends always start on
-/// a fresh line: a torn partial record is truncated away (the cell
-/// re-runs); a complete final record missing only its `\n` — the crash
-/// landed between the record bytes and the terminator — is kept and
-/// terminated. Interior lines are left untouched; malformed interior
-/// content is [`load_journal`]'s corruption error, not ours to hide.
-fn repair_tail(path: &Path) -> Result<(), SimError> {
-    let text =
-        fs::read_to_string(path).map_err(|e| io_err(format!("read {}: {e}", path.display())))?;
-    let (terminated, tail) = split_terminated(&text);
-    if tail.is_empty() {
-        return Ok(());
+/// Repairs a journal's `tail` in place so subsequent appends always start
+/// on a fresh line: a torn partial record is truncated away, a complete
+/// unterminated one is terminated. Returns whether the file changed.
+fn repair_tail(path: &Path, tail: &Tail) -> Result<bool, SimError> {
+    if let Tail::Clean = tail {
+        return Ok(false);
     }
     let mut f = OpenOptions::new()
         .append(true)
         .open(path)
         .map_err(|e| io_err(format!("open {}: {e}", path.display())))?;
-    if serde_json::from_str::<CellRecord>(tail).is_ok() {
-        f.write_all(b"\n")
+    match *tail {
+        Tail::Torn { at, .. } => f
+            .set_len(at)
+            .map_err(|e| io_err(format!("truncate torn tail of {}: {e}", path.display())))?,
+        _ => f
+            .write_all(b"\n")
             .and_then(|()| f.flush())
-            .map_err(|e| io_err(format!("terminate journal tail {}: {e}", path.display())))
-    } else {
-        f.set_len(terminated.len() as u64)
-            .map_err(|e| io_err(format!("truncate torn tail of {}: {e}", path.display())))
+            .map_err(|e| io_err(format!("terminate journal tail {}: {e}", path.display())))?,
     }
+    Ok(true)
 }
 
 /// A cell with more than one journal record (retries append rather than
@@ -400,51 +427,17 @@ impl FsckReport {
 ///   hard error — fsck refuses to guess which experiment the bytes
 ///   belonged to.
 pub fn fsck_journal(path: &Path, repair: bool) -> Result<FsckReport, SimError> {
-    let text =
-        fs::read_to_string(path).map_err(|e| io_err(format!("read {}: {e}", path.display())))?;
-    let (terminated, tail) = split_terminated(&text);
+    let scan = scan_journal(path)?;
+    let torn_tail_bytes = if let Tail::Torn { bytes, .. } = scan.tail { bytes } else { 0 };
+    let missing_terminator = matches!(scan.tail, Tail::Unterminated(_));
+    let repaired = repair && repair_tail(path, &scan.tail)?;
 
-    let mut records = 0usize;
-    // cell -> (record count, latest error_kind), plus first-seen order.
+    let records = scan.records.len() + missing_terminator as usize;
+    // cell -> (record count, latest error_kind).
     let mut per_cell: HashMap<u64, (usize, String)> = HashMap::new();
-    for (i, line) in terminated.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let rec: CellRecord = serde_json::from_str(line).map_err(|e| {
-            io_err(format!(
-                "corrupt journal {}: line {} is malformed ({e}); only the \
-                 final line may be damaged by a crash — this journal needs \
-                 manual triage, not fsck --repair",
-                path.display(),
-                i + 1,
-            ))
-        })?;
-        records += 1;
-        let entry = per_cell.entry(rec.cell).or_insert((0, String::new()));
-        entry.0 += 1;
-        entry.1 = rec.error_kind;
-    }
-
-    let mut torn_tail_bytes = 0u64;
-    let mut missing_terminator = false;
-    if !tail.is_empty() {
-        match serde_json::from_str::<CellRecord>(tail) {
-            Ok(rec) => {
-                missing_terminator = true;
-                records += 1;
-                let entry = per_cell.entry(rec.cell).or_insert((0, String::new()));
-                entry.0 += 1;
-                entry.1 = rec.error_kind;
-            }
-            Err(_) => torn_tail_bytes = tail.len() as u64,
-        }
-    }
-
-    let mut repaired = false;
-    if repair && (torn_tail_bytes > 0 || missing_terminator) {
-        repair_tail(path)?;
-        repaired = true;
+    for rec in scan.complete() {
+        let entry = per_cell.entry(rec.cell).or_default();
+        *entry = (entry.0 + 1, rec.error_kind);
     }
 
     let mut duplicate_cells: Vec<DuplicateCell> = per_cell
