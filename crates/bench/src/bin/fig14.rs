@@ -35,83 +35,86 @@ fn body(
     cli: &save_bench::BenchCli,
     session: &mut save_bench::SweepSession,
 ) -> Result<(), save_sim::SimError> {
-    let cfg = EstimatorConfig {
-        grid: cli.grid(),
-        threads: cli.threads_or_default(),
-        ..Default::default()
-    };
-    // Surface cells are resolved by the session's executor: journaled in
-    // its result store (no --checkpoint-dir still gives deadlines, retries
-    // and cancellation without journaling).
-    let est = Estimator::new(cfg, session.executor().clone());
-
+    let est = Estimator::new(EstimatorConfig { grid: cli.grid(), ..Default::default() });
     let kinds = [
         NetKind::Vgg16Dense,
         NetKind::ResNet50Dense,
         NetKind::ResNet50Pruned,
         NetKind::GnmtPruned,
     ];
-    let precisions = [Precision::F32, Precision::Mixed];
+    let estimates: Vec<(Precision, NetKind, Network)> = [Precision::F32, Precision::Mixed]
+        .into_iter()
+        .flat_map(|prec| kinds.map(|kind| (prec, kind, Network::build(kind))))
+        .collect();
+
+    // Every estimate's inference then training cells, resolved as one batch.
+    let mut cells = Vec::new();
+    let mut spans = Vec::new();
+    for (prec, kind, net) in &estimates {
+        let inf = est.inference_cells(net, *prec);
+        let tr = est.training_cells(net, *prec);
+        spans.push((inf.len(), tr.len()));
+        let name = format!("{} {prec}", kind.label());
+        let labelled = inf.into_iter().chain(tr).map(|(label, spec)| (format!("{name} {label}"), spec));
+        cells.extend(labelled);
+    }
+    let secs: Vec<f64> = session.spec_seconds_batch(&cells).into_iter().map(|(s, _)| s).collect();
 
     let mut inf_rows = Vec::new();
     let mut train_rows = Vec::new();
     let mut results = Vec::new();
-    for prec in precisions {
-        for kind in kinds {
-            let net = Network::build(kind);
-            eprintln!("[fig14] estimating {} {prec}...", kind.label());
-            let label = format!("{} {prec}", kind.label());
-            let Some((inf, tr)) = session.run(&label, |_tok| {
-                Ok((est.estimate_inference(&net, prec)?, est.estimate_training(&net, prec)?))
-            }) else {
-                continue;
-            };
+    let mut rest = &secs[..];
+    for (&(prec, kind, ref net), (n_inf, n_tr)) in estimates.iter().zip(spans) {
+        let (inf_secs, tail) = rest.split_at(n_inf);
+        let (tr_secs, tail) = tail.split_at(n_tr);
+        rest = tail;
+        let inf = est.inference(net, prec, inf_secs);
+        let tr = est.training(net, prec, tr_secs);
 
-            let ib = inf.baseline.total();
-            let inf_norm = vec![
-                ("baseline".to_string(), 1.0),
-                ("2 VPUs".to_string(), inf.save2.total() / ib),
-                ("1 VPU".to_string(), inf.save1.total() / ib),
-                ("dynamic".to_string(), inf.dynamic.total() / ib),
-            ];
-            inf_rows.push(vec![
-                format!("{} {prec}", kind.label()),
-                format!("{:.2}x", ib / inf.save2.total()),
-                format!("{:.2}x", ib / inf.save1.total()),
-                format!("{:.2}x", ib / inf.dynamic.total()),
-                format!("{:.0}%", inf.baseline.first_layer / ib * 100.0),
-            ]);
+        let ib = inf.baseline.total();
+        let inf_norm = vec![
+            ("baseline".to_string(), 1.0),
+            ("2 VPUs".to_string(), inf.save2.total() / ib),
+            ("1 VPU".to_string(), inf.save1.total() / ib),
+            ("dynamic".to_string(), inf.dynamic.total() / ib),
+        ];
+        inf_rows.push(vec![
+            format!("{} {prec}", kind.label()),
+            format!("{:.2}x", ib / inf.save2.total()),
+            format!("{:.2}x", ib / inf.save1.total()),
+            format!("{:.2}x", ib / inf.dynamic.total()),
+            format!("{:.0}%", inf.baseline.first_layer / ib * 100.0),
+        ]);
 
-            let tb = tr.baseline.total();
-            let train_norm = vec![
-                ("baseline".to_string(), 1.0),
-                ("2 VPUs".to_string(), tr.save2.total() / tb),
-                ("1 VPU".to_string(), tr.save1.total() / tb),
-                ("static".to_string(), tr.static_.total() / tb),
-                ("dynamic".to_string(), tr.dynamic.total() / tb),
-            ];
-            train_rows.push(vec![
-                format!("{} {prec}", kind.label()),
-                format!("{:.2}x", tb / tr.save2.total()),
-                format!("{:.2}x", tb / tr.save1.total()),
-                format!("{:.2}x", tb / tr.static_.total()),
-                format!("{:.2}x", tb / tr.dynamic.total()),
-            ]);
-            let dyn_total = tr.dynamic.total();
-            results.push(NetResult {
-                network: kind.label().to_string(),
-                precision: prec.to_string(),
-                inference_norm: inf_norm,
-                inference_first_layer_frac: inf.baseline.first_layer / ib,
-                training_norm: train_norm,
-                training_breakdown_dynamic: vec![
-                    ("forward".into(), tr.dynamic.forward / dyn_total),
-                    ("backward input".into(), tr.dynamic.backward_input / dyn_total),
-                    ("backward weight".into(), tr.dynamic.backward_weights / dyn_total),
-                    ("1st layer".into(), tr.dynamic.first_layer / dyn_total),
-                ],
-            });
-        }
+        let tb = tr.baseline.total();
+        let train_norm = vec![
+            ("baseline".to_string(), 1.0),
+            ("2 VPUs".to_string(), tr.save2.total() / tb),
+            ("1 VPU".to_string(), tr.save1.total() / tb),
+            ("static".to_string(), tr.static_.total() / tb),
+            ("dynamic".to_string(), tr.dynamic.total() / tb),
+        ];
+        train_rows.push(vec![
+            format!("{} {prec}", kind.label()),
+            format!("{:.2}x", tb / tr.save2.total()),
+            format!("{:.2}x", tb / tr.save1.total()),
+            format!("{:.2}x", tb / tr.static_.total()),
+            format!("{:.2}x", tb / tr.dynamic.total()),
+        ]);
+        let dyn_total = tr.dynamic.total();
+        results.push(NetResult {
+            network: kind.label().to_string(),
+            precision: prec.to_string(),
+            inference_norm: inf_norm,
+            inference_first_layer_frac: inf.baseline.first_layer / ib,
+            training_norm: train_norm,
+            training_breakdown_dynamic: vec![
+                ("forward".into(), tr.dynamic.forward / dyn_total),
+                ("backward input".into(), tr.dynamic.backward_input / dyn_total),
+                ("backward weight".into(), tr.dynamic.backward_weights / dyn_total),
+                ("1st layer".into(), tr.dynamic.first_layer / dyn_total),
+            ],
+        });
     }
     print_table(
         "Fig 14a/b: inference speedup over baseline",
@@ -129,6 +132,5 @@ fn body(
     println!(
         "                     training  1.64x        / 1.29x          / 1.42x           / 1.28x"
     );
-    println!("surfaces swept: {}", est.surfaces_built());
     save_bench::write_json("fig14", &results)
 }

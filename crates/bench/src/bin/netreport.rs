@@ -1,6 +1,8 @@
 //! Per-layer network report: for one network and precision, the per-layer
 //! inference sparsity and speedups under each SAVE operating point — the
-//! layer-resolved view behind Fig 14's aggregates.
+//! layer-resolved view behind Fig 14's aggregates. The layers are the
+//! [`save_sim::Estimator`]'s inference cells, resolved as one batch and
+//! reduced by it, so the whole-network line equals fig14's inference row.
 //!
 //! With `--mesh`, the heaviest layer additionally runs on the detailed
 //! NUCA/mesh machine under the relaxed-sync engine and the uncore
@@ -14,20 +16,12 @@ use save_bench::print_table;
 use save_kernels::{GemmWorkload, Phase, Precision};
 use save_sim::runner::run_kernel_full;
 use save_sim::{
-    CellSpec, ConfigKind, MachineConfig, MachineMode, MulticoreConfig, Network, SimError,
+    ConfigKind, Estimator, EstimatorConfig, MachineConfig, MachineMode, MulticoreConfig, Network,
+    SimError,
 };
 use save_sparsity::NetKind;
 use serde::Serialize;
 use std::process::ExitCode;
-
-struct LayerRow {
-    name: String,
-    bs: f64,
-    nbs: f64,
-    tb: f64,
-    t2: f64,
-    t1: f64,
-}
 
 /// One operating point's mesh-contention measurement (the JSON surface).
 #[derive(Serialize)]
@@ -146,47 +140,29 @@ fn body(
     };
     let precision =
         if cli.rest.iter().any(|a| a == "--mp") { Precision::Mixed } else { Precision::F32 };
-    let machine = MachineConfig::default();
     let net = Network::build(kind);
+    // The default machine and the forward kernels at end-of-training
+    // sparsity: the cells fig14's inference row reads.
+    let est = Estimator::new(EstimatorConfig::default());
+    let cells = est.inference_cells(&net, precision);
+    let secs: Vec<f64> = session.spec_seconds_batch(&cells).into_iter().map(|(s, _)| s).collect();
+    let inf = est.inference(&net, precision, &secs);
+    let total_b = inf.baseline.total();
 
-    let mut layers = Vec::new();
-    let mut heaviest: Option<(f64, String, GemmWorkload)> = None;
-    for (li, layer) in net.layers.iter().enumerate() {
-        let p = net.inference_point(li);
-        let w = layer.workload(Phase::Forward, precision);
-        let scale = layer.flops() / w.flops();
-        let w = w.with_sparsity(p.a, p.b);
-        let Some((tb, t2, t1)) = session.run(layer.name(), |tok| {
-            let secs = |kind| -> Result<f64, SimError> {
-                Ok(CellSpec::new(w.clone(), kind, machine, li as u64).run(Some(tok))?.seconds)
-            };
-            let tb = secs(ConfigKind::Baseline)?;
-            let t2 = secs(ConfigKind::Save2Vpu)?;
-            let t1 = secs(ConfigKind::Save1Vpu)?;
-            Ok((tb * scale, t2 * scale, t1 * scale))
-        }) else {
-            continue;
-        };
-        if heaviest.as_ref().is_none_or(|(t, _, _)| tb > *t) {
-            heaviest = Some((tb, layer.name().to_string(), w.clone()));
-        }
-        layers.push(LayerRow { name: layer.name().to_string(), bs: p.a, nbs: p.b, tb, t2, t1 });
-    }
-    let total_b: f64 = layers.iter().map(|l| l.tb).sum();
-    let total_2: f64 = layers.iter().map(|l| l.t2).sum();
-    let total_1: f64 = layers.iter().map(|l| l.t1).sum();
-    let total_d: f64 = layers.iter().map(|l| l.t2.min(l.t1)).sum();
-    let rows: Vec<Vec<String>> = layers
+    let per_layer = est.inference_layers(&net, precision, &secs);
+    let rows: Vec<Vec<String>> = per_layer
         .iter()
-        .map(|l| {
+        .enumerate()
+        .map(|(li, &[tb, t2, t1])| {
+            let p = net.inference_point(li);
             vec![
-                l.name.clone(),
-                format!("{:.0}%", l.bs * 100.0),
-                format!("{:.0}%", l.nbs * 100.0),
-                format!("{:.2}x", l.tb / l.t2),
-                format!("{:.2}x", l.tb / l.t1),
-                format!("{:.2}x", l.tb / l.t2.min(l.t1)),
-                format!("{:.1}%", l.tb / total_b * 100.0),
+                net.layers[li].name().to_string(),
+                format!("{:.0}%", p.a * 100.0),
+                format!("{:.0}%", p.b * 100.0),
+                format!("{:.2}x", tb / t2),
+                format!("{:.2}x", tb / t1),
+                format!("{:.2}x", tb / t2.min(t1)),
+                format!("{:.1}%", tb / total_b * 100.0),
             ]
         })
         .collect();
@@ -197,14 +173,18 @@ fn body(
     );
     println!(
         "\nwhole network: 2 VPUs {:.2}x | 1 VPU {:.2}x | dynamic {:.2}x",
-        total_b / total_2,
-        total_b / total_1,
-        total_b / total_d
+        total_b / inf.save2.total(),
+        total_b / inf.save1.total(),
+        total_b / inf.dynamic.total()
     );
     if cli.rest.iter().any(|a| a == "--mesh") {
-        if let Some((_, name, w)) = &heaviest {
+        // The layer with the most baseline time.
+        let heaviest = |h: usize, li: usize| if per_layer[li][0] > per_layer[h][0] { li } else { h };
+        if let Some(li) = (0..per_layer.len()).reduce(heaviest) {
+            let p = net.inference_point(li);
+            let w = net.layers[li].workload(Phase::Forward, precision).with_sparsity(p.a, p.b);
             println!();
-            mesh_report(cli, session, name, w)?;
+            mesh_report(cli, session, net.layers[li].name(), &w)?;
         }
     }
     Ok(())

@@ -174,29 +174,17 @@ fn body(cli: &BenchCli, session: &mut SweepSession) -> Result<(), SimError> {
         return serve_sweep(&addr, session, &w, kind, &machine, &grid, fault_first);
     }
 
-    let out = Surface::sweep(
-        &w,
-        kind,
-        &machine,
-        &grid,
-        &grid,
-        cli.threads_or_default(),
-        session.executor(),
-    )?;
-    if out.cancelled {
-        session.note_cancelled();
+    let cells = Surface::grid_cells(&w, kind, &machine, &grid, &grid);
+    let results = session.spec_seconds_batch(&cells);
+    if session.is_cancelled() {
         return Ok(());
     }
-    for f in out.report.failures {
-        let label = f.label.unwrap_or_else(|| format!("cell {}", f.job));
-        session.note_failure(&label, f.error);
-    }
     let payload = Out {
-        a_levels: out.surface.a_levels.clone(),
-        b_levels: out.surface.b_levels.clone(),
-        secs_bits: out.surface.secs.iter().map(|s| s.to_bits()).collect(),
-        total_cycles: out.total_cycles,
-        resumed: out.resumed,
+        a_levels: grid.clone(),
+        b_levels: grid,
+        secs_bits: results.iter().map(|(s, _)| s.to_bits()).collect(),
+        total_cycles: results.iter().map(|&(_, cycles)| cycles).sum(),
+        resumed: session.resumed(),
     };
     let line = serde_json::to_string(&payload)
         .map_err(|e| SimError::Io { what: format!("serialize surface: {e}") })?;

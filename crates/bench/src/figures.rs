@@ -206,7 +206,7 @@ impl Figure {
             [(format!("{} baseline", p.label), p.base.clone()), (p.label.clone(), p.save.clone())]
         }).collect();
         let secs = session.spec_seconds_batch(&cells);
-        self.reduce(&secs.chunks(2).map(|t| t[0] / t[1]).collect::<Vec<_>>())
+        self.reduce(&secs.chunks(2).map(|t| t[0].0 / t[1].0).collect::<Vec<_>>())
     }
 }
 

@@ -8,7 +8,8 @@
 //!
 //! The speedup sweeps (Figs 15-19, `extensions`, `ablation`) are library
 //! data in [`figures`]: labelled (baseline, SAVE) cell pairs plus a pure
-//! reducer to tables, which tests read in-process.
+//! reducer to tables, which tests read in-process. Fig 14 and `netreport`
+//! take their cells and reducers from [`save_sim::Estimator`].
 //!
 //! Every binary funnels through [`run_main`], which parses the uniform
 //! durable-execution flags ([`BenchCli`]: `--checkpoint-dir`, `--resume`,
@@ -16,16 +17,16 @@
 //! handlers, and maps the run's outcome to one process exit code
 //! convention (0 clean / 1 lossy / 2 usage / 130 cancelled-resumable).
 //!
-//! Sweeps run through [`SweepSession`]: each simulated cell is a recorded
-//! job resolved by the session's [`Executor`] under the per-cell
-//! retry/deadline policy (a batch's local cells in one
-//! [`Executor::resolve_all`] call on `--threads` workers, settled in
-//! submission order), a cell that fails (typed [`SimError`] or a
-//! panic) becomes a `NaN` entry instead of aborting the figure, and
-//! [`SweepSession::finish`] dumps a [`FailureReport`] JSON next to the
-//! results. With `--checkpoint-dir`, the executor holds one
-//! [`ResultStore`] there: every [`SweepSession::spec_seconds_batch`] cell,
-//! surface sweep and estimator surface is journaled under its
+//! Sweeps run through [`SweepSession`]: every list of cells (a figure's
+//! pairs, fig14's eight estimates, `netreport`'s layers, the `surface`
+//! grid) is one [`SweepSession::spec_seconds_batch`] call, resolved by the
+//! session's [`Executor`] under the per-cell retry/deadline policy (the
+//! local cells in one [`Executor::resolve_all`] call on `--threads`
+//! workers, settled in submission order). A cell that fails (typed
+//! [`SimError`] or a panic) becomes a `NaN` entry instead of aborting the
+//! figure, and [`SweepSession::finish`] dumps a [`FailureReport`] JSON next
+//! to the results. With `--checkpoint-dir`, the executor holds one
+//! [`ResultStore`] there: every batch cell is journaled under its
 //! [`CellSpec::cache_key`], so a killed run resumed with `--resume`
 //! restores finished cells bit-identically instead of recomputing them.
 
@@ -295,12 +296,6 @@ impl SweepSession {
         })
     }
 
-    /// The session's executor — `--checkpoint-dir` store, retry policy and
-    /// cancel token — for surface sweeps and the [`save_sim::Estimator`].
-    pub fn executor(&self) -> &Executor {
-        &self.exec
-    }
-
     /// `true` once a global cancel has been observed; remaining cells
     /// return `None`/`NaN` immediately.
     pub fn is_cancelled(&self) -> bool {
@@ -345,11 +340,11 @@ impl SweepSession {
     }
 
     /// Counts one job skipped or stopped by cancellation: resumable, not
-    /// failed. Returns the `NaN` its cell reports.
-    fn cancel_job(&mut self) -> f64 {
+    /// failed. Returns the `NaN` seconds and zero cycles its cell reports.
+    fn cancel_job(&mut self) -> (f64, u64) {
         self.cancelled = true;
         self.jobs += 1;
-        f64::NAN
+        (f64::NAN, 0)
     }
 
     /// `true` when the session is cancelled, latching a global cancel.
@@ -392,9 +387,9 @@ impl SweepSession {
         }
     }
 
-    /// Resolves every `(label, spec)` cell and returns their seconds in
-    /// submission order; a failed cell reports as `NaN` so tables and JSON
-    /// keep their shape.
+    /// Resolves every `(label, spec)` cell and returns its seconds and
+    /// simulated cycles, in submission order; a failed cell reports `NaN`
+    /// seconds and zero cycles, so tables and JSON keep their shape.
     ///
     /// Cells are resolved once per distinct [`CellSpec::cache_key`] — a
     /// baseline that several rows compare against runs once, under the
@@ -416,7 +411,7 @@ impl SweepSession {
     ///
     /// The bits are identical whichever step answers, because the
     /// simulator is deterministic.
-    pub fn spec_seconds_batch(&mut self, cells: &[(String, CellSpec)]) -> Vec<f64> {
+    pub fn spec_seconds_batch(&mut self, cells: &[(String, CellSpec)]) -> Vec<(f64, u64)> {
         // `slot[i]` is cell i's index in `unique`, the cells with distinct
         // keys (first occurrence wins).
         let mut slot = Vec::with_capacity(cells.len());
@@ -434,21 +429,21 @@ impl SweepSession {
                 }
             }
         }
-        let mut secs: Vec<Option<f64>> = vec![None; unique.len()];
+        let mut secs: Vec<Option<(f64, u64)>> = vec![None; unique.len()];
 
         if let Some(store) = self.exec.store.clone() {
             for (u, &(i, key)) in unique.iter().enumerate() {
                 let Some(rec) = store.lookup(key) else { continue };
                 self.resumed += 1;
                 self.tally(&cells[i].0, rec.attempts, rec.error());
-                secs[u] = Some(rec.secs());
+                secs[u] = Some((rec.secs(), rec.cycles));
             }
         }
 
         let mut pending: Vec<usize> = (0..unique.len()).filter(|&u| secs[u].is_none()).collect();
         if self.serve_addr.is_some() && !self.serve_degraded && !pending.is_empty() {
-            for (u, s) in self.remote_seconds_batch(cells, &unique, &pending) {
-                secs[u] = Some(s);
+            for (u, done) in self.remote_seconds_batch(cells, &unique, &pending) {
+                secs[u] = Some(done);
             }
             pending.retain(|&u| secs[u].is_none());
         }
@@ -467,31 +462,31 @@ impl SweepSession {
                     Ok(cell) => {
                         self.resumed += cell.served as usize;
                         self.tally(label, cell.rec.attempts, cell.error);
-                        cell.rec.secs()
+                        (cell.rec.secs(), cell.rec.cycles)
                     }
                     Err(e) if e.retry_class() == RetryClass::Cancelled => self.cancel_job(),
                     Err(e) => {
                         self.tally(label, 1, Some(e));
-                        f64::NAN
+                        (f64::NAN, 0)
                     }
                 });
             }
         }
-        slot.iter().map(|s| s.and_then(|u| secs[u]).unwrap_or(f64::NAN)).collect()
+        slot.iter().map(|s| s.and_then(|u| secs[u]).unwrap_or((f64::NAN, 0))).collect()
     }
 
     /// One batched submission of `pending` (indices into `unique`, whose
     /// entries are `(index into cells, key)`) to the daemon. Returns
-    /// definitive `(unique index, secs)` outcomes; results the daemon never
-    /// delivered — transport failure mid-stream, refused connection, a
-    /// cancelled session — are simply absent, and the caller runs them
-    /// locally (transport failures latch degraded mode).
+    /// definitive `(unique index, (secs, cycles))` outcomes; results the
+    /// daemon never delivered — transport failure mid-stream, refused
+    /// connection, a cancelled session — are simply absent, and the caller
+    /// runs them locally (transport failures latch degraded mode).
     fn remote_seconds_batch(
         &mut self,
         cells: &[(String, CellSpec)],
         unique: &[(usize, u64)],
         pending: &[usize],
-    ) -> Vec<(usize, f64)> {
+    ) -> Vec<(usize, (f64, u64))> {
         let mut out = Vec::new();
         if self.check_cancelled() {
             return out;
@@ -572,7 +567,7 @@ impl SweepSession {
                 what: format!("remote cell failed (kind: {})", rec.error_kind),
             });
             self.tally(label, rec.attempts, error);
-            out.push((u, rec.secs()));
+            out.push((u, (rec.secs(), rec.cycles)));
             // A failed append only costs the resume: the result is used.
             if let Some(store) = &self.exec.store {
                 if let Err(e) = store.record(rec) {
@@ -709,7 +704,7 @@ mod tests {
             None
         );
         assert_eq!(s.run::<u32>("panic", |_| panic!("cell exploded")), None);
-        assert!(s.spec_seconds_batch(&[cell("nan", 0)])[0].is_nan());
+        assert!(s.spec_seconds_batch(&[cell("nan", 0)])[0].0.is_nan());
         let r = s.report();
         assert_eq!(r.total_jobs, 4);
         assert_eq!(r.succeeded, 1);
@@ -722,7 +717,7 @@ mod tests {
     #[test]
     fn clean_session_exits_zero() {
         let mut s = SweepSession::new("clean");
-        assert!(s.spec_seconds_batch(&[cell("ok", 2)])[0] > 0.0);
+        assert!(s.spec_seconds_batch(&[cell("ok", 2)])[0].0 > 0.0);
         assert!(s.is_clean());
         assert_eq!(s.report().exit_code(), 0);
     }
@@ -747,7 +742,7 @@ mod tests {
         let mut s = SweepSession::new("cancel");
         s.exec.cancel.cancel();
         assert_eq!(s.run("skipped", |_| Ok(1u32)), None);
-        assert!(s.spec_seconds_batch(&[cell("also skipped", 2)])[0].is_nan());
+        assert!(s.spec_seconds_batch(&[cell("also skipped", 2)])[0].0.is_nan());
         assert!(s.is_cancelled());
         assert!(s.is_clean(), "cancelled cells are resumable, not failures");
         assert_eq!(s.exit_code(), EXIT_CANCELLED);
@@ -803,9 +798,10 @@ mod tests {
 
         let mut s = SweepSession::durable("unit", &cli, CancelToken::new()).unwrap();
         let first = s.spec_seconds_batch(&batch);
-        assert!(!first[0].is_nan());
-        assert!(first[1].is_nan(), "invalid config fails");
-        assert_eq!(first[2].to_bits(), first[0].to_bits(), "same key, same cell");
+        assert!(!first[0].0.is_nan() && first[0].1 > 0);
+        assert!(first[1].0.is_nan(), "invalid config fails");
+        assert_eq!(first[1].1, 0, "a failed cell simulated no cycles");
+        assert_eq!(first[2].0.to_bits(), first[0].0.to_bits(), "same key, same cell");
         assert_eq!(s.report().total_jobs, 2, "the repeated cell runs once");
         drop(s);
 
@@ -819,8 +815,9 @@ mod tests {
         let mut s = SweepSession::durable("unit", &cli2, CancelToken::new()).unwrap();
         let restored = s.spec_seconds_batch(&batch);
         assert_eq!(s.resumed(), 2, "no recompute");
-        assert_eq!(restored[0].to_bits(), first[0].to_bits(), "bit-identical restore");
-        assert!(restored[1].is_nan(), "journaled permanent failure fails fast");
+        assert_eq!(restored[0].0.to_bits(), first[0].0.to_bits(), "bit-identical restore");
+        assert_eq!(restored[0].1, first[0].1, "the cycle count is restored too");
+        assert!(restored[1].0.is_nan(), "journaled permanent failure fails fast");
         assert_eq!(s.report().failures.len(), 1);
         let _ = std::fs::remove_dir_all(&dir);
     }

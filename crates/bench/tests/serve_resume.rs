@@ -44,8 +44,8 @@ fn batch() -> Vec<(String, CellSpec)> {
     cells
 }
 
-fn bits(secs: &[f64]) -> Vec<u64> {
-    secs.iter().map(|s| s.to_bits()).collect()
+fn bits(secs: &[(f64, u64)]) -> Vec<(u64, u64)> {
+    secs.iter().map(|&(s, cycles)| (s.to_bits(), cycles)).collect()
 }
 
 #[test]
@@ -97,7 +97,11 @@ fn served_batch_resumes_from_the_store_without_the_daemon() {
     assert!(resumed.is_clean(), "{}", resumed.report());
     assert_eq!(bits(&second), bits(&first), "resumed bits equal the daemon's");
 
-    let local: Vec<f64> = cells.iter().map(|(_, s)| s.run(None).unwrap().seconds).collect();
+    let local: Vec<(f64, u64)> = cells
+        .iter()
+        .map(|(_, s)| s.run(None).unwrap())
+        .map(|r| (r.seconds, r.cycles))
+        .collect();
     assert_eq!(bits(&first), bits(&local), "the daemon's bits equal a local run's");
     let _ = std::fs::remove_dir_all(&cache);
     let _ = std::fs::remove_dir_all(&ckpt);

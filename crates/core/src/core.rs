@@ -292,11 +292,6 @@ impl Core {
         }
     }
 
-    /// The configuration.
-    pub fn config(&self) -> &CoreConfig {
-        &self.cfg
-    }
-
     /// Runs `program` to completion against the functional memory `mem` and
     /// the timing memory `cmem`/`uncore`. Consumes the core (one run per
     /// reset state).

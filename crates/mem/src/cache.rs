@@ -106,11 +106,6 @@ impl Cache {
         }
     }
 
-    /// The configuration this cache was built with.
-    pub fn config(&self) -> &CacheConfig {
-        &self.cfg
-    }
-
     /// Counters accumulated so far.
     pub fn stats(&self) -> CacheStats {
         self.stats

@@ -81,11 +81,6 @@ impl Dram {
         Dram { cfg, next_free: vec![0.0; cfg.channels], line_service_ns, stats: DramStats::default() }
     }
 
-    /// The configuration.
-    pub fn config(&self) -> &DramConfig {
-        &self.cfg
-    }
-
     /// Traffic counters.
     pub fn stats(&self) -> DramStats {
         self.stats

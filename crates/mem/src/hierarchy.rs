@@ -432,11 +432,6 @@ impl Uncore {
         self.dram.stats()
     }
 
-    /// The mesh (for topology queries).
-    pub fn mesh(&self) -> &Mesh {
-        &self.mesh
-    }
-
     /// One-way NoC latency from `core` to the home slice of `line`, in ns —
     /// the public probe [`crate::relaxed::QuantumView`] predicts with.
     pub fn noc_latency_ns(&self, core: usize, line: u64) -> f64 {
@@ -772,11 +767,6 @@ impl CoreMemory {
     /// Direct read-only access to the L1 for tests.
     pub fn l1(&self) -> &Cache {
         &self.l1
-    }
-
-    /// Direct read-only access to the L2 for tests.
-    pub fn l2(&self) -> &Cache {
-        &self.l2
     }
 }
 

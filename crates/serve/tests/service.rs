@@ -35,8 +35,8 @@ fn wl(k_total: usize, tiles: usize) -> GemmWorkload {
     )
 }
 
-/// The cells a local [`Surface::sweep`] of the grid resolves, so bits are
-/// comparable.
+/// The grid's cells as the `surface` binary's local batch lists them, so
+/// bits are comparable.
 fn grid_cells(w: &GemmWorkload, grid: &[f64]) -> Vec<NamedCell> {
     Surface::grid_cells(w, ConfigKind::Save2Vpu, &MachineConfig::default(), grid, grid)
         .into_iter()

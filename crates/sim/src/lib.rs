@@ -11,17 +11,18 @@
 //!    executor in [`multicore`] for both. [`CellSpec::run_traced`] adds
 //!    trace record/replay, and [`run_kernel_full`] also returns the uncore
 //!    contention report;
-//! 2. [`surface`] sweeps a kernel over a 2-D grid of (broadcasted,
+//! 2. [`surface`] lists a kernel's cells over a 2-D grid of (broadcasted,
 //!    non-broadcasted) sparsity and interpolates bilinearly — the paper's
-//!    "2D surface of execution times" (§VI). Every cell of a sweep, like
-//!    every cell anywhere in the workspace, is resolved by one
-//!    [`durable::Executor`]: claimed in the [`ResultStore`], run under the
-//!    [`RetryPolicy`], journaled;
+//!    "2D surface of execution times" (§VI). Every list of cells anywhere
+//!    in the workspace is resolved as one batch by
+//!    [`durable::Executor::resolve_all`]: each cell claimed in the
+//!    [`ResultStore`], run under the [`RetryPolicy`], journaled;
 //! 3. [`net`] composes the workloads into networks and encodes Table III's
 //!    sparsity roles per phase;
-//! 4. [`estimate`] produces the end-to-end inference and training numbers of
-//!    Fig 14, including the static (per-epoch) and dynamic (per-kernel)
-//!    1-vs-2-VPU selection of §IV-D.
+//! 4. [`estimate`] lists the cells Fig 14's end-to-end inference and
+//!    training numbers read, and reduces their seconds with pure functions,
+//!    including the static (per-epoch) and dynamic (per-kernel) 1-vs-2-VPU
+//!    selection of §IV-D.
 //!
 //! Every fallible entry point returns a typed [`SimError`] instead of
 //! panicking, and [`durable::run_cell`] isolates panics at the cell
@@ -67,5 +68,5 @@ pub use runner::{
     run_kernel_full, ConfigKind, KernelResult, KernelRun, MachineConfig, MachineMode,
     MulticoreConfig,
 };
-pub use surface::{Surface, SweepOutcome};
+pub use surface::Surface;
 pub use trace::{trace_key, CoreTrace, KernelTrace, TraceStore};

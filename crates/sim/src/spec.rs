@@ -253,18 +253,18 @@ mod tests {
     }
 
     /// The bit-identity contract: a spec built with [`Surface::point_seed`]
-    /// reproduces the exact bits a local [`Surface::sweep`] records for the
-    /// same grid point — this is what lets a daemon-side cache substitute
-    /// for local execution.
+    /// reproduces the exact bits an executor resolving
+    /// [`Surface::grid_cells`] records for the same grid point — this is
+    /// what lets a daemon-side cache substitute for local execution.
     #[test]
     fn spec_execution_matches_local_sweep_bits() {
         let w = tiny();
         let (a, b) = (0.5, 0.25);
         let exec = crate::Executor::new(CancelToken::new());
         let machine = MachineConfig::default();
-        let surf = Surface::sweep(&w, ConfigKind::Save2Vpu, &machine, &[a], &[b], 1, &exec)
-            .and_then(crate::SweepOutcome::into_surface)
-            .unwrap();
+        let cells = Surface::grid_cells(&w, ConfigKind::Save2Vpu, &machine, &[a], &[b]);
+        let local = exec.resolve_all(&cells, 1).unwrap().remove(0).unwrap();
+        assert!(local.error.is_none());
         let spec = CellSpec::new(
             w.with_sparsity(a, b),
             ConfigKind::Save2Vpu,
@@ -274,7 +274,7 @@ mod tests {
         let remote = spec.run(None).unwrap();
         assert_eq!(
             remote.seconds.to_bits(),
-            surf.secs[0].to_bits(),
+            local.rec.secs_bits,
             "remote execution must be bit-identical to the local sweep"
         );
     }

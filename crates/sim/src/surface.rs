@@ -7,9 +7,6 @@
 //! with degenerate axes collapsed when a phase has no sparsity of one type
 //! (Table III), which removes most of the sweep cost.
 
-use crate::durable::Executor;
-use crate::error::{RetryClass, SimError};
-use crate::parallel::{FailureReport, JobFailure};
 use crate::runner::{ConfigKind, MachineConfig};
 use crate::spec::CellSpec;
 use save_kernels::GemmWorkload;
@@ -26,42 +23,6 @@ pub fn coarse_grid() -> Vec<f64> {
     vec![0.0, 0.2, 0.4, 0.6, 0.8, 0.9]
 }
 
-/// What a surface sweep produced.
-#[derive(Debug)]
-pub struct SweepOutcome {
-    /// The surface; failed or not-yet-computed cells are `NaN`.
-    pub surface: Surface,
-    /// Per-cell failures (journaled permanent ones included).
-    pub report: FailureReport,
-    /// Cells served from the store instead of simulated.
-    pub resumed: usize,
-    /// `true` when the sweep stopped early due to cancellation; the
-    /// journal holds every completed cell, so `--resume` finishes the
-    /// rest.
-    pub cancelled: bool,
-    /// Total simulated cycles across completed cells (journal + fresh) —
-    /// the resume-invariance witness used by the kill-and-resume test.
-    pub total_cycles: u64,
-}
-
-impl SweepOutcome {
-    /// The surface when every cell completed; otherwise the reason it did
-    /// not: cancellation, or the first failed cell's error.
-    ///
-    /// # Errors
-    /// [`SimError::Cancelled`] for a cancelled sweep, else the first
-    /// failure in grid order.
-    pub fn into_surface(self) -> Result<Surface, SimError> {
-        if self.cancelled {
-            return Err(SimError::Cancelled { what: "surface sweep".into() });
-        }
-        match self.report.failures.into_iter().next() {
-            Some(fail) => Err(fail.error),
-            None => Ok(self.surface),
-        }
-    }
-}
-
 /// An execution-time surface over (broadcast-side, vector-side) sparsity.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct Surface {
@@ -75,8 +36,11 @@ pub struct Surface {
 
 impl Surface {
     /// The grid's cells, `a`-major, each labelled by its sparsity point and
-    /// seeded with [`Surface::point_seed`]. A daemon or a session resolving
-    /// these cells reproduces [`Surface::sweep`]'s bits.
+    /// seeded with [`Surface::point_seed`]. Pass a single-level axis (e.g.
+    /// `[0.0]`) for a sparsity type the phase does not exhibit. Whoever
+    /// resolves these cells (a session batch, an executor, a daemon) gets
+    /// the same bits, and their seconds in this order are the surface's
+    /// `secs`.
     pub fn grid_cells(
         w: &GemmWorkload,
         kind: ConfigKind,
@@ -100,73 +64,6 @@ impl Surface {
     /// deterministic while points stay independent.
     pub fn point_seed(a: f64, b: f64) -> u64 {
         ((a * 1000.0) as u64) << 20 | ((b * 1000.0) as u64) << 4
-    }
-
-    /// Sweeps `w` under `kind` over the grid (DESIGN.md §5f). Pass a
-    /// single-level axis (e.g. `[0.0]`) for a sparsity type the phase does
-    /// not exhibit. Each of [`Surface::grid_cells`] is resolved through
-    /// `exec`: served from its store when a final record exists (so a
-    /// killed-and-resumed sweep is bit-identical), otherwise run under its
-    /// policy and journaled.
-    ///
-    /// A failed cell does not abort the sweep: it becomes `NaN` in the
-    /// surface and an entry in the report; [`SweepOutcome::into_surface`] turns
-    /// that into the first error for callers that need every point.
-    /// Cancellation (Ctrl-C through `exec.cancel`) stops in-flight
-    /// cells at their next cycle quantum and comes back with
-    /// `cancelled = true`; cancelled cells are not journaled, so a
-    /// `--resume` recomputes exactly those.
-    ///
-    /// # Errors
-    /// Only a spec that cannot be encoded into a cache key.
-    pub fn sweep(
-        w: &GemmWorkload,
-        kind: ConfigKind,
-        machine: &MachineConfig,
-        a_levels: &[f64],
-        b_levels: &[f64],
-        threads: usize,
-        exec: &Executor,
-    ) -> Result<SweepOutcome, SimError> {
-        let cells = Self::grid_cells(w, kind, machine, a_levels, b_levels);
-        let results = exec.resolve_all(&cells, threads)?;
-        let mut secs = vec![f64::NAN; cells.len()];
-        let mut failures: Vec<JobFailure> = Vec::new();
-        let mut total_cycles = 0u64;
-        let mut resumed = 0usize;
-        let mut cancelled = exec.cancel.is_cancelled();
-        for (i, (r, (label, _))) in results.into_iter().zip(&cells).enumerate() {
-            let label = Some(label.clone());
-            match r {
-                Ok(cell) => {
-                    secs[i] = cell.rec.secs();
-                    total_cycles += cell.rec.cycles;
-                    resumed += cell.served as usize;
-                    if let Some(error) = cell.error {
-                        let attempts = cell.rec.attempts as usize;
-                        failures.push(JobFailure { job: i, label, attempts, error });
-                    }
-                }
-                Err(e) if e.retry_class() == RetryClass::Cancelled => cancelled = true,
-                Err(error) => failures.push(JobFailure { job: i, label, attempts: 1, error }),
-            }
-        }
-        let report = FailureReport {
-            total_jobs: cells.len(),
-            succeeded: secs.iter().filter(|s| !s.is_nan()).count(),
-            failures,
-        };
-        Ok(SweepOutcome {
-            surface: Surface {
-                a_levels: a_levels.to_vec(),
-                b_levels: b_levels.to_vec(),
-                secs,
-            },
-            report,
-            resumed,
-            cancelled,
-            total_cycles,
-        })
     }
 
     fn bracket(levels: &[f64], x: f64) -> (usize, usize, f64) {

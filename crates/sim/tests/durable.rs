@@ -1,12 +1,13 @@
-//! Integration tests for the durable-execution layer (DESIGN.md §5f):
-//! resume bit-identity from the result store, cancellation with journal
+//! Integration tests for the durable-execution layer (DESIGN.md §5f),
+//! through `Executor::resolve_all` over a surface's grid cells: resume
+//! bit-identity from the result store, cancellation with journal
 //! flush, per-cell deadlines that fail a cell without failing the sweep,
 //! two sweeps sharing one store, and a journal that cannot be written.
 
 use save_kernels::{BroadcastPattern, GemmKernelSpec, GemmWorkload, Precision};
 use save_sim::{
-    CancelToken, CellSpec, ConfigKind, Executor, MachineConfig, ResultStore, RetryPolicy,
-    Surface, SweepOutcome,
+    CancelToken, CellSpec, ConfigKind, Executor, MachineConfig, ResultStore, RetryClass,
+    RetryPolicy, SimError, Surface,
 };
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -61,6 +62,20 @@ fn exec(store: &Arc<ResultStore>, policy: RetryPolicy, cancel: &CancelToken) -> 
     Executor { store: Some(Arc::clone(store)), policy, cancel: cancel.clone() }
 }
 
+/// What resolving a grid's cells produced, settled in grid order.
+struct Sweep {
+    /// Seconds per cell; failed and cancelled cells are `NaN`.
+    secs: Vec<f64>,
+    /// Each failed cell's error and attempt count.
+    failures: Vec<(SimError, u32)>,
+    /// Cells served from the store instead of run.
+    resumed: usize,
+    /// Some cell came back cancelled.
+    cancelled: bool,
+    /// Simulated cycles over completed cells, served or run.
+    total_cycles: u64,
+}
+
 fn sweep(
     w: &GemmWorkload,
     kind: ConfigKind,
@@ -68,8 +83,26 @@ fn sweep(
     b_levels: &[f64],
     threads: usize,
     exec: &Executor,
-) -> SweepOutcome {
-    Surface::sweep(w, kind, &machine(), a_levels, b_levels, threads, exec).unwrap()
+) -> Sweep {
+    let cells = Surface::grid_cells(w, kind, &machine(), a_levels, b_levels);
+    let (secs, failures) = (Vec::new(), Vec::new());
+    let mut out = Sweep { secs, failures, resumed: 0, cancelled: false, total_cycles: 0 };
+    for result in exec.resolve_all(&cells, threads).unwrap() {
+        match result {
+            Ok(cell) => {
+                out.secs.push(cell.rec.secs());
+                out.total_cycles += cell.rec.cycles;
+                out.resumed += cell.served as usize;
+                out.failures.extend(cell.error.map(|e| (e, cell.rec.attempts)));
+            }
+            Err(e) => {
+                assert_eq!(e.retry_class(), RetryClass::Cancelled, "resolve fails only if cancelled");
+                out.secs.push(f64::NAN);
+                out.cancelled = true;
+            }
+        }
+    }
+    out
 }
 
 /// The bit reference: every grid point run directly, `a`-major, seeded
@@ -86,8 +119,8 @@ fn direct_bits(w: &GemmWorkload, kind: ConfigKind, a_levels: &[f64], b_levels: &
     bits
 }
 
-fn bits(out: &SweepOutcome) -> Vec<u64> {
-    out.surface.secs.iter().map(|s| s.to_bits()).collect()
+fn bits(out: &Sweep) -> Vec<u64> {
+    out.secs.iter().map(|s| s.to_bits()).collect()
 }
 
 const A: [f64; 2] = [0.0, 0.3];
@@ -106,9 +139,9 @@ fn resume_skips_journaled_cells_and_is_bit_identical() {
         &exec(&open(&dir, false), RetryPolicy::default(), &cancel),
     );
     assert!(!first.cancelled);
-    assert!(first.report.is_clean());
+    assert!(first.failures.is_empty());
     assert_eq!(first.resumed, 0);
-    assert!(first.surface.secs.iter().all(|s| !s.is_nan()));
+    assert!(first.secs.iter().all(|s| !s.is_nan()));
 
     let second = sweep(
         &tiny(),
@@ -148,7 +181,7 @@ fn partial_journal_resume_completes_the_remainder() {
         1,
         &exec(&open(&dir_a, false), RetryPolicy::default(), &cancel),
     );
-    assert!(full.report.is_clean());
+    assert!(full.failures.is_empty());
 
     fs::create_dir_all(&dir_b).unwrap();
     let journal = fs::read_to_string(dir_a.join("journal.jsonl")).unwrap();
@@ -164,7 +197,7 @@ fn partial_journal_resume_completes_the_remainder() {
         &exec(&open(&dir_b, true), RetryPolicy::default(), &cancel),
     );
     assert_eq!(resumed.resumed, 2, "two journaled cells skipped");
-    assert!(resumed.report.is_clean());
+    assert!(resumed.failures.is_empty());
     assert_eq!(resumed.total_cycles, full.total_cycles);
     assert_eq!(bits(&full), bits(&resumed));
     let _ = fs::remove_dir_all(&dir_a);
@@ -188,11 +221,11 @@ fn cancelled_sweep_is_resumable_and_converges() {
     );
     assert!(out.cancelled);
     assert_eq!(out.resumed, 0);
-    assert!(out.surface.secs.iter().all(|s| s.is_nan()), "no timing escapes a cancelled run");
+    assert!(out.secs.iter().all(|s| s.is_nan()), "no timing escapes a cancelled run");
     assert!(
-        out.report.failures.is_empty(),
+        out.failures.is_empty(),
         "cancelled cells are resumable, not failures: {:?}",
-        out.report.failures
+        out.failures
     );
 
     // A fresh token (fresh process, conceptually) resumes to completion.
@@ -206,7 +239,7 @@ fn cancelled_sweep_is_resumable_and_converges() {
         &exec(&open(&dir, true), RetryPolicy::default(), &cancel2),
     );
     assert!(!done.cancelled);
-    assert!(done.report.is_clean());
+    assert!(done.failures.is_empty());
 
     let reference = tmpdir("cancel-ref");
     let fresh = sweep(
@@ -235,12 +268,12 @@ fn deadline_overrun_is_retried_then_recorded_without_aborting_the_sweep() {
     let ex = exec(&open(&dir, false), policy, &cancel);
     let out = sweep(&big(), ConfigKind::Baseline, &[0.0], &[0.0, 0.5], 1, &ex);
     assert!(!out.cancelled, "a deadline is per-cell, not a sweep cancellation");
-    assert_eq!(out.report.failures.len(), 2, "both cells exceed the 100µs deadline");
-    for f in &out.report.failures {
-        assert_eq!(f.error.kind(), "deadline", "{}", f.error);
-        assert_eq!(f.attempts, 2, "1 try + 1 retry before giving up");
+    assert_eq!(out.failures.len(), 2, "both cells exceed the 100µs deadline");
+    for (error, attempts) in &out.failures {
+        assert_eq!(error.kind(), "deadline", "{error}");
+        assert_eq!(*attempts, 2, "1 try + 1 retry before giving up");
     }
-    assert!(out.surface.secs.iter().all(|s| s.is_nan()));
+    assert!(out.secs.iter().all(|s| s.is_nan()));
 
     // Deadline overruns are transient: journaled as history, never served.
     // A resume without the deadline completes both cells, bit-identical to
@@ -254,7 +287,7 @@ fn deadline_overrun_is_retried_then_recorded_without_aborting_the_sweep() {
         &exec(&open(&dir, true), RetryPolicy::default(), &cancel),
     );
     assert_eq!(resumed.resumed, 0, "transient failures are recomputed, not served");
-    assert!(resumed.report.is_clean(), "{:?}", resumed.report.failures);
+    assert!(resumed.failures.is_empty(), "{:?}", resumed.failures);
     assert_eq!(
         bits(&resumed),
         direct_bits(&big(), ConfigKind::Baseline, &[0.0], &[0.0, 0.5]),
@@ -270,20 +303,20 @@ fn sweeps_sharing_a_store_share_only_identical_cells() {
     let store = open(&dir, false);
     let ex = exec(&store, RetryPolicy::default(), &cancel);
     let first = sweep(&tiny(), ConfigKind::Save2Vpu, &A, &B, 2, &ex);
-    assert!(first.report.is_clean());
+    assert!(first.failures.is_empty());
     assert_eq!(store.records(), 4);
 
     // A different grid on the same store: its b = 0.6 column is the first
     // sweep's, the b = 0.9 column is new.
     let b2 = [0.6, 0.9];
     let second = sweep(&tiny(), ConfigKind::Save2Vpu, &A, &b2, 2, &ex);
-    assert!(second.report.is_clean());
+    assert!(second.failures.is_empty());
     assert_eq!(second.resumed, 2, "the two shared cells are served, not simulated");
     assert_eq!(store.records(), 6, "only the two new cells were journaled");
     for ai in 0..A.len() {
         assert_eq!(
-            second.surface.secs[ai * 2].to_bits(),
-            first.surface.secs[ai * 2 + 1].to_bits(),
+            second.secs[ai * 2].to_bits(),
+            first.secs[ai * 2 + 1].to_bits(),
             "a shared cell carries the first sweep's bits"
         );
     }
@@ -312,7 +345,7 @@ fn failed_journal_append_keeps_computed_cells() {
     let ex = exec(&open(&dir, true), RetryPolicy::default(), &CancelToken::new());
     let out = sweep(&tiny(), ConfigKind::Save2Vpu, &[0.0], &[0.0, 0.6], 1, &ex);
     assert!(!out.cancelled);
-    assert!(out.report.is_clean(), "a failed append is not a failed cell: {}", out.report);
+    assert!(out.failures.is_empty(), "a failed append is not a failed cell: {:?}", out.failures);
     assert_eq!(
         bits(&out),
         direct_bits(&tiny(), ConfigKind::Save2Vpu, &[0.0], &[0.0, 0.6]),

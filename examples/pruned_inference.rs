@@ -3,16 +3,26 @@
 //! sparsity, including the per-kernel dynamic 1-vs-2-VPU selection.
 //!
 //! Run with: `cargo run --release --example pruned_inference`
-//! (takes a couple of minutes: it sweeps every unique layer shape).
+//! (it simulates every unique layer shape at three operating points).
 
 use save::kernels::Precision;
-use save::sim::{CancelToken, Estimator, EstimatorConfig, Executor, Network, SimError};
+use save::sim::{CancelToken, CellSpec, Estimator, EstimatorConfig, Executor, Network, SimError};
 use save::sparsity::NetKind;
+
+/// Resolves every cell on all host threads, with no journal and a token no
+/// signal cancels (Ctrl-C ends the process); the first failed cell fails
+/// the estimate.
+fn resolve(cells: &[(String, CellSpec)]) -> Result<Vec<f64>, SimError> {
+    let exec = Executor::new(CancelToken::new());
+    exec.resolve_all(cells, 0)?
+        .into_iter()
+        .map(|r| r.and_then(|cell| cell.error.map_or(Ok(cell.rec.secs()), Err)))
+        .collect()
+}
 
 fn main() -> Result<(), SimError> {
     let cfg = EstimatorConfig { grid: vec![0.0, 0.3, 0.6, 0.9], ..Default::default() };
-    // No journal, and a token no signal cancels: Ctrl-C ends the process.
-    let est = Estimator::new(cfg, Executor::new(CancelToken::new()));
+    let est = Estimator::new(cfg);
 
     let net = Network::build(NetKind::ResNet50Pruned);
     println!(
@@ -21,7 +31,7 @@ fn main() -> Result<(), SimError> {
         net.schedule.final_sparsity() * 100.0
     );
     for prec in [Precision::F32, Precision::Mixed] {
-        let inf = est.estimate_inference(&net, prec)?;
+        let inf = est.inference(&net, prec, &resolve(&est.inference_cells(&net, prec))?);
         let base = inf.baseline.total();
         println!("\n{prec} inference, normalized execution time (baseline = 1.00):");
         println!("  SAVE 2 VPUs : {:.2}  ({:.2}x)", inf.save2.total() / base, base / inf.save2.total());

@@ -10,6 +10,13 @@ use save::sim::{
 };
 use save::sparsity::NetKind;
 
+/// Every cell's seconds, resolved on all host threads; each must succeed.
+fn resolve(cells: &[(String, CellSpec)]) -> Vec<f64> {
+    let exec = Executor::new(CancelToken::new());
+    let resolved = exec.resolve_all(cells, 0).unwrap().into_iter().map(Result::unwrap);
+    resolved.map(|cell| cell.error.map_or(cell.rec.secs(), |e| panic!("{e}"))).collect()
+}
+
 /// Runs `w` at `kind` on `machine`.
 fn run(w: &GemmWorkload, kind: ConfigKind, machine: MachineConfig, seed: u64, verify: bool) -> KernelResult {
     CellSpec { verify, ..CellSpec::new(w.clone(), kind, machine, seed) }.run(None).unwrap()
@@ -102,13 +109,14 @@ fn estimator_reproduces_fig14_ordering_on_truncated_nets() {
     let mut cfg = EstimatorConfig::default();
     cfg.machine.cores = 8;
     cfg.grid = vec![0.0, 0.45, 0.9];
-    let est = Estimator::new(cfg, Executor::new(CancelToken::new()));
+    let est = Estimator::new(cfg);
     let mut speedups = std::collections::HashMap::new();
     for kind in [NetKind::ResNet50Dense, NetKind::ResNet50Pruned] {
         let mut net = Network::build(kind);
         net.layers = net.layers.into_iter().skip(2).take(3).collect();
         net.epochs = 4;
-        let inf = est.estimate_inference(&net, Precision::F32).unwrap();
+        let secs = resolve(&est.inference_cells(&net, Precision::F32));
+        let inf = est.inference(&net, Precision::F32, &secs);
         let sp = inf.baseline.total() / inf.dynamic.total();
         assert!(sp > 1.0, "{kind:?} must speed up, got {sp}");
         speedups.insert(kind, sp);
@@ -124,11 +132,12 @@ fn mixed_precision_training_estimate_is_finite_and_ordered() {
     let mut cfg = EstimatorConfig::default();
     cfg.machine.cores = 8;
     cfg.grid = vec![0.0, 0.45, 0.9];
-    let est = Estimator::new(cfg, Executor::new(CancelToken::new()));
+    let est = Estimator::new(cfg);
     let mut net = Network::build(NetKind::GnmtPruned);
     net.layers.truncate(1);
     net.epochs = 6;
-    let tr = est.estimate_training(&net, Precision::Mixed).unwrap();
+    let secs = resolve(&est.training_cells(&net, Precision::Mixed));
+    let tr = est.training(&net, Precision::Mixed, &secs);
     for t in [tr.baseline, tr.save2, tr.save1, tr.static_, tr.dynamic] {
         assert!(t.total().is_finite() && t.total() > 0.0);
     }
