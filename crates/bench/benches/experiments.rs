@@ -83,8 +83,9 @@ fn bench_figures(c: &mut Criterion) {
         ("fig19/with_mp_technique", "fig19", "w/ MP techniques nbs=0.6"),
     ] {
         let fig = Figure::build(figure, &BenchCli::default()).expect("figure builds");
-        let pair = fig.pairs.into_iter().find(|p| p.label == label).expect("pair in figure");
-        let cell = small(pair.save);
+        // A pair's SAVE cell carries the pair's label.
+        let (_, save) = fig.cells.into_iter().find(|(l, _)| l == label).expect("pair in figure");
+        let cell = small(save);
         c.bench_function(id, |b| b.iter(|| std::hint::black_box(cell.run(None).map(|r| r.cycles))));
     }
 }

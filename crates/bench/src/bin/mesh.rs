@@ -74,11 +74,6 @@ fn machine(cores: usize, quantum: u64, threads: usize) -> MachineConfig {
     }
 }
 
-fn flag_value(rest: &[String], flag: &str) -> Option<u64> {
-    let i = rest.iter().position(|a| a == flag)?;
-    rest.get(i + 1)?.parse().ok()
-}
-
 /// Runs one cell and wall-clocks it.
 fn timed_run(
     w: &GemmWorkload,
@@ -99,8 +94,8 @@ fn body(
     cli: &save_bench::BenchCli,
     session: &mut save_bench::SweepSession,
 ) -> Result<(), SimError> {
-    let cores = flag_value(&cli.rest, "--cores").unwrap_or(28) as usize;
-    let quantum = flag_value(&cli.rest, "--quantum").unwrap_or(1000).max(1);
+    let cores = cli.flag("--cores")?.unwrap_or(28);
+    let quantum = cli.flag("--quantum")?.unwrap_or(1000u64).max(1);
     let threads = cli.threads.unwrap_or(0);
     let compare = cli.rest.iter().any(|a| a == "--compare-lockstep");
     let relaxed = machine(cores, quantum, threads);

@@ -40,39 +40,26 @@ struct MeshRecord {
     dram_mean_queue: f64,
 }
 
-/// Parses `--flag N` out of the free argument list.
-fn flag_value(rest: &[String], flag: &str) -> Option<u64> {
-    let i = rest.iter().position(|a| a == flag)?;
-    rest.get(i + 1)?.parse().ok()
-}
-
 const DIR_NAMES: [&str; 4] = ["E", "W", "S", "N"];
 
 fn main() -> ExitCode {
     save_bench::run_main("netreport", body)
 }
 
-/// Runs the network's heaviest layer on the detailed NUCA/mesh machine at
-/// every operating point and surfaces the uncore contention counters.
+/// Runs the network's heaviest layer on the detailed NUCA/mesh `machine`
+/// at every operating point and surfaces the uncore contention counters.
 fn mesh_report(
-    cli: &save_bench::BenchCli,
     session: &mut save_bench::SweepSession,
     layer_name: &str,
     w: &GemmWorkload,
+    machine: &MachineConfig,
 ) -> Result<(), SimError> {
-    let cores = flag_value(&cli.rest, "--cores").unwrap_or(28) as usize;
-    let quantum = flag_value(&cli.rest, "--quantum").unwrap_or(1000);
-    let machine = MachineConfig {
-        cores,
-        mode: MachineMode::Detailed,
-        mc: MulticoreConfig { quantum, threads: 0 },
-        ..Default::default()
-    };
+    let (cores, quantum) = (machine.cores, machine.mc.quantum);
     let mut records = Vec::new();
     let mut rows = Vec::new();
     for kind in ConfigKind::ALL {
         let Some(run) = session.run(&format!("mesh-{kind:?}"), |tok| {
-            run_kernel_full(w, kind, &machine, 1, false, Some(tok))
+            run_kernel_full(w, kind, machine, 1, false, Some(tok))
         }) else {
             continue;
         };
@@ -140,6 +127,13 @@ fn body(
     };
     let precision =
         if cli.rest.iter().any(|a| a == "--mp") { Precision::Mixed } else { Precision::F32 };
+    // The `--mesh` machine, parsed before any cell runs.
+    let mesh = MachineConfig {
+        cores: cli.flag("--cores")?.unwrap_or(28),
+        mode: MachineMode::Detailed,
+        mc: MulticoreConfig { quantum: cli.flag("--quantum")?.unwrap_or(1000), threads: 0 },
+        ..Default::default()
+    };
     let net = Network::build(kind);
     // The default machine and the forward kernels at end-of-training
     // sparsity: the cells fig14's inference row reads.
@@ -184,7 +178,7 @@ fn body(
             let p = net.inference_point(li);
             let w = net.layers[li].workload(Phase::Forward, precision).with_sparsity(p.a, p.b);
             println!();
-            mesh_report(cli, session, net.layers[li].name(), &w)?;
+            mesh_report(session, net.layers[li].name(), &w, &mesh)?;
         }
     }
     Ok(())

@@ -528,12 +528,7 @@ fn body(
     let update = cli.rest.iter().any(|a| a == "--update");
     let check = cli.rest.iter().any(|a| a == "--check");
     let scaling = cli.rest.iter().any(|a| a == "--scaling");
-    let label = cli
-        .rest
-        .iter()
-        .position(|a| a == "--label")
-        .and_then(|i| cli.rest.get(i + 1).cloned())
-        .unwrap_or_else(|| "perfstat".to_string());
+    let label = cli.flag("--label")?.unwrap_or_else(|| "perfstat".to_string());
 
     // Warm-up: JIT-free, but first-touch page faults and frequency ramp
     // would otherwise land in the first measured point.

@@ -63,16 +63,13 @@ fn body(
         println!("{s}");
         return Ok(());
     }
-    let get = |flag: &str| -> Option<String> {
-        args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1)).cloned()
-    };
-    let Some(spec_path) = get("--spec") else { usage() };
+    let Some(spec_path) = cli.flag::<String>("--spec")? else { usage() };
     let spec = std::fs::read_to_string(&spec_path)
         .map_err(|e| SimError::Io { what: format!("cannot read {spec_path}: {e}") })?;
     let workload: save_kernels::GemmWorkload = serde_json::from_str(&spec)
         .map_err(|e| SimError::InvalidConfig { what: format!("invalid workload JSON: {e}") })?;
 
-    let kind = match get("--config").as_deref() {
+    let kind = match cli.flag::<String>("--config")?.as_deref() {
         None | Some("save2") => ConfigKind::Save2Vpu,
         Some("save1") => ConfigKind::Save1Vpu,
         Some("baseline") => ConfigKind::Baseline,
@@ -83,25 +80,16 @@ fn body(
         }
     };
     let mut machine = MachineConfig::default();
-    if let Some(c) = get("--cores") {
-        machine.cores = c.parse().map_err(|_| SimError::InvalidConfig {
-            what: format!("--cores takes a number, got {c:?}"),
-        })?;
-    }
+    machine.cores = cli.flag("--cores")?.unwrap_or(machine.cores);
     if args.iter().any(|a| a == "--detailed") {
         machine.mode = MachineMode::Detailed;
     }
-    let seed = match get("--seed") {
-        Some(s) => s.parse().map_err(|_| SimError::InvalidConfig {
-            what: format!("--seed takes a number, got {s:?}"),
-        })?,
-        None => 1,
-    };
+    let seed = cli.flag("--seed")?.unwrap_or(1);
 
     // The single simulated kernel still runs as a durable session cell, so
     // `--cell-deadline`, `--retries` and Ctrl-C behave exactly as in the
     // sweep binaries.
-    let sanitize = match get("--sanitize") {
+    let sanitize = match cli.flag::<String>("--sanitize")? {
         Some(level) => Some(SanitizeLevel::parse(&level).map_err(|e| SimError::InvalidConfig {
             what: format!("--sanitize: {e}"),
         })?),

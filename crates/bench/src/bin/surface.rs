@@ -12,9 +12,12 @@
 //!
 //! Usage: `surface [--config baseline|save2|save1] [--cores N] [--k K]
 //! [--tiles T]` plus the uniform durable flags. With `--serve ADDR` the
-//! whole grid is submitted to a save-serve daemon as one job (the daemon's
-//! memo cache makes re-runs free) and the output JSON is identical in
-//! shape, with `resumed` counting daemon cache hits.
+//! grid goes to a save-serve daemon as one batch like any binary's cells
+//! (the daemon's memo cache makes re-runs free), `resumed` counts its cache
+//! hits too, and an unreachable or failing daemon degrades the run to local
+//! execution with the same output. `--fault-first` makes the first cell
+//! sent to the daemon kill its worker, a crash drill the output must not
+//! show.
 //!
 //! `surface fsck PATH [--repair]` instead audits a checkpoint journal:
 //! torn tails, missing final newlines, and duplicate latest-record-wins
@@ -23,7 +26,6 @@
 
 use save_bench::{run_main, BenchCli, SweepSession};
 use save_kernels::{BroadcastPattern, GemmKernelSpec, GemmWorkload, Precision};
-use save_serve::{Client, NamedCell};
 use save_sim::{fsck_journal, ConfigKind, MachineConfig, SimError, Surface};
 use serde::Serialize;
 use std::process::ExitCode;
@@ -72,78 +74,12 @@ fn fsck(cli: &BenchCli) -> Result<(), SimError> {
     Ok(())
 }
 
-/// `--serve ADDR`: submit the whole grid to a daemon as one job. With
-/// `--fault-first` the first cell carries a [`save_serve::Fault::KillWorker`]
-/// injection — the daemon's worker must recover and requeue it, so the output
-/// stays identical (this is what the CI serve-smoke job drives).
-fn serve_sweep(
-    addr: &str,
-    session: &mut SweepSession,
-    w: &GemmWorkload,
-    kind: ConfigKind,
-    machine: &MachineConfig,
-    grid: &[f64],
-    fault_first: bool,
-) -> Result<(), SimError> {
-    let mut cells: Vec<NamedCell> = Surface::grid_cells(w, kind, machine, grid, grid)
-        .into_iter()
-        .map(|(label, spec)| NamedCell { label, spec, fault: None })
-        .collect();
-    if fault_first {
-        if let Some(first) = cells.first_mut() {
-            first.fault = Some(save_serve::Fault::KillWorker);
-        }
-    }
-    let n = cells.len();
-    let mut secs_bits = vec![f64::NAN.to_bits(); n];
-    let mut total_cycles = 0u64;
-    let mut client = Client::connect(addr)?;
-    let done = client.submit("surface", &cells, |r| {
-        let i = r.index as usize;
-        if i < n {
-            secs_bits[i] = r.secs_bits;
-            total_cycles += r.cycles;
-        }
-    })?;
-    if done.cancelled {
-        session.note_cancelled();
-        return Ok(());
-    }
-    if done.failed > 0 {
-        session.note_failure(
-            "serve-sweep",
-            SimError::Io { what: format!("{} remote cell(s) failed", done.failed) },
-        );
-    }
-    let payload = Out {
-        a_levels: grid.to_vec(),
-        b_levels: grid.to_vec(),
-        secs_bits,
-        total_cycles,
-        resumed: done.cached,
-    };
-    let line = serde_json::to_string(&payload)
-        .map_err(|e| SimError::Io { what: format!("serialize surface: {e}") })?;
-    println!("{line}");
-    Ok(())
-}
-
 fn body(cli: &BenchCli, session: &mut SweepSession) -> Result<(), SimError> {
     if cli.rest.first().map(String::as_str) == Some("fsck") {
         return fsck(cli);
     }
-    let get = |flag: &str| {
-        cli.rest.iter().position(|a| a == flag).and_then(|i| cli.rest.get(i + 1)).cloned()
-    };
-    let num = |flag: &str, default: u64| -> Result<u64, SimError> {
-        match get(flag) {
-            None => Ok(default),
-            Some(v) => v.parse().map_err(|_| SimError::InvalidConfig {
-                what: format!("{flag} takes a number, got {v:?}"),
-            }),
-        }
-    };
-    let kind = match get("--config").as_deref() {
+    let num = |flag: &str, default: usize| cli.flag(flag).map(|v| v.unwrap_or(default));
+    let kind = match cli.flag::<String>("--config")?.as_deref() {
         None | Some("save2") => ConfigKind::Save2Vpu,
         Some("save1") => ConfigKind::Save1Vpu,
         Some("baseline") => ConfigKind::Baseline,
@@ -153,9 +89,7 @@ fn body(cli: &BenchCli, session: &mut SweepSession) -> Result<(), SimError> {
             })
         }
     };
-    let k_total = num("--k", 64)? as usize;
-    let tiles = num("--tiles", 16)? as usize;
-    let machine = MachineConfig { cores: num("--cores", 4)? as usize, ..Default::default() };
+    let machine = MachineConfig { cores: num("--cores", 4)?, ..Default::default() };
     let w = GemmWorkload::dense(
         "surface-cli",
         GemmKernelSpec {
@@ -164,16 +98,13 @@ fn body(cli: &BenchCli, session: &mut SweepSession) -> Result<(), SimError> {
             pattern: BroadcastPattern::Explicit,
             precision: Precision::F32,
         },
-        k_total,
-        tiles,
+        num("--k", 64)?,
+        num("--tiles", 16)?,
     );
     let grid = cli.grid();
-
-    if let Some(addr) = cli.serve_addr.clone() {
-        let fault_first = cli.rest.iter().any(|a| a == "--fault-first");
-        return serve_sweep(&addr, session, &w, kind, &machine, &grid, fault_first);
+    if cli.rest.iter().any(|a| a == "--fault-first") {
+        session.kill_first_remote_worker();
     }
-
     let cells = Surface::grid_cells(&w, kind, &machine, &grid, &grid);
     let results = session.spec_seconds_batch(&cells);
     if session.is_cancelled() {

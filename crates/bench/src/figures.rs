@@ -1,34 +1,38 @@
-//! Figures as data: the speedup sweeps of §VII (Figs 15-19), the §VIII
-//! extensions and the ablation's batch studies, each a [`Figure`] — its
-//! labelled (baseline, SAVE) cell [`Pair`]s for one grid, and a pure
-//! reducer from their speedups to the printed [`Table`]s and the JSON
-//! records.
+//! Figures as data: Fig 14's whole-network estimates (§VI), the speedup
+//! sweeps of §VII (Figs 15-19), the §VIII extensions and the ablation's
+//! batch studies, each a [`Figure`] — its labelled cells for one grid, and
+//! a pure reducer from their seconds to the printed [`Table`]s and the JSON
+//! records. The speedup figures list their cells as (baseline, SAVE)
+//! pairs and reduce each pair's time ratio; Fig 14 lists the
+//! [`Estimator`]'s cells and reduces them with its sums.
 //!
-//! [`Figure::run`] resolves every pair in one
+//! [`Figure::run`] resolves every cell in one
 //! [`SweepSession::spec_seconds_batch`], so a figure is journaled, resumed
-//! and sent to a `--serve` daemon as one unit, pairs that share a baseline
-//! run it once, and its local cells run in parallel on `--threads`
-//! workers through one `Executor::resolve_all` call. The result does not
-//! depend on the thread count. [`main`] is the whole body of a figure binary;
-//! tests read the same [`Report`] in-process.
+//! and sent to a `--serve` daemon as one unit, cells that share a key (a
+//! baseline several pairs compare against) run once, and its local cells
+//! run in parallel on `--threads` workers through one
+//! `Executor::resolve_all` call. The result does not depend on the thread
+//! count. [`main`] is the whole body of a figure binary; tests read the
+//! same [`Report`] in-process.
 
 use crate::{print_table, write_json, BenchCli, SweepSession};
 use save_core::{CoreConfig, SchedulerKind};
 use save_kernels::{BroadcastPattern, ConvShape, GemmKernelSpec, GemmWorkload, Phase, Precision};
 use save_mem::BcastDesign;
-use save_sim::{CellSpec, ConfigKind, MachineConfig, SimError};
+use save_sim::{CellSpec, ConfigKind, Estimator, EstimatorConfig, MachineConfig, Network, SimError};
+use save_sparsity::NetKind;
 use serde::Serialize;
 use std::process::ExitCode;
 
 /// Two cells whose time ratio `t(base) / t(save)` is one reported value:
 /// the speedup of `save` over `base`.
-pub struct Pair {
+struct Pair {
     /// Names the pair in lookups, failure reports and daemon jobs.
-    pub label: String,
+    label: String,
     /// The reference cell: the 2-VPU baseline unless the figure says otherwise.
-    pub base: CellSpec,
+    base: CellSpec,
     /// The cell whose speedup over `base` is reported.
-    pub save: CellSpec,
+    save: CellSpec,
 }
 
 /// One table row: a label and its values.
@@ -41,14 +45,16 @@ pub struct Row {
 }
 
 /// How a table prints its values: `1.23`, `1.23x`, Fig 16's (conv, LSTM)
-/// kernel counts per bin as `3+2` then the geomean as `1.23x`, or the
-/// prefetch study's plain slowdown then `1.23x` speedup.
+/// kernel counts per bin as `3+2` then the geomean as `1.23x`, the
+/// prefetch study's plain slowdown then `1.23x` speedup, or Fig 14's
+/// `1.23x` speedups then a fraction as a `3%` share.
 #[derive(Clone, Copy, Serialize)]
 enum Format {
     Plain,
     Times,
     Histogram,
     Prefetch,
+    Share,
 }
 
 /// A printed table of numbers. The speedup-table figures save their tables
@@ -104,6 +110,10 @@ impl Table {
                     counts.chain(fixed(geomean, "x")).collect()
                 }
                 Format::Prefetch => [fixed(&v[..1], ""), fixed(&v[1..], "x")].concat(),
+                Format::Share => {
+                    let (speedups, share) = v.split_at(v.len() - 1);
+                    fixed(speedups, "x").into_iter().chain([format!("{:.0}%", share[0] * 100.0)]).collect()
+                }
             };
             std::iter::once(r.label.clone()).chain(cells).collect()
         }).collect();
@@ -122,12 +132,25 @@ struct Cap {
     cap: f64,
 }
 
+/// One Fig 14 estimate: a network's times at one precision, normalized to
+/// the baseline, and the dynamic policy's training time split by phase.
+#[derive(Clone, Serialize)]
+struct NetResult {
+    network: String,
+    precision: String,
+    inference_norm: Vec<(String, f64)>,
+    inference_first_layer_frac: f64,
+    training_norm: Vec<(String, f64)>,
+    training_breakdown_dynamic: Vec<(String, f64)>,
+}
+
 /// The JSON artifact a figure writes to `target/experiments/<name>.json`.
 #[derive(Clone)]
 enum Json {
     None,
     Tables,
     Caps(Vec<Cap>),
+    Nets(Vec<NetResult>),
 }
 
 /// What a figure prints and saves.
@@ -151,23 +174,25 @@ impl Report {
             Json::None => Ok(()),
             Json::Tables => write_json(name, &self.tables),
             Json::Caps(caps) => write_json(name, caps),
+            Json::Nets(nets) => write_json(name, nets),
         }
     }
 }
 
-/// A figure's reducer: one speedup per pair, in pair order, to its report.
+/// A figure's reducer: one seconds value per cell, in cell order, to its report.
 type Reduce = Box<dyn Fn(&[f64]) -> Report>;
 
-/// One figure: its cell pairs for one grid and the reducer of their speedups.
+/// One figure: its labelled cells for one grid and the reducer of their seconds.
 pub struct Figure {
-    /// The pairs, in batch order: the order the reducer reads their
-    /// speedups in.
-    pub pairs: Vec<Pair>,
+    /// The labelled cells, in batch order: the order the reducer reads
+    /// their seconds in. A pair figure lists each pair's baseline cell,
+    /// labelled `"<pair> baseline"`, then its SAVE cell, labelled `"<pair>"`.
+    pub cells: Vec<(String, CellSpec)>,
     reduce: Reduce,
 }
 
 impl Figure {
-    /// Builds the figure `name` (`fig15`-`fig19`, `extensions`, `ablation`)
+    /// Builds the figure `name` (`fig14`-`fig19`, `extensions`, `ablation`)
     /// at the scale `cli` asks for: its grid, and `--quick`'s one Fig 16 corner.
     ///
     /// # Errors
@@ -176,6 +201,7 @@ impl Figure {
     pub fn build(name: &str, cli: &BenchCli) -> Result<Figure, SimError> {
         let grid = cli.grid();
         match name {
+            "fig14" => Ok(fig14(grid)),
             "fig15" => fig15(grid),
             "fig16" => Ok(fig16(cli.quick)),
             "fig17" => fig17(&grid),
@@ -187,26 +213,29 @@ impl Figure {
         }
     }
 
-    /// A figure whose table rows take one speedup per pair, in pair order.
+    /// A figure of `pairs` whose `reduce` reads one speedup per pair, in pair order.
+    fn pairs(pairs: Vec<Pair>, reduce: impl Fn(&[f64]) -> Report + 'static) -> Figure {
+        let cells = pairs.into_iter().flat_map(|p| [(format!("{} baseline", p.label), p.base), (p.label, p.save)]);
+        let reduce = move |secs: &[f64]| reduce(&secs.chunks(2).map(|t| t[0] / t[1]).collect::<Vec<_>>());
+        Figure { cells: cells.collect(), reduce: Box::new(reduce) }
+    }
+
+    /// A pair figure whose table rows take one speedup per pair, in pair order.
     fn filled(pairs: Vec<Pair>, tables: Vec<Table>, notes: &[&str], json: Json) -> Figure {
         let notes: Vec<String> = notes.iter().map(|n| n.to_string()).collect();
-        let reduce = move |s: &[f64]| Report { tables: fill(&tables, s), notes: notes.clone(), json: json.clone() };
-        Figure { pairs, reduce: Box::new(reduce) }
+        Figure::pairs(pairs, move |s| Report { tables: fill(&tables, s), notes: notes.clone(), json: json.clone() })
     }
 
-    /// Reduces one speedup per pair, in pair order, to the report.
-    pub fn reduce(&self, speedups: &[f64]) -> Report {
-        (self.reduce)(speedups)
+    /// Reduces one seconds value per cell, in cell order, to the report.
+    pub fn reduce(&self, secs: &[f64]) -> Report {
+        (self.reduce)(secs)
     }
 
-    /// Runs every pair as one batch and reduces their speedups. A failed
-    /// cell makes its speedup `NaN`; the session records the failure.
+    /// Runs every cell as one batch and reduces their seconds. A failed
+    /// cell's seconds are `NaN`; the session records the failure.
     pub fn run(&self, session: &mut SweepSession) -> Report {
-        let cells: Vec<(String, CellSpec)> = self.pairs.iter().flat_map(|p| {
-            [(format!("{} baseline", p.label), p.base.clone()), (p.label.clone(), p.save.clone())]
-        }).collect();
-        let secs = session.spec_seconds_batch(&cells);
-        self.reduce(&secs.chunks(2).map(|t| t[0].0 / t[1].0).collect::<Vec<_>>())
+        let secs: Vec<f64> = session.spec_seconds_batch(&self.cells).into_iter().map(|(s, _)| s).collect();
+        self.reduce(&secs)
     }
 }
 
@@ -238,6 +267,81 @@ pub fn conv(name: &str) -> Result<ConvShape, SimError> {
 /// The data seed of a (BS, NBS) point.
 fn seed(bs: f64, nbs: f64) -> u64 {
     ((bs * 100.0) as u64) << 8 | (nbs * 100.0) as u64
+}
+
+/// Fig 14 — whole-network performance at realistic sparsity: the summed
+/// time of all conv layers / LSTM cells for inference (a, b) and end-to-end
+/// training (c, d), as speedups over the baseline at the SAVE operating
+/// points (2 VPUs @ 1.7 GHz, 1 VPU @ 2.1 GHz, per-epoch *static* and
+/// per-kernel *dynamic* selection), for four networks at both precisions.
+/// The cells and the sums are the [`Estimator`]'s (§VI); the JSON records
+/// each estimate's times normalized to the baseline.
+///
+/// Paper landmarks (dynamic, mixed precision): inference speedups 1.68x
+/// (dense VGG16), 1.37x (dense ResNet-50), 1.59x (pruned ResNet-50), 1.39x
+/// (pruned GNMT); end-to-end training 1.64x / 1.29x / 1.42x / 1.28x.
+fn fig14(grid: Vec<f64>) -> Figure {
+    let est = Estimator::new(EstimatorConfig { grid, ..Default::default() });
+    let kinds = [NetKind::Vgg16Dense, NetKind::ResNet50Dense, NetKind::ResNet50Pruned, NetKind::GnmtPruned];
+    let estimates: Vec<(Precision, NetKind, Network)> =
+        PRECISIONS.into_iter().flat_map(|p| kinds.map(|kind| (p, kind, Network::build(kind)))).collect();
+    // Every estimate's inference then training cells.
+    let (mut cells, mut spans) = (Vec::new(), Vec::new());
+    for (prec, kind, net) in &estimates {
+        let (inf, tr) = (est.inference_cells(net, *prec), est.training_cells(net, *prec));
+        spans.push((inf.len(), tr.len()));
+        let name = format!("{} {prec}", kind.label());
+        cells.extend(inf.into_iter().chain(tr).map(|(label, spec)| (format!("{name} {label}"), spec)));
+    }
+    let title = "Fig 14a/b: inference speedup over baseline";
+    let inference = Table::new(title, &["network", "2 VPUs", "1 VPU", "dynamic", "1st-layer share"], Format::Share);
+    let title = "Fig 14c/d: end-to-end training speedup over baseline";
+    let training = Table::new(title, &["network", "2 VPUs", "1 VPU", "static", "dynamic"], Format::Times);
+    // Policy totals as speedups over `base`, and as times normalized to it.
+    let speedups = |base: f64, totals: &[(&str, f64)]| totals.iter().map(|&(_, t)| base / t).collect::<Vec<_>>();
+    let norm = |base: f64, totals: &[(&str, f64)]| {
+        let totals = totals.iter().map(|&(n, t)| (n.to_string(), t / base));
+        std::iter::once(("baseline".to_string(), 1.0)).chain(totals).collect()
+    };
+    let reduce = move |secs: &[f64]| {
+        let (mut tables, mut nets, mut rest) = ([inference.clone(), training.clone()], Vec::new(), secs);
+        for ((prec, kind, net), &(n_inf, n_tr)) in estimates.iter().zip(&spans) {
+            let (inf_secs, tail) = rest.split_at(n_inf);
+            let (tr_secs, tail) = tail.split_at(n_tr);
+            rest = tail;
+            let (inf, tr) = (est.inference(net, *prec, inf_secs), est.training(net, *prec, tr_secs));
+            let inf_totals = [("2 VPUs", inf.save2), ("1 VPU", inf.save1), ("dynamic", inf.dynamic)];
+            let inf_totals = inf_totals.map(|(n, t)| (n, t.total()));
+            let tr_totals = [("2 VPUs", tr.save2), ("1 VPU", tr.save1), ("static", tr.static_), ("dynamic", tr.dynamic)];
+            let tr_totals = tr_totals.map(|(n, t)| (n, t.total()));
+            let (ib, tb) = (inf.baseline.total(), tr.baseline.total());
+            let share = inf.baseline.first_layer / ib;
+            let label = format!("{} {prec}", kind.label());
+            tables[0].rows.push(Row { label: label.clone(), values: [speedups(ib, &inf_totals), vec![share]].concat() });
+            tables[1].rows.push(Row { label, values: speedups(tb, &tr_totals) });
+            let d = tr.dynamic;
+            let phases = [
+                ("forward", d.forward),
+                ("backward input", d.backward_input),
+                ("backward weight", d.backward_weights),
+                ("1st layer", d.first_layer),
+            ];
+            nets.push(NetResult {
+                network: kind.label().to_string(),
+                precision: prec.to_string(),
+                inference_norm: norm(ib, &inf_totals),
+                inference_first_layer_frac: share,
+                training_norm: norm(tb, &tr_totals),
+                training_breakdown_dynamic: phases.map(|(n, t)| (n.to_string(), t / d.total())).into(),
+            });
+        }
+        let notes = vec![
+            "\npaper (dynamic, MP): inference 1.68x VGG16 / 1.37x RN50 dense / 1.59x RN50 pruned / 1.39x GNMT".into(),
+            "                     training  1.64x        / 1.29x          / 1.42x           / 1.28x".into(),
+        ];
+        Report { tables: tables.into(), notes, json: Json::Nets(nets) }
+    };
+    Figure { cells, reduce: Box::new(reduce) }
 }
 
 /// Fig 15 — speedups over the full (NBS x BS) grid on the mixed-precision
@@ -276,7 +380,7 @@ fn fig15(grid: Vec<f64>) -> Result<Figure, SimError> {
         ];
         Report { tables: fill(&tables, &[two, one].concat()), notes, json: Json::Tables }
     };
-    Ok(Figure { pairs, reduce: Box::new(reduce) })
+    Ok(Figure::pairs(pairs, reduce))
 }
 
 /// Fig 16's 93 kernels at precision `p` as (name, is LSTM, workload): 62
@@ -363,7 +467,7 @@ fn fig16(quick: bool) -> Figure {
         }
         Report { tables: vec![table], notes: Vec::new(), json: Json::Caps(caps) }
     };
-    Figure { pairs, reduce: Box::new(reduce) }
+    Figure::pairs(pairs, reduce)
 }
 
 /// One panel's histogram row: conv and LSTM kernel counts per bin,

@@ -6,10 +6,10 @@
 //! EXPERIMENTS.md. Criterion micro-benchmarks cover the simulator's hot
 //! paths and one representative kernel per experiment.
 //!
-//! The speedup sweeps (Figs 15-19, `extensions`, `ablation`) are library
-//! data in [`figures`]: labelled (baseline, SAVE) cell pairs plus a pure
-//! reducer to tables, which tests read in-process. Fig 14 and `netreport`
-//! take their cells and reducers from [`save_sim::Estimator`].
+//! The figure sweeps (Figs 14-19, `extensions`, `ablation`) are library
+//! data in [`figures`]: labelled cells plus a pure reducer of their seconds
+//! to tables, which tests read in-process. Fig 14 and `netreport` take
+//! their cells and reducers from [`save_sim::Estimator`].
 //!
 //! Every binary funnels through [`run_main`], which parses the uniform
 //! durable-execution flags ([`BenchCli`]: `--checkpoint-dir`, `--resume`,
@@ -18,11 +18,14 @@
 //! convention (0 clean / 1 lossy / 2 usage / 130 cancelled-resumable).
 //!
 //! Sweeps run through [`SweepSession`]: every list of cells (a figure's
-//! pairs, fig14's eight estimates, `netreport`'s layers, the `surface`
-//! grid) is one [`SweepSession::spec_seconds_batch`] call, resolved by the
-//! session's [`Executor`] under the per-cell retry/deadline policy (the
-//! local cells in one [`Executor::resolve_all`] call on `--threads`
-//! workers, settled in submission order). A cell that fails (typed
+//! cells, `netreport`'s layers, the `surface` grid) is one
+//! [`SweepSession::spec_seconds_batch`] call, resolved by the session's
+//! [`Executor`] under the per-cell retry/deadline policy (the local cells
+//! in one [`Executor::resolve_all`] call on `--threads` workers, settled in
+//! submission order), or by a `--serve` daemon. A daemon that cannot be
+//! reached, or that fails mid-batch, degrades the session to local
+//! execution; [`SweepSession::resumed`] counts the cells the store or the
+//! daemon's cache answered without simulating them. A cell that fails (typed
 //! [`SimError`] or a panic) becomes a `NaN` entry instead of aborting the
 //! figure, and [`SweepSession::finish`] dumps a [`FailureReport`] JSON next
 //! to the results. With `--checkpoint-dir`, the executor holds one
@@ -33,7 +36,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use save_serve::{CellResult, Client, NamedCell};
+use save_serve::{CellResult, Client, Fault, NamedCell};
 use save_sim::durable::{exit_code_for, run_cell, Executor, RetryPolicy, EXIT_FAILURES, EXIT_USAGE};
 use save_sim::error::{RetryClass, SimError};
 use save_sim::parallel::{host_parallelism, FailureReport, JobFailure};
@@ -44,6 +47,7 @@ use std::collections::HashMap;
 use std::io::Write;
 use std::path::PathBuf;
 use std::process::ExitCode;
+use std::str::FromStr;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -106,7 +110,8 @@ pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
 /// Durable-execution flags (`--checkpoint-dir`, `--resume`,
 /// `--cell-deadline`, `--retries`) are understood identically everywhere;
 /// anything unrecognised lands in [`BenchCli::rest`] for binaries with
-/// extra arguments of their own (`netreport`, `simulate`, `perfstat`).
+/// extra arguments of their own (`netreport`, `simulate`, `perfstat`),
+/// which read their valued flags with [`BenchCli::flag`].
 #[derive(Clone, Debug, Default)]
 pub struct BenchCli {
     /// Reduced sweep sizes (`--quick`).
@@ -221,6 +226,19 @@ impl BenchCli {
     pub fn threads_or_default(&self) -> usize {
         self.threads.unwrap_or_else(host_parallelism)
     }
+
+    /// The value after the binary-specific `flag` in [`BenchCli::rest`],
+    /// parsed; `None` when the flag is absent.
+    ///
+    /// # Errors
+    /// [`SimError::InvalidConfig`] when the flag has no value or its value
+    /// does not parse.
+    pub fn flag<T: FromStr>(&self, flag: &str) -> Result<Option<T>, SimError> {
+        let Some(i) = self.rest.iter().position(|a| a == flag) else { return Ok(None) };
+        let v = self.rest.get(i + 1).ok_or_else(|| SimError::InvalidConfig { what: format!("{flag} needs a value") })?;
+        let what = format!("{flag} got {v:?}, which does not parse");
+        v.parse().map(Some).map_err(|_| SimError::InvalidConfig { what })
+    }
 }
 
 /// Fault-isolating, durable harness for one experiment binary.
@@ -246,7 +264,8 @@ pub struct SweepSession {
     exec: Executor,
     /// Worker threads a batch's local cells run on (`--threads`).
     threads: usize,
-    /// Batch cells served from the store instead of recomputed.
+    /// Batch cells served from the store or the daemon's cache instead of
+    /// recomputed.
     resumed: usize,
     cancelled: bool,
     /// `--serve ADDR`: submit [`SweepSession::spec_seconds_batch`] cells to
@@ -258,6 +277,8 @@ pub struct SweepSession {
     serve_degraded: bool,
     /// Cells answered by the daemon (including its cache hits).
     served: usize,
+    /// A fault for the first cell of the next daemon submission.
+    remote_fault: Option<Fault>,
 }
 
 impl SweepSession {
@@ -293,6 +314,7 @@ impl SweepSession {
             serve_client: None,
             serve_degraded: false,
             served: 0,
+            remote_fault: None,
         })
     }
 
@@ -302,15 +324,17 @@ impl SweepSession {
         self.cancelled
     }
 
-    /// Number of batch cells restored from the store instead of recomputed.
+    /// Number of batch cells restored from the store or served from the
+    /// daemon's cache instead of recomputed.
     pub fn resumed(&self) -> usize {
         self.resumed
     }
 
-    /// Marks the whole session cancelled (used when a nested durable sweep
-    /// reports cancellation).
-    pub fn note_cancelled(&mut self) {
-        self.cancelled = true;
+    /// Crash drill for `--serve`: the first cell of the next daemon
+    /// submission kills the worker that picks it up. The daemon must
+    /// recover and requeue it, so the results do not change.
+    pub fn kill_first_remote_worker(&mut self) {
+        self.remote_fault = Some(Fault::KillWorker);
     }
 
     /// Records a failure that happened outside any labelled cell (e.g. a
@@ -400,9 +424,10 @@ impl SweepSession {
     /// 2. with `--serve ADDR`, the rest go to the daemon in **one**
     ///    submission, and its answers are journaled in the store by key
     ///    exactly as local runs would be, so `--resume` replays them
-    ///    without the daemon. Any transport failure — refused connection,
-    ///    daemon draining, torn stream — degrades the whole session to
-    ///    local execution with a warning;
+    ///    without the daemon; its cache hits count as resumed. Any
+    ///    transport failure — refused connection, daemon draining, torn
+    ///    stream — degrades the whole session to local execution with a
+    ///    warning;
     /// 3. whatever is left goes to one [`Executor::resolve_all`] call on
     ///    the session's `--threads` worker threads, which runs each cell and
     ///    journals its record. Results settle in submission order, so
@@ -508,13 +533,16 @@ impl SweepSession {
                 }
             }
         }
-        let named: Vec<NamedCell> = pending
+        let mut named: Vec<NamedCell> = pending
             .iter()
             .map(|&u| {
                 let (label, spec) = &cells[unique[u].0];
                 NamedCell { label: label.clone(), spec: spec.clone(), fault: None }
             })
             .collect();
+        if let Some(first) = named.first_mut() {
+            first.fault = self.remote_fault.take();
+        }
         let mut got: Vec<Option<CellResult>> = vec![None; named.len()];
         let outcome = self
             .serve_client
@@ -552,6 +580,7 @@ impl SweepSession {
                 continue;
             };
             self.served += 1;
+            self.resumed += usize::from(result.cached);
             if result.error_kind == "cancelled" {
                 out.push((u, self.cancel_job()));
                 continue;
@@ -782,6 +811,18 @@ mod tests {
         assert!(BenchCli::parse_from(["--cell-deadline"]).is_err());
         assert!(BenchCli::parse_from(["--retries", "many"]).is_err());
         assert!(BenchCli::parse_from(["--resume"]).is_err(), "--resume needs a directory");
+    }
+
+    #[test]
+    fn binary_flags_parse_or_fail_as_invalid_config() {
+        let cli = BenchCli::parse_from(["--cores", "8", "--config", "save1", "--quantum", "x", "--k"]).unwrap();
+        assert_eq!(cli.flag::<usize>("--cores").unwrap(), Some(8));
+        assert_eq!(cli.flag::<String>("--config").unwrap().as_deref(), Some("save1"));
+        assert_eq!(cli.flag::<u64>("--tiles").unwrap(), None, "an absent flag has no value");
+        for (flag, why) in [("--quantum", "does not parse"), ("--k", "needs a value")] {
+            let err = cli.flag::<u64>(flag).expect_err(flag);
+            assert!(matches!(&err, SimError::InvalidConfig { what } if what.contains(why)), "{flag}: {err}");
+        }
     }
 
     #[test]

@@ -1,15 +1,12 @@
 //! Paper-shape gate: Figs 14-19 on the `--quick` grid (0/30/60/90%), run
-//! in-process (Figs 15-19 through `save_bench::figures`, Fig 14 through the
-//! `Estimator`'s cells and reducers), must keep the shapes the paper
+//! in-process through `save_bench::figures` and read from the same
+//! `Report` tables the binaries print, must keep the shapes the paper
 //! reports (EXPERIMENTS.md). Each test is named for the mechanism it pins,
 //! so switching a mechanism off in the core fails a test by name. Values in
 //! the comments are the quick-grid speedups these bounds were set against.
 
-use save_bench::figures::{Figure, Report};
+use save_bench::figures::{Figure, Report, Row, Table};
 use save_bench::{BenchCli, SweepSession};
-use save_kernels::Precision;
-use save_sim::{Estimator, EstimatorConfig, InferenceEstimate, Network, TrainingEstimate};
-use save_sparsity::NetKind;
 use std::sync::OnceLock;
 
 fn quick() -> BenchCli {
@@ -33,16 +30,21 @@ macro_rules! figure {
         }
     };
 }
+figure!(fig14);
 figure!(fig15);
 figure!(fig16);
 figure!(fig17);
 figure!(fig18);
 figure!(fig19);
 
+/// The table whose title starts with `table`.
+fn table<'a>(report: &'a Report, table: &str) -> &'a Table {
+    report.tables.iter().find(|t| t.title.starts_with(table)).unwrap_or_else(|| panic!("no table {table:?}"))
+}
+
 /// The values of row `row` in the table whose title starts with `table`.
 fn row<'a>(report: &'a Report, table: &str, row: &str) -> &'a [f64] {
-    let t = report.tables.iter().find(|t| t.title.starts_with(table));
-    let t = t.unwrap_or_else(|| panic!("no table {table:?}"));
+    let t = self::table(report, table);
     let r = t.rows.iter().find(|r| r.label == row).unwrap_or_else(|| panic!("no row {row:?} in {table:?}"));
     &r.values
 }
@@ -53,8 +55,7 @@ fn max(values: impl IntoIterator<Item = f64>) -> f64 {
 
 /// Every value of the table whose title starts with `table`.
 fn all(report: &Report, table: &str) -> Vec<f64> {
-    let t = report.tables.iter().find(|t| t.title.starts_with(table)).expect("table");
-    t.rows.iter().flat_map(|r| r.values.iter().copied()).collect()
+    self::table(report, table).rows.iter().flat_map(|r| r.values.iter().copied()).collect()
 }
 
 #[test]
@@ -86,25 +87,23 @@ fn fig16_frequency_boost_lifts_the_one_vpu_geomean_in_both_precisions() {
 #[test]
 fn fig16_failed_kernel_is_left_out_of_bins_and_geomean() {
     // The reducer alone, fed synthetic speedups: the first kernel's every
-    // corner failed (NaN), every other kernel has a finite cap.
+    // corner failed (NaN), every other kernel has a finite cap. A pair's
+    // cells are its baseline then its SAVE cell, which carries the pair's
+    // label; seconds `(s, 1.0)` make its speedup `s`.
     let fig = Figure::build("fig16", &quick()).expect("figure builds");
-    let dead = format!("{} ", fig.pairs[0].label.split(" FP32 ").next().expect("kernel name"));
-    let speedups: Vec<f64> = (0..fig.pairs.len()).map(|i| 0.9 + (i % 23) as f64 * 0.06).collect();
-    let failed: Vec<f64> = fig
-        .pairs
-        .iter()
-        .zip(&speedups)
-        .map(|(p, &s)| if p.label.starts_with(&dead) { f64::NAN } else { s })
-        .collect();
-    let report = fig.reduce(&failed);
+    let pairs: Vec<&str> = fig.cells.chunks(2).map(|c| c[1].0.as_str()).collect();
+    let dead = format!("{} ", pairs[0].split(" FP32 ").next().expect("kernel name"));
+    let speedups: Vec<f64> = (0..pairs.len()).map(|i| 0.9 + (i % 23) as f64 * 0.06).collect();
+    let failed: Vec<f64> =
+        pairs.iter().zip(&speedups).map(|(p, &s)| if p.starts_with(&dead) { f64::NAN } else { s }).collect();
+    let report = fig.reduce(&failed.iter().flat_map(|&s| [s, 1.0]).collect::<Vec<_>>());
     for prec in ["FP32", "MP"] {
         for vpus in [2, 1] {
             let panel = format!(" {prec} {vpus}vpu ");
-            let caps: Vec<f64> = fig
-                .pairs
+            let caps: Vec<f64> = pairs
                 .iter()
                 .zip(&failed)
-                .filter(|(p, s)| p.label.contains(&panel) && s.is_finite())
+                .filter(|(p, s)| p.contains(&panel) && s.is_finite())
                 .map(|(_, &s)| s)
                 .collect();
             assert_eq!(caps.len(), 92);
@@ -195,53 +194,17 @@ fn speedup_is_monotone_in_nbs() {
     }
 }
 
-/// One Fig 14 estimate: a network at one precision.
-struct Estimate {
-    name: String,
-    precision: Precision,
-    kind: NetKind,
-    inf: InferenceEstimate,
-    tr: TrainingEstimate,
+/// Fig 14's rows, one per (network, precision) estimate: inference
+/// speedups of 2 VPUs, 1 VPU and dynamic, then the baseline's first-layer
+/// share.
+fn inference() -> &'static [Row] {
+    &table(fig14(), "Fig 14a/b").rows
 }
 
-/// Fig 14's eight estimates at quick scale, resolved as one batch the way
-/// the fig14 binary resolves them; every cell must succeed.
-fn fig14() -> &'static [Estimate] {
-    static ESTIMATES: OnceLock<Vec<Estimate>> = OnceLock::new();
-    ESTIMATES.get_or_init(|| {
-        let est = Estimator::new(EstimatorConfig { grid: quick().grid(), ..Default::default() });
-        let kinds =
-            [NetKind::Vgg16Dense, NetKind::ResNet50Dense, NetKind::ResNet50Pruned, NetKind::GnmtPruned];
-        let nets: Vec<(Precision, NetKind, Network)> = [Precision::F32, Precision::Mixed]
-            .into_iter()
-            .flat_map(|p| kinds.map(|kind| (p, kind, Network::build(kind))))
-            .collect();
-        let cells: Vec<_> = nets
-            .iter()
-            .flat_map(|(p, _, net)| [est.inference_cells(net, *p), est.training_cells(net, *p)])
-            .collect();
-        let mut session = SweepSession::new("fig14");
-        let batch: Vec<_> = cells.iter().flatten().cloned().collect();
-        let secs: Vec<f64> =
-            session.spec_seconds_batch(&batch).into_iter().map(|(s, _)| s).collect();
-        assert!(session.is_clean(), "fig14: {}", session.report());
-        let mut rest = &secs[..];
-        let mut span = |n: usize| {
-            let (head, tail) = rest.split_at(n);
-            rest = tail;
-            head
-        };
-        nets.iter()
-            .zip(cells.chunks(2))
-            .map(|((p, kind, net), c)| Estimate {
-                name: format!("{} {p}", kind.label()),
-                precision: *p,
-                kind: *kind,
-                inf: est.inference(net, *p, span(c[0].len())),
-                tr: est.training(net, *p, span(c[1].len())),
-            })
-            .collect()
-    })
+/// Fig 14's rows, one per estimate: training speedups of 2 VPUs, 1 VPU,
+/// static and dynamic.
+fn training() -> &'static [Row] {
+    &table(fig14(), "Fig 14c/d").rows
 }
 
 /// `a <= b` up to the rounding of summing the same buckets in another order.
@@ -253,17 +216,14 @@ fn at_most(a: f64, b: f64) -> bool {
 fn fig14_two_vpus_static_and_dynamic_beat_the_baseline_everywhere() {
     // Quick grid: inference dynamic 1.24x (GNMT MP) to 1.73x, training
     // static 1.19x (dense ResNet-50 MP) to 1.54x.
-    for e in fig14() {
-        let (inf, tr) = (&e.inf, &e.tr);
-        for (what, t) in [("2 VPUs", inf.save2.total()), ("dynamic", inf.dynamic.total())] {
-            let b = inf.baseline.total();
-            assert!(t < b, "{}: inference {what} {t} vs baseline {b}", e.name);
+    for r in inference() {
+        for (what, s) in [("2 VPUs", r.values[0]), ("dynamic", r.values[2])] {
+            assert!(s > 1.0, "{}: inference {what} speedup {s}", r.label);
         }
-        let policies =
-            [("2 VPUs", tr.save2.total()), ("static", tr.static_.total()), ("dynamic", tr.dynamic.total())];
-        for (what, t) in policies {
-            let b = tr.baseline.total();
-            assert!(t < b, "{}: training {what} {t} vs baseline {b}", e.name);
+    }
+    for r in training() {
+        for (what, s) in [("2 VPUs", r.values[0]), ("static", r.values[2]), ("dynamic", r.values[3])] {
+            assert!(s > 1.0, "{}: training {what} speedup {s}", r.label);
         }
     }
 }
@@ -272,26 +232,18 @@ fn fig14_two_vpus_static_and_dynamic_beat_the_baseline_everywhere() {
 fn fig14_one_vpu_beats_the_baseline_in_inference() {
     // 1.10x (dense ResNet-50 MP) to 1.73x. In training it does not: dense
     // ResNet-50 reads 0.88x FP32 and 0.86x MP.
-    for e in fig14() {
-        let (b, one) = (e.inf.baseline.total(), e.inf.save1.total());
-        assert!(one < b, "{}: inference 1 VPU {one} vs baseline {b}", e.name);
+    for r in inference() {
+        assert!(r.values[1] > 1.0, "{}: inference 1 VPU speedup {}", r.label, r.values[1]);
     }
-}
-
-/// Speedup of `policy` over the baseline for `kind`'s estimate at `p`.
-fn speedup(p: Precision, kind: NetKind, policy: impl Fn(&Estimate) -> (f64, f64)) -> f64 {
-    let e = fig14().iter().find(|e| (e.precision, e.kind) == (p, kind)).expect("estimate");
-    let (base, t) = policy(e);
-    base / t
 }
 
 #[test]
 fn fig14_training_speedup_orders_vgg16_over_pruned_over_dense_resnet50() {
     // FP32 1.57x > 1.39x > 1.21x, MP 1.55x > 1.36x > 1.19x (dynamic).
-    for p in [Precision::F32, Precision::Mixed] {
-        let dynamic = |kind| speedup(p, kind, |e| (e.tr.baseline.total(), e.tr.dynamic.total()));
-        let vgg = dynamic(NetKind::Vgg16Dense);
-        let (pruned, dense) = (dynamic(NetKind::ResNet50Pruned), dynamic(NetKind::ResNet50Dense));
+    for p in ["FP32", "MP"] {
+        let dynamic = |net: &str| row(fig14(), "Fig 14c/d", &format!("{net} {p}"))[3];
+        let vgg = dynamic("dense VGG16");
+        let (pruned, dense) = (dynamic("pruned ResNet-50"), dynamic("dense ResNet-50"));
         assert!(vgg > pruned && pruned > dense, "{p}: VGG16 {vgg}, pruned {pruned}, dense {dense}");
     }
 }
@@ -299,43 +251,42 @@ fn fig14_training_speedup_orders_vgg16_over_pruned_over_dense_resnet50() {
 #[test]
 fn fig14_dense_resnet50_is_the_lowest_cnn_for_inference() {
     // FP32 1.44x vs 1.61x / 1.70x, MP 1.43x vs 1.58x / 1.73x (dynamic).
-    for p in [Precision::F32, Precision::Mixed] {
-        let dynamic = |kind| speedup(p, kind, |e| (e.inf.baseline.total(), e.inf.dynamic.total()));
-        let dense = dynamic(NetKind::ResNet50Dense);
-        for other in [NetKind::Vgg16Dense, NetKind::ResNet50Pruned] {
-            let t = dynamic(other);
-            assert!(dense < t, "{p}: dense ResNet-50 {dense} vs {other:?} {t}");
+    for p in ["FP32", "MP"] {
+        let dynamic = |net: &str| row(fig14(), "Fig 14a/b", &format!("{net} {p}"))[2];
+        let dense = dynamic("dense ResNet-50");
+        for other in ["dense VGG16", "pruned ResNet-50"] {
+            let s = dynamic(other);
+            assert!(dense < s, "{p}: dense ResNet-50 {dense} vs {other} {s}");
         }
     }
 }
 
 #[test]
 fn fig14_static_picks_the_better_fixed_config_per_epoch() {
-    for e in fig14() {
-        let (st, two, one) = (e.tr.static_.total(), e.tr.save2.total(), e.tr.save1.total());
-        let name = &e.name;
-        assert!(at_most(st, two) && at_most(st, one), "{name}: static {st} vs {two}, {one}");
+    for r in training() {
+        let (two, one, st) = (r.values[0], r.values[1], r.values[2]);
+        assert!(at_most(two, st) && at_most(one, st), "{}: static {st} vs {two}, {one}", r.label);
     }
 }
 
 #[test]
 fn fig14_dynamic_picks_the_better_config_per_kernel() {
-    for e in fig14() {
-        let (inf, tr) = (&e.inf, &e.tr);
-        let (dy, two, one) = (inf.dynamic.total(), inf.save2.total(), inf.save1.total());
-        let name = &e.name;
-        assert!(at_most(dy, two) && at_most(dy, one), "{name}: inference dynamic {dy} vs {two}, {one}");
-        let (dy, st) = (tr.dynamic.total(), tr.static_.total());
-        assert!(at_most(dy, st), "{}: training dynamic {dy} vs static {st}", e.name);
+    for r in inference() {
+        let (two, one, dy) = (r.values[0], r.values[1], r.values[2]);
+        assert!(at_most(two, dy) && at_most(one, dy), "{}: inference dynamic {dy} vs {two}, {one}", r.label);
+    }
+    for r in training() {
+        let (st, dy) = (r.values[2], r.values[3]);
+        assert!(at_most(st, dy), "{}: training dynamic {dy} vs static {st}", r.label);
     }
 }
 
 #[test]
 fn fig14_first_layer_share_of_inference() {
     // CNNs 1-3%, GNMT 10%: the first layer has no input-activation sparsity.
-    for e in fig14() {
-        let share = e.inf.baseline.first_layer / e.inf.baseline.total();
-        let range = if e.kind == NetKind::GnmtPruned { 0.05..0.15 } else { 0.0..0.05 };
-        assert!(range.contains(&share), "{}: first-layer share {share}", e.name);
+    for r in inference() {
+        let share = r.values[3];
+        let range = if r.label.starts_with("pruned GNMT") { 0.05..0.15 } else { 0.0..0.05 };
+        assert!(range.contains(&share), "{}: first-layer share {share}", r.label);
     }
 }

@@ -3,9 +3,11 @@
 //! its journal, and require the resumed output to be **bit-identical** to
 //! an uninterrupted run — same `secs_bits`, same total simulated cycles.
 //! A second test covers graceful cancellation: SIGINT must produce exit
-//! code 130 with a resumable journal.
+//! code 130 with a resumable journal, and a third that `--serve` with no
+//! daemon listening degrades to the local run's output.
 
 use serde::Deserialize;
+use std::net::TcpListener;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
@@ -29,10 +31,15 @@ fn surface_cmd(extra: &[&str]) -> Command {
 }
 
 fn run_to_out(extra: &[&str]) -> Out {
-    let out = surface_cmd(extra).output().expect("spawn surface");
+    parse_out(surface_cmd(extra), extra)
+}
+
+/// Runs `surface` to completion and parses its JSON line; it must exit 0.
+fn parse_out(mut cmd: Command, args: &[&str]) -> Out {
+    let out = cmd.output().expect("spawn surface");
     assert!(
         out.status.success(),
-        "surface {extra:?} failed: {}",
+        "surface {args:?} failed: {}",
         String::from_utf8_lossy(&out.stderr)
     );
     let stdout = String::from_utf8(out.stdout).expect("utf8 stdout");
@@ -125,4 +132,21 @@ fn sigint_exits_130_and_leaves_a_resumable_journal() {
     assert!(resumed.resumed >= 1);
     assert!(resumed.secs_bits.iter().all(|&b| !f64::from_bits(b).is_nan()));
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn unreachable_daemon_degrades_to_the_local_run() {
+    // A port nothing listens on: bound, read, and released.
+    let port = TcpListener::bind("127.0.0.1:0").unwrap().local_addr().unwrap().port();
+    let addr = format!("127.0.0.1:{port}");
+    let quick = |args: &[&str]| {
+        let mut c = Command::new(env!("CARGO_BIN_EXE_surface"));
+        c.arg("--quick").args(args).stdout(Stdio::piped()).stderr(Stdio::piped());
+        parse_out(c, args)
+    };
+    let local = quick(&[]);
+    let served = quick(&["--serve", &addr]);
+    assert_eq!(served.secs_bits, local.secs_bits, "the degraded run prints the local bits");
+    assert_eq!(served.total_cycles, local.total_cycles);
+    assert_eq!(served.resumed, 0, "nothing was served or restored");
 }

@@ -99,18 +99,25 @@ fn violation_rolls_up_into_a_failure_report() {
 
 #[test]
 fn sanitize_full_slowdown_is_bounded() {
-    // Acceptance bound from the issue: a Full-sanitize fig12-style GEMM run
+    // Acceptance bound: a Full-sanitize fig12-style GEMM run
     // finishes with zero violations at no more than ~2x the wall-clock of
     // an unchecked run. Wall-clock on shared CI hosts is noisy, so allow
     // slack above the nominal 2x while still catching accidental
-    // quadratic-cost checkers.
-    let t0 = std::time::Instant::now();
-    let off = run(cfg_with(SanitizeLevel::Off), 2, false).expect("clean run (off)");
-    let d_off = t0.elapsed();
-    let t1 = std::time::Instant::now();
-    let full = run(cfg_with(SanitizeLevel::Full), 2, false).expect("clean run (full)");
-    let d_full = t1.elapsed();
-    assert!(off.completed && full.completed);
-    let ratio = d_full.as_secs_f64() / d_off.as_secs_f64().max(1e-9);
-    assert!(ratio < 4.0, "Full sanitize cost {ratio:.1}x (nominal bound 2x, hard bound 4x)");
+    // quadratic-cost checkers, and judge the median of five alternating
+    // (off, full) pairs so one pair slowed by host load cannot fail it.
+    let timed = |level| {
+        let t0 = std::time::Instant::now();
+        let r = run(cfg_with(level), 2, false).expect("clean run");
+        assert!(r.completed, "{level:?} run completes");
+        t0.elapsed().as_secs_f64()
+    };
+    let mut ratios: Vec<f64> = (0..5)
+        .map(|_| {
+            let d_off = timed(SanitizeLevel::Off);
+            timed(SanitizeLevel::Full) / d_off.max(1e-9)
+        })
+        .collect();
+    ratios.sort_by(f64::total_cmp);
+    let ratio = ratios[2];
+    assert!(ratio < 4.0, "Full sanitize cost {ratio:.1}x (nominal bound 2x, hard bound 4x); pairs {ratios:.2?}");
 }
