@@ -21,11 +21,6 @@ use save_bench::{print_table, SweepSession};
 use save_core::CoreConfig;
 use save_kernels::{GemmWorkload, Phase, Precision};
 use save_sim::{CellSpec, KernelResult, MachineConfig, SimError};
-use std::process::ExitCode;
-
-fn main() -> ExitCode {
-    save_bench::run_main("ablation", body)
-}
 
 /// One study's rows `[param, speedup, stat]`: each `(param, cfg, machine)`
 /// SAVE cell on `w` against the baseline on `base_machine`. A failed cell
@@ -52,7 +47,7 @@ fn study(
     rows
 }
 
-fn body(cli: &save_bench::BenchCli, session: &mut SweepSession) -> Result<(), SimError> {
+pub fn body(cli: &save_bench::BenchCli, session: &mut SweepSession) -> Result<(), SimError> {
     let report = Figure::build("ablation", cli)?.run(session);
     let machine = MachineConfig::default();
     let shape = figures::conv("ResNet3_2")?;

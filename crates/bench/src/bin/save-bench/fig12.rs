@@ -23,14 +23,12 @@ fn panel(kind: NetKind, layers: usize, epochs: usize, segments: usize) -> Result
     save_bench::write_json(&format!("fig12_{:?}", kind), &all)
 }
 
-fn main() -> std::process::ExitCode {
-    save_bench::run_main("fig12", |_cli, _session| {
-        // VGG16: 12 segments (13 convs minus the dense-input first layer).
-        panel(NetKind::Vgg16Dense, 13, 90, 12)?;
-        // ResNet-50: 49 segments in the paper (conv layers along the main path).
-        panel(NetKind::ResNet50Dense, 50, 90, 49)?;
-        panel(NetKind::ResNet50Pruned, 50, 102, 49)?;
-        println!("\n(GNMT omitted as in the paper: its activation sparsity is constant 20%.)");
-        Ok(())
-    })
+pub fn body() -> Result<(), SimError> {
+    // VGG16: 12 segments (13 convs minus the dense-input first layer).
+    panel(NetKind::Vgg16Dense, 13, 90, 12)?;
+    // ResNet-50: 49 segments in the paper (conv layers along the main path).
+    panel(NetKind::ResNet50Dense, 50, 90, 49)?;
+    panel(NetKind::ResNet50Pruned, 50, 102, 49)?;
+    println!("\n(GNMT omitted as in the paper: its activation sparsity is constant 20%.)");
+    Ok(())
 }

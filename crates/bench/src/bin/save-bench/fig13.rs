@@ -3,11 +3,7 @@
 use save_sim::SimError;
 use save_sparsity::PruningSchedule;
 
-fn main() -> std::process::ExitCode {
-    save_bench::run_main("fig13", |_cli, _session| body())
-}
-
-fn body() -> Result<(), SimError> {
+pub fn body() -> Result<(), SimError> {
     let rn = PruningSchedule::resnet50();
     println!("== Fig 13 (top): ResNet-50 training with pruning ==");
     println!("epoch: weight sparsity");

@@ -1,4 +1,4 @@
-//! mesh — the paper's 28-core NUCA/mesh machine, end to end.
+//! `save-bench mesh` — the paper's 28-core NUCA/mesh machine, end to end.
 //!
 //! Runs a reference kernel pair (compute-bound and DRAM-streaming) on the
 //! *detailed* multicore machine at each operating point under the
@@ -21,7 +21,6 @@ use save_sim::{
     ConfigKind, KernelRun, MachineConfig, MachineMode, MulticoreConfig, SimError,
 };
 use serde::Serialize;
-use std::process::ExitCode;
 use std::time::Instant;
 
 /// One (workload, operating point) detailed-mesh measurement.
@@ -86,18 +85,14 @@ fn timed_run(
     Ok((run, t0.elapsed().as_secs_f64()))
 }
 
-fn main() -> ExitCode {
-    save_bench::run_main("mesh", body)
-}
-
-fn body(
+pub fn body(
     cli: &save_bench::BenchCli,
     session: &mut save_bench::SweepSession,
 ) -> Result<(), SimError> {
     let cores = cli.flag("--cores")?.unwrap_or(28);
     let quantum = cli.flag("--quantum")?.unwrap_or(1000u64).max(1);
     let threads = cli.threads.unwrap_or(0);
-    let compare = cli.rest.iter().any(|a| a == "--compare-lockstep");
+    let compare = cli.switches.iter().any(|a| a == "--compare-lockstep");
     let relaxed = machine(cores, quantum, threads);
     let lockstep = machine(cores, 1, 0);
 

@@ -9,10 +9,11 @@
 //! contention report (per-link flit occupancy, per-slice MSHR conflicts,
 //! DRAM queue depth — DESIGN.md §5i) is printed and saved as JSON.
 //!
-//! Usage: `netreport [vgg16|resnet50|resnet50-pruned|gnmt] [--mp]
-//!                   [--mesh] [--cores N] [--quantum Q]`
+//! Usage: `save-bench netreport [vgg16|resnet50|resnet50-pruned|gnmt] [--mp]
+//!                   [--mesh] [--cores N] [--quantum Q]`; the network
+//! defaults to `resnet50-pruned`.
 
-use save_bench::print_table;
+use save_bench::{print_table, Failure};
 use save_kernels::{GemmWorkload, Phase, Precision};
 use save_sim::runner::run_kernel_full;
 use save_sim::{
@@ -21,7 +22,6 @@ use save_sim::{
 };
 use save_sparsity::NetKind;
 use serde::Serialize;
-use std::process::ExitCode;
 
 /// One operating point's mesh-contention measurement (the JSON surface).
 #[derive(Serialize)]
@@ -41,10 +41,6 @@ struct MeshRecord {
 }
 
 const DIR_NAMES: [&str; 4] = ["E", "W", "S", "N"];
-
-fn main() -> ExitCode {
-    save_bench::run_main("netreport", body)
-}
 
 /// Runs the network's heaviest layer on the detailed NUCA/mesh `machine`
 /// at every operating point and surfaces the uncore contention counters.
@@ -115,18 +111,19 @@ fn mesh_report(
     Ok(())
 }
 
-fn body(
+pub fn body(
     cli: &save_bench::BenchCli,
     session: &mut save_bench::SweepSession,
-) -> Result<(), SimError> {
-    let kind = match cli.rest.first().map(|s| s.as_str()) {
+) -> Result<(), Failure> {
+    let kind = match cli.positionals.first().map(|s| s.as_str()) {
         Some("vgg16") => NetKind::Vgg16Dense,
         Some("resnet50") => NetKind::ResNet50Dense,
         Some("gnmt") => NetKind::GnmtPruned,
-        _ => NetKind::ResNet50Pruned,
+        None | Some("resnet50-pruned") => NetKind::ResNet50Pruned,
+        Some(other) => return Err(Failure::Usage(format!("unknown network {other:?}"))),
     };
     let precision =
-        if cli.rest.iter().any(|a| a == "--mp") { Precision::Mixed } else { Precision::F32 };
+        if cli.switches.iter().any(|a| a == "--mp") { Precision::Mixed } else { Precision::F32 };
     // The `--mesh` machine, parsed before any cell runs.
     let mesh = MachineConfig {
         cores: cli.flag("--cores")?.unwrap_or(28),
@@ -171,7 +168,7 @@ fn body(
         total_b / inf.save1.total(),
         total_b / inf.dynamic.total()
     );
-    if cli.rest.iter().any(|a| a == "--mesh") {
+    if cli.switches.iter().any(|a| a == "--mesh") {
         // The layer with the most baseline time.
         let heaviest = |h: usize, li: usize| if per_layer[li][0] > per_layer[h][0] { li } else { h };
         if let Some(li) = (0..per_layer.len()).reduce(heaviest) {

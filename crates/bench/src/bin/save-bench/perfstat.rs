@@ -1,4 +1,4 @@
-//! perfstat — host-throughput measurement for the simulator itself.
+//! `save-bench perfstat` — host-throughput measurement for the simulator itself.
 //!
 //! Runs a pinned reference GEMM sweep (compute-bound, memory-bound and
 //! mixed-precision points across the three paper operating points, plus one
@@ -24,13 +24,12 @@
 //! runs), so the trajectory in `BENCH_PERF.json` can be correlated with
 //! the commits that produced it.
 
-use save_bench::print_table;
+use save_bench::{print_table, Failure};
 use save_kernels::{BroadcastPattern, GemmKernelSpec, GemmWorkload, Precision};
 use save_sim::runner::{ConfigKind, MachineConfig, MachineMode, MulticoreConfig};
 use save_sim::{host_parallelism, CancelToken, CellSpec, SimError, TraceStore};
 use serde::{Deserialize, Serialize};
 use std::path::PathBuf;
-use std::process::ExitCode;
 use std::time::Instant;
 
 /// One (workload, operating point) measurement.
@@ -466,29 +465,6 @@ fn load_trajectory(path: &PathBuf) -> Vec<PerfRecord> {
     }
 }
 
-/// Why perfstat fails: a simulation error, reported through the sweep
-/// session like any binary's, or a measurement that missed a named gate.
-#[derive(Debug)]
-enum Failure {
-    Sim(SimError),
-    Gate { gate: &'static str, what: String },
-}
-
-impl From<SimError> for Failure {
-    fn from(e: SimError) -> Self {
-        Failure::Sim(e)
-    }
-}
-
-impl std::fmt::Display for Failure {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Failure::Sim(e) => write!(f, "[{}] {e}", e.kind()),
-            Failure::Gate { gate, what } => write!(f, "[gate {gate}] {what}"),
-        }
-    }
-}
-
 /// Fails `gate` when `value` is below `floor`; `what` says what the gate
 /// protects.
 fn floor_gate(gate: &'static str, value: f64, floor: f64, what: &str) -> Result<(), Failure> {
@@ -501,33 +477,14 @@ fn floor_gate(gate: &'static str, value: f64, floor: f64, what: &str) -> Result<
     Ok(())
 }
 
-fn main() -> ExitCode {
-    let mut missed = None;
-    let code = save_bench::run_main("perfstat", |cli, session| match body(cli, session) {
-        Err(Failure::Sim(e)) => Err(e),
-        Err(gate) => {
-            missed = Some(gate);
-            Ok(())
-        }
-        Ok(()) => Ok(()),
-    });
-    match missed {
-        Some(gate) => {
-            eprintln!("[perfstat] {gate}");
-            ExitCode::from(save_sim::durable::EXIT_FAILURES)
-        }
-        None => code,
-    }
-}
-
-fn body(
+pub fn body(
     cli: &save_bench::BenchCli,
     session: &mut save_bench::SweepSession,
 ) -> Result<(), Failure> {
     let quick = cli.quick;
-    let update = cli.rest.iter().any(|a| a == "--update");
-    let check = cli.rest.iter().any(|a| a == "--check");
-    let scaling = cli.rest.iter().any(|a| a == "--scaling");
+    let update = cli.switches.iter().any(|a| a == "--update");
+    let check = cli.switches.iter().any(|a| a == "--check");
+    let scaling = cli.switches.iter().any(|a| a == "--scaling");
     let label = cli.flag("--label")?.unwrap_or_else(|| "perfstat".to_string());
 
     // Warm-up: JIT-free, but first-touch page faults and frequency ramp
@@ -563,10 +520,8 @@ fn body(
         });
     }
     let mc_scaling = if scaling {
-        match session.run("multicore scaling", |tok| measure_scaling(quick, tok)) {
-            Some(s) => Some(s),
-            None => return Ok(()),
-        }
+        let Some(s) = session.run("multicore scaling", |tok| measure_scaling(quick, tok)) else { return Ok(()) };
+        Some(s)
     } else {
         None
     };

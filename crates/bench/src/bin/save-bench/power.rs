@@ -7,13 +7,8 @@
 use save_bench::print_table;
 use save_kernels::{Phase, Precision};
 use save_sim::{CellSpec, ConfigKind, MachineConfig, PowerModel, SimError};
-use std::process::ExitCode;
 
-fn main() -> ExitCode {
-    save_bench::run_main("power", body)
-}
-
-fn body(
+pub fn body(
     _cli: &save_bench::BenchCli,
     session: &mut save_bench::SweepSession,
 ) -> Result<(), SimError> {

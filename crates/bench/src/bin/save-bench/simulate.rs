@@ -4,7 +4,7 @@
 //! the paper's experiments.
 //!
 //! Usage:
-//!   simulate --spec workload.json [--config baseline|save2|save1]
+//!   save-bench simulate --spec workload.json [--config baseline|save2|save1]
 //!            [--cores N] [--detailed] [--seed S] [--json] [--example]
 //!            [--sanitize off|periodic[:N]|full]
 //!
@@ -15,23 +15,12 @@
 //!
 //! Every failure path (unreadable spec, malformed JSON, bad flag value,
 //! rejected config, stalled or mismatching run) surfaces as a typed
-//! [`SimError`] through `main`'s `Result`, which the runtime renders as a
-//! readable message with a non-zero exit code.
+//! [`SimError`] in the session's failure report (exit 1); a command line
+//! with neither `--spec` nor `--example` is a usage error (exit 2).
 
+use save_bench::Failure;
 use save_core::{CoreConfig, SanitizeLevel};
-use save_sim::{CellSpec, ConfigKind, MachineConfig, MachineMode, SimError};
-
-fn usage() -> ! {
-    eprintln!(
-        "usage: simulate --spec <workload.json> [--config baseline|save2|save1]\n\
-         \x20               [--cores N] [--detailed] [--seed S] [--json]\n\
-         \x20               [--sanitize off|periodic[:N]|full]\n\
-         \x20      simulate --example   # print a template workload\n\
-         plus the uniform durable flags ({})",
-        save_bench::BENCH_USAGE
-    );
-    std::process::exit(2)
-}
+use save_sim::{CellSpec, MachineConfig, MachineMode, SimError};
 
 fn template() -> save_kernels::GemmWorkload {
     save_kernels::GemmWorkload::dense(
@@ -48,37 +37,26 @@ fn template() -> save_kernels::GemmWorkload {
     .with_sparsity(0.4, 0.6)
 }
 
-fn main() -> std::process::ExitCode {
-    save_bench::run_main("simulate", body)
-}
-
-fn body(
+pub fn body(
     cli: &save_bench::BenchCli,
     session: &mut save_bench::SweepSession,
-) -> Result<(), SimError> {
-    let args = &cli.rest;
+) -> Result<(), Failure> {
+    let args = &cli.switches;
     if args.iter().any(|a| a == "--example") {
         let s = serde_json::to_string_pretty(&template())
             .map_err(|e| SimError::Io { what: format!("serialize template: {e}") })?;
         println!("{s}");
         return Ok(());
     }
-    let Some(spec_path) = cli.flag::<String>("--spec")? else { usage() };
+    let Some(spec_path) = cli.flag::<String>("--spec")? else {
+        return Err(Failure::Usage("needs --spec or --example".into()));
+    };
     let spec = std::fs::read_to_string(&spec_path)
         .map_err(|e| SimError::Io { what: format!("cannot read {spec_path}: {e}") })?;
     let workload: save_kernels::GemmWorkload = serde_json::from_str(&spec)
         .map_err(|e| SimError::InvalidConfig { what: format!("invalid workload JSON: {e}") })?;
 
-    let kind = match cli.flag::<String>("--config")?.as_deref() {
-        None | Some("save2") => ConfigKind::Save2Vpu,
-        Some("save1") => ConfigKind::Save1Vpu,
-        Some("baseline") => ConfigKind::Baseline,
-        Some(other) => {
-            return Err(SimError::InvalidConfig {
-                what: format!("unknown config {other} (expected baseline|save2|save1)"),
-            })
-        }
-    };
+    let kind = crate::surface::config_kind(cli)?;
     let mut machine = MachineConfig::default();
     machine.cores = cli.flag("--cores")?.unwrap_or(machine.cores);
     if args.iter().any(|a| a == "--detailed") {

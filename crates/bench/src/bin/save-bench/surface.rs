@@ -1,4 +1,4 @@
-//! surface — standalone durable 2-D sparsity sweep.
+//! `save-bench surface` — standalone durable 2-D sparsity sweep.
 //!
 //! Sweeps one GEMM workload over the (BS x NBS) grid under the durable
 //! execution layer and prints the resulting surface as one JSON line with
@@ -10,7 +10,7 @@
 //! cells are journaled by content key in `--checkpoint-dir`'s result store,
 //! so a `save-serve` cache directory resumes a sweep of the same cells too.
 //!
-//! Usage: `surface [--config baseline|save2|save1] [--cores N] [--k K]
+//! Usage: `save-bench surface [--config baseline|save2|save1] [--cores N] [--k K]
 //! [--tiles T]` plus the uniform durable flags. With `--serve ADDR` the
 //! grid goes to a save-serve daemon as one batch like any binary's cells
 //! (the daemon's memo cache makes re-runs free), `resumed` counts its cache
@@ -19,16 +19,15 @@
 //! sent to the daemon kill its worker, a crash drill the output must not
 //! show.
 //!
-//! `surface fsck PATH [--repair]` instead audits a checkpoint journal:
+//! `save-bench surface fsck PATH [--repair]` instead audits a checkpoint journal:
 //! torn tails, missing final newlines, and duplicate latest-record-wins
 //! cells are reported as JSON; with `--repair` the tail damage is fixed in
 //! place. Exits 1 when damage is found and left unrepaired.
 
-use save_bench::{run_main, BenchCli, SweepSession};
+use save_bench::{BenchCli, Failure, SweepSession};
 use save_kernels::{BroadcastPattern, GemmKernelSpec, GemmWorkload, Precision};
 use save_sim::{fsck_journal, ConfigKind, MachineConfig, SimError, Surface};
 use serde::Serialize;
-use std::process::ExitCode;
 
 #[derive(Serialize)]
 struct Out {
@@ -40,21 +39,10 @@ struct Out {
     resumed: usize,
 }
 
-fn main() -> ExitCode {
-    run_main("surface", body)
-}
-
 /// `surface fsck PATH [--repair]`: audit (and optionally repair) a journal.
-fn fsck(cli: &BenchCli) -> Result<(), SimError> {
-    let repair = cli.rest.iter().any(|a| a == "--repair");
-    let path = cli
-        .rest
-        .iter()
-        .skip(1) // the "fsck" token itself
-        .find(|a| !a.starts_with("--"))
-        .ok_or_else(|| SimError::InvalidConfig {
-            what: "fsck needs a journal path: surface fsck PATH [--repair]".into(),
-        })?;
+fn fsck(cli: &BenchCli) -> Result<(), Failure> {
+    let repair = cli.switches.iter().any(|a| a == "--repair");
+    let path = cli.positionals.get(1).ok_or_else(|| Failure::Usage("fsck needs a journal path".into()))?;
     let mut path = std::path::PathBuf::from(path);
     if path.is_dir() {
         path = path.join("journal.jsonl");
@@ -69,26 +57,36 @@ fn fsck(cli: &BenchCli) -> Result<(), SimError> {
                 "journal {} has unrepaired damage (rerun with --repair)",
                 path.display()
             ),
-        });
+        }
+        .into());
     }
     Ok(())
 }
 
-fn body(cli: &BenchCli, session: &mut SweepSession) -> Result<(), SimError> {
-    if cli.rest.first().map(String::as_str) == Some("fsck") {
-        return fsck(cli);
+/// The operating point `--config` names: `save2` (the default), `save1` or `baseline`.
+pub fn config_kind(cli: &BenchCli) -> Result<ConfigKind, SimError> {
+    match cli.flag::<String>("--config")?.as_deref() {
+        None | Some("save2") => Ok(ConfigKind::Save2Vpu),
+        Some("save1") => Ok(ConfigKind::Save1Vpu),
+        Some("baseline") => Ok(ConfigKind::Baseline),
+        Some(other) => Err(SimError::InvalidConfig {
+            what: format!("unknown config {other} (expected baseline|save2|save1)"),
+        }),
     }
+}
+
+pub fn body(cli: &BenchCli, session: &mut SweepSession) -> Result<(), Failure> {
+    match cli.positionals.first().map(String::as_str) {
+        Some("fsck") => fsck(cli),
+        Some(other) => Err(Failure::Usage(format!("unknown subcommand {other:?}"))),
+        None => Ok(sweep(cli, session)?),
+    }
+}
+
+/// The (BS x NBS) sweep: prints the surface as one JSON line.
+fn sweep(cli: &BenchCli, session: &mut SweepSession) -> Result<(), SimError> {
     let num = |flag: &str, default: usize| cli.flag(flag).map(|v| v.unwrap_or(default));
-    let kind = match cli.flag::<String>("--config")?.as_deref() {
-        None | Some("save2") => ConfigKind::Save2Vpu,
-        Some("save1") => ConfigKind::Save1Vpu,
-        Some("baseline") => ConfigKind::Baseline,
-        Some(other) => {
-            return Err(SimError::InvalidConfig {
-                what: format!("unknown config {other} (expected baseline|save2|save1)"),
-            })
-        }
-    };
+    let kind = config_kind(cli)?;
     let machine = MachineConfig { cores: num("--cores", 4)?, ..Default::default() };
     let w = GemmWorkload::dense(
         "surface-cli",
@@ -102,7 +100,7 @@ fn body(cli: &BenchCli, session: &mut SweepSession) -> Result<(), SimError> {
         num("--tiles", 16)?,
     );
     let grid = cli.grid();
-    if cli.rest.iter().any(|a| a == "--fault-first") {
+    if cli.switches.iter().any(|a| a == "--fault-first") {
         session.kill_first_remote_worker();
     }
     let cells = Surface::grid_cells(&w, kind, &machine, &grid, &grid);

@@ -5,11 +5,7 @@ use save_core::CoreConfig;
 use save_mem::energy::StorageModel;
 use save_sim::MachineConfig;
 
-fn main() -> std::process::ExitCode {
-    save_bench::run_main("table1", |_cli, _session| body())
-}
-
-fn body() -> Result<(), save_sim::SimError> {
+pub fn body() -> Result<(), save_sim::SimError> {
     let core = CoreConfig::default();
     let m = MachineConfig::default();
     let mem = m.mem;

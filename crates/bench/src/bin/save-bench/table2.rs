@@ -3,11 +3,7 @@
 use save_bench::print_table;
 use save_mem::energy::{PrecisionSupport, StorageModel};
 
-fn main() -> std::process::ExitCode {
-    save_bench::run_main("table2", |_cli, _session| body())
-}
-
-fn body() -> Result<(), save_sim::SimError> {
+pub fn body() -> Result<(), save_sim::SimError> {
     let m = StorageModel::default();
     let mut rows = Vec::new();
     for (label, support) in [

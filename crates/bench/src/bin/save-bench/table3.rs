@@ -14,11 +14,7 @@ fn mark(level: f64) -> &'static str {
     }
 }
 
-fn main() -> std::process::ExitCode {
-    save_bench::run_main("table3", |_cli, _session| body())
-}
-
-fn body() -> Result<(), save_sim::SimError> {
+pub fn body() -> Result<(), save_sim::SimError> {
     let mut rows = Vec::new();
     for kind in [NetKind::Vgg16Dense, NetKind::ResNet50Dense, NetKind::ResNet50Pruned] {
         let net = Network::build(kind);

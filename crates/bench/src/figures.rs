@@ -12,10 +12,10 @@
 //! baseline several pairs compare against) run once, and its local cells
 //! run in parallel on `--threads` workers through one
 //! `Executor::resolve_all` call. The result does not depend on the thread
-//! count. [`main`] is the whole body of a figure binary; tests read the
+//! count. [`main`] is the whole body of a figure command; tests read the
 //! same [`Report`] in-process.
 
-use crate::{print_table, write_json, BenchCli, SweepSession};
+use crate::{print_table, write_json, BenchCli, CommandArgs, SweepSession};
 use save_core::{CoreConfig, SchedulerKind};
 use save_kernels::{BroadcastPattern, ConvShape, GemmKernelSpec, GemmWorkload, Phase, Precision};
 use save_mem::BcastDesign;
@@ -249,10 +249,10 @@ fn fill(tables: &[Table], speedups: &[f64]) -> Vec<Table> {
     tables
 }
 
-/// The body of a figure binary: builds `name` for the command line, runs
-/// it, prints its tables and saves its JSON.
-pub fn main(name: &'static str) -> ExitCode {
-    crate::run_main(name, |cli, session| Figure::build(name, cli)?.run(session).emit(name))
+/// The figure command `name`: builds the figure for the uniform flags in
+/// `argv` (it reads no others), runs it, prints its tables and saves its JSON.
+pub fn main(name: &'static str, argv: Vec<String>) -> ExitCode {
+    crate::run_main(name, argv, &CommandArgs::default(), |cli, session| Figure::build(name, cli)?.run(session).emit(name))
 }
 
 /// The named convolution shape.

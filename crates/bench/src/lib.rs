@@ -1,8 +1,9 @@
 //! # save-bench — regeneration harness for every table and figure
 //!
-//! One binary per experiment (`table1`-`table3`, `fig12`-`fig19`, plus the
-//! reports), each printing the same rows/series the paper reports and
-//! writing a machine-readable JSON copy under `target/experiments/` for
+//! One `save-bench` binary whose first argument names the experiment
+//! (`table1`-`table3`, `fig12`-`fig19`, plus the reports); each command
+//! prints the same rows/series the paper reports and writes a
+//! machine-readable JSON copy under `target/experiments/` for
 //! EXPERIMENTS.md. Criterion micro-benchmarks cover the simulator's hot
 //! paths and one representative kernel per experiment.
 //!
@@ -11,11 +12,13 @@
 //! to tables, which tests read in-process. Fig 14 and `netreport` take
 //! their cells and reducers from [`save_sim::Estimator`].
 //!
-//! Every binary funnels through [`run_main`], which parses the uniform
+//! Every command funnels through [`run_main`], which parses the uniform
 //! durable-execution flags ([`BenchCli`]: `--checkpoint-dir`, `--resume`,
-//! `--cell-deadline`, `--retries`, …), installs the SIGINT/SIGTERM
-//! handlers, and maps the run's outcome to one process exit code
-//! convention (0 clean / 1 lossy / 2 usage / 130 cancelled-resumable).
+//! `--cell-deadline`, `--retries`, …) plus the arguments the command
+//! declares ([`CommandArgs`]), rejects any other argument, installs the
+//! SIGINT/SIGTERM handlers, and maps the run's outcome to one process exit
+//! code convention (0 clean / 1 lossy or gate miss / 2 usage / 130
+//! cancelled-resumable).
 //!
 //! Sweeps run through [`SweepSession`]: every list of cells (a figure's
 //! cells, `netreport`'s layers, the `surface` grid) is one
@@ -44,7 +47,6 @@ use save_sim::spec::CellSpec;
 use save_sim::{CancelToken, CellRecord, ResultStore};
 use serde::Serialize;
 use std::collections::HashMap;
-use std::io::Write;
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::str::FromStr;
@@ -70,12 +72,9 @@ pub fn experiments_dir() -> Result<PathBuf, SimError> {
 /// [`SimError::Io`] on serialization or filesystem failure.
 pub fn write_json<T: Serialize>(name: &str, value: &T) -> Result<(), SimError> {
     let path = experiments_dir()?.join(format!("{name}.json"));
-    let mut f = std::fs::File::create(&path)
-        .map_err(|e| SimError::Io { what: format!("create {}: {e}", path.display()) })?;
     let s = serde_json::to_string_pretty(value)
         .map_err(|e| SimError::Io { what: format!("serialize {name}: {e}") })?;
-    f.write_all(s.as_bytes())
-        .map_err(|e| SimError::Io { what: format!("write {}: {e}", path.display()) })?;
+    std::fs::write(&path, s).map_err(|e| SimError::Io { what: format!("write {}: {e}", path.display()) })?;
     eprintln!("[saved {}]", path.display());
     Ok(())
 }
@@ -85,10 +84,8 @@ pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
     println!("\n== {title} ==");
     let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
     for row in rows {
-        for (i, c) in row.iter().enumerate() {
-            if i < widths.len() {
-                widths[i] = widths[i].max(c.len());
-            }
+        for (w, c) in widths.iter_mut().zip(row) {
+            *w = (*w).max(c.len());
         }
     }
     let fmt_row = |cells: &[String]| {
@@ -105,13 +102,14 @@ pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
     }
 }
 
-/// Uniform command line shared by every experiment binary.
+/// Uniform command line shared by every experiment command.
 ///
 /// Durable-execution flags (`--checkpoint-dir`, `--resume`,
 /// `--cell-deadline`, `--retries`) are understood identically everywhere;
-/// anything unrecognised lands in [`BenchCli::rest`] for binaries with
-/// extra arguments of their own (`netreport`, `simulate`, `perfstat`),
-/// which read their valued flags with [`BenchCli::flag`].
+/// the switches a command declares in its [`CommandArgs`] land in
+/// [`BenchCli::switches`], its valued flags in [`BenchCli::rest`], where it
+/// reads them with [`BenchCli::flag`], and its positional arguments in
+/// [`BenchCli::positionals`].
 #[derive(Clone, Debug, Default)]
 pub struct BenchCli {
     /// Reduced sweep sizes (`--quick`).
@@ -133,71 +131,72 @@ pub struct BenchCli {
     /// address instead of simulating locally (`--serve ADDR`). Transport
     /// failures degrade gracefully back to local execution.
     pub serve_addr: Option<String>,
-    /// Positional / binary-specific arguments, in order.
+    /// The command's switches, in order.
+    pub switches: Vec<String>,
+    /// The command's valued flags, in order, each followed by its value.
     pub rest: Vec<String>,
+    /// The command's positional arguments, in order.
+    pub positionals: Vec<String>,
 }
 
-/// The usage text appended to flag-parse errors.
+/// The uniform flags' usage line: the last line of every command's usage text.
 pub const BENCH_USAGE: &str = "uniform flags: [--quick] [--full] \
      [--checkpoint-dir DIR] [--resume] [--cell-deadline MS] [--retries N] \
      [--threads N] [--serve ADDR]";
 
-impl BenchCli {
-    /// Parses the process command line (without the program name).
-    ///
-    /// # Errors
-    /// A human-readable usage message when a flag value is missing or
-    /// malformed.
-    pub fn parse() -> Result<Self, String> {
-        Self::parse_from(std::env::args().skip(1))
-    }
+/// The arguments one command reads beyond the uniform [`BenchCli`] flags.
+/// Any other argument on its command line is a usage error.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct CommandArgs {
+    /// Flags without a value (`--mp`).
+    pub switches: &'static [&'static str],
+    /// Flags that take the next argument as their value (`--cores N`).
+    pub valued: &'static [&'static str],
+    /// The most positional arguments the command takes.
+    pub positionals: usize,
+    /// The arguments as the command's usage line shows them.
+    pub synopsis: &'static str,
+}
 
-    /// Parses an explicit argument list (for tests and child processes).
+impl BenchCli {
+    /// Parses the uniform flags plus the arguments `command` declares; any
+    /// other argument is an error.
     ///
     /// # Errors
-    /// A human-readable usage message when a flag value is missing or
-    /// malformed.
-    pub fn parse_from<I>(args: I) -> Result<Self, String>
+    /// A human-readable message naming the first argument that is unknown,
+    /// lacks its value or has a malformed one.
+    pub fn parse_from<I>(args: I, command: &CommandArgs) -> Result<Self, String>
     where
         I: IntoIterator,
         I::Item: Into<String>,
     {
-        let args: Vec<String> = args.into_iter().map(Into::into).collect();
+        fn num<T: FromStr>(flag: &str, v: String, unit: &str) -> Result<T, String> {
+            v.parse().map_err(|_| format!("{flag} takes {unit}, got {v:?}"))
+        }
         let mut cli = BenchCli { retries: 2, ..BenchCli::default() };
-        let mut it = args.into_iter();
+        let mut it = args.into_iter().map(Into::into);
         while let Some(arg) = it.next() {
-            let mut value = |flag: &str| {
-                it.next().ok_or_else(|| format!("{flag} needs a value\n{BENCH_USAGE}"))
-            };
+            let mut value = |flag: &str| it.next().ok_or_else(|| format!("{flag} needs a value"));
             match arg.as_str() {
                 "--quick" => cli.quick = true,
                 "--full" => cli.full = true,
                 "--resume" => cli.resume = true,
                 "--checkpoint-dir" => cli.checkpoint_dir = Some(PathBuf::from(value(&arg)?)),
-                "--cell-deadline" => {
-                    let v = value(&arg)?;
-                    cli.cell_deadline_ms = Some(v.parse().map_err(|_| {
-                        format!("--cell-deadline takes milliseconds, got {v:?}\n{BENCH_USAGE}")
-                    })?);
-                }
-                "--retries" => {
-                    let v = value(&arg)?;
-                    cli.retries = v.parse().map_err(|_| {
-                        format!("--retries takes a count, got {v:?}\n{BENCH_USAGE}")
-                    })?;
-                }
-                "--threads" => {
-                    let v = value(&arg)?;
-                    cli.threads = Some(v.parse().map_err(|_| {
-                        format!("--threads takes a count, got {v:?}\n{BENCH_USAGE}")
-                    })?);
-                }
+                "--cell-deadline" => cli.cell_deadline_ms = Some(num(&arg, value(&arg)?, "milliseconds")?),
+                "--retries" => cli.retries = num(&arg, value(&arg)?, "a count")?,
+                "--threads" => cli.threads = Some(num(&arg, value(&arg)?, "a count")?),
                 "--serve" => cli.serve_addr = Some(value(&arg)?),
-                _ => cli.rest.push(arg),
+                a if command.switches.contains(&a) => cli.switches.push(arg),
+                a if command.valued.contains(&a) => {
+                    let v = value(&arg)?;
+                    cli.rest.extend([arg, v]);
+                }
+                a if !a.starts_with('-') && cli.positionals.len() < command.positionals => cli.positionals.push(arg),
+                _ => return Err(format!("unexpected argument {arg:?}")),
             }
         }
         if cli.resume && cli.checkpoint_dir.is_none() {
-            return Err(format!("--resume requires --checkpoint-dir\n{BENCH_USAGE}"));
+            return Err("--resume requires --checkpoint-dir".to_string());
         }
         Ok(cli)
     }
@@ -222,26 +221,21 @@ impl BenchCli {
         }
     }
 
-    /// Worker threads for sweeps: `--threads` or the host's parallelism.
-    pub fn threads_or_default(&self) -> usize {
-        self.threads.unwrap_or_else(host_parallelism)
-    }
-
-    /// The value after the binary-specific `flag` in [`BenchCli::rest`],
+    /// The value after the command's `flag` in [`BenchCli::rest`],
     /// parsed; `None` when the flag is absent.
     ///
     /// # Errors
     /// [`SimError::InvalidConfig`] when the flag has no value or its value
     /// does not parse.
     pub fn flag<T: FromStr>(&self, flag: &str) -> Result<Option<T>, SimError> {
-        let Some(i) = self.rest.iter().position(|a| a == flag) else { return Ok(None) };
-        let v = self.rest.get(i + 1).ok_or_else(|| SimError::InvalidConfig { what: format!("{flag} needs a value") })?;
+        let Some(pair) = self.rest.chunks(2).find(|p| p[0] == flag) else { return Ok(None) };
+        let v = pair.get(1).ok_or_else(|| SimError::InvalidConfig { what: format!("{flag} needs a value") })?;
         let what = format!("{flag} got {v:?}, which does not parse");
         v.parse().map(Some).map_err(|_| SimError::InvalidConfig { what })
     }
 }
 
-/// Fault-isolating, durable harness for one experiment binary.
+/// Fault-isolating, durable harness for one experiment command.
 ///
 /// Every simulated cell goes through [`SweepSession::run`] or
 /// [`SweepSession::spec_seconds_batch`]: the job runs under the session
@@ -290,7 +284,7 @@ impl SweepSession {
         Self::durable(name, &cli, CancelToken::new()).expect("a session without a store opens")
     }
 
-    /// Builds the durable session [`run_main`] hands to the binary body:
+    /// Builds the durable session [`run_main`] hands to the command body:
     /// cancelled through `cancel`, the CLI's retry policy and thread count,
     /// and — when `--checkpoint-dir` was given — the [`ResultStore`] there.
     ///
@@ -298,16 +292,13 @@ impl SweepSession {
     /// Store errors: an existing journal without `--resume`, a corrupt
     /// journal, or plain I/O failure.
     pub fn durable(name: &str, cli: &BenchCli, cancel: CancelToken) -> Result<Self, SimError> {
-        let store = match &cli.checkpoint_dir {
-            None => None,
-            Some(dir) => Some(Arc::new(ResultStore::open(dir, cli.resume)?)),
-        };
+        let store = cli.checkpoint_dir.as_ref().map(|dir| ResultStore::open(dir, cli.resume).map(Arc::new)).transpose()?;
         Ok(SweepSession {
             name: name.to_string(),
             jobs: 0,
             failures: Vec::new(),
             exec: Executor { store, policy: cli.policy(), cancel },
-            threads: cli.threads_or_default(),
+            threads: cli.threads.unwrap_or_else(host_parallelism),
             resumed: 0,
             cancelled: false,
             serve_addr: cli.serve_addr.clone(),
@@ -338,7 +329,7 @@ impl SweepSession {
     }
 
     /// Records a failure that happened outside any labelled cell (e.g. a
-    /// result-serialization error at the end of a binary). A cancellation
+    /// result-serialization error at the end of a command). A cancellation
     /// error flips the cancelled flag instead of counting as a failure.
     pub fn note_failure(&mut self, label: &str, error: SimError) {
         if error.retry_class() == RetryClass::Cancelled {
@@ -665,21 +656,60 @@ impl SweepSession {
     }
 }
 
-/// Entry point shared by every experiment binary: parses the uniform
-/// [`BenchCli`] flags (usage errors exit 2), installs SIGINT/SIGTERM
-/// handlers (the first signal cancels the run), opens the optional result
-/// store, runs `body`, and maps the session outcome to the exit-code convention
-/// (0 clean / 1 lossy / 2 usage / 130 cancelled).
-pub fn run_main(
-    name: &str,
-    body: impl FnOnce(&BenchCli, &mut SweepSession) -> Result<(), SimError>,
-) -> ExitCode {
-    let cli = match BenchCli::parse() {
-        Ok(c) => c,
-        Err(msg) => {
-            eprintln!("{name}: {msg}");
-            return ExitCode::from(EXIT_USAGE);
+/// Why a command's body stopped short of a clean run.
+#[derive(Debug)]
+pub enum Failure {
+    /// A simulation or I/O error, recorded in the session's failure report
+    /// like a failed cell (exit 1).
+    Sim(SimError),
+    /// A measurement missed the named gate (exit 1, no failure report).
+    Gate {
+        /// The gate's name.
+        gate: &'static str,
+        /// What the measurement read against the gate.
+        what: String,
+    },
+    /// The command line asks for something the command cannot do (exit 2).
+    Usage(String),
+}
+
+impl From<SimError> for Failure {
+    fn from(e: SimError) -> Self {
+        Failure::Sim(e)
+    }
+}
+
+impl std::fmt::Display for Failure {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Failure::Sim(e) => write!(f, "[{}] {e}", e.kind()),
+            Failure::Gate { gate, what } => write!(f, "[gate {gate}] {what}"),
+            Failure::Usage(msg) => f.write_str(msg),
         }
+    }
+}
+
+/// Entry point shared by every experiment command: parses `argv` (the
+/// arguments after the command `name`) into the uniform [`BenchCli`] flags
+/// plus what `command` declares (anything else is a usage error, exit 2),
+/// installs SIGINT/SIGTERM handlers (the first signal cancels the run),
+/// opens the optional result store, runs `body`, and maps the outcome to
+/// the exit-code convention (0 clean / 1 lossy or gate miss / 2 usage /
+/// 130 cancelled).
+pub fn run_main<E: Into<Failure>>(
+    name: &str,
+    argv: Vec<String>,
+    command: &CommandArgs,
+    body: impl FnOnce(&BenchCli, &mut SweepSession) -> Result<(), E>,
+) -> ExitCode {
+    let usage = |msg: &str| {
+        let sep = if command.synopsis.is_empty() { "" } else { " " };
+        eprintln!("{name}: {msg}\nusage: save-bench {name}{sep}{}\n{BENCH_USAGE}", command.synopsis);
+        ExitCode::from(EXIT_USAGE)
+    };
+    let cli = match BenchCli::parse_from(argv, command) {
+        Ok(c) => c,
+        Err(msg) => return usage(&msg),
     };
     save_signal::install();
     let mut session = match SweepSession::durable(name, &cli, CancelToken::on_signals(1)) {
@@ -692,10 +722,19 @@ pub fn run_main(
     if let Some(store) = session.exec.store.as_ref().filter(|s| s.recovered() > 0) {
         eprintln!("[{name}] resuming: {} journaled cell(s) loaded", store.recovered());
     }
-    if let Err(e) = body(&cli, &mut session) {
-        session.note_failure("main", e);
-    }
-    session.finish()
+    let missed = match body(&cli, &mut session).map_err(Into::into) {
+        Err(Failure::Usage(msg)) => return usage(&msg),
+        Err(Failure::Sim(e)) => {
+            session.note_failure("main", e);
+            None
+        }
+        outcome => outcome.err(),
+    };
+    let code = session.finish();
+    missed.map_or(code, |gate| {
+        eprintln!("[{name}] {gate}");
+        ExitCode::from(EXIT_FAILURES)
+    })
 }
 
 #[cfg(test)]
@@ -777,6 +816,10 @@ mod tests {
         assert_eq!(s.exit_code(), EXIT_CANCELLED);
     }
 
+    /// `netreport`'s arguments.
+    const NETREPORT: CommandArgs =
+        CommandArgs { switches: &["--mp"], valued: &["--cores"], positionals: 1, synopsis: "" };
+
     #[test]
     fn cli_parses_durable_flags_and_rest() {
         let cli = BenchCli::parse_from([
@@ -792,7 +835,9 @@ mod tests {
             "3",
             "resnet50",
             "--mp",
-        ])
+            "--cores",
+            "8",
+        ], &NETREPORT)
         .unwrap();
         assert!(cli.quick && !cli.full);
         assert_eq!(cli.checkpoint_dir.as_deref(), Some(std::path::Path::new("/tmp/ck")));
@@ -800,22 +845,46 @@ mod tests {
         assert_eq!(cli.cell_deadline_ms, Some(250));
         assert_eq!(cli.retries, 4);
         assert_eq!(cli.threads, Some(3));
-        assert_eq!(cli.rest, vec!["resnet50".to_string(), "--mp".to_string()]);
+        assert_eq!(cli.switches, ["--mp"]);
+        assert_eq!(cli.rest, ["--cores", "8"]);
+        assert_eq!(cli.positionals, ["resnet50"]);
         let p = cli.policy();
         assert_eq!(p.retries, 4);
         assert_eq!(p.deadline, Some(Duration::from_millis(250)));
+        let cli = BenchCli::parse_from(["--cores", "--mp"], &NETREPORT).unwrap();
+        assert!(cli.switches.is_empty(), "a flag's value is not a switch");
     }
 
     #[test]
     fn cli_rejects_malformed_values() {
-        assert!(BenchCli::parse_from(["--cell-deadline"]).is_err());
-        assert!(BenchCli::parse_from(["--retries", "many"]).is_err());
-        assert!(BenchCli::parse_from(["--resume"]).is_err(), "--resume needs a directory");
+        assert!(BenchCli::parse_from(["--cell-deadline"], &CommandArgs::default()).is_err());
+        assert!(BenchCli::parse_from(["--retries", "many"], &CommandArgs::default()).is_err());
+        assert!(BenchCli::parse_from(["--resume"], &CommandArgs::default()).is_err(), "--resume needs a directory");
+    }
+
+    #[test]
+    fn cli_rejects_arguments_the_command_does_not_read() {
+        for (argv, what) in [
+            (&["--quik"][..], "\"--quik\""),
+            (&["--mp"], "\"--mp\""),
+            (&["resnet50"], "\"resnet50\""),
+        ] {
+            let err = BenchCli::parse_from(argv.iter().copied(), &CommandArgs::default()).expect_err(what);
+            assert_eq!(err, format!("unexpected argument {what}"));
+        }
+        for (argv, what) in [
+            (&["--core", "4"][..], "unexpected argument \"--core\""),
+            (&["vgg16", "gnmt"], "unexpected argument \"gnmt\""),
+            (&["--cores"], "--cores needs a value"),
+        ] {
+            assert_eq!(BenchCli::parse_from(argv.iter().copied(), &NETREPORT).expect_err(what), what);
+        }
     }
 
     #[test]
     fn binary_flags_parse_or_fail_as_invalid_config() {
-        let cli = BenchCli::parse_from(["--cores", "8", "--config", "save1", "--quantum", "x", "--k"]).unwrap();
+        let rest = ["--cores", "8", "--config", "save1", "--quantum", "x", "--k"].map(String::from).to_vec();
+        let cli = BenchCli { rest, ..BenchCli::default() };
         assert_eq!(cli.flag::<usize>("--cores").unwrap(), Some(8));
         assert_eq!(cli.flag::<String>("--config").unwrap().as_deref(), Some("save1"));
         assert_eq!(cli.flag::<u64>("--tiles").unwrap(), None, "an absent flag has no value");
@@ -833,7 +902,7 @@ mod tests {
         let cli = BenchCli::parse_from([
             "--checkpoint-dir".to_string(),
             dir.display().to_string(),
-        ])
+        ], &CommandArgs::default())
         .unwrap();
         let batch = [cell("cell-a", 2), cell("cell-b", 0), cell("cell-a again", 2)];
 

@@ -5,7 +5,7 @@
 //! batch restores when it is resumed on a different thread count.
 
 use save_bench::figures::{Figure, Report};
-use save_bench::{BenchCli, SweepSession};
+use save_bench::{BenchCli, CommandArgs, SweepSession};
 use save_sim::{CancelToken, ResultStore};
 
 /// Every row of every table, named "title / label", with its value bits.
@@ -20,7 +20,7 @@ fn bits(report: &Report) -> Vec<(String, Vec<u64>)> {
 /// Runs fig19 at `--quick` in a durable session built from `args`; returns
 /// its value bits and the session's (jobs, failures, resumed) counts.
 fn run_fig19(args: &[&str]) -> (Vec<(String, Vec<u64>)>, [usize; 3]) {
-    let cli = BenchCli::parse_from(["--quick"].iter().chain(args).copied()).expect("flags parse");
+    let cli = BenchCli::parse_from(["--quick"].iter().chain(args).copied(), &CommandArgs::default()).expect("flags parse");
     let mut session =
         SweepSession::durable("fig19", &cli, CancelToken::new()).expect("session opens");
     let report = Figure::build("fig19", &cli).expect("fig19 builds").run(&mut session);

@@ -1,16 +1,16 @@
 //! Paper-shape gate: Figs 14-19 on the `--quick` grid (0/30/60/90%), run
 //! in-process through `save_bench::figures` and read from the same
-//! `Report` tables the binaries print, must keep the shapes the paper
+//! `Report` tables the commands print, must keep the shapes the paper
 //! reports (EXPERIMENTS.md). Each test is named for the mechanism it pins,
 //! so switching a mechanism off in the core fails a test by name. Values in
 //! the comments are the quick-grid speedups these bounds were set against.
 
 use save_bench::figures::{Figure, Report, Row, Table};
-use save_bench::{BenchCli, SweepSession};
+use save_bench::{BenchCli, CommandArgs, SweepSession};
 use std::sync::OnceLock;
 
 fn quick() -> BenchCli {
-    BenchCli::parse_from(["--quick"]).expect("--quick parses")
+    BenchCli::parse_from(["--quick"], &CommandArgs::default()).expect("--quick parses")
 }
 
 /// Runs figure `name` at quick scale; every cell must succeed.

@@ -1,5 +1,5 @@
 //! Kill-and-resume integration test for the durable sweep layer
-//! (DESIGN.md §5f): SIGKILL the `surface` binary mid-sweep, resume from
+//! (DESIGN.md §5f): SIGKILL `save-bench surface` mid-sweep, resume from
 //! its journal, and require the resumed output to be **bit-identical** to
 //! an uninterrupted run — same `secs_bits`, same total simulated cycles.
 //! A second test covers graceful cancellation: SIGINT must produce exit
@@ -12,7 +12,7 @@ use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
-/// Mirrors the `surface` binary's output line.
+/// Mirrors `save-bench surface`'s output line.
 #[derive(Debug, Deserialize)]
 struct Out {
     secs_bits: Vec<u64>,
@@ -25,8 +25,8 @@ struct Out {
 const SWEEP_ARGS: &[&str] = &["--quick", "--threads", "1", "--k", "256", "--tiles", "96"];
 
 fn surface_cmd(extra: &[&str]) -> Command {
-    let mut c = Command::new(env!("CARGO_BIN_EXE_surface"));
-    c.args(SWEEP_ARGS).args(extra).stdout(Stdio::piped()).stderr(Stdio::piped());
+    let mut c = Command::new(env!("CARGO_BIN_EXE_save-bench"));
+    c.arg("surface").args(SWEEP_ARGS).args(extra).stdout(Stdio::piped()).stderr(Stdio::piped());
     c
 }
 
@@ -140,8 +140,8 @@ fn unreachable_daemon_degrades_to_the_local_run() {
     let port = TcpListener::bind("127.0.0.1:0").unwrap().local_addr().unwrap().port();
     let addr = format!("127.0.0.1:{port}");
     let quick = |args: &[&str]| {
-        let mut c = Command::new(env!("CARGO_BIN_EXE_surface"));
-        c.arg("--quick").args(args).stdout(Stdio::piped()).stderr(Stdio::piped());
+        let mut c = Command::new(env!("CARGO_BIN_EXE_save-bench"));
+        c.args(["surface", "--quick"]).args(args).stdout(Stdio::piped()).stderr(Stdio::piped());
         parse_out(c, args)
     };
     let local = quick(&[]);

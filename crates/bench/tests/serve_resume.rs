@@ -2,7 +2,7 @@
 //! result store, so a later session resumes it with no daemon at all:
 //! same bits, nothing executed.
 
-use save_bench::{BenchCli, SweepSession};
+use save_bench::{BenchCli, CommandArgs, SweepSession};
 use save_kernels::{BroadcastPattern, GemmKernelSpec, GemmWorkload, Precision};
 use save_serve::{Client, ServeConfig};
 use save_sim::{CancelToken, CellSpec, ConfigKind, MachineConfig, Surface};
@@ -78,7 +78,7 @@ fn served_batch_resumes_from_the_store_without_the_daemon() {
         }
     };
 
-    let cli = BenchCli::parse_from(["--serve", &addr, "--checkpoint-dir", &ckpt_arg]).unwrap();
+    let cli = BenchCli::parse_from(["--serve", &addr, "--checkpoint-dir", &ckpt_arg], &CommandArgs::default()).unwrap();
     let mut served = SweepSession::durable("serve-resume", &cli, CancelToken::new()).unwrap();
     let first = served.spec_seconds_batch(&cells);
     assert_eq!(served.served(), cells.len(), "every cell answered by the daemon");
@@ -89,7 +89,7 @@ fn served_batch_resumes_from_the_store_without_the_daemon() {
     drop(client);
     assert_eq!(daemon.join().unwrap().unwrap(), 0, "drain exits 0");
 
-    let cli = BenchCli::parse_from(["--checkpoint-dir", &ckpt_arg, "--resume"]).unwrap();
+    let cli = BenchCli::parse_from(["--checkpoint-dir", &ckpt_arg, "--resume"], &CommandArgs::default()).unwrap();
     let mut resumed = SweepSession::durable("serve-resume", &cli, CancelToken::new()).unwrap();
     let second = resumed.spec_seconds_batch(&cells);
     assert_eq!(resumed.resumed(), cells.len(), "every cell restored, none executed");

@@ -1,6 +1,6 @@
 //! Blocking client for the save-serve protocol.
 //!
-//! Used by the bench binaries' `--serve ADDR` mode. Submission honours the
+//! Used by the `save-bench` commands' `--serve ADDR` mode. Submission honours the
 //! daemon's admission control: a `Rejected` answer is retried after the
 //! hinted backoff, a bounded number of times, before surfacing
 //! [`SimError::Overloaded`] to the caller — which the bench harness treats

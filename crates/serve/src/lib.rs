@@ -14,7 +14,7 @@
 //!   workers that recover their own crashes by requeueing the lost cell;
 //! * [`server`] — the accept loop and the two-stage graceful drain
 //!   (first signal: finish and exit 0; second: cancel, exit 130);
-//! * [`client`] — the blocking client the bench binaries' `--serve` mode
+//! * [`client`] — the blocking client the `save-bench` commands' `--serve` mode
 //!   uses, with bounded backoff against admission rejections.
 //!
 //! Results are memoized in a [`save_sim::ResultStore`] keyed by

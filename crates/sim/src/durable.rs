@@ -45,13 +45,13 @@ pub const EXIT_USAGE: u8 = 2;
 /// "re-submit with --resume" from "inspect the failure report".
 pub const EXIT_CANCELLED: u8 = 130;
 
-/// The one exit-code mapping every binary (all 17 bench bins via
+/// The one exit-code mapping every binary (each `save-bench` command via
 /// `save_bench::run_main`, the `save-serve` daemon, the `surface` fsck
 /// subcommand) funnels through: cancellation outranks failures because a
 /// cancelled run is *resumable*, not broken — a scheduler that sees 130
 /// should resubmit with `--resume`, while 1 means "inspect the failure
-/// report". Usage errors short-circuit to [`EXIT_USAGE`] before any sweep
-/// state exists, so they are not part of this table.
+/// report". Usage errors short-circuit to [`EXIT_USAGE`] before any cell
+/// runs, so they are not part of this table.
 pub fn exit_code_for(cancelled: bool, clean: bool) -> u8 {
     if cancelled {
         EXIT_CANCELLED

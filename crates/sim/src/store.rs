@@ -1,7 +1,7 @@
 //! The result store: one content-addressed journal of finished cells.
 //!
 //! Every cell this repository simulates — a surface-sweep grid point, a
-//! figure binary's batch cell, an estimator surface point, a `save-serve`
+//! figure command's batch cell, an estimator surface point, a `save-serve`
 //! job — is a [`crate::CellSpec`], and its result is filed under
 //! [`crate::CellSpec::cache_key`], a content hash over everything that can
 //! change the answer (DESIGN.md §5f). A store is a directory holding one

@@ -16,9 +16,9 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-cargo build -q -p save-serve --bin save-serve -p save-bench --bin surface
+cargo build -q -p save-serve --bin save-serve -p save-bench --bin save-bench
 SERVE=target/debug/save-serve
-SURFACE=target/debug/surface
+surface() { target/debug/save-bench surface "$@"; }
 
 WORK=$(mktemp -d)
 CACHE="$WORK/cache"
@@ -43,15 +43,15 @@ start_daemon() {
 normalize() { sed 's/"resumed":[0-9]*/"resumed":_/' "$1"; }
 
 echo "== local reference sweep =="
-"$SURFACE" --quick > "$WORK/local.json"
+surface --quick > "$WORK/local.json"
 
 echo "== 1: remote sweep matches local bits =="
 start_daemon
-"$SURFACE" --quick --serve "$ADDR" > "$WORK/serve1.json"
+surface --quick --serve "$ADDR" > "$WORK/serve1.json"
 diff <(normalize "$WORK/local.json") <(normalize "$WORK/serve1.json")
 
 echo "== 2: killed worker is recovered, bits unchanged =="
-"$SURFACE" --quick --serve "$ADDR" --fault-first > "$WORK/serve2.json"
+surface --quick --serve "$ADDR" --fault-first > "$WORK/serve2.json"
 diff <(normalize "$WORK/local.json") <(normalize "$WORK/serve2.json")
 
 echo "== 3: SIGTERM drains gracefully (exit 0) =="
@@ -65,7 +65,7 @@ fi
 
 echo "== 4: restarted daemon serves the journal-recovered cache =="
 start_daemon
-"$SURFACE" --quick --serve "$ADDR" > "$WORK/serve3.json"
+surface --quick --serve "$ADDR" > "$WORK/serve3.json"
 diff <(normalize "$WORK/local.json") <(normalize "$WORK/serve3.json")
 CELLS=$(grep -o '"secs_bits":\[[^]]*\]' "$WORK/local.json" | tr -cd ',' | wc -c)
 CELLS=$((CELLS + 1))
@@ -79,7 +79,7 @@ kill -TERM "$DPID"
 wait "$DPID" || true
 
 echo "== 5: the drained cache dir resumes a local sweep, no daemon =="
-"$SURFACE" --quick --checkpoint-dir "$CACHE" --resume > "$WORK/resume.json"
+surface --quick --checkpoint-dir "$CACHE" --resume > "$WORK/resume.json"
 diff <(normalize "$WORK/local.json") <(normalize "$WORK/resume.json")
 if ! grep -q "\"resumed\":$CELLS" "$WORK/resume.json"; then
   echo "expected all $CELLS cells restored from the daemon's journal:" >&2
